@@ -20,18 +20,16 @@
 //! * `probe/*` — the batched-window probe (`TimingWheel::window_cap` +
 //!   `occupied_ticks_within`), which the engine runs once per barrier when
 //!   batching is on; it must stay cheap enough to be free relative to a drain.
-//! * `arena/*` — the event-arena delivery path: draining one tick's events
-//!   through the SoA `EventBatch` (grouped by destination, payloads recycled
-//!   through the `PayloadArena`) against the per-event owned-enum walk it
-//!   replaced, plus the hierarchical wheel on the 10%-overflow workload —
-//!   whose every multi-horizon delay must be absorbed by the promoted/coarse
-//!   tiers (`far_parked == 0`, asserted) instead of the old `BinaryHeap`
-//!   overflow path.
+//! * `arena/*` — the baseline the event arena is judged against: the
+//!   per-event owned-enum walk (payloads inline in the wheel slots, drained one
+//!   event at a time in seq order), plus the hierarchical wheel on the
+//!   10%-overflow workload — whose every multi-horizon delay must be absorbed
+//!   by the promoted/coarse tiers (`far_parked == 0`, asserted) instead of the
+//!   old `BinaryHeap` overflow path.
 //!
 //! Usage: `exp_sched [--smoke]` (`--smoke` shrinks the op counts for CI).
 
 use ds_bench::table::{print_table, Row};
-use ds_netsim::arena::{EventBatch, PayloadArena};
 use ds_netsim::pool::WorkerPool;
 use ds_netsim::scheduler::{EventScheduler, HeapScheduler, TimingWheel};
 use ds_netsim::stage_queue::StageQueue;
@@ -306,72 +304,18 @@ fn probe_rows(probes: u64) -> Vec<Row> {
     }]
 }
 
-/// Destination nodes the arena drain benchmark spreads its events over.
+/// Destination nodes the drain benchmark spreads its events over.
 const ARENA_DSTS: u64 = 512;
 
-/// In-flight population for the arena drain benchmark. Delays cluster on
-/// coarse multiples (protocols send in waves, so arrivals pile onto shared
-/// ticks), which with this population gives batches of a few hundred events
-/// per drained tick — the shape of a busy barrier, where the batch classify
-/// amortizes.
+/// In-flight population for the drain benchmark. Delays cluster on coarse
+/// multiples (protocols send in waves, so arrivals pile onto shared ticks),
+/// which with this population gives batches of a few hundred events per
+/// drained tick — the shape of a busy barrier.
 const ARENA_PENDING: u64 = 4096;
 
 /// Per-destination "node state" large enough that activation order shows up
-/// in cache behavior — grouping by destination touches each slot once per
-/// tick instead of once per event.
+/// in cache behavior.
 type NodeState = [u64; 16];
-
-/// The engine's arena path, end to end: payloads parked in the recycled
-/// arena at send time, 8-byte `(dst, handle)` rows through the wheel slots,
-/// and each tick's drain classified into the SoA `EventBatch` and activated
-/// destination by destination.
-fn drive_arena_batch(events: u64, nodes: &mut [NodeState]) -> u64 {
-    let mut wheel: TimingWheel<(u32, u32)> = TimingWheel::new(1000);
-    let mut arena: PayloadArena<[u64; 4]> = PayloadArena::new();
-    let mut batch = EventBatch::new();
-    let mut due: Vec<(u64, (u32, u32))> = Vec::new();
-    let mut rng = Lcg(0xA7E4A);
-    let mut seq = 0u64;
-    let mut pending = 0u64;
-    let mut acc = 0u64;
-    let mut now = 0u64;
-    while seq < events || pending > 0 {
-        if seq < events && pending < ARENA_PENDING {
-            for _ in 0..64 {
-                if seq == events {
-                    break;
-                }
-                let dst = rng.next(ARENA_DSTS) as u32;
-                let handle = arena.alloc([seq, seq ^ 1, seq ^ 2, seq ^ 3]);
-                wheel.schedule(now + 100 * (1 + rng.next(10)), seq, (dst, handle));
-                seq += 1;
-                pending += 1;
-            }
-        } else {
-            now = wheel.take_due(&mut due).expect("pending > 0");
-            pending -= due.len() as u64;
-            batch.begin();
-            for &(s, (dst, handle)) in &due {
-                batch.push_deliver(s, 0, handle, dst);
-            }
-            due.clear();
-            batch.seal();
-            for g in 0..batch.groups() {
-                let (dst, idxs) = batch.group(g);
-                let node = &mut nodes[dst as usize];
-                for &i in idxs {
-                    let (_, _, _, handle) = batch.event(i as usize);
-                    let msg = arena.take(handle);
-                    node[(msg[0] % 16) as usize] =
-                        node[(msg[0] % 16) as usize].wrapping_add(msg[1]);
-                    acc = acc.wrapping_add(msg[0]);
-                }
-            }
-        }
-    }
-    assert_eq!(arena.live(), 0, "every handle must come back");
-    acc
-}
 
 /// The pre-arena path: enum rows owning their payloads inline travel through
 /// the wheel slots (and their free lists) by value, and the drain walks them
@@ -423,26 +367,14 @@ fn drive_owned_events(events: u64, nodes: &mut [NodeState]) -> u64 {
 }
 
 fn arena_rows(events: u64) -> Vec<Row> {
-    let drained = events;
     let mut nodes = vec![[0u64; 16]; ARENA_DSTS as usize];
-    let soa_ns = median_ns_per_op(drained, || {
-        std::hint::black_box(drive_arena_batch(events, &mut nodes));
-    });
-    let owned_ns = median_ns_per_op(drained, || {
+    let owned_ns = median_ns_per_op(events, || {
         std::hint::black_box(drive_owned_events(events, &mut nodes));
     });
-    [("soa-batch", soa_ns), ("owned-aos", owned_ns)]
-        .into_iter()
-        .map(|(kind, ns)| Row {
-            label: format!("arena/{kind}/drain"),
-            values: vec![
-                ("events", drained as f64),
-                ("ns/event", ns),
-                ("Mops/s", 1e3 / ns),
-                ("vs_owned", owned_ns / ns),
-            ],
-        })
-        .collect()
+    vec![Row {
+        label: "arena/owned-aos/drain".to_string(),
+        values: vec![("events", events as f64), ("ns/event", owned_ns), ("Mops/s", 1e3 / owned_ns)],
+    }]
 }
 
 /// The hierarchical wheel on the 10%-overflow workload: every multi-horizon
@@ -479,7 +411,7 @@ fn main() {
         &pool_rows(barriers),
     );
     print_table("batched-window probe (window_cap + occupancy bitsets)", &probe_rows(probes));
-    print_table("event arena (SoA batch drain vs owned per-event walk)", &arena_rows(events));
+    print_table("event arena baseline (owned per-event walk)", &arena_rows(events));
     print_table(
         "hierarchical-wheel overflow tiers (10%-overflow workload, far heap must stay empty)",
         &hier_wheel_rows(events),

@@ -1,32 +1,22 @@
-//! Recycled event arena: payload slots behind `u32` handles, and the SoA
-//! batch the engines group one tick's due events into.
+//! Recycled event arena: payload slots behind `u32` handles.
 //!
 //! The delivery hot path used to move an owned `Pending<M>` struct — link id
 //! plus an inline message — through wheel slot, link queue and outbox, one
-//! event at a time. The arena splits that into two cheap parts:
+//! event at a time. The arena splits the message off:
 //!
 //! * [`PayloadArena`]: a free-list slab owning every in-flight message.
 //!   `alloc` hands out a `u32` handle (recycling freed slots, so steady state
 //!   never allocates), `take` moves the message back out. Everything else —
-//!   wheel slots, `StageQueue` buckets, captured outboxes — stores the 4-byte
-//!   handle instead of the message. A live-handle counter makes leaks
-//!   checkable: after a drained batch, `live()` must return to the number of
-//!   messages still genuinely in flight.
-//! * [`EventBatch`]: struct-of-arrays columns (`(seq, link, payload, tag)`)
-//!   holding one tick's classified due events in ascending `seq` order, plus
-//!   a grouping of the live deliveries by destination node in first-seen
-//!   order. The engines activate each destination **once** over its group
-//!   (arrivals stay in `seq` order within a group, because the columns are
-//!   filled in `seq` order and the grouping is a stable counting sort), then
-//!   replay delivery effects in exact global `seq` order via
-//!   [`EventBatch::slot`] — so batch-at-a-time processing draws sequence
-//!   numbers in precisely the order the one-at-a-time engine did, keeping
-//!   schedules bit-identical (the argument mirrors the sharded engine's
-//!   phase-1/phase-2 contract, DESIGN.md §6.2 and §10).
+//!   wheel slots, `StageQueue` buckets — stores the 4-byte handle instead of
+//!   the message. A live-handle counter makes leaks checkable: a finished run
+//!   must return `live()` to zero.
+//! * [`EvRef`]: the two packed `u32`s (link, payload handle) the serial
+//!   engine's scheduler stores per event.
 //!
 //! Handles are engine-local: the sharded engine keeps one arena per shard and
-//! never ships a handle across a shard boundary — only the serial merge, which
-//! owns every shard's tables between barriers, moves payloads between arenas.
+//! never ships a handle across a shard boundary — a payload is allocated into
+//! the *destination* shard's arena when it is sent (coordinator-side, between
+//! barriers) and taken back out by that shard.
 
 /// Reserved handle meaning "no payload" (acknowledgment events carry none).
 pub const NONE: u32 = u32::MAX;
@@ -76,8 +66,8 @@ enum Slot<M> {
 /// `alloc` pops the free list (growing the slot vector only when it is
 /// empty), `take` pushes the freed slot back, so a steady-state run allocates
 /// exactly once per distinct high-water mark of simultaneously in-flight
-/// messages. The `live`/`peak_live` counters feed both the leak assertions in
-/// the test suite (a drained batch must return every handle) and the bench
+/// messages. The `live`/`peak_live` counters feed both the engines' leak
+/// assertions (a finished run must return every handle) and the bench
 /// artifact's arena statistics.
 #[derive(Debug)]
 pub struct PayloadArena<M> {
@@ -168,185 +158,6 @@ impl<M> Default for PayloadArena<M> {
     }
 }
 
-/// Classification of one due event within an [`EventBatch`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tag {
-    /// A live delivery: activates its destination, then replays effects.
-    Deliver,
-    /// A link-level acknowledgment (no payload, no activation).
-    Ack,
-    /// A delivery the fault adversary eats: frees the link and the payload
-    /// handle, draws no activation.
-    Drop,
-}
-
-/// Struct-of-arrays batch of one tick's classified due events, with the live
-/// deliveries grouped by destination node.
-///
-/// Events are pushed in ascending `seq` order (the order `take_due` hands
-/// them over). [`EventBatch::seal`] then builds a stable counting sort of the
-/// deliveries by destination: groups appear in first-seen order, members of a
-/// group stay in `seq` order, and [`EventBatch::slot`] maps an event index
-/// back to its position in that activation order so the effects pass can find
-/// each delivery's captured outbox range.
-#[derive(Debug, Default)]
-pub struct EventBatch {
-    // Columns, one entry per classified event, in ascending seq order.
-    seqs: Vec<u64>,
-    links: Vec<u32>,
-    payloads: Vec<u32>,
-    tags: Vec<Tag>,
-    /// Per event: the delivery's group index, or `NONE` for acks/drops.
-    group_of: Vec<u32>,
-    // Per group, in first-seen order.
-    group_dst: Vec<u32>,
-    group_count: Vec<u32>,
-    group_start: Vec<u32>,
-    /// Delivery event indices laid out contiguously by group (activation
-    /// order): group `g` owns `perm[group_start[g]..group_start[g] + group_count[g]]`.
-    perm: Vec<u32>,
-    /// Per event: its activation-order slot (index into `perm`), or `NONE`.
-    slot_of: Vec<u32>,
-    // Destination-node scratch for the grouping: `node_group[v]` is valid iff
-    // `stamp[v] == epoch`. Grown on demand, never cleared — the epoch bump in
-    // `begin` invalidates every stale entry at once.
-    stamp: Vec<u64>,
-    node_group: Vec<u32>,
-    epoch: u64,
-    /// Per-group write cursors, reused across ticks by `seal`.
-    cursor: Vec<u32>,
-}
-
-impl EventBatch {
-    /// Creates an empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears the batch for a new tick. Buffers are retained.
-    pub fn begin(&mut self) {
-        self.seqs.clear();
-        self.links.clear();
-        self.payloads.clear();
-        self.tags.clear();
-        self.group_of.clear();
-        self.group_dst.clear();
-        self.group_count.clear();
-        self.group_start.clear();
-        self.perm.clear();
-        self.slot_of.clear();
-        self.epoch += 1;
-    }
-
-    fn push(&mut self, seq: u64, link: u32, payload: u32, tag: Tag, group: u32) {
-        self.seqs.push(seq);
-        self.links.push(link);
-        self.payloads.push(payload);
-        self.tags.push(tag);
-        self.group_of.push(group);
-        self.slot_of.push(NONE);
-    }
-
-    /// Appends an acknowledgment event.
-    pub fn push_ack(&mut self, seq: u64, link: u32) {
-        self.push(seq, link, NONE, Tag::Ack, NONE);
-    }
-
-    /// Appends a delivery the fault adversary will eat (its payload handle
-    /// still needs freeing in the effects pass).
-    pub fn push_drop(&mut self, seq: u64, link: u32, payload: u32) {
-        self.push(seq, link, payload, Tag::Drop, NONE);
-    }
-
-    /// Appends a live delivery addressed to node `dst`, assigning it to
-    /// `dst`'s group (created in first-seen order).
-    pub fn push_deliver(&mut self, seq: u64, link: u32, payload: u32, dst: u32) {
-        let v = dst as usize;
-        if v >= self.stamp.len() {
-            self.stamp.resize(v + 1, 0);
-            self.node_group.resize(v + 1, NONE);
-        }
-        let g = if self.stamp[v] == self.epoch {
-            self.node_group[v]
-        } else {
-            let g = u32::try_from(self.group_dst.len()).expect("group count fits u32");
-            self.stamp[v] = self.epoch;
-            self.node_group[v] = g;
-            self.group_dst.push(dst);
-            self.group_count.push(0);
-            g
-        };
-        self.group_count[g as usize] += 1;
-        self.push(seq, link, payload, Tag::Deliver, g);
-    }
-
-    /// Finalizes the grouping: computes group offsets and the stable
-    /// activation-order permutation. Call once, after the last push.
-    pub fn seal(&mut self) {
-        let mut start = 0u32;
-        self.group_start.reserve(self.group_count.len());
-        for &c in &self.group_count {
-            self.group_start.push(start);
-            start += c;
-        }
-        self.perm.resize(start as usize, NONE);
-        // Scatter delivery indices to their group's span; walking events in
-        // index (= seq) order keeps each group's members in seq order.
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.group_start);
-        for (i, &g) in self.group_of.iter().enumerate() {
-            if g == NONE {
-                continue;
-            }
-            let k = self.cursor[g as usize];
-            self.cursor[g as usize] += 1;
-            self.perm[k as usize] = i as u32;
-            self.slot_of[i] = k;
-        }
-    }
-
-    /// Number of classified events.
-    pub fn len(&self) -> usize {
-        self.seqs.len()
-    }
-
-    /// Whether the batch holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.seqs.is_empty()
-    }
-
-    /// The event at index `i` as `(seq, tag, link, payload)`.
-    pub fn event(&self, i: usize) -> (u64, Tag, u32, u32) {
-        (self.seqs[i], self.tags[i], self.links[i], self.payloads[i])
-    }
-
-    /// Number of destination groups (node activations this tick).
-    pub fn groups(&self) -> usize {
-        self.group_dst.len()
-    }
-
-    /// Group `g` as `(destination node, event indices in seq order)`. Only
-    /// valid after [`EventBatch::seal`].
-    pub fn group(&self, g: usize) -> (u32, &[u32]) {
-        let start = self.group_start[g] as usize;
-        let count = self.group_count[g] as usize;
-        (self.group_dst[g], &self.perm[start..start + count])
-    }
-
-    /// The activation-order slot of delivery event `i` (its index within the
-    /// concatenated group spans). Only valid after [`EventBatch::seal`] and
-    /// only for `Tag::Deliver` events.
-    pub fn slot(&self, i: usize) -> usize {
-        debug_assert_ne!(self.slot_of[i], NONE, "only deliveries have activation slots");
-        self.slot_of[i] as usize
-    }
-
-    /// Size of the largest destination group in this batch.
-    pub fn max_group(&self) -> usize {
-        self.group_count.iter().copied().max().unwrap_or(0) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,87 +210,6 @@ mod tests {
         let h = a.alloc(1);
         a.take(h);
         let _ = a.take(h);
-    }
-
-    #[test]
-    fn batch_groups_by_destination_in_first_seen_order() {
-        let mut b = EventBatch::new();
-        b.begin();
-        // seq order: deliver to 7, ack, deliver to 3, deliver to 7, drop.
-        b.push_deliver(10, 0, 100, 7);
-        b.push_ack(11, 1);
-        b.push_deliver(12, 2, 101, 3);
-        b.push_deliver(13, 3, 102, 7);
-        b.push_drop(14, 4, 103);
-        b.seal();
-        assert_eq!(b.len(), 5);
-        assert_eq!(b.groups(), 2);
-        let (dst0, members0) = b.group(0);
-        assert_eq!(dst0, 7, "groups appear in first-seen order");
-        assert_eq!(members0, &[0, 3], "members stay in seq order");
-        let (dst1, members1) = b.group(1);
-        assert_eq!((dst1, members1), (3, &[2u32][..]));
-        // Activation slots: group 7 owns slots 0..2, group 3 owns slot 2.
-        assert_eq!(b.slot(0), 0);
-        assert_eq!(b.slot(3), 1);
-        assert_eq!(b.slot(2), 2);
-        assert_eq!(b.max_group(), 2);
-        assert_eq!(b.event(1), (11, Tag::Ack, 1, NONE));
-        assert_eq!(b.event(4), (14, Tag::Drop, 4, 103));
-    }
-
-    #[test]
-    fn batch_reuse_across_ticks_resets_the_grouping() {
-        let mut b = EventBatch::new();
-        b.begin();
-        b.push_deliver(0, 0, 0, 5);
-        b.seal();
-        assert_eq!(b.groups(), 1);
-        // Next tick: the epoch bump must invalidate node 5's stale group.
-        b.begin();
-        b.push_deliver(1, 0, 1, 9);
-        b.push_deliver(2, 1, 2, 5);
-        b.seal();
-        assert_eq!(b.groups(), 2);
-        assert_eq!(b.group(0).0, 9);
-        assert_eq!(b.group(1).0, 5);
-        assert_eq!(b.group(1).1, &[1]);
-    }
-
-    #[test]
-    fn a_drained_batch_returns_every_handle() {
-        // The leak invariant the engines rely on: allocate a tick's worth of
-        // payloads, classify them into a batch, drain every group plus the
-        // drop lane, and the live-handle counter must return to zero.
-        let mut arena: PayloadArena<Vec<u8>> = PayloadArena::new();
-        let mut b = EventBatch::new();
-        b.begin();
-        for i in 0..50u64 {
-            let h = arena.alloc(vec![i as u8; 3]);
-            if i % 7 == 0 {
-                b.push_drop(i, i as u32, h);
-            } else {
-                b.push_deliver(i, i as u32, h, (i % 5) as u32);
-            }
-        }
-        b.seal();
-        assert_eq!(arena.live(), 50);
-        for g in 0..b.groups() {
-            let (_, members) = b.group(g);
-            for &i in members {
-                let (_, tag, _, payload) = b.event(i as usize);
-                assert_eq!(tag, Tag::Deliver);
-                arena.take(payload);
-            }
-        }
-        for i in 0..b.len() {
-            let (_, tag, _, payload) = b.event(i);
-            if tag == Tag::Drop {
-                arena.take(payload);
-            }
-        }
-        assert_eq!(arena.live(), 0, "drained batch leaked handles");
-        assert_eq!(arena.peak_live(), 50);
     }
 
     #[test]

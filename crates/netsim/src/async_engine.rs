@@ -15,43 +15,36 @@
 //! * time complexity is the completion time divided by `τ`; message complexity counts
 //!   every injected message, with link acknowledgments reported separately.
 //!
-//! The engine's bookkeeping is flat and dense: per-link state lives in a `Vec`
-//! indexed by [`DirectedEdgeId`] (every send resolves `(from, to)` through the
-//! graph's directed-edge index), message payloads live in a recycled
-//! [`PayloadArena`] — wheel slots, link queues and captured outboxes all move
-//! 4-byte handles, never the messages — and one outbox buffer is recycled
-//! across activations, so there are no map lookups or per-event allocations on
-//! the hot path.
+//! Those rules — what a send, an injection, a delivery, an acknowledgment and
+//! a fault drop *do* — live in the effects core (`effects.rs`), shared with
+//! the sharded engine. This module is the serial **loop** around it and the
+//! serial data layout: one scheduler, one link table indexed flat by
+//! [`DirectedEdgeId`], one recycled [`PayloadArena`] (wheel slots and link
+//! queues move 4-byte handles, never the messages) and one outbox buffer
+//! recycled across activations, so there are no map lookups or per-event
+//! allocations on the hot path.
 //!
-//! Scheduling exploits the bounded delay horizon twice (see
-//! [`crate::scheduler`] and [`crate::stage_queue`] for the data structures and
-//! the determinism argument):
-//!
-//! * the global event queue is a bounded-horizon **hierarchical timing
-//!   wheel** — `O(1)` per event instead of the `O(log n)` of the reference
-//!   binary heap, with beyond-horizon events staged through coarser tiers
-//!   instead of a heap (selectable via [`SchedulerKind`]; both produce
-//!   bit-identical schedules),
-//! * per-link queues are **per-stage FIFO buckets** keyed by the small stage
-//!   priorities of Lemma 2.5, with a dense occupancy bitset,
-//! * each tick is processed **batch-at-a-time** over an [`EventBatch`]: one
-//!   pass classifies the tick's due events into struct-of-arrays columns
-//!   grouped by destination, each destination then activates *once* over its
-//!   arrivals (capturing outgoings as arena handles), and a final pass replays
-//!   every delivery's effects — sends, acknowledgments, drops — in exact
-//!   global `(tick, seq)` order, so the schedule equals the one-at-a-time
-//!   engine's bit for bit (the determinism argument is DESIGN.md §10).
+//! Each iteration takes every due event of the earliest pending tick from the
+//! scheduler (ascending `seq`; events scheduled while processing the tick land
+//! strictly later, so the batch is complete) and fires them one at a time in
+//! that order: activate the destination, then replay the activation's effects
+//! straight from its outbox. The global event queue is a bounded-horizon
+//! **hierarchical timing wheel** — `O(1)` per event instead of the
+//! `O(log n)` of the reference binary heap (selectable via [`SchedulerKind`];
+//! both produce bit-identical schedules, see [`crate::scheduler`]) — and the
+//! per-link queues are per-stage FIFO buckets ([`crate::stage_queue`]).
+//! Grouping a tick's events by destination before activating them was tried
+//! and lost its A/B against this loop (DESIGN.md §10.2).
 
-use crate::arena::{EvRef, EventBatch, PayloadArena, Tag};
+use crate::arena::{EvRef, PayloadArena};
 use crate::delay::DelayModel;
+use crate::effects::{Core, Event, Home, LinkState, Storage};
 use crate::fault::{FaultPlan, FaultState};
-use crate::metrics::{MessageClass, RunMetrics};
-use crate::protocol::{Ctx, Outgoing, Protocol};
+use crate::metrics::RunMetrics;
+use crate::protocol::Protocol;
 use crate::scheduler::{EventScheduler, HeapScheduler, TimingWheel};
-use crate::stage_queue::StageQueue;
-use crate::trace::{DeliveryTrace, TraceState};
+use crate::trace::DeliveryTrace;
 use crate::SchedulerKind;
-use crate::TICKS_PER_UNIT;
 use ds_graph::{DirectedEdgeId, Graph, NodeId};
 use std::fmt;
 
@@ -151,68 +144,11 @@ pub struct AsyncReport<P> {
     pub fault_transitions: u64,
 }
 
-/// Per-directed-edge link state, indexed flat by [`DirectedEdgeId`] (shared with
-/// the sharded engine, which keeps one such table per shard).
-#[derive(Debug)]
-pub(crate) struct LinkState<M> {
-    /// Cached endpoints of the directed edge — the hot path reads them from the
-    /// link record it touches anyway instead of chasing the graph's edge table.
-    pub(crate) from: NodeId,
-    pub(crate) to: NodeId,
-    /// Whether a message is currently in flight (awaiting acknowledgment).
-    pub(crate) in_flight: bool,
-    /// Single-entry fast path: the first queued `(priority, seq, msg)` waits here
-    /// and only further arrivals spill into the bucket queue, so the common case —
-    /// one message waiting per link — never touches `StageQueue` at all.
-    head: Option<(u64, u64, M)>,
-    /// Spilled messages, lowest `(priority, seq)` first (Lemma 2.5: lowest stage
-    /// first, FIFO within a stage).
-    queue: StageQueue<M>,
-}
-
-impl<M> LinkState<M> {
-    pub(crate) fn new(from: NodeId, to: NodeId) -> Self {
-        LinkState { from, to, in_flight: false, head: None, queue: StageQueue::new() }
-    }
-
-    /// Whether the link holds no transient state: nothing in flight, nothing
-    /// queued. At quiescence every link is idle (a queued message always has
-    /// an ack or drop pending to release it), which is what lets a finished
-    /// run's link table be recycled into the next run ([`crate::recycle`]).
-    pub(crate) fn is_idle(&self) -> bool {
-        !self.in_flight && self.head.is_none() && self.queue.is_empty()
-    }
-
-    pub(crate) fn push(&mut self, priority: u64, seq: u64, msg: M) {
-        if self.head.is_none() {
-            self.head = Some((priority, seq, msg));
-        } else {
-            self.queue.push(priority, seq, msg);
-        }
-    }
-
-    /// Pops the waiting message with the minimum `(priority, seq)` as
-    /// `(seq, msg)`. The head entry and the bucket queue each yield their own
-    /// minimum; the smaller key wins, so the order equals the unsplit queue's.
-    pub(crate) fn pop(&mut self) -> Option<(u64, M)> {
-        match self.head.take() {
-            Some((hp, hs, hmsg)) => match self.queue.min_key() {
-                Some(qkey) if qkey < (hp, hs) => {
-                    self.head = Some((hp, hs, hmsg));
-                    self.queue.pop()
-                }
-                _ => Some((hs, hmsg)),
-            },
-            None => self.queue.pop(),
-        }
-    }
-}
-
 /// The reusable, allocation-heavy halves of a serial engine: everything
-/// `run_engine` builds per run except the protocol instances and the event
-/// scheduler. [`crate::recycle::EngineSlab`] keeps one of these (plus a
-/// [`TimingWheel`]) across runs so link tables, stage queues, the payload
-/// arena and the outbox buffer are reshaped rather than reallocated.
+/// `run_engine_parts` builds per run except the protocol instances and the
+/// event scheduler. [`crate::recycle::EngineSlab`] keeps one of these (plus a
+/// [`TimingWheel`]) across runs so link tables, stage queues and the payload
+/// arena are reshaped rather than reallocated.
 ///
 /// None of the retained state can influence a schedule: between runs the
 /// queues are empty, the arena holds no live handles (capacity and free-list
@@ -221,24 +157,16 @@ impl<M> LinkState<M> {
 /// reads (link endpoints, done flags, the peak-live watermark) to exactly its
 /// cold-start value.
 pub(crate) struct EngineParts<M> {
-    pub(crate) links: Vec<LinkState<u32>>,
-    pub(crate) arena: PayloadArena<M>,
-    pub(crate) done_flags: Vec<bool>,
-    pub(crate) outbox_pool: Vec<Outgoing<M>>,
-    pub(crate) touched: Vec<DirectedEdgeId>,
+    links: Vec<LinkState<u32>>,
+    arena: PayloadArena<M>,
+    done_flags: Vec<bool>,
 }
 
 // Manual impl: `derive` would demand `M: Default`, but empty parts need no
 // message value.
 impl<M> Default for EngineParts<M> {
     fn default() -> Self {
-        EngineParts {
-            links: Vec::new(),
-            arena: PayloadArena::new(),
-            done_flags: Vec::new(),
-            outbox_pool: Vec::new(),
-            touched: Vec::new(),
-        }
+        EngineParts { links: Vec::new(), arena: PayloadArena::new(), done_flags: Vec::new() }
     }
 }
 
@@ -270,7 +198,6 @@ impl<M> EngineParts<M> {
         }
         self.done_flags.clear();
         self.done_flags.resize(graph.node_count(), false);
-        self.touched.clear();
     }
 
     /// Whether the parts hold no transient state — the recycling hygiene
@@ -281,231 +208,68 @@ impl<M> EngineParts<M> {
     }
 }
 
-struct Engine<'a, P: Protocol, S> {
-    graph: &'a Graph,
-    delay: DelayModel,
+/// The serial engine's data layout: one of everything.
+struct Serial<P: Protocol, S> {
     nodes: Vec<P>,
-    /// Link state per directed edge, indexed by [`DirectedEdgeId`]. The
-    /// queued entries are payload-arena handles, not messages.
+    done_flags: Vec<bool>,
+    /// Link state per directed edge, indexed by [`DirectedEdgeId`].
     links: Vec<LinkState<u32>>,
     /// Every in-flight message payload, behind the `u32` handles the link
     /// queues and the scheduler's [`EvRef`]s carry.
     arena: PayloadArena<P::Message>,
     sched: S,
-    now: u64,
-    seq: u64,
-    /// Deliveries processed so far, checked against `max_events`.
-    deliveries: u64,
-    /// The run's delivery budget (`SimLimits::max_events`).
-    max_events: u64,
-    metrics: RunMetrics,
-    done_flags: Vec<bool>,
-    done_count: usize,
-    time_all_done: Option<u64>,
-    /// Recycled outbox buffer, threaded through every activation.
-    outbox_pool: Vec<Outgoing<P::Message>>,
-    /// Recycled scratch list of links touched by one outbox dispatch.
-    touched: Vec<DirectedEdgeId>,
-    /// Delivery tracing for the happens-before checker ([`crate::trace`]).
-    /// `None` (the default) makes every hook a dead branch: schedules are
-    /// bit-identical with tracing on or off.
-    trace: Option<TraceState>,
-    /// The compiled fault adversary, advanced to `now` before events of a tick
-    /// are processed. `None` (the default) makes every check a dead branch.
-    faults: Option<FaultState>,
-    /// Messages dropped by the fault adversary ([`AsyncReport::dropped_events`]).
-    dropped: u64,
-    /// Size of the largest one-tick due batch ([`AsyncReport::max_batch`]).
-    max_batch: u64,
 }
 
-impl<'a, P: Protocol, S: EventScheduler<EvRef>> Engine<'a, P, S> {
+impl<P: Protocol, S: EventScheduler<EvRef>> Storage for Serial<P, S> {
+    type Node = P;
+
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn schedule(&mut self, at: u64, ev: EvRef) {
-        let seq = self.next_seq();
-        if let Some(tr) = self.trace.as_mut() {
-            tr.on_scheduled(seq);
+    fn link(&mut self, link: DirectedEdgeId) -> &mut LinkState<u32> {
+        &mut self.links[link.index()]
+    }
+
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    fn home(&mut self, v: NodeId) -> Home<'_, P> {
+        Home {
+            shard: 0,
+            node: &mut self.nodes[v.index()],
+            done: &mut self.done_flags[v.index()],
+            arena: &mut self.arena,
         }
+    }
+
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    fn schedule(&mut self, _now: u64, at: u64, seq: u64, ev: Event) {
+        let ev = match ev {
+            Event::Deliver { link, handle, .. } => EvRef::deliver(link.0, handle),
+            Event::Ack { link } => EvRef::ack(link.0),
+            Event::Dropped { .. } => unreachable!("the core schedules only deliveries and acks"),
+        };
         self.sched.schedule(at, seq, ev);
     }
-
-    fn next_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn try_inject(&mut self, link: DirectedEdgeId) {
-        let state = &mut self.links[link.index()];
-        if state.in_flight {
-            return;
-        }
-        let (from, to) = (state.from, state.to);
-        if self.faults.as_ref().is_some_and(|f| f.blocks(link, from, to)) {
-            // The link is dead right now: everything queued behind it is lost.
-            // The drain draws no sequence numbers — so the schedule of live
-            // traffic is untouched by how many messages die here — but every
-            // drained handle is freed back into the arena.
-            while let Some((_, handle)) = self.links[link.index()].pop() {
-                self.arena.take(handle);
-                self.dropped += 1;
-            }
-            return;
-        }
-        let state = &mut self.links[link.index()];
-        let Some((msg_seq, handle)) = state.pop() else { return };
-        state.in_flight = true;
-        let delay = self.delay.delay_ticks_at(from, to, msg_seq, self.now);
-        let at = self.now + delay;
-        self.schedule(at, EvRef::deliver(link.0, handle));
-    }
-
-    /// Dispatches a start-wave activation's outbox: each message moves into
-    /// the payload arena and its handle queues on the link, then injection is
-    /// attempted. Tick-time deliveries use the capture/replay split of the
-    /// batch passes instead; this direct path serves only `on_start`.
-    fn dispatch_outbox(&mut self, from: NodeId, ctx: &mut Ctx<P::Message>) -> Result<(), SimError> {
-        if ctx.queued() == 0 {
-            return Ok(());
-        }
-        let mut touched = std::mem::take(&mut self.touched);
-        for out in ctx.drain_outbox() {
-            let Some(link) = self.graph.edge_id(from, out.to) else {
-                return Err(SimError::NotNeighbor { from, to: out.to });
-            };
-            self.metrics.record_message(out.class);
-            let seq = self.seq;
-            self.seq += 1;
-            let handle = self.arena.alloc(out.msg);
-            self.links[link.index()].push(out.priority, seq, handle);
-            touched.push(link);
-        }
-        for link in touched.drain(..) {
-            self.try_inject(link);
-        }
-        self.touched = touched;
-        Ok(())
-    }
-
-    /// Replays one delivery's effects — trace record, event accounting, the
-    /// sends its activation captured (each drawing its seq here, in exact
-    /// global `seq` order), and the acknowledgment back to the sender. The
-    /// protocol activation itself already ran in the batch's activation pass;
-    /// splitting the two keeps the seq stream identical to the historical
-    /// one-at-a-time engine's (the ack draws one seq for its delay and a
-    /// second inside `schedule`, mirroring it exactly — the seq stream feeds
-    /// the delay adversary).
-    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn delivery_effects(
-        &mut self,
-        seq: u64,
-        link: DirectedEdgeId,
-        rows: &[(NodeId, u64, MessageClass, u32)],
-    ) -> Result<(), SimError> {
-        let state = &self.links[link.index()];
-        let (from, to) = (state.from, state.to);
-        if let Some(tr) = self.trace.as_mut() {
-            tr.on_delivery(seq, self.now, 0, from, to);
-        }
-        self.deliveries += 1;
-        if self.deliveries > self.max_events {
-            return Err(SimError::EventLimitExceeded { limit: self.max_events });
-        }
-        self.metrics.events += 1;
-        let mut touched = std::mem::take(&mut self.touched);
-        for &(out_to, priority, class, handle) in rows {
-            let Some(l) = self.graph.edge_id(to, out_to) else {
-                return Err(SimError::NotNeighbor { from: to, to: out_to });
-            };
-            self.metrics.record_message(class);
-            let mseq = self.seq;
-            self.seq += 1;
-            self.links[l.index()].push(priority, mseq, handle);
-            touched.push(l);
-        }
-        for l in touched.drain(..) {
-            self.try_inject(l);
-        }
-        self.touched = touched;
-        self.metrics.acks += 1;
-        let ack_seq = self.next_seq();
-        let ack_delay = self.delay.delay_ticks_at(to, from, ack_seq, self.now);
-        let at = self.now + ack_delay;
-        self.schedule(at, EvRef::ack(link.0));
-        Ok(())
-    }
-
-    fn update_done(&mut self, node: NodeId) {
-        if !self.done_flags[node.index()] && self.nodes[node.index()].is_done() {
-            self.done_flags[node.index()] = true;
-            self.done_count += 1;
-            if self.done_count == self.nodes.len() && self.time_all_done.is_none() {
-                self.time_all_done = Some(self.now);
-            }
-        }
-    }
 }
 
-/// Runs an asynchronous protocol on `graph` under the delay adversary `delay`,
-/// scheduling with the default [`SchedulerKind::TimingWheel`].
+/// Runs an asynchronous protocol on `graph` under the delay adversary `delay`
+/// and, if given, a [`FaultPlan`] (drop semantics in [`crate::fault`]; `None`
+/// runs on the intact topology), on the event scheduler `scheduler` selects.
+/// All kinds produce bit-identical runs (asserted by
+/// `tests/scheduler_equiv.rs`); the heap is kept as the executable reference
+/// for the timing wheel.
 ///
 /// `make` constructs the per-node protocol instance.
+///
+/// [`SchedulerKind::Sharded`] runs the sharded engine *sequentially* here (one
+/// coordinator, no worker threads), because this signature does not require
+/// `P: Send`. The execution is bit-identical either way; to actually spawn
+/// worker threads use [`crate::sharded::run_async_sharded_faulted_with`] (or
+/// drive it through `Session::scheduler`, whose protocols are `Send`).
 ///
 /// # Errors
 ///
 /// * [`SimError::NotNeighbor`] if a protocol sends to a non-neighbor.
 /// * [`SimError::EventLimitExceeded`] if the run exceeds `limits.max_events`
-///   deliveries (protection against livelocked protocols).
-pub fn run_async<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-) -> Result<AsyncReport<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    run_async_with(graph, delay, make, limits, SchedulerKind::default())
-}
-
-/// [`run_async`] with an explicit event-scheduler choice. All kinds produce
-/// bit-identical runs (asserted by `tests/scheduler_equiv.rs`); the heap is kept
-/// as the executable reference for the timing wheel.
-///
-/// [`SchedulerKind::Sharded`] runs the sharded engine *sequentially* here (one
-/// coordinator, no worker threads), because this signature does not require
-/// `P: Send`. The execution is bit-identical either way; to actually spawn
-/// worker threads use [`crate::sharded::run_async_sharded`] (or drive it through
-/// `Session::scheduler`, whose protocols are `Send`).
-///
-/// # Errors
-///
-/// Same as [`run_async`].
-pub fn run_async_with<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-    scheduler: SchedulerKind,
-) -> Result<AsyncReport<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    run_async_faulted(graph, delay, None, make, limits, scheduler)
-}
-
-/// [`run_async_with`] under a [`FaultPlan`]: the engine consults the compiled
-/// fault state at dispatch and delivery time (drop semantics in
-/// [`crate::fault`]). `None` behaves exactly like [`run_async_with`]. Like it,
-/// [`SchedulerKind::Sharded`] runs sequentially here; use
-/// [`crate::sharded::run_async_sharded_faulted_with`] for worker threads.
-///
-/// # Errors
-///
-/// Same as [`run_async`].
+///   deliveries (protection against livelocked protocols). The run stops at
+///   the offending delivery: its activation is the last one that ran.
 pub fn run_async_faulted<P, F>(
     graph: &Graph,
     delay: DelayModel,
@@ -518,56 +282,22 @@ where
     P: Protocol,
     F: FnMut(NodeId) -> P,
 {
-    let state = faults.map(|plan| FaultState::new(graph, plan));
-    match scheduler {
-        SchedulerKind::TimingWheel => {
-            let horizon = delay.max_delay_ticks();
-            run_engine(graph, delay, make, limits, TimingWheel::new(horizon), None, state)
-                .map(|(report, _)| report)
-        }
-        SchedulerKind::BinaryHeap => {
-            run_engine(graph, delay, make, limits, HeapScheduler::new(), None, state)
-                .map(|(report, _)| report)
-        }
-        SchedulerKind::Sharded { shards, workers: _ } => {
-            crate::sharded::run_sequential_faulted(graph, delay, faults, make, limits, shards)
-        }
-    }
+    run_on(graph, delay, faults, make, limits, scheduler, false).map(|(report, _)| report)
 }
 
-/// [`run_async_with`] with delivery tracing enabled: returns the report plus
-/// the [`DeliveryTrace`] the happens-before checker (`ds-verify`) consumes.
+/// [`run_async_faulted`] with delivery tracing enabled: returns the report
+/// plus the [`DeliveryTrace`] the happens-before checker (`ds-verify`)
+/// consumes.
 ///
 /// The traced run is **bit-identical** to the untraced one — tracing only
 /// appends to a side buffer and never draws a sequence number or touches a
 /// queue (asserted by the module tests and `tests/happens_before.rs`).
-/// [`SchedulerKind::Sharded`] runs sequentially here, like [`run_async_with`];
-/// use [`crate::sharded::run_async_sharded_traced_with`] for worker threads.
+/// Dropped deliveries leave no trace record (they never happened, causally),
+/// so the checker works unchanged under churn.
 ///
 /// # Errors
 ///
-/// Same as [`run_async`].
-pub fn run_async_traced<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-    scheduler: SchedulerKind,
-) -> Result<(AsyncReport<P>, DeliveryTrace), SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    run_async_faulted_traced(graph, delay, None, make, limits, scheduler)
-}
-
-/// [`run_async_faulted`] with delivery tracing enabled. Dropped deliveries
-/// leave no trace record (they never happened, causally), so the
-/// happens-before checker works unchanged under churn.
-///
-/// # Errors
-///
-/// Same as [`run_async`].
+/// Same as [`run_async_faulted`].
 pub fn run_async_faulted_traced<P, F>(
     graph: &Graph,
     delay: DelayModel,
@@ -580,62 +310,61 @@ where
     P: Protocol,
     F: FnMut(NodeId) -> P,
 {
-    let state = faults.map(|plan| FaultState::new(graph, plan));
-    let trace = Some(TraceState::new(1));
-    let (report, trace) = match scheduler {
-        SchedulerKind::TimingWheel => {
-            let horizon = delay.max_delay_ticks();
-            run_engine(graph, delay, make, limits, TimingWheel::new(horizon), trace, state)?
-        }
-        SchedulerKind::BinaryHeap => {
-            run_engine(graph, delay, make, limits, HeapScheduler::new(), trace, state)?
-        }
-        SchedulerKind::Sharded { shards, workers: _ } => {
-            return crate::sharded::run_sequential_faulted_traced(
-                graph, delay, faults, make, limits, shards,
-            );
-        }
-    };
+    let (report, trace) = run_on(graph, delay, faults, make, limits, scheduler, true)?;
     Ok((report, trace.expect("tracing was enabled")))
 }
 
-fn run_engine<P, F, S>(
+fn run_on<P, F>(
     graph: &Graph,
     delay: DelayModel,
+    faults: Option<&FaultPlan>,
     make: F,
     limits: SimLimits,
-    sched: S,
-    trace: Option<TraceState>,
-    faults: Option<FaultState>,
+    scheduler: SchedulerKind,
+    traced: bool,
 ) -> Result<(AsyncReport<P>, Option<DeliveryTrace>), SimError>
 where
     P: Protocol,
     F: FnMut(NodeId) -> P,
-    S: EventScheduler<EvRef>,
 {
+    // Serial runs get freshly built parts, dropped with the scheduler after.
     let mut parts = EngineParts::default();
-    parts.adopt(graph);
-    run_engine_parts(graph, delay, make, limits, sched, trace, faults, &mut parts)
-        .map(|(report, trace, _sched)| (report, trace))
+    match scheduler {
+        SchedulerKind::TimingWheel => {
+            parts.adopt(graph);
+            let wheel = TimingWheel::new(delay.max_delay_ticks());
+            run_engine_parts(graph, delay, faults, make, limits, wheel, traced, &mut parts)
+                .map(|(report, trace, _wheel)| (report, trace))
+        }
+        SchedulerKind::BinaryHeap => {
+            parts.adopt(graph);
+            let heap = HeapScheduler::new();
+            run_engine_parts(graph, delay, faults, make, limits, heap, traced, &mut parts)
+                .map(|(report, trace, _heap)| (report, trace))
+        }
+        SchedulerKind::Sharded { shards, workers: _ } => {
+            crate::sharded::run_core(graph, delay, faults, make, limits, shards, true, None, traced)
+        }
+    }
 }
 
-/// [`run_engine`] over caller-owned [`EngineParts`]: the engine's recyclable
-/// state is moved out of `parts` for the run and moved back on success (with
-/// the scheduler returned for the same reason). On error the parts are left
-/// in their default (empty) state — a failed run's transient state is
-/// discarded wholesale rather than cleaned, so recycling degrades to cold
-/// allocation instead of risking a poisoned slab.
+/// The serial engine over caller-owned [`EngineParts`]: the recyclable state
+/// is moved out of `parts` for the run and moved back on success (with the
+/// scheduler returned for the same reason). On error the parts are left in
+/// their default (empty) state — a failed run's transient state is discarded
+/// wholesale rather than cleaned, so recycling degrades to cold allocation
+/// instead of risking a poisoned slab.
 ///
 /// The caller must have called [`EngineParts::adopt`] for `graph` first.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_engine_parts<P, F, S>(
     graph: &Graph,
     delay: DelayModel,
-    mut make: F,
+    faults: Option<&FaultPlan>,
+    make: F,
     limits: SimLimits,
     sched: S,
-    trace: Option<TraceState>,
-    faults: Option<FaultState>,
+    traced: bool,
     parts: &mut EngineParts<P::Message>,
 ) -> Result<(AsyncReport<P>, Option<DeliveryTrace>, S), SimError>
 where
@@ -645,235 +374,70 @@ where
 {
     debug_assert_eq!(parts.links.len(), graph.directed_edge_count(), "adopt() must run first");
     debug_assert_eq!(parts.done_flags.len(), graph.node_count(), "adopt() must run first");
-    let mut engine = Engine {
-        graph,
-        delay,
-        nodes: graph.nodes().map(&mut make).collect(),
+    let mut st = Serial {
+        nodes: graph.nodes().map(make).collect(),
+        done_flags: std::mem::take(&mut parts.done_flags),
         links: std::mem::take(&mut parts.links),
         arena: std::mem::take(&mut parts.arena),
         sched,
-        now: 0,
-        seq: 0,
-        deliveries: 0,
-        max_events: limits.max_events,
-        metrics: RunMetrics::default(),
-        done_flags: std::mem::take(&mut parts.done_flags),
-        done_count: 0,
-        time_all_done: None,
-        outbox_pool: std::mem::take(&mut parts.outbox_pool),
-        touched: std::mem::take(&mut parts.touched),
-        trace,
-        faults,
-        dropped: 0,
-        max_batch: 0,
     };
+    let faults = faults.map(|plan| FaultState::new(graph, plan));
+    let mut core = Core::new(graph, delay, limits, traced.then_some(1), faults);
+    core.start(&mut st)?;
 
-    // Time 0: start every node. A node crashed at tick 0 misses its `on_start`
-    // (crash-stop: it emits nothing) but still gets the done-check, so "never
-    // participated" nodes count as done only if their protocol says so.
-    if let Some(f) = engine.faults.as_mut() {
-        f.advance_to(0);
-    }
-    for v in graph.nodes() {
-        if engine.faults.as_ref().is_some_and(|f| f.is_crashed(v)) {
-            engine.update_done(v);
-            continue;
-        }
-        let mut ctx = Ctx::with_buffer(v, std::mem::take(&mut engine.outbox_pool));
-        engine.nodes[v.index()].on_start(&mut ctx);
-        engine.dispatch_outbox(v, &mut ctx)?;
-        engine.outbox_pool = ctx.into_buffer();
-        engine.update_done(v);
-    }
-
-    // One tick per iteration: `take_due` hands over every event of the earliest
-    // pending tick in ascending seq order (events scheduled while processing the
-    // tick land strictly later, so the batch is complete). Ticks with at most
-    // `SMALL_TICK` events are processed one at a time; larger ticks run three
-    // passes over the batch (DESIGN.md §10): classify, activate by destination
-    // group, replay effects in seq order. Both orders produce the identical
-    // schedule.
-    const SMALL_TICK: usize = 32;
     let mut due: Vec<(u64, EvRef)> = Vec::new();
-    let mut batch = EventBatch::new();
-    // Outgoings captured by the activation pass, and each delivery's span in
-    // that row buffer (`out_span[i]` is `(start, count)` for batch event `i`).
-    let mut out_rows: Vec<(NodeId, u64, MessageClass, u32)> = Vec::new();
-    let mut out_span: Vec<(u32, u32)> = Vec::new();
-    while let Some(t) = engine.sched.take_due(&mut due) {
-        engine.now = t;
-        if let Some(f) = engine.faults.as_mut() {
-            f.advance_to(t);
-        }
-        engine.max_batch = engine.max_batch.max(due.len() as u64);
-
-        // Small ticks skip the batch machinery: spread-delay adversaries
-        // (jitter) make most ticks carry a handful of events to distinct
-        // destinations, where grouping cannot amortize its classify/seal
-        // cost. Processing them one event at a time in ascending seq order
-        // interleaves each event's activation with its effects — which is
-        // exactly the three-pass order collapsed per event: activations draw
-        // no seqs, effects of event `i` all precede effects of event `i+1`,
-        // and nothing an effect mutates (link state, scheduler) feeds the
-        // fault classification or a later activation's input. The schedule
-        // is bit-identical either way (pinned by `tests/scheduler_equiv.rs`).
-        if due.len() <= SMALL_TICK {
-            for &(seq, ev) in &due {
-                let edge = DirectedEdgeId(ev.link);
-                let state = &engine.links[ev.link as usize];
-                let (from, to) = (state.from, state.to);
-                if ev.is_ack() {
-                    if let Some(tr) = engine.trace.as_mut() {
-                        tr.on_ack(seq);
-                    }
-                    engine.links[ev.link as usize].in_flight = false;
-                    engine.try_inject(edge);
-                } else if engine.faults.as_ref().is_some_and(|f| f.blocks(edge, from, to)) {
-                    engine.arena.take(ev.payload);
-                    engine.dropped += 1;
-                    engine.links[ev.link as usize].in_flight = false;
-                    engine.try_inject(edge);
-                } else {
-                    let msg = engine.arena.take(ev.payload);
-                    let mut ctx = Ctx::with_buffer(to, std::mem::take(&mut engine.outbox_pool));
-                    engine.nodes[to.index()].on_message(from, msg, &mut ctx);
-                    out_rows.clear();
-                    for out in ctx.drain_outbox() {
-                        out_rows.push((
-                            out.to,
-                            out.priority,
-                            out.class,
-                            engine.arena.alloc(out.msg),
-                        ));
-                    }
-                    engine.outbox_pool = ctx.into_buffer();
-                    engine.update_done(to);
-                    engine.delivery_effects(seq, edge, &out_rows)?;
-                }
-            }
-            due.clear();
-            continue;
-        }
-
-        // Pass 1 — classify: acks, fault-blocked deliveries (the adversary
-        // eats them: no activation, no ack, no trace record, no sequence
-        // draws — but their payload handle still needs freeing, which pass 3
-        // does), and live deliveries grouped by destination.
-        batch.begin();
-        for &(seq, ev) in &due {
-            if ev.is_ack() {
-                batch.push_ack(seq, ev.link);
+    while let Some(t) = st.sched.take_due(&mut due) {
+        core.now = t;
+        core.advance_faults(t);
+        core.max_batch = core.max_batch.max(due.len() as u64);
+        for (seq, ev) in due.drain(..) {
+            let link = DirectedEdgeId(ev.link);
+            let ev = if ev.is_ack() {
+                Event::Ack { link }
             } else {
-                let state = &engine.links[ev.link as usize];
-                let (from, to) = (state.from, state.to);
-                if engine
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.blocks(DirectedEdgeId(ev.link), from, to))
-                {
-                    batch.push_drop(seq, ev.link, ev.payload);
-                } else {
-                    batch.push_deliver(seq, ev.link, ev.payload, to.0 as u32);
-                }
-            }
-        }
-        due.clear();
-        batch.seal();
-
-        // Pass 2 — activate: each destination node runs once over all its
-        // arrivals this tick (in seq order within the group), with one
-        // borrowed outbox buffer and one done-check. Outgoings move straight
-        // into the arena; no sequence numbers are drawn here, so the
-        // activation order (group order, not seq order) cannot leak into the
-        // schedule.
-        out_rows.clear();
-        out_span.clear();
-        out_span.resize(batch.len(), (0, 0));
-        for g in 0..batch.groups() {
-            let (dst, members) = batch.group(g);
-            let dst = NodeId(dst as usize);
-            let mut ctx = Ctx::with_buffer(dst, std::mem::take(&mut engine.outbox_pool));
-            for &i in members {
-                let i = i as usize;
-                let (_, _, link, payload) = batch.event(i);
-                let from = engine.links[link as usize].from;
-                let msg = engine.arena.take(payload);
-                engine.nodes[dst.index()].on_message(from, msg, &mut ctx);
-                let start = out_rows.len() as u32;
-                for out in ctx.drain_outbox() {
-                    out_rows.push((out.to, out.priority, out.class, engine.arena.alloc(out.msg)));
-                }
-                out_span[i] = (start, out_rows.len() as u32 - start);
-            }
-            engine.outbox_pool = ctx.into_buffer();
-            engine.update_done(dst);
-        }
-
-        // Pass 3 — effects, in exact global seq order: every send and ack
-        // draws its seq at precisely the position the one-at-a-time engine
-        // drew it, so the schedule is bit-identical.
-        for (i, &(start, count)) in out_span.iter().enumerate() {
-            let (seq, tag, link, payload) = batch.event(i);
-            let edge = DirectedEdgeId(link);
-            match tag {
-                Tag::Deliver => {
-                    let rows = &out_rows[start as usize..(start + count) as usize];
-                    engine.delivery_effects(seq, edge, rows)?;
-                }
-                Tag::Ack => {
-                    if let Some(tr) = engine.trace.as_mut() {
-                        tr.on_ack(seq);
-                    }
-                    engine.links[link as usize].in_flight = false;
-                    engine.try_inject(edge);
-                }
-                Tag::Drop => {
-                    engine.arena.take(payload);
-                    engine.dropped += 1;
-                    engine.links[link as usize].in_flight = false;
-                    engine.try_inject(edge);
-                }
-            }
+                let state = &st.links[link.index()];
+                Event::Deliver { link, from: state.from, to: state.to, handle: ev.payload }
+            };
+            core.fire(&mut st, seq, ev)?;
         }
     }
 
     // Quiescence means no event is scheduled and no link queue is non-empty
     // (a queued message always has an ack or drop pending to release it), so
-    // every arena handle must have been taken back — the engine-level leak
-    // check behind the unit-level one in `arena::tests`. The recycled entry
-    // point promotes this into a hard assertion on every run
+    // every arena handle must have been taken back. The recycled entry point
+    // promotes this into a hard assertion on every run
     // ([`crate::recycle::run_async_recycled`]).
-    debug_assert_eq!(engine.arena.live(), 0, "a finished run must return every arena handle");
+    debug_assert_eq!(st.arena.live(), 0, "a finished run must return every arena handle");
 
-    engine.metrics.time_to_output = engine.time_all_done.map(|t| t as f64 / TICKS_PER_UNIT as f64);
-    engine.metrics.time_to_quiescence = engine.now as f64 / TICKS_PER_UNIT as f64;
-
-    let trace = engine.trace.map(TraceState::finish);
+    let (report, trace) = core.finish(st.nodes);
     let report = AsyncReport {
-        metrics: engine.metrics,
-        nodes: engine.nodes,
-        overflow_events: engine.sched.overflow_scheduled(),
-        peak_live_handles: engine.arena.peak_live() as u64,
-        arena_bytes: engine.arena.bytes() as u64,
-        max_batch: engine.max_batch,
-        batched_ticks: 0,
-        pool_dispatches: 0,
-        dropped_events: engine.dropped,
-        fault_transitions: engine.faults.as_ref().map_or(0, FaultState::transitions),
+        overflow_events: st.sched.overflow_scheduled(),
+        peak_live_handles: st.arena.peak_live() as u64,
+        arena_bytes: st.arena.bytes() as u64,
+        ..report
     };
     // Hand the recyclable halves back for the next run.
-    parts.links = engine.links;
-    parts.arena = engine.arena;
-    parts.done_flags = engine.done_flags;
-    parts.outbox_pool = engine.outbox_pool;
-    parts.touched = engine.touched;
-    Ok((report, trace, engine.sched))
+    parts.links = st.links;
+    parts.arena = st.arena;
+    parts.done_flags = st.done_flags;
+    Ok((report, trace, st.sched))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::MessageClass;
+    use crate::protocol::Ctx;
+
+    /// A fault-free run on the default scheduler.
+    fn run<P: Protocol>(
+        graph: &Graph,
+        delay: DelayModel,
+        make: impl FnMut(NodeId) -> P,
+        limits: SimLimits,
+    ) -> Result<AsyncReport<P>, SimError> {
+        run_async_faulted(graph, delay, None, make, limits, SchedulerKind::default())
+    }
 
     /// Asynchronous flooding: node 0 floods a token; each node records the hop count
     /// of the first copy it receives (which may exceed the true distance under
@@ -923,7 +487,7 @@ mod tests {
         let g = Graph::grid(4, 4);
         for delay in DelayModel::standard_suite(5) {
             let report =
-                run_async(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+                run(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
             assert!(
                 report.nodes.iter().all(|n| n.hops.is_some()),
                 "all nodes reached under {delay:?}"
@@ -938,8 +502,7 @@ mod tests {
     fn uniform_delay_flood_time_matches_distance_bound() {
         let g = Graph::path(8);
         let report =
-            run_async(&g, DelayModel::uniform(), |v| Flood::new(&g, v), SimLimits::default())
-                .unwrap();
+            run(&g, DelayModel::uniform(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
         // Under uniform unit delays every hop costs exactly one unit, so the last
         // node (distance 7) is done at time 7.
         let t = report.metrics.time_to_output.unwrap();
@@ -953,8 +516,7 @@ mod tests {
         // This demonstrates why a synchronizer is needed at all.
         let g = Graph::cycle(8);
         let report =
-            run_async(&g, DelayModel::slow_cut(4), |v| Flood::new(&g, v), SimLimits::default())
-                .unwrap();
+            run(&g, DelayModel::slow_cut(4), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
         let hops: Vec<u64> = report.nodes.iter().map(|n| n.hops.unwrap()).collect();
         let true_dist = ds_graph::metrics::bfs_distances(&g, NodeId(0));
         let mismatches =
@@ -987,13 +549,9 @@ mod tests {
             }
         }
         let g = Graph::path(2);
-        let report = run_async(
-            &g,
-            DelayModel::uniform(),
-            |me| Burst { me, received: 0 },
-            SimLimits::default(),
-        )
-        .unwrap();
+        let report =
+            run(&g, DelayModel::uniform(), |me| Burst { me, received: 0 }, SimLimits::default())
+                .unwrap();
         // Each of the 5 messages must wait for the previous message's ack: delivery i
         // completes at time 2i+1, so the last arrives at time 9.
         let t = report.metrics.time_to_output.unwrap();
@@ -1027,7 +585,7 @@ mod tests {
             }
         }
         let g = Graph::path(2);
-        let report = run_async(
+        let report = run(
             &g,
             DelayModel::uniform(),
             |me| Prio { me, order: Vec::new() },
@@ -1048,9 +606,10 @@ mod tests {
         let g = Graph::grid(6, 6);
         let delay = DelayModel::outage(11, 4, 2);
         let run = |scheduler: SchedulerKind| {
-            let report = run_async_with(
+            let report = run_async_faulted(
                 &g,
                 delay.clone(),
+                None,
                 |v| Flood::new(&g, v),
                 SimLimits::default(),
                 scheduler,
@@ -1080,7 +639,7 @@ mod tests {
         let g = Graph::grid(4, 4);
         for delay in DelayModel::standard_suite(3) {
             let report =
-                run_async(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+                run(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
             assert_eq!(report.overflow_events, 0, "{delay:?} stayed within one τ");
         }
     }
@@ -1092,9 +651,10 @@ mod tests {
         // consumers can rely on "0 means the feature was off or inapplicable".
         let g = Graph::grid(4, 4);
         for scheduler in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-            let report = run_async_with(
+            let report = run_async_faulted(
                 &g,
                 DelayModel::uniform(),
+                None,
                 |v| Flood::new(&g, v),
                 SimLimits::default(),
                 scheduler,
@@ -1176,7 +736,7 @@ mod tests {
         let g = Graph::grid(4, 4);
         for delay in DelayModel::standard_suite(9) {
             let plain =
-                run_async(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+                run(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
             let empty = FaultPlan::new();
             let faulted = run_async_faulted(
                 &g,
@@ -1216,7 +776,7 @@ mod tests {
             }
         }
         let g = Graph::path(2);
-        let err = run_async(
+        let err = run(
             &g,
             DelayModel::uniform(),
             |me| PingPong { me },
@@ -1224,6 +784,52 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::EventLimitExceeded { limit: 100 });
+    }
+
+    #[test]
+    fn event_limit_aborts_at_the_offending_delivery() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Every node greets every neighbor at start; all instances count
+        /// their arrivals through one shared counter.
+        #[derive(Debug)]
+        struct Greeter<'a> {
+            neighbors: &'a [NodeId],
+            activations: &'a AtomicU64,
+        }
+        impl Protocol for Greeter<'_> {
+            type Message = ();
+            fn on_start(&mut self, ctx: &mut Ctx<()>) {
+                for &u in self.neighbors {
+                    ctx.send(u, ());
+                }
+            }
+            fn on_message(&mut self, _: NodeId, _: (), _: &mut Ctx<()>) {
+                self.activations.fetch_add(1, Ordering::Relaxed);
+            }
+            fn is_done(&self) -> bool {
+                true
+            }
+        }
+
+        // K9's start wave puts 72 deliveries on tick τ under uniform delays.
+        let g = Graph::complete(9);
+        let k = 10;
+        for scheduler in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
+            let activations = AtomicU64::new(0);
+            let run = |limits| {
+                let make = |v| Greeter { neighbors: g.neighbors(v), activations: &activations };
+                run_async_faulted(&g, DelayModel::uniform(), None, make, limits, scheduler)
+            };
+            let full = run(SimLimits::default()).unwrap();
+            assert!(full.max_batch >= 64, "{scheduler:?}: the wave must share one tick");
+            activations.store(0, Ordering::Relaxed);
+            let err = run(SimLimits { max_events: k, ..SimLimits::default() }).unwrap_err();
+            assert_eq!(err, SimError::EventLimitExceeded { limit: k });
+            // The delivery that breaks the budget is the last one to activate:
+            // no later event of the same crowded tick runs.
+            assert_eq!(activations.load(Ordering::Relaxed), k + 1, "{scheduler:?}");
+        }
     }
 
     #[test]
@@ -1245,8 +851,8 @@ mod tests {
             }
         }
         let g = Graph::path(3);
-        let err = run_async(&g, DelayModel::uniform(), |me| Bad { me }, SimLimits::default())
-            .unwrap_err();
+        let err =
+            run(&g, DelayModel::uniform(), |me| Bad { me }, SimLimits::default()).unwrap_err();
         assert_eq!(err, SimError::NotNeighbor { from: NodeId(0), to: NodeId(2) });
     }
 }

@@ -18,13 +18,14 @@
 //!   synchronous time and message complexities `T(A)` and `M(A)`,
 //! * [`protocol`] defines the interface of asynchronous protocols,
 //! * [`arena`] holds the recycled event arena the delivery hot path runs on:
-//!   a free-list payload slab behind `u32` handles plus the struct-of-arrays
-//!   batch one tick's due events are grouped into for batch-at-a-time
-//!   delivery,
+//!   a free-list payload slab behind `u32` handles, and the 8-byte event
+//!   reference the serial scheduler stores,
 //! * [`async_engine`] runs an asynchronous protocol under a configurable
 //!   [`delay::DelayModel`], enforcing the acknowledgment discipline of Appendix B
 //!   (one un-acknowledged message per link) and the lowest-stage-first scheduling of
-//!   Lemma 2.5 / Corollary 2.3,
+//!   Lemma 2.5 / Corollary 2.3 — the rules themselves (what a send, an
+//!   injection, a delivery, an acknowledgment and a fault drop do) live once,
+//!   in the private `effects` core both asynchronous engines call,
 //! * [`fault`] makes the topology dynamic: a deterministic, tick-stamped
 //!   [`FaultPlan`] of link churn and crash-stop node failures that every engine
 //!   consults at dispatch and delivery time,
@@ -39,7 +40,7 @@
 //! * [`pool`] holds the persistent worker pool the sharded engine round-robins
 //!   its shards over (the only module in the workspace allowed to create
 //!   threads),
-//! * [`recycle`] checks engine state (wheel, link table, arena, outbox) out
+//! * [`recycle`] checks engine state (wheel, link table, arena) out
 //!   of a free pool and reuses it across runs — bit-identical to cold runs
 //!   under an asserted reset contract,
 //! * [`stage_queue`] holds the per-link queues as per-stage FIFO buckets,
@@ -53,6 +54,7 @@ pub mod arena;
 pub mod async_engine;
 mod bitset;
 pub mod delay;
+mod effects;
 pub mod event_driven;
 pub mod fault;
 pub mod metrics;
@@ -66,8 +68,7 @@ pub mod sync_engine;
 pub mod trace;
 
 pub use async_engine::{
-    run_async, run_async_faulted, run_async_faulted_traced, run_async_traced, run_async_with,
-    AsyncReport, SimError, SimLimits,
+    run_async_faulted, run_async_faulted_traced, AsyncReport, SimError, SimLimits,
 };
 pub use delay::DelayModel;
 pub use event_driven::{EventDriven, PulseCtx};
@@ -77,8 +78,8 @@ pub use protocol::{Ctx, Protocol};
 pub use recycle::{run_async_recycled, EngineSlab, SlabBank};
 pub use scheduler::SchedulerKind;
 pub use sharded::{
-    run_async_sharded, run_async_sharded_faulted_traced_with, run_async_sharded_faulted_with,
-    run_async_sharded_traced_with, run_async_sharded_with, ShardedOptions, ThreadMode,
+    run_async_sharded_faulted_traced_with, run_async_sharded_faulted_with, ShardedOptions,
+    ThreadMode,
 };
 pub use sync_engine::{run_sync, SyncReport};
 pub use trace::{DeliveryRecord, DeliveryTrace};

@@ -1,10 +1,10 @@
 //! Engine-state recycling: check allocation-heavy engine state out of a free
 //! pool and reuse it across runs instead of reallocating per run.
 //!
-//! A serial run's setup builds five non-trivial allocations — the timing
+//! A serial run's setup builds four non-trivial allocations — the timing
 //! wheel's slot array, the per-directed-edge link table (with its stage-queue
-//! buckets), the payload arena, the recycled outbox buffer and assorted
-//! scratch — all of which end every successful run *provably empty*: at
+//! buckets), the payload arena and the per-node done flags — all of which end
+//! every successful run *provably empty*: at
 //! quiescence no event is scheduled, no link holds queued or in-flight
 //! messages, and every arena handle has been returned (the engine asserts
 //! this). [`EngineSlab`] keeps those allocations between runs, and
@@ -35,7 +35,7 @@
 use crate::arena::EvRef;
 use crate::async_engine::{run_engine_parts, AsyncReport, EngineParts, SimError, SimLimits};
 use crate::delay::DelayModel;
-use crate::fault::{FaultPlan, FaultState};
+use crate::fault::FaultPlan;
 use crate::protocol::Protocol;
 use crate::scheduler::TimingWheel;
 use ds_graph::{Graph, NodeId};
@@ -45,13 +45,13 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// Recyclable state of one serial [`TimingWheel`] engine: the wheel plus the
-/// engine's allocation-heavy parts (link table, payload arena, outbox
-/// buffer). One slab serves one run at a time; a [`SlabBank`] pools idle
-/// slabs across runs and sessions.
+/// engine's allocation-heavy parts (link table, payload arena). One slab
+/// serves one run at a time; a [`SlabBank`] pools idle slabs across runs and
+/// sessions.
 ///
-/// `M` is the protocol's message type — the arena and outbox buffer store
-/// messages, so a slab is only reusable across runs of protocols sharing one
-/// message type (the [`SlabBank`] keys its pools by exactly that).
+/// `M` is the protocol's message type — the arena stores messages, so a slab
+/// is only reusable across runs of protocols sharing one message type (the
+/// [`SlabBank`] keys its pools by exactly that).
 pub struct EngineSlab<M> {
     /// The recycled wheel and the horizon it was built for, or `None` before
     /// the first run and after a discarded error run.
@@ -122,7 +122,7 @@ impl<M> fmt::Debug for EngineSlab<M> {
 ///
 /// # Errors
 ///
-/// Same as [`crate::run_async`].
+/// Same as [`crate::run_async_faulted`].
 pub fn run_async_recycled<P, F>(
     graph: &Graph,
     delay: DelayModel,
@@ -135,12 +135,11 @@ where
     P: Protocol,
     F: FnMut(NodeId) -> P,
 {
-    let state = faults.map(|plan| FaultState::new(graph, plan));
     let horizon = delay.max_delay_ticks();
     let wheel = slab.take_wheel(horizon);
     slab.parts.adopt(graph);
     let (report, _trace, wheel) =
-        run_engine_parts(graph, delay, make, limits, wheel, None, state, &mut slab.parts)?;
+        run_engine_parts(graph, delay, faults, make, limits, wheel, false, &mut slab.parts)?;
     assert!(wheel.is_empty(), "a finished run must drain its timing wheel");
     assert!(slab.parts.is_clean(), "a finished run must return every arena handle");
     slab.wheel = Some((horizon, wheel));
@@ -240,8 +239,9 @@ impl fmt::Debug for SlabBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_engine::run_async;
+    use crate::async_engine::run_async_faulted;
     use crate::protocol::Ctx;
+    use crate::SchedulerKind;
     use ds_graph::Graph;
 
     /// Minimal flooding protocol (owned neighbor list so the slab tests can
@@ -285,6 +285,16 @@ mod tests {
         }
     }
 
+    /// A cold (freshly allocated) run on the serial wheel.
+    fn cold(
+        graph: &Graph,
+        delay: DelayModel,
+        make: impl FnMut(NodeId) -> Flood,
+        limits: SimLimits,
+    ) -> Result<AsyncReport<Flood>, SimError> {
+        run_async_faulted(graph, delay, None, make, limits, SchedulerKind::TimingWheel)
+    }
+
     fn hops(report: &AsyncReport<Flood>) -> Vec<Option<u64>> {
         report.nodes.iter().map(|n| n.hops).collect()
     }
@@ -296,7 +306,7 @@ mod tests {
         for delay in DelayModel::standard_suite(7) {
             for graph in &graphs {
                 let cold =
-                    run_async(graph, delay.clone(), |v| Flood::new(graph, v), SimLimits::default())
+                    cold(graph, delay.clone(), |v| Flood::new(graph, v), SimLimits::default())
                         .unwrap();
                 let warm = run_async_recycled(
                     graph,
@@ -333,7 +343,7 @@ mod tests {
         assert!(matches!(err, Err(SimError::EventLimitExceeded { .. })));
         assert!(slab.is_clean(), "discarded error state must leave the slab clean");
         let cold =
-            run_async(&graph, DelayModel::Uniform, |v| Flood::new(&graph, v), SimLimits::default())
+            cold(&graph, DelayModel::Uniform, |v| Flood::new(&graph, v), SimLimits::default())
                 .unwrap();
         let warm = run_async_recycled(
             &graph,

@@ -38,7 +38,7 @@ use crate::bitset;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Which event scheduler [`crate::async_engine::run_async_with`] drives the
+/// Which event scheduler [`crate::async_engine::run_async_faulted`] drives the
 /// simulation with. All kinds produce bit-identical schedules; the wheel is
 /// faster than the heap, and the sharded engine adds parallelism on top of
 /// per-shard wheels (see [`crate::sharded`]).
@@ -86,7 +86,7 @@ impl SchedulerKind {
 /// `T` is the inline payload (the engine stores the link id and the message).
 /// Public so the scheduler microbenchmarks (`exp_sched` in `ds-bench`) can drive
 /// both implementations in isolation; simulation code goes through
-/// [`crate::async_engine::run_async_with`] instead.
+/// [`crate::async_engine::run_async_faulted`] instead.
 pub trait EventScheduler<T> {
     /// Schedules `payload` at absolute tick `at` with global sequence number `seq`.
     ///
@@ -111,13 +111,14 @@ pub trait EventScheduler<T> {
 // ---------------------------------------------------------------------------
 
 /// A timestamped event ordered earliest `(at, seq)` first (`Ord` reversed for
-/// [`BinaryHeap`]'s max-heap); shared by the wheel's overflow heap and the
-/// reference [`HeapScheduler`], so their orderings can never drift apart.
+/// [`BinaryHeap`]'s max-heap); shared by the wheel's overflow heap, the
+/// reference [`HeapScheduler`] and the sharded engine's in-window heap, so
+/// their orderings can never drift apart.
 #[derive(Debug)]
-struct MinEntry<T> {
-    at: u64,
-    seq: u64,
-    payload: T,
+pub(crate) struct MinEntry<T> {
+    pub(crate) at: u64,
+    pub(crate) seq: u64,
+    pub(crate) payload: T,
 }
 
 impl<T> PartialEq for MinEntry<T> {

@@ -44,27 +44,33 @@
 //! * **Phase 2 — cross-shard merge (serial, at the tick barrier).** The
 //!   coordinator merges the shards' event lists by **global `seq`** — a total
 //!   order fixed when the events were scheduled, independent of thread
-//!   interleaving — and replays each event's engine effects exactly as the
-//!   serial engine would: outbox dispatch in capture order, lowest-stage-first
-//!   injection, acknowledgment scheduling. Messages and acknowledgments that
-//!   cross shards along cut links are handed to the destination shard's wheel
-//!   here, which is what makes the next tick's phase 1 shard-local again.
+//!   interleaving — and replays each event's engine effects by calling the
+//!   same effects core (`effects.rs`) the serial engine calls: sends in
+//!   capture order, lowest-stage-first injection, acknowledgment scheduling.
+//!   Messages and acknowledgments that cross shards along cut links are handed
+//!   to the destination shard's wheel here, which is what makes the next
+//!   tick's phase 1 shard-local again.
 //!
-//! Because phase 2 draws sequence numbers in exactly the serial order and
-//! phase 1 performs no operation that could observe the difference, the
-//! resulting schedule — every delivery, every delay, every metric — is
-//! bit-identical to [`crate::SchedulerKind::TimingWheel`]'s, for any shard count and
-//! any thread interleaving (`tests/scheduler_equiv.rs` and
-//! `tests/determinism.rs` pin this across the scenario matrix). The one
+//! Because phase 2 draws sequence numbers through the very code the serial
+//! engine draws them through, in the serial order, and phase 1 performs no
+//! operation that could observe the difference, the resulting schedule — every
+//! delivery, every delay, every metric — is bit-identical to
+//! [`crate::SchedulerKind::TimingWheel`]'s, for any shard count and any thread
+//! interleaving (`tests/scheduler_equiv.rs` and `tests/determinism.rs` pin
+//! this across the scenario matrix; `tests/golden_schedule.rs` pins both
+//! engines against digests recorded before they shared a core). The one
 //! observable difference is *intra-tick activation order across different
 //! nodes*: a protocol that shares mutable state between node instances (not a
 //! distributed algorithm, but e.g. a test harness logging through a mutex) may
 //! record interleavings in a different order; per-node observation sequences
 //! are identical. On an error (`SimError`), the run aborts at the same event
-//! as the serial engine, though activations of later same-tick events may
-//! already have run — the API returns no nodes on error, so this too is only
-//! observable through the escape hatches above (state shared across node
+//! as the serial engine. The serial engine stops *activating* there too; here
+//! phase 1 has already run every activation of the barrier's static part
+//! before the merge notices — the API returns no nodes on error, so this is
+//! only observable through the escape hatches above (state shared across node
 //! instances, or an activation that panics past the serial abort point).
+//! Events the merge fires inline (the in-window heap) stop exactly like the
+//! serial engine's.
 //!
 //! # Batched windows
 //!
@@ -97,8 +103,11 @@
 //!   the global `(tick, seq)` replay order, are exactly serial.
 //!
 //! The merge therefore replays ready-list events and heap events in one
-//! `(tick, seq)` order, restoring `Globals::now` per event, so every delay
-//! draw and schedule target matches the serial engine tick for tick. The
+//! `(tick, seq)` order, restoring the core's `now` per event, so every delay
+//! draw and schedule target matches the serial engine tick for tick. A heap
+//! event is fired by the core in full (fault check, activation, effects) —
+//! the same call the serial loop makes per event; a ready-list delivery was
+//! activated in phase 1, so the merge only replays its effects. The
 //! split gate is **dynamic**: models with a 1-tick floor (`jitter`, the
 //! composite `outage`) get a one-tick static part but still batch whatever
 //! occupied ticks the probe finds — the old static `min > 1` gate is gone
@@ -127,17 +136,15 @@
 //! batching and hand-off rates observable per run.
 
 use crate::arena::PayloadArena;
-use crate::async_engine::{AsyncReport, LinkState, SimError, SimLimits};
+use crate::async_engine::{AsyncReport, SimError, SimLimits};
 use crate::delay::DelayModel;
+use crate::effects::{Core, Event, Home, LinkState, Storage};
 use crate::fault::{FaultPlan, FaultState};
-use crate::metrics::RunMetrics;
 use crate::pool::{PanicPayload, WorkerPool};
 use crate::protocol::{Ctx, Outgoing, Protocol};
-use crate::scheduler::{EventScheduler, TimingWheel};
-use crate::trace::{DeliveryTrace, TraceState};
-use crate::TICKS_PER_UNIT;
+use crate::scheduler::{EventScheduler, MinEntry, TimingWheel};
+use crate::trace::DeliveryTrace;
 use ds_graph::{DirectedEdgeId, Graph, NodeId};
-use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Minimum number of due events in a barrier (one tick, or one batched window)
@@ -165,7 +172,7 @@ pub enum ThreadMode {
     Off,
 }
 
-/// Options for [`run_async_sharded_with`].
+/// Options for [`run_async_sharded_faulted_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardedOptions {
     /// Number of shards (clamped to `1..=node_count`).
@@ -261,77 +268,6 @@ impl ShardLayout {
 // Events and per-shard state
 // ---------------------------------------------------------------------------
 
-/// Scheduled event. Unlike the serial engine's payload, deliveries carry their
-/// endpoints inline: phase 1 runs in the *destination* shard, which does not
-/// own the link state (that lives with the source shard). The message itself
-/// lives in the destination shard's [`PayloadArena`] — `msg` is its handle, so
-/// events are small `Copy` structs and **handles never cross shards**: a
-/// handle is allocated into the destination's arena at `push_message` time
-/// (coordinator-side, between barriers) and taken back out by that shard's
-/// own phase 1 (or by the merge, which owns every shard's tables).
-#[derive(Clone, Copy, Debug)]
-enum ShardEvent {
-    Deliver {
-        link: DirectedEdgeId,
-        from: NodeId,
-        to: NodeId,
-        /// Handle into the destination shard's payload arena.
-        msg: u32,
-    },
-    Ack {
-        link: DirectedEdgeId,
-    },
-    /// A delivery the fault adversary ate at drain time (link down or endpoint
-    /// crashed; the payload handle was freed at defuse time). Phase 1 must not
-    /// activate it; the merge frees the link at the event's exact
-    /// `(tick, seq)` slot.
-    Dropped {
-        link: DirectedEdgeId,
-    },
-}
-
-/// Entry of the coordinator's in-window event heap: a min-heap on
-/// `(at, seq)`, holding window ticks past the static boundary and every
-/// merge-time effect scheduled at or before the window's last tick.
-#[derive(Debug)]
-struct WindowEntry {
-    at: u64,
-    seq: u64,
-    ev: ShardEvent,
-}
-
-impl PartialEq for WindowEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl Eq for WindowEntry {}
-
-impl PartialOrd for WindowEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for WindowEntry {
-    /// Reversed, so `BinaryHeap`'s max-heap pops the minimum `(at, seq)`.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The coordinator's in-window event queue (see the module docs §Batched
-/// windows). Merge-time schedule targets at or before `t_last` land here —
-/// the wheels are already advanced past them — and are processed inline in
-/// `(tick, seq)` order; everything later goes to the destination wheel.
-struct InWindow {
-    heap: BinaryHeap<WindowEntry>,
-    /// Last tick of the current window (0 outside a barrier: every target is
-    /// strictly later, so routing degenerates to the wheels).
-    t_last: u64,
-}
-
 /// Phase-1 output for one event, consumed by the merge in `(tick, seq)`
 /// order — the serial processing order (`seq` alone is not monotone across
 /// the ticks of a batched window: a later tick's event may carry a smaller
@@ -342,33 +278,23 @@ struct Ready {
     /// contributes to the same ready list).
     tick: u64,
     seq: u64,
-    link: DirectedEdgeId,
-    kind: ReadyKind,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum ReadyKind {
-    /// A delivery whose activation ran in phase 1, leaving `outbox` captured
-    /// messages at the front of the shard's captured-outbox queue.
-    Delivered { from: NodeId, to: NodeId, outbox: u32 },
-    /// A link acknowledgment (no activation; processed entirely in the merge).
-    Ack,
-    /// A delivery the fault adversary dropped (no activation; the merge counts
-    /// it and frees the link at the event's `(tick, seq)` slot).
-    Dropped,
+    ev: Event,
+    /// For a `Deliver` (whose activation ran in phase 1): how many captured
+    /// messages it left at the front of the shard's captured-outbox queue.
+    outbox: u32,
 }
 
 /// The shard state a worker thread needs: nodes, due events, phase-1 outputs.
 /// Wheels and link tables stay with the coordinator (only phases run by it
 /// touch them), so this is what crosses threads.
-struct ShardWork<P: Protocol> {
+pub(crate) struct ShardWork<P: Protocol> {
     /// First global node id of the shard.
     lo: usize,
     nodes: Vec<P>,
     done: Vec<bool>,
     /// Events due in the current barrier, tick run by tick run (ascending
     /// tick; ascending shard-local `seq` within a run).
-    due: Vec<(u64, ShardEvent)>,
+    due: Vec<(u64, Event)>,
     /// Tick-run boundaries of `due`: `(tick, end)` marks that `due[..end]`
     /// covers all runs up to and including `tick`. One entry per tick the
     /// shard has events at; a plain unbatched barrier records exactly one.
@@ -378,7 +304,7 @@ struct ShardWork<P: Protocol> {
     /// Payloads of every in-flight message addressed to this shard's nodes,
     /// behind the `u32` handles the events and link queues carry. Travels
     /// with the shard to its worker, so phase 1 takes payloads out without
-    /// touching any other shard's state.
+    /// touching any other shard's state — **handles never cross shards**.
     payloads: PayloadArena<P::Message>,
     /// Captured outbox messages of this barrier's activations, in event order;
     /// the merge pops from the front as it replays the events.
@@ -389,18 +315,21 @@ struct ShardWork<P: Protocol> {
     /// current barrier (ascending tick, zero counts omitted); the coordinator
     /// merges these across shards in tick order so `time_all_done` lands on
     /// the same tick as the serial engine's.
-    newly_done: Vec<(u64, u64)>,
+    newly_done: Vec<(u64, usize)>,
 }
 
 /// Phase 1 for one shard: run this barrier's activations (every tick run of a
 /// batched window), capture their outboxes. Runs on a pool worker when the
 /// barrier is dense enough, inline on the coordinator otherwise — same code,
-/// same effects either way.
+/// same effects either way. This is the one place an activation runs outside
+/// the effects core (the core lives on the coordinator; workers share
+/// nothing), so it carries its own done-check.
+// ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
 fn phase1<P: Protocol>(w: &mut ShardWork<P>) {
     let mut runs = std::mem::take(&mut w.tick_runs);
     debug_assert_eq!(runs.last().map_or(0, |&(_, end)| end), w.due.len());
     let mut run_idx = 0usize;
-    let mut newly = 0u64;
+    let mut newly = 0usize;
     for (i, (seq, ev)) in w.due.drain(..).enumerate() {
         while i >= runs[run_idx].1 {
             if newly > 0 {
@@ -409,34 +338,21 @@ fn phase1<P: Protocol>(w: &mut ShardWork<P>) {
             }
             run_idx += 1;
         }
-        let tick = runs[run_idx].0;
-        match ev {
-            ShardEvent::Deliver { link, from, to, msg } => {
-                let local = to.index() - w.lo;
-                let mut ctx = Ctx::with_buffer(to, std::mem::take(&mut w.outbox_buf));
-                let msg = w.payloads.take(msg);
-                w.nodes[local].on_message(from, msg, &mut ctx);
-                let outbox = ctx.queued() as u32;
-                w.captured.extend(ctx.drain_outbox());
-                w.outbox_buf = ctx.into_buffer();
-                w.ready.push(Ready {
-                    tick,
-                    seq,
-                    link,
-                    kind: ReadyKind::Delivered { from, to, outbox },
-                });
-                if !w.done[local] && w.nodes[local].is_done() {
-                    w.done[local] = true;
-                    newly += 1;
-                }
-            }
-            ShardEvent::Ack { link } => {
-                w.ready.push(Ready { tick, seq, link, kind: ReadyKind::Ack });
-            }
-            ShardEvent::Dropped { link } => {
-                w.ready.push(Ready { tick, seq, link, kind: ReadyKind::Dropped });
+        let mut outbox = 0;
+        if let Event::Deliver { from, to, handle, .. } = ev {
+            let local = to.index() - w.lo;
+            let mut ctx = Ctx::with_buffer(to, std::mem::take(&mut w.outbox_buf));
+            let msg = w.payloads.take(handle);
+            w.nodes[local].on_message(from, msg, &mut ctx);
+            outbox = ctx.queued() as u32;
+            w.captured.extend(ctx.drain_outbox());
+            w.outbox_buf = ctx.into_buffer();
+            if !w.done[local] && w.nodes[local].is_done() {
+                w.done[local] = true;
+                newly += 1;
             }
         }
+        w.ready.push(Ready { tick: runs[run_idx].0, seq, ev, outbox });
     }
     if newly > 0 {
         w.newly_done.push((runs[run_idx].0, newly));
@@ -445,124 +361,68 @@ fn phase1<P: Protocol>(w: &mut ShardWork<P>) {
     w.tick_runs = runs;
 }
 
-/// Coordinator-owned per-shard structures: one wheel and one link table per
-/// shard. Kept apart from [`ShardWork`] so the merge can hold these mutably
-/// while popping captured messages and payloads from the works. The link
-/// queues hold `u32` payload handles (into the destination shard's arena),
-/// never messages.
-struct ShardTables {
+/// The sharded engine's data layout: per shard one wheel, one link table
+/// (outgoing links of its nodes) and one [`ShardWork`]; plus the
+/// coordinator's in-window event queue (see the module docs §Batched
+/// windows).
+struct Shards<P: Protocol> {
     layout: ShardLayout,
-    wheels: Vec<TimingWheel<ShardEvent>>,
+    wheels: Vec<TimingWheel<Event>>,
     links: Vec<Vec<LinkState<u32>>>,
+    /// `None` only while a shard is out on a pool worker (phase 1).
+    works: Vec<Option<ShardWork<P>>>,
+    /// Min-heap on `(at, seq)` of the events the merge processes inline:
+    /// window ticks past the static boundary, and merge-time effects that
+    /// land at or before `t_last` (the wheels are already advanced past it).
+    heap: BinaryHeap<MinEntry<Event>>,
+    /// Last tick of the current window (0 outside a barrier: every target is
+    /// strictly later, so routing degenerates to the wheels).
+    t_last: u64,
 }
 
-/// Engine-global bookkeeping mirroring the serial engine's fields.
-struct Globals {
-    now: u64,
-    seq: u64,
-    deliveries: u64,
-    max_events: u64,
-    metrics: RunMetrics,
-    done_count: usize,
-    time_all_done: Option<u64>,
-    /// Extra ticks processed inside batched windows (window length minus one,
-    /// summed; 0 when batching is off or never applicable).
-    batched_ticks: u64,
-    /// Barriers whose phase 1 was shipped to the worker pool (0 without one).
-    pool_dispatches: u64,
-    /// Size of the largest per-shard due batch handed to phase 1
-    /// ([`AsyncReport::max_batch`]).
-    max_batch: u64,
-    /// Recycled list of links touched by one outbox dispatch.
-    touched: Vec<DirectedEdgeId>,
-    /// Delivery tracing for the happens-before checker ([`crate::trace`]).
-    /// `None` (the default) makes every hook a dead branch: schedules are
-    /// bit-identical with tracing on or off.
-    trace: Option<TraceState>,
-    /// Compiled fault adversary ([`crate::fault`]); `None` (the default) makes
-    /// every fault check a dead branch.
-    faults: Option<FaultState>,
-    /// Deliveries eaten by the fault adversary (mirrors the serial engine's
-    /// counter; identical across engines and shard counts).
-    dropped: u64,
-}
-
-impl Globals {
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
+impl<P: Protocol> Shards<P> {
+    fn work(&mut self, s: usize) -> &mut ShardWork<P> {
+        self.works[s].as_mut().expect("shard at home")
     }
 }
 
-/// Pushes one outgoing message onto its link queue, drawing its message `seq`
-/// exactly as the serial engine's `dispatch_outbox` does. The payload moves
-/// into the *destination* shard's arena — the shard whose phase 1 will
-/// eventually take it back out — and only its handle queues on the link.
-/// Runs coordinator-side (start wave or merge), when every shard is home.
-fn push_message<P: Protocol>(
-    g: &mut Globals,
-    sh: &mut ShardTables,
-    works: &mut [Option<ShardWork<P>>],
-    graph: &Graph,
-    from: NodeId,
-    out: Outgoing<P::Message>,
-) -> Result<DirectedEdgeId, SimError> {
-    let Some(link) = graph.edge_id(from, out.to) else {
-        return Err(SimError::NotNeighbor { from, to: out.to });
-    };
-    g.metrics.record_message(out.class);
-    let seq = g.next_seq();
-    let (s, slot) = sh.layout.link_home(link);
-    let dst = sh.layout.shard_of(out.to);
-    let handle = works[dst].as_mut().expect("shard at home").payloads.alloc(out.msg);
-    sh.links[s][slot].push(out.priority, seq, handle);
-    Ok(link)
-}
+impl<P: Protocol> Storage for Shards<P> {
+    type Node = P;
 
-/// Serial-order injection: if the link is idle and has a queued message, pop
-/// the lowest-stage one and schedule its delivery into the destination shard's
-/// wheel — the cross-shard hand-off of the merge step. On a fault-blocked link
-/// the whole queue is drained and dropped (no seq draws), exactly like the
-/// serial engine. Targets at or before the current window's last tick go to
-/// the in-window heap instead of a wheel (the wheels are already past them).
-fn try_inject<P: Protocol>(
-    g: &mut Globals,
-    sh: &mut ShardTables,
-    works: &mut [Option<ShardWork<P>>],
-    delay: &DelayModel,
-    win: &mut InWindow,
-    link: DirectedEdgeId,
-) {
-    let (s, slot) = sh.layout.link_home(link);
-    let state = &mut sh.links[s][slot];
-    if state.in_flight {
-        return;
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    fn link(&mut self, link: DirectedEdgeId) -> &mut LinkState<u32> {
+        let (s, slot) = self.layout.link_home(link);
+        &mut self.links[s][slot]
     }
-    let (from, to) = (state.from, state.to);
-    if g.faults.as_ref().is_some_and(|f| f.blocks(link, from, to)) {
-        // Drain-drop draws no seqs; each drained handle is freed back into
-        // the destination shard's arena.
-        let payloads = &mut works[sh.layout.shard_of(to)].as_mut().expect("shard at home").payloads;
-        while let Some((_, handle)) = sh.links[s][slot].pop() {
-            payloads.take(handle);
-            g.dropped += 1;
+
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    fn home(&mut self, v: NodeId) -> Home<'_, P> {
+        let s = self.layout.shard_of(v);
+        let w = self.works[s].as_mut().expect("shard at home");
+        let local = v.index() - w.lo;
+        Home {
+            shard: s as u32,
+            node: &mut w.nodes[local],
+            done: &mut w.done[local],
+            arena: &mut w.payloads,
         }
-        return;
     }
-    let Some((msg_seq, msg)) = state.pop() else { return };
-    state.in_flight = true;
-    let d = delay.delay_ticks_at(from, to, msg_seq, g.now);
-    let at = g.now + d;
-    let seq = g.next_seq();
-    if let Some(tr) = g.trace.as_mut() {
-        tr.on_scheduled(seq);
-    }
-    let ev = ShardEvent::Deliver { link, from, to, msg };
-    if at <= win.t_last {
-        win.heap.push(WindowEntry { at, seq, ev });
-    } else {
-        sh.wheels[sh.layout.shard_of(to)].schedule_from(g.now, at, seq, ev);
+
+    /// Deliveries go to the destination's shard, acknowledgments to the
+    /// link's source shard — the cross-shard hand-off that makes the next
+    /// barrier's phase 1 shard-local again.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    fn schedule(&mut self, now: u64, at: u64, seq: u64, ev: Event) {
+        if at <= self.t_last {
+            self.heap.push(MinEntry { at, seq, payload: ev });
+            return;
+        }
+        let s = match ev {
+            Event::Deliver { to, .. } => self.layout.shard_of(to),
+            Event::Ack { link } => self.layout.link_home(link).0,
+            Event::Dropped { .. } => unreachable!("the core schedules only deliveries and acks"),
+        };
+        self.wheels[s].schedule_from(now, at, seq, ev);
     }
 }
 
@@ -570,58 +430,15 @@ fn try_inject<P: Protocol>(
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Runs an asynchronous protocol on the sharded engine with `shards` shards
-/// and the [`ThreadMode::Auto`] thread policy. The execution — schedule,
-/// outputs, metrics — is bit-identical to
-/// [`run_async`](crate::async_engine::run_async) on the timing wheel.
+/// Runs an asynchronous protocol on the sharded engine, under a [`FaultPlan`]
+/// if one is given. The execution — schedule, outputs, metrics, drop counts —
+/// is bit-identical to
+/// [`run_async_faulted`](crate::async_engine::run_async_faulted) on the
+/// timing wheel for every shard count, worker count, and batching mode.
 ///
 /// # Errors
 ///
-/// Same as [`run_async`](crate::async_engine::run_async).
-pub fn run_async_sharded<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-    shards: usize,
-) -> Result<AsyncReport<P>, SimError>
-where
-    P: Protocol + Send,
-    P::Message: Send,
-    F: FnMut(NodeId) -> P,
-{
-    run_async_sharded_with(graph, delay, make, limits, ShardedOptions::new(shards))
-}
-
-/// [`run_async_sharded`] with an explicit worker-thread policy.
-///
-/// # Errors
-///
-/// Same as [`run_async`](crate::async_engine::run_async).
-pub fn run_async_sharded_with<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-    opts: ShardedOptions,
-) -> Result<AsyncReport<P>, SimError>
-where
-    P: Protocol + Send,
-    P::Message: Send,
-    F: FnMut(NodeId) -> P,
-{
-    run_sharded_inner(graph, delay, None, make, limits, opts, false).map(|(report, _)| report)
-}
-
-/// [`run_async_sharded_with`] under a [`FaultPlan`]: the adversary's link and
-/// node events apply at the exact same ticks as on the serial engines, so the
-/// execution — schedule, outputs, drop counts — stays bit-identical to
-/// [`run_async_faulted`](crate::async_engine::run_async_faulted) for every
-/// shard count, worker count, and batching mode.
-///
-/// # Errors
-///
-/// Same as [`run_async`](crate::async_engine::run_async).
+/// Same as [`run_async_faulted`](crate::async_engine::run_async_faulted).
 pub fn run_async_sharded_faulted_with<P, F>(
     graph: &Graph,
     delay: DelayModel,
@@ -635,41 +452,19 @@ where
     P::Message: Send,
     F: FnMut(NodeId) -> P,
 {
-    run_sharded_inner(graph, delay, faults, make, limits, opts, false).map(|(report, _)| report)
+    run_pooled(graph, delay, faults, make, limits, opts, false).map(|(report, _)| report)
 }
 
-/// [`run_async_sharded_with`] with delivery tracing enabled: returns the
-/// report plus the [`DeliveryTrace`] the happens-before checker (`ds-verify`)
-/// consumes. The traced execution is bit-identical to the untraced one —
-/// tracing happens entirely on the coordinator (phase 2 and injection), so
-/// worker threads never touch it.
+/// [`run_async_sharded_faulted_with`] with delivery tracing enabled: returns
+/// the report plus the [`DeliveryTrace`] the happens-before checker
+/// (`ds-verify`) consumes. The traced execution is bit-identical to the
+/// untraced one — tracing happens entirely in the effects core on the
+/// coordinator, so worker threads never touch it. Dropped deliveries leave no
+/// trace record, exactly as on the serial engine.
 ///
 /// # Errors
 ///
-/// Same as [`run_async`](crate::async_engine::run_async).
-pub fn run_async_sharded_traced_with<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-    opts: ShardedOptions,
-) -> Result<(AsyncReport<P>, DeliveryTrace), SimError>
-where
-    P: Protocol + Send,
-    P::Message: Send,
-    F: FnMut(NodeId) -> P,
-{
-    let (report, trace) = run_sharded_inner(graph, delay, None, make, limits, opts, true)?;
-    Ok((report, trace.expect("tracing was enabled")))
-}
-
-/// [`run_async_sharded_faulted_with`] with delivery tracing enabled. Dropped
-/// deliveries leave no trace record — only the schedule draw of the doomed
-/// delivery appears, exactly as on the serial engine.
-///
-/// # Errors
-///
-/// Same as [`run_async`](crate::async_engine::run_async).
+/// Same as [`run_async_faulted`](crate::async_engine::run_async_faulted).
 pub fn run_async_sharded_faulted_traced_with<P, F>(
     graph: &Graph,
     delay: DelayModel,
@@ -683,11 +478,12 @@ where
     P::Message: Send,
     F: FnMut(NodeId) -> P,
 {
-    let (report, trace) = run_sharded_inner(graph, delay, faults, make, limits, opts, true)?;
+    let (report, trace) = run_pooled(graph, delay, faults, make, limits, opts, true)?;
     Ok((report, trace.expect("tracing was enabled")))
 }
 
-fn run_sharded_inner<P, F>(
+/// Resolves the worker count, spins up the pool if there is one, and runs.
+fn run_pooled<P, F>(
     graph: &Graph,
     delay: DelayModel,
     faults: Option<&FaultPlan>,
@@ -702,7 +498,6 @@ where
     F: FnMut(NodeId) -> P,
 {
     let k = opts.shards.clamp(1, graph.node_count().max(1));
-    let trace = traced.then(|| TraceState::new(k as u32));
     // `workers == 0` requests the pre-pool coupling: one worker per shard.
     let requested = if opts.workers == 0 { k } else { opts.workers };
     let workers = match opts.threads {
@@ -727,103 +522,55 @@ where
             }
         }
     };
-    let fstate = faults.map(|plan| FaultState::new(graph, plan));
     if workers == 0 {
-        return run_core(graph, delay, make, limits, k, opts.batching, None, trace, fstate);
+        return run_core(graph, delay, faults, make, limits, k, opts.batching, None, traced);
     }
     WorkerPool::run(
         workers,
         |w: &mut ShardWork<P>| phase1(w),
-        |pool| run_core(graph, delay, make, limits, k, opts.batching, Some(pool), trace, fstate),
+        |pool| run_core(graph, delay, faults, make, limits, k, opts.batching, Some(pool), traced),
     )
-}
-
-/// Sequential sharded run, used by
-/// [`run_async_faulted`](crate::async_engine::run_async_faulted) for
-/// [`crate::SchedulerKind::Sharded`]: no `Send` bound, no threads, identical
-/// execution.
-pub(crate) fn run_sequential_faulted<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    shards: usize,
-) -> Result<AsyncReport<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    let k = shards.clamp(1, graph.node_count().max(1));
-    let fstate = faults.map(|plan| FaultState::new(graph, plan));
-    run_core(graph, delay, make, limits, k, true, None, None, fstate).map(|(report, _)| report)
-}
-
-/// Sequential sharded run with tracing, used by
-/// [`run_async_faulted_traced`](crate::async_engine::run_async_faulted_traced)
-/// for [`crate::SchedulerKind::Sharded`].
-pub(crate) fn run_sequential_faulted_traced<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    shards: usize,
-) -> Result<(AsyncReport<P>, DeliveryTrace), SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    let k = shards.clamp(1, graph.node_count().max(1));
-    let fstate = faults.map(|plan| FaultState::new(graph, plan));
-    let (report, trace) = run_core(
-        graph,
-        delay,
-        make,
-        limits,
-        k,
-        true,
-        None,
-        Some(TraceState::new(k as u32)),
-        fstate,
-    )?;
-    Ok((report, trace.expect("tracing was enabled")))
 }
 
 // ---------------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------------
 
+/// The sharded engine loop. Without a pool it needs no `Send` bound, which is
+/// how [`run_async_faulted`](crate::async_engine::run_async_faulted) runs
+/// [`crate::SchedulerKind::Sharded`] sequentially.
 // Every entry point funnels here with its full knob set; bundling the knobs
 // into a struct would only move the argument list one call deeper.
 #[allow(clippy::too_many_arguments)]
-fn run_core<P, F>(
+pub(crate) fn run_core<P, F>(
     graph: &Graph,
     delay: DelayModel,
+    faults: Option<&FaultPlan>,
     mut make: F,
     limits: SimLimits,
-    k: usize,
+    shards: usize,
     batching: bool,
     mut pool: Option<&mut WorkerPool<ShardWork<P>>>,
-    trace: Option<TraceState>,
-    faults: Option<FaultState>,
+    traced: bool,
 ) -> Result<(AsyncReport<P>, Option<DeliveryTrace>), SimError>
 where
     P: Protocol,
     F: FnMut(NodeId) -> P,
 {
-    let n = graph.node_count();
-    let layout = ShardLayout::new(graph, k);
+    let layout = ShardLayout::new(graph, shards);
     let k = layout.k;
     let horizon = delay.max_delay_ticks();
+    // The static part of a window is bounded by the delay floor (see the
+    // module docs §Batched windows); ticks past it batch through the
+    // in-window heap, so no `min_delay > 1` gate remains.
+    let min_delay = delay.min_delay_ticks();
 
     let mut links: Vec<Vec<LinkState<u32>>> = (0..k).map(|_| Vec::new()).collect();
     for e in 0..graph.directed_edge_count() {
-        let id = DirectedEdgeId(e as u32);
-        let (from, to) = graph.directed_endpoints(id);
+        let (from, to) = graph.directed_endpoints(DirectedEdgeId(e as u32));
         links[layout.shard_of(from)].push(LinkState::new(from, to));
     }
-    let mut works: Vec<Option<ShardWork<P>>> = (0..k)
+    let works = (0..k)
         .map(|s| {
             let (lo, hi) = (layout.bounds[s], layout.bounds[s + 1]);
             Some(ShardWork {
@@ -840,71 +587,24 @@ where
             })
         })
         .collect();
-    let mut sh =
-        ShardTables { layout, wheels: (0..k).map(|_| TimingWheel::new(horizon)).collect(), links };
-    let mut g = Globals {
-        now: 0,
-        seq: 0,
-        deliveries: 0,
-        max_events: limits.max_events,
-        metrics: RunMetrics::default(),
-        done_count: 0,
-        time_all_done: None,
-        batched_ticks: 0,
-        pool_dispatches: 0,
-        max_batch: 0,
-        touched: Vec::new(),
-        trace,
-        faults,
-        dropped: 0,
+    let mut st = Shards {
+        layout,
+        wheels: (0..k).map(|_| TimingWheel::new(horizon)).collect(),
+        links,
+        works,
+        heap: BinaryHeap::new(),
+        t_last: 0,
     };
-    // The static part of a window is bounded by the delay floor (see the
-    // module docs §Batched windows); ticks past it batch through the
-    // in-window heap, so no `min_delay > 1` gate remains.
-    let min_delay = delay.min_delay_ticks();
-    let mut win = InWindow { heap: BinaryHeap::new(), t_last: 0 };
+    let faults = faults.map(|plan| FaultState::new(graph, plan));
+    let trace_shards = traced.then_some(k as u32);
+    let mut core = Core::new(graph, delay, limits, trace_shards, faults);
+    // Extra ticks processed inside batched windows, and barriers whose phase 1
+    // was shipped to the worker pool.
+    let (mut batched_ticks, mut pool_dispatches) = (0u64, 0u64);
 
-    // Time 0: start every node in global node order — the serial engine's
-    // init order, so the initial seq draws match exactly. Nodes the fault
-    // plan crashes at tick 0 never start (but still take the done check, like
-    // the serial engine).
-    if let Some(f) = g.faults.as_mut() {
-        f.advance_to(0);
-    }
-    for v in graph.nodes() {
-        let s = sh.layout.shard_of(v);
-        let w = works[s].as_mut().expect("shard at home");
-        let local = v.index() - w.lo;
-        if g.faults.as_ref().is_some_and(|f| f.is_crashed(v)) {
-            if !w.done[local] && w.nodes[local].is_done() {
-                w.done[local] = true;
-                g.done_count += 1;
-                if g.done_count == n && g.time_all_done.is_none() {
-                    g.time_all_done = Some(0);
-                }
-            }
-            continue;
-        }
-        let mut ctx = Ctx::with_buffer(v, std::mem::take(&mut w.outbox_buf));
-        w.nodes[local].on_start(&mut ctx);
-        let mut touched = std::mem::take(&mut g.touched);
-        for out in ctx.drain_outbox() {
-            touched.push(push_message(&mut g, &mut sh, &mut works, graph, v, out)?);
-        }
-        for link in touched.drain(..) {
-            try_inject(&mut g, &mut sh, &mut works, &delay, &mut win, link);
-        }
-        g.touched = touched;
-        let w = works[s].as_mut().expect("shard at home");
-        w.outbox_buf = ctx.into_buffer();
-        if !w.done[local] && w.nodes[local].is_done() {
-            w.done[local] = true;
-            g.done_count += 1;
-            if g.done_count == n && g.time_all_done.is_none() {
-                g.time_all_done = Some(0);
-            }
-        }
-    }
+    // Time 0, in global node order — the serial engine's init order, so the
+    // initial seq draws match exactly.
+    core.start(&mut st)?;
 
     // One barrier per iteration: find the globally earliest pending tick,
     // widen it to a causality-free window when batching applies, drain every
@@ -912,15 +612,13 @@ where
     // activations), then the serial phase-2 merge in `(tick, seq)` order.
     let mut pos = vec![0usize; k];
     let mut window: Vec<u64> = Vec::new();
-    let mut done_scratch: Vec<(u64, u64)> = Vec::new();
-    let mut ext_scratch: Vec<(u64, ShardEvent)> = Vec::new();
-    while let Some(t0) = sh.wheels.iter().filter_map(TimingWheel::next_tick).min() {
+    let mut done_scratch: Vec<(u64, usize)> = Vec::new();
+    let mut ext_scratch: Vec<(u64, Event)> = Vec::new();
+    while let Some(t0) = st.wheels.iter().filter_map(TimingWheel::next_tick).min() {
         // Apply fault transitions due by t0. The window cap below keeps the
         // flags constant through t_last, so drain-time fault checks see the
         // same state the serial engine sees at each window tick.
-        if let Some(f) = g.faults.as_mut() {
-            f.advance_to(t0);
-        }
+        core.advance_faults(t0);
         // The window [t0, end]: every tick the occupancy bitsets report,
         // capped per wheel by the horizon and the earliest overflow entry
         // (invisible to the bitsets), and by the next fault transition. t0
@@ -929,14 +627,14 @@ where
         window.push(t0);
         if batching {
             let mut end = u64::MAX;
-            for wheel in &sh.wheels {
+            for wheel in &st.wheels {
                 end = wheel.window_cap(end);
             }
-            if let Some(next) = g.faults.as_ref().and_then(|f| f.next_transition_after(t0)) {
+            if let Some(next) = core.faults.as_ref().and_then(|f| f.next_transition_after(t0)) {
                 end = end.min(next - 1);
             }
             if end > t0 {
-                for wheel in &sh.wheels {
+                for wheel in &st.wheels {
                     wheel.occupied_ticks_within(end, &mut window);
                 }
                 window.sort_unstable();
@@ -944,7 +642,7 @@ where
             }
         }
         let t_last = *window.last().expect("window holds t0");
-        g.batched_ticks += window.len() as u64 - 1;
+        batched_ticks += window.len() as u64 - 1;
 
         // Drain the window. Ticks up to the static boundary feed phase 1
         // (fault-blocked deliveries are defused to `Dropped` in place — the
@@ -968,23 +666,17 @@ where
         let mut total_due = 0usize;
         for &t in &window {
             if t <= static_end {
-                for (wheel, work) in sh.wheels.iter_mut().zip(&mut works) {
+                for (wheel, work) in st.wheels.iter_mut().zip(&mut st.works) {
                     if wheel.next_tick() == Some(t) {
                         let w = work.as_mut().expect("shard at home");
                         let before = w.due.len();
                         let drained = wheel.take_due(&mut w.due);
                         debug_assert_eq!(drained, Some(t));
-                        if let Some(f) = g.faults.as_ref() {
-                            let (due, payloads) = (&mut w.due, &mut w.payloads);
-                            for (_, ev) in &mut due[before..] {
-                                if let ShardEvent::Deliver { link, from, to, msg } = *ev {
+                        if let Some(f) = core.faults.as_ref() {
+                            for (_, ev) in &mut w.due[before..] {
+                                if let Event::Deliver { link, from, to, handle } = *ev {
                                     if f.blocks(link, from, to) {
-                                        // Defused in place: the payload handle is
-                                        // freed now (this shard is the destination,
-                                        // so the handle is local); the drop COUNT
-                                        // stays in the merge's `ReadyKind::Dropped`.
-                                        payloads.take(msg);
-                                        *ev = ShardEvent::Dropped { link };
+                                        *ev = Event::Dropped { link, to, handle };
                                     }
                                 }
                             }
@@ -994,12 +686,12 @@ where
                     }
                 }
             } else {
-                for wheel in sh.wheels.iter_mut() {
+                for wheel in st.wheels.iter_mut() {
                     if wheel.next_tick() == Some(t) {
                         let drained = wheel.take_due(&mut ext_scratch);
                         debug_assert_eq!(drained, Some(t));
                         for (seq, ev) in ext_scratch.drain(..) {
-                            win.heap.push(WindowEntry { at: t, seq, ev });
+                            st.heap.push(MinEntry { at: t, seq, payload: ev });
                         }
                     }
                 }
@@ -1009,20 +701,20 @@ where
         // schedules into it: the clocks stay in lock-step, and anything the
         // merge schedules at or before `t_last` is routed to the in-window
         // heap instead.
-        for wheel in sh.wheels.iter_mut() {
+        for wheel in st.wheels.iter_mut() {
             wheel.advance_to(t_last);
         }
-        win.t_last = t_last;
-        for w in &works {
-            g.max_batch = g.max_batch.max(w.as_ref().expect("shard at home").due.len() as u64);
+        st.t_last = t_last;
+        for s in 0..k {
+            core.max_batch = core.max_batch.max(st.work(s).due.len() as u64);
         }
 
         // Phase 1.
         match pool.as_deref_mut() {
             Some(pool) if total_due >= PARALLEL_TICK_THRESHOLD => {
-                g.pool_dispatches += 1;
+                pool_dispatches += 1;
                 let mut outstanding = 0usize;
-                for (s, slot) in works.iter_mut().enumerate() {
+                for (s, slot) in st.works.iter_mut().enumerate() {
                     if !slot.as_ref().expect("shard at home").due.is_empty() {
                         let work = slot.take().expect("shard at home");
                         pool.dispatch(s, work);
@@ -1032,7 +724,7 @@ where
                 let mut panicked: Option<PanicPayload> = None;
                 for _ in 0..outstanding {
                     let (idx, work, panic) = pool.collect();
-                    works[idx] = Some(work);
+                    st.works[idx] = Some(work);
                     panicked = panicked.or(panic);
                 }
                 // Resume only after every outstanding shard answered, so no
@@ -1042,8 +734,8 @@ where
                 }
             }
             _ => {
-                for w in &mut works {
-                    phase1(w.as_mut().expect("shard at home"));
+                for s in 0..k {
+                    phase1(st.work(s));
                 }
             }
         }
@@ -1051,240 +743,90 @@ where
         // the cumulative count crosses `n` at the same tick as it would have
         // serially.
         done_scratch.clear();
-        for w in &mut works {
-            done_scratch.append(&mut w.as_mut().expect("shard at home").newly_done);
+        for s in 0..k {
+            done_scratch.append(&mut st.work(s).newly_done);
         }
         done_scratch.sort_unstable_by_key(|&(tick, _)| tick);
         for &(tick, count) in &done_scratch {
-            g.done_count += count as usize;
-            if g.done_count == n && g.time_all_done.is_none() {
-                g.time_all_done = Some(tick);
-            }
+            core.count_done(count, tick);
         }
 
         // Phase 2: merge of the shards' ready lists AND the in-window heap by
         // global `(tick, seq)` — the serial processing order (each ready list
-        // is already ascending in it; the heap pops in it). `g.now` is
+        // is already ascending in it; the heap pops in it). `core.now` is
         // restored per event, so every delay draw and schedule target matches
-        // the serial engine's exactly. Heap deliveries run their activation
-        // inline here — they sit strictly past the static boundary, so every
-        // phase-1 activation of the same node already happened.
+        // the serial engine's exactly. Heap events fire in full, activation
+        // included — they sit strictly past the static boundary, so every
+        // phase-1 activation of the same node already happened; ready
+        // deliveries were activated in phase 1, so only their effects replay.
         pos.iter_mut().for_each(|p| *p = 0);
         loop {
             let mut best: Option<((u64, u64), usize)> = None;
-            for s in 0..k {
-                let ready = &works[s].as_ref().expect("shard at home").ready;
-                if let Some(item) = ready.get(pos[s]) {
+            for (s, (work, &p)) in st.works.iter().zip(&pos).enumerate() {
+                if let Some(item) = work.as_ref().expect("shard at home").ready.get(p) {
                     if best.is_none_or(|(key, _)| (item.tick, item.seq) < key) {
                         best = Some(((item.tick, item.seq), s));
                     }
                 }
             }
-            let from_heap =
-                win.heap.peek().is_some_and(|e| best.is_none_or(|(key, _)| (e.at, e.seq) < key));
-            if from_heap {
-                let entry = win.heap.pop().expect("peeked above");
-                g.now = entry.at;
-                match entry.ev {
-                    ShardEvent::Deliver { link, from, to, msg } => {
-                        if g.faults.as_ref().is_some_and(|f| f.blocks(link, from, to)) {
-                            let s_to = sh.layout.shard_of(to);
-                            works[s_to].as_mut().expect("shard at home").payloads.take(msg);
-                            g.dropped += 1;
-                            let (home, slot) = sh.layout.link_home(link);
-                            sh.links[home][slot].in_flight = false;
-                            try_inject(&mut g, &mut sh, &mut works, &delay, &mut win, link);
-                            continue;
-                        }
-                        if let Some(tr) = g.trace.as_mut() {
-                            tr.on_delivery(
-                                entry.seq,
-                                g.now,
-                                sh.layout.shard_of(to) as u32,
-                                from,
-                                to,
-                            );
-                        }
-                        g.deliveries += 1;
-                        if g.deliveries > g.max_events {
-                            return Err(SimError::EventLimitExceeded { limit: g.max_events });
-                        }
-                        g.metrics.events += 1;
-                        // Activate inline on the coordinator and dispatch the
-                        // outbox — the serial engine's deliver + dispatch_outbox,
-                        // verbatim.
-                        let s_to = sh.layout.shard_of(to);
-                        let w = works[s_to].as_mut().expect("shard at home");
-                        let local = to.index() - w.lo;
-                        let mut ctx = Ctx::with_buffer(to, std::mem::take(&mut w.outbox_buf));
-                        let msg = w.payloads.take(msg);
-                        w.nodes[local].on_message(from, msg, &mut ctx);
-                        let mut touched = std::mem::take(&mut g.touched);
-                        for out in ctx.drain_outbox() {
-                            touched
-                                .push(push_message(&mut g, &mut sh, &mut works, graph, to, out)?);
-                        }
-                        for l in touched.drain(..) {
-                            try_inject(&mut g, &mut sh, &mut works, &delay, &mut win, l);
-                        }
-                        g.touched = touched;
-                        // Acknowledge back to the sender (two seq draws, like
-                        // the serial engine).
-                        g.metrics.acks += 1;
-                        let ack_seq = g.next_seq();
-                        let ack_delay = delay.delay_ticks_at(to, from, ack_seq, g.now);
-                        let at = g.now + ack_delay;
-                        let seq = g.next_seq();
-                        if let Some(tr) = g.trace.as_mut() {
-                            tr.on_scheduled(seq);
-                        }
-                        if at <= win.t_last {
-                            win.heap.push(WindowEntry { at, seq, ev: ShardEvent::Ack { link } });
-                        } else {
-                            let (home, _) = sh.layout.link_home(link);
-                            sh.wheels[home].schedule_from(g.now, at, seq, ShardEvent::Ack { link });
-                        }
-                        let w = works[s_to].as_mut().expect("shard at home");
-                        w.outbox_buf = ctx.into_buffer();
-                        if !w.done[local] && w.nodes[local].is_done() {
-                            w.done[local] = true;
-                            g.done_count += 1;
-                            if g.done_count == n && g.time_all_done.is_none() {
-                                g.time_all_done = Some(g.now);
-                            }
-                        }
-                    }
-                    ShardEvent::Ack { link } => {
-                        if let Some(tr) = g.trace.as_mut() {
-                            tr.on_ack(entry.seq);
-                        }
-                        let (home, slot) = sh.layout.link_home(link);
-                        sh.links[home][slot].in_flight = false;
-                        try_inject(&mut g, &mut sh, &mut works, &delay, &mut win, link);
-                    }
-                    ShardEvent::Dropped { .. } => {
-                        unreachable!("drops are decided at drain or processing time")
-                    }
-                }
+            if st.heap.peek().is_some_and(|e| best.is_none_or(|(key, _)| (e.at, e.seq) < key)) {
+                let entry = st.heap.pop().expect("peeked above");
+                core.now = entry.at;
+                core.fire(&mut st, entry.seq, entry.payload)?;
                 continue;
             }
             let Some((_, s)) = best else { break };
-            let item = works[s].as_ref().expect("shard at home").ready[pos[s]];
+            let item = st.work(s).ready[pos[s]];
             pos[s] += 1;
-            g.now = item.tick;
-            match item.kind {
-                ReadyKind::Delivered { from, to, outbox } => {
-                    if let Some(tr) = g.trace.as_mut() {
-                        tr.on_delivery(item.seq, g.now, s as u32, from, to);
+            core.now = item.tick;
+            match item.ev {
+                Event::Deliver { link, from, to, .. } => {
+                    core.begin_delivery(item.seq, s as u32, from, to)?;
+                    for _ in 0..item.outbox {
+                        let out = st.work(s).captured.pop_front();
+                        core.send(&mut st, to, out.expect("the capture buffer holds each outbox"))?;
                     }
-                    g.deliveries += 1;
-                    if g.deliveries > g.max_events {
-                        return Err(SimError::EventLimitExceeded { limit: g.max_events });
-                    }
-                    g.metrics.events += 1;
-                    // Replay the captured outbox: push every message (drawing
-                    // its seq), then inject the touched links in order — the
-                    // serial engine's dispatch_outbox, verbatim.
-                    let mut touched = std::mem::take(&mut g.touched);
-                    for _ in 0..outbox {
-                        let out = works[s]
-                            .as_mut()
-                            .expect("shard at home")
-                            .captured
-                            .pop_front()
-                            .expect("the capture buffer holds each outbox");
-                        touched.push(push_message(&mut g, &mut sh, &mut works, graph, to, out)?);
-                    }
-                    for link in touched.drain(..) {
-                        try_inject(&mut g, &mut sh, &mut works, &delay, &mut win, link);
-                    }
-                    g.touched = touched;
-                    // Acknowledge back to the sender (two seq draws, exactly
-                    // like the serial engine: the ack's delay seq, then the
-                    // scheduled event's seq).
-                    g.metrics.acks += 1;
-                    let ack_seq = g.next_seq();
-                    let ack_delay = delay.delay_ticks_at(to, from, ack_seq, g.now);
-                    let at = g.now + ack_delay;
-                    let (home, _) = sh.layout.link_home(item.link);
-                    let seq = g.next_seq();
-                    if let Some(tr) = g.trace.as_mut() {
-                        tr.on_scheduled(seq);
-                    }
-                    if at <= win.t_last {
-                        win.heap.push(WindowEntry {
-                            at,
-                            seq,
-                            ev: ShardEvent::Ack { link: item.link },
-                        });
-                    } else {
-                        sh.wheels[home].schedule_from(
-                            g.now,
-                            at,
-                            seq,
-                            ShardEvent::Ack { link: item.link },
-                        );
-                    }
+                    core.end_delivery(&mut st, link, from, to);
                 }
-                ReadyKind::Ack => {
-                    if let Some(tr) = g.trace.as_mut() {
-                        tr.on_ack(item.seq);
-                    }
-                    let (home, slot) = sh.layout.link_home(item.link);
-                    sh.links[home][slot].in_flight = false;
-                    try_inject(&mut g, &mut sh, &mut works, &delay, &mut win, item.link);
-                }
-                ReadyKind::Dropped => {
-                    g.dropped += 1;
-                    let (home, slot) = sh.layout.link_home(item.link);
-                    sh.links[home][slot].in_flight = false;
-                    try_inject(&mut g, &mut sh, &mut works, &delay, &mut win, item.link);
-                }
+                ev => core.fire(&mut st, item.seq, ev)?,
             }
         }
-        for w in &mut works {
-            let w = w.as_mut().expect("shard at home");
+        for s in 0..k {
+            let w = st.work(s);
             w.ready.clear();
             debug_assert!(w.captured.is_empty(), "merge consumed every captured message");
         }
-        debug_assert!(win.heap.is_empty(), "merge drained the in-window heap");
-        win.t_last = 0;
+        debug_assert!(st.heap.is_empty(), "merge drained the in-window heap");
+        st.t_last = 0;
     }
 
-    g.metrics.time_to_output = g.time_all_done.map(|t| t as f64 / TICKS_PER_UNIT as f64);
-    g.metrics.time_to_quiescence = g.now as f64 / TICKS_PER_UNIT as f64;
-    let overflow_events = sh.wheels.iter().map(|w| w.overflow_scheduled()).sum();
-    let mut peak_live_handles = 0u64;
-    let mut arena_bytes = 0u64;
-    for w in &works {
-        let w = w.as_ref().expect("shard at home");
+    let (mut peak_live_handles, mut arena_bytes) = (0u64, 0u64);
+    let mut nodes = Vec::with_capacity(graph.node_count());
+    for w in st.works {
+        let w = w.expect("shard at home");
         debug_assert_eq!(w.payloads.live(), 0, "a finished run must return every arena handle");
         peak_live_handles += w.payloads.peak_live() as u64;
         arena_bytes += w.payloads.bytes() as u64;
+        nodes.extend(w.nodes);
     }
-    Ok((
-        AsyncReport {
-            metrics: g.metrics,
-            nodes: works.into_iter().flat_map(|w| w.expect("shard at home").nodes).collect(),
-            overflow_events,
-            peak_live_handles,
-            arena_bytes,
-            max_batch: g.max_batch,
-            batched_ticks: g.batched_ticks,
-            pool_dispatches: g.pool_dispatches,
-            dropped_events: g.dropped,
-            fault_transitions: g.faults.as_ref().map_or(0, FaultState::transitions),
-        },
-        g.trace.map(TraceState::finish),
-    ))
+    let (report, trace) = core.finish(nodes);
+    let report = AsyncReport {
+        overflow_events: st.wheels.iter().map(|w| w.overflow_scheduled()).sum(),
+        peak_live_handles,
+        arena_bytes,
+        batched_ticks,
+        pool_dispatches,
+        ..report
+    };
+    Ok((report, trace))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_engine::run_async_with;
-    use crate::metrics::MessageClass;
-    use crate::SchedulerKind;
+    use crate::async_engine::{run_async_faulted, run_async_faulted_traced};
+    use crate::metrics::{MessageClass, RunMetrics};
+    use crate::{SchedulerKind, TICKS_PER_UNIT};
 
     /// Chatty flood recording, per node, the exact arrival stream `(from, msg)`
     /// — the node-local view of the schedule. Mixed priorities exercise the
@@ -1332,9 +874,10 @@ mod tests {
     type NodeView = (Vec<Vec<(NodeId, u64)>>, RunMetrics, u64);
 
     fn wheel_run(graph: &Graph, delay: &DelayModel) -> NodeView {
-        let report = run_async_with(
+        let report = run_async_faulted(
             graph,
             delay.clone(),
+            None,
             |v| Chatter::new(graph, v),
             SimLimits::default(),
             SchedulerKind::TimingWheel,
@@ -1348,9 +891,10 @@ mod tests {
     }
 
     fn sharded_run(graph: &Graph, delay: &DelayModel, opts: ShardedOptions) -> NodeView {
-        let report = run_async_sharded_with(
+        let report = run_async_sharded_faulted_with(
             graph,
             delay.clone(),
+            None,
             |v| Chatter::new(graph, v),
             SimLimits::default(),
             opts,
@@ -1405,7 +949,7 @@ mod tests {
             .node_crash(TICKS_PER_UNIT / 2, NodeId(5))
             .node_recover(3 * TICKS_PER_UNIT, NodeId(5));
         for delay in [DelayModel::uniform(), DelayModel::jitter(3), DelayModel::outage(7, 5, 2)] {
-            let reference = crate::async_engine::run_async_faulted(
+            let reference = run_async_faulted(
                 &graph,
                 delay.clone(),
                 Some(&plan),
@@ -1488,9 +1032,10 @@ mod tests {
         let delay = DelayModel::uniform();
         let reference = wheel_run(&graph, &delay);
         for workers in [1, 2, 3] {
-            let report = run_async_sharded_with(
+            let report = run_async_sharded_faulted_with(
                 &graph,
                 delay.clone(),
+                None,
                 |v| Chatter::new(&graph, v),
                 SimLimits::default(),
                 ShardedOptions { workers, threads: ThreadMode::ForceOn, ..ShardedOptions::new(7) },
@@ -1517,9 +1062,10 @@ mod tests {
         // occupied tick it can see into the in-window heap.
         let graph = Graph::random_connected(26, 0.14, 11);
         let run = |delay: &DelayModel, batching: bool| {
-            run_async_sharded_with(
+            run_async_sharded_faulted_with(
                 &graph,
                 delay.clone(),
+                None,
                 |v| Chatter::new(&graph, v),
                 SimLimits::default(),
                 ShardedOptions { threads: ThreadMode::Off, batching, ..ShardedOptions::new(4) },
@@ -1547,17 +1093,18 @@ mod tests {
     }
 
     #[test]
-    fn run_async_with_runs_sharded_sequentially() {
+    fn run_async_faulted_runs_sharded_sequentially() {
         let graph = Graph::grid(4, 5);
         let reference = wheel_run(&graph, &DelayModel::jitter(9));
-        let report = run_async_with(
+        let report = run_async_faulted(
             &graph,
             DelayModel::jitter(9),
+            None,
             |v| Chatter::new(&graph, v),
             SimLimits::default(),
             SchedulerKind::Sharded { shards: 3, workers: 0 },
         )
-        .expect("sharded via run_async_with");
+        .expect("sharded via run_async_faulted");
         let got: NodeView = (
             report.nodes.into_iter().map(|n| n.arrivals).collect(),
             report.metrics,
@@ -1570,17 +1117,19 @@ mod tests {
     fn event_limit_aborts_like_the_serial_engine() {
         let graph = Graph::grid(5, 5);
         let limits = SimLimits { max_events: 40, ..SimLimits::default() };
-        let serial = run_async_with(
+        let serial = run_async_faulted(
             &graph,
             DelayModel::uniform(),
+            None,
             |v| Chatter::new(&graph, v),
             limits,
             SchedulerKind::TimingWheel,
         )
         .unwrap_err();
-        let sharded = run_async_sharded_with(
+        let sharded = run_async_sharded_faulted_with(
             &graph,
             DelayModel::uniform(),
+            None,
             |v| Chatter::new(&graph, v),
             limits,
             ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(4) },
@@ -1618,9 +1167,10 @@ mod tests {
             }
         }
         let graph = Graph::grid(12, 12);
-        let _ = run_async_sharded_with(
+        let _ = run_async_sharded_faulted_with(
             &graph,
             DelayModel::uniform(),
+            None,
             |v| Exploding { inner: Chatter::new(&graph, v) },
             SimLimits::default(),
             ShardedOptions { threads: ThreadMode::ForceOn, ..ShardedOptions::new(4) },
@@ -1635,9 +1185,10 @@ mod tests {
         let graph = Graph::random_connected(22, 0.16, 19);
         let delay = DelayModel::jitter(4);
         let reference = wheel_run(&graph, &delay);
-        let (report, serial_trace) = crate::async_engine::run_async_traced(
+        let (report, serial_trace) = run_async_faulted_traced(
             &graph,
             delay.clone(),
+            None,
             |v| Chatter::new(&graph, v),
             SimLimits::default(),
             crate::SchedulerKind::TimingWheel,
@@ -1653,9 +1204,10 @@ mod tests {
         assert_eq!(serial_trace.shards, 1);
 
         for shards in [1, 2, 4] {
-            let (report, trace) = run_async_sharded_traced_with(
+            let (report, trace) = run_async_sharded_faulted_traced_with(
                 &graph,
                 delay.clone(),
+                None,
                 |v| Chatter::new(&graph, v),
                 SimLimits::default(),
                 ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(shards) },
@@ -1686,17 +1238,19 @@ mod tests {
         // see it nor change what it records.
         let graph = Graph::grid(12, 12);
         let delay = DelayModel::uniform();
-        let (_, sequential) = run_async_sharded_traced_with(
+        let (_, sequential) = run_async_sharded_faulted_traced_with(
             &graph,
             delay.clone(),
+            None,
             |v| Chatter::new(&graph, v),
             SimLimits::default(),
             ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(4) },
         )
         .expect("sequential traced run");
-        let (report, threaded) = run_async_sharded_traced_with(
+        let (report, threaded) = run_async_sharded_faulted_traced_with(
             &graph,
             delay,
+            None,
             |v| Chatter::new(&graph, v),
             SimLimits::default(),
             ShardedOptions { threads: ThreadMode::ForceOn, ..ShardedOptions::new(4) },
@@ -1725,12 +1279,13 @@ mod tests {
             }
         }
         let graph = Graph::path(3);
-        let err = run_async_sharded(
+        let err = run_async_sharded_faulted_with(
             &graph,
             DelayModel::uniform(),
+            None,
             |me| Bad { me },
             SimLimits::default(),
-            2,
+            ShardedOptions::new(2),
         )
         .unwrap_err();
         assert_eq!(err, SimError::NotNeighbor { from: NodeId(0), to: NodeId(2) });

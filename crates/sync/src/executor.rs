@@ -26,7 +26,7 @@ use ds_netsim::sharded::{
     run_async_sharded_faulted_traced_with, run_async_sharded_faulted_with, ShardedOptions,
 };
 use ds_netsim::sync_engine::run_sync;
-use ds_netsim::{AsyncReport, DeliveryTrace, FaultPlan, SchedulerKind, ThreadMode};
+use ds_netsim::{AsyncReport, DeliveryTrace, FaultPlan, SchedulerKind};
 use std::sync::Arc;
 
 /// The environment an executor runs in: the network, the delay adversary and the
@@ -76,55 +76,36 @@ where
     P::Message: Send + 'static,
     F: FnMut(NodeId) -> P,
 {
-    let faults = env.faults.as_ref();
-    // Recycled path: serial wheel runs draw their engine state from the
-    // environment's slab bank. Bit-identical to the cold path below — the
-    // recycling reset contract is asserted by the engine itself — and scoped
-    // to exactly the configuration the slabs fit (the sharded engine owns
-    // per-shard state, and traced runs are rare one-off verification runs).
-    // An error run drops its slab instead of checking it back in: the bank
-    // only ever pools provably clean state.
-    if let (SchedulerKind::TimingWheel, false, Some(bank)) =
-        (env.scheduler, env.trace, env.recycle.as_ref())
-    {
-        let mut slab = bank.checkout::<P::Message>();
-        let report =
-            run_async_recycled(env.graph, env.delay.clone(), faults, make, env.limits, &mut slab)?;
-        bank.check_in(slab);
-        return Ok((report, None));
-    }
-    match (env.scheduler, env.trace) {
-        (SchedulerKind::Sharded { shards, workers }, false) => run_async_sharded_faulted_with(
-            env.graph,
-            env.delay.clone(),
-            faults,
-            make,
-            env.limits,
-            ShardedOptions { workers, threads: ThreadMode::Auto, ..ShardedOptions::new(shards) },
-        )
-        .map(|report| (report, None)),
-        (SchedulerKind::Sharded { shards, workers }, true) => {
-            run_async_sharded_faulted_traced_with(
-                env.graph,
-                env.delay.clone(),
-                faults,
-                make,
-                env.limits,
-                ShardedOptions {
-                    workers,
-                    threads: ThreadMode::Auto,
-                    ..ShardedOptions::new(shards)
-                },
-            )
-            .map(|(report, trace)| (report, Some(trace)))
+    let (graph, delay, faults, limits) =
+        (env.graph, env.delay.clone(), env.faults.as_ref(), env.limits);
+    match (env.scheduler, env.trace, env.recycle.as_ref()) {
+        // Recycled path: serial wheel runs draw their engine state from the
+        // environment's slab bank. Bit-identical to the cold paths below — the
+        // recycling reset contract is asserted by the engine itself — and
+        // scoped to exactly the configuration the slabs fit (the sharded
+        // engine owns per-shard state, and traced runs are rare one-off
+        // verification runs). An error run drops its slab instead of checking
+        // it back in: the bank only ever pools provably clean state.
+        (SchedulerKind::TimingWheel, false, Some(bank)) => {
+            let mut slab = bank.checkout::<P::Message>();
+            let report = run_async_recycled(graph, delay, faults, make, limits, &mut slab)?;
+            bank.check_in(slab);
+            Ok((report, None))
         }
-        (kind, false) => {
-            run_async_faulted(env.graph, env.delay.clone(), faults, make, env.limits, kind)
-                .map(|report| (report, None))
+        (SchedulerKind::Sharded { shards, workers }, traced, _) => {
+            let opts = ShardedOptions { workers, ..ShardedOptions::new(shards) };
+            if traced {
+                run_async_sharded_faulted_traced_with(graph, delay, faults, make, limits, opts)
+                    .map(|(report, trace)| (report, Some(trace)))
+            } else {
+                run_async_sharded_faulted_with(graph, delay, faults, make, limits, opts)
+                    .map(|report| (report, None))
+            }
         }
-        (kind, true) => {
-            run_async_faulted_traced(env.graph, env.delay.clone(), faults, make, env.limits, kind)
-                .map(|(report, trace)| (report, Some(trace)))
+        (kind, true, _) => run_async_faulted_traced(graph, delay, faults, make, limits, kind)
+            .map(|(report, trace)| (report, Some(trace))),
+        (kind, false, _) => {
+            run_async_faulted(graph, delay, faults, make, limits, kind).map(|report| (report, None))
         }
     }
 }
@@ -207,6 +188,57 @@ pub struct SynchronizedRun<O> {
     pub health: RunHealth,
 }
 
+/// The engine counters a [`SynchronizedRun`] republishes from its
+/// [`AsyncReport`]; all zero (the default) for the lock-step executor.
+#[derive(Default)]
+struct EngineCounters {
+    batched_ticks: u64,
+    dropped_events: u64,
+    fault_transitions: u64,
+    peak_live_handles: u64,
+    arena_bytes: u64,
+    max_batch: u64,
+}
+
+impl EngineCounters {
+    fn of<P>(report: &AsyncReport<P>) -> Self {
+        EngineCounters {
+            batched_ticks: report.batched_ticks,
+            dropped_events: report.dropped_events,
+            fault_transitions: report.fault_transitions,
+            peak_live_handles: report.peak_live_handles,
+            arena_bytes: report.arena_bytes,
+            max_batch: report.max_batch,
+        }
+    }
+}
+
+impl<O> SynchronizedRun<O> {
+    /// The one place a run's result is assembled, whatever executed it.
+    fn assemble(
+        metrics: RunMetrics,
+        engine: EngineCounters,
+        outputs: Vec<Option<O>>,
+        ordering_violations: u64,
+        trace: Option<DeliveryTrace>,
+        health: RunHealth,
+    ) -> Self {
+        SynchronizedRun {
+            outputs,
+            metrics,
+            ordering_violations,
+            trace,
+            batched_ticks: engine.batched_ticks,
+            dropped_events: engine.dropped_events,
+            fault_transitions: engine.fault_transitions,
+            peak_live_handles: engine.peak_live_handles,
+            arena_bytes: engine.arena_bytes,
+            max_batch: engine.max_batch,
+            health,
+        }
+    }
+}
+
 /// An execution strategy for event-driven algorithms: wraps per-node algorithm
 /// state, delivers pulses, and collects outputs.
 ///
@@ -249,19 +281,8 @@ impl<A: EventDriven> Synchronizer<A> for DirectExecutor {
         let report = run_sync(env.graph, make_alg, env.limits.max_rounds)?;
         let outputs = report.outputs();
         let health = RunHealth::of(None, &outputs);
-        Ok(SynchronizedRun {
-            outputs,
-            metrics: report.metrics,
-            ordering_violations: 0,
-            trace: None,
-            batched_ticks: 0,
-            dropped_events: 0,
-            fault_transitions: 0,
-            peak_live_handles: 0,
-            arena_bytes: 0,
-            max_batch: 0,
-            health,
-        })
+        let engine = EngineCounters::default();
+        Ok(SynchronizedRun::assemble(report.metrics, engine, outputs, 0, None, health))
     }
 }
 
@@ -287,19 +308,8 @@ impl<A: EventDriven> Synchronizer<A> for AlphaExecutor {
             run_env_async(env, |v| AlphaSynchronizer::new(env.graph, v, make_alg(v), max_pulse))?;
         let outputs: Vec<_> = report.nodes.iter().map(|n| n.algorithm().output()).collect();
         let health = RunHealth::of(env.faults.as_ref(), &outputs);
-        Ok(SynchronizedRun {
-            outputs,
-            metrics: report.metrics,
-            ordering_violations: 0,
-            trace,
-            batched_ticks: report.batched_ticks,
-            dropped_events: report.dropped_events,
-            fault_transitions: report.fault_transitions,
-            peak_live_handles: report.peak_live_handles,
-            arena_bytes: report.arena_bytes,
-            max_batch: report.max_batch,
-            health,
-        })
+        let engine = EngineCounters::of(&report);
+        Ok(SynchronizedRun::assemble(report.metrics, engine, outputs, 0, trace, health))
     }
 }
 
@@ -329,19 +339,8 @@ impl<A: EventDriven> Synchronizer<A> for BetaExecutor {
             run_env_async(env, |v| BetaSynchronizer::new(tree.clone(), v, make_alg(v), max_pulse))?;
         let outputs: Vec<_> = report.nodes.iter().map(|n| n.algorithm().output()).collect();
         let health = RunHealth::of(env.faults.as_ref(), &outputs);
-        Ok(SynchronizedRun {
-            outputs,
-            metrics: report.metrics,
-            ordering_violations: 0,
-            trace,
-            batched_ticks: report.batched_ticks,
-            dropped_events: report.dropped_events,
-            fault_transitions: report.fault_transitions,
-            peak_live_handles: report.peak_live_handles,
-            arena_bytes: report.arena_bytes,
-            max_batch: report.max_batch,
-            health,
-        })
+        let engine = EngineCounters::of(&report);
+        Ok(SynchronizedRun::assemble(report.metrics, engine, outputs, 0, trace, health))
     }
 }
 
@@ -366,21 +365,17 @@ impl<A: EventDriven> Synchronizer<A> for DetExecutor {
         let cfg = Arc::clone(&self.cfg);
         let (report, trace) =
             run_env_async(env, |v| DetSynchronizer::new(v, make_alg(v), cfg.clone()))?;
-        let outputs = collect_outputs(&report.nodes);
-        let health = RunHealth::of(env.faults.as_ref(), &outputs.outputs);
-        Ok(SynchronizedRun {
-            outputs: outputs.outputs,
-            metrics: report.metrics,
-            ordering_violations: outputs.ordering_violations,
+        let collected = collect_outputs(&report.nodes);
+        let health = RunHealth::of(env.faults.as_ref(), &collected.outputs);
+        let engine = EngineCounters::of(&report);
+        Ok(SynchronizedRun::assemble(
+            report.metrics,
+            engine,
+            collected.outputs,
+            collected.ordering_violations,
             trace,
-            batched_ticks: report.batched_ticks,
-            dropped_events: report.dropped_events,
-            fault_transitions: report.fault_transitions,
-            peak_live_handles: report.peak_live_handles,
-            arena_bytes: report.arena_bytes,
-            max_batch: report.max_batch,
             health,
-        })
+        ))
     }
 }
 

@@ -1168,8 +1168,9 @@ pub fn collect_outputs<A: EventDriven>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ds_netsim::async_engine::{run_async, SimLimits};
+    use ds_netsim::async_engine::{run_async_faulted, SimLimits};
     use ds_netsim::delay::DelayModel;
+    use ds_netsim::SchedulerKind;
 
     #[derive(Debug)]
     struct Flood<'g> {
@@ -1214,9 +1215,10 @@ mod tests {
     fn debug_stall_reports_per_node_protocol_state() {
         let graph = Graph::path(4);
         let cfg = SynchronizerConfig::build(&graph, 4);
-        let report = run_async(
+        let report = run_async_faulted(
             &graph,
             DelayModel::jitter(3),
+            None,
             |v| {
                 DetSynchronizer::new(
                     v,
@@ -1225,6 +1227,7 @@ mod tests {
                 )
             },
             SimLimits::default(),
+            SchedulerKind::TimingWheel,
         )
         .expect("run");
         for (i, node) in report.nodes.iter().enumerate() {

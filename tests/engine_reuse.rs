@@ -10,7 +10,7 @@
 
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
 use det_synchronizer::netsim::{
-    run_async, run_async_recycled, AsyncReport, EngineSlab, MessageClass, SlabBank,
+    run_async_faulted, run_async_recycled, AsyncReport, EngineSlab, MessageClass, SlabBank,
 };
 use det_synchronizer::prelude::*;
 
@@ -57,6 +57,19 @@ fn arrivals(report: &AsyncReport<Flood>) -> Vec<Vec<(NodeId, u64)>> {
     report.nodes.iter().map(|n| n.arrivals.clone()).collect()
 }
 
+/// A cold (freshly allocated) run on the serial wheel.
+fn cold_run(graph: &Graph, delay: DelayModel, faults: Option<&FaultPlan>) -> AsyncReport<Flood> {
+    run_async_faulted(
+        graph,
+        delay,
+        faults,
+        |v| Flood::new(graph, v),
+        SimLimits::default(),
+        SchedulerKind::TimingWheel,
+    )
+    .expect("cold run")
+}
+
 /// Asserts a recycled run equals a cold run on everything but arena capacity.
 fn assert_matches_cold(recycled: &AsyncReport<Flood>, cold: &AsyncReport<Flood>, what: &str) {
     assert_eq!(recycled.metrics, cold.metrics, "{what}: metrics");
@@ -77,9 +90,7 @@ fn recycled_state_starts_every_run_empty_and_matches_cold_runs() {
             .into_iter()
             .enumerate()
     {
-        let cold =
-            run_async(&graph, delay.clone(), |v| Flood::new(&graph, v), SimLimits::default())
-                .expect("cold run");
+        let cold = cold_run(&graph, delay.clone(), None);
         let recycled = run_async_recycled(
             &graph,
             delay,
@@ -111,8 +122,7 @@ fn one_slab_serves_different_graphs_back_to_back() {
     let mut slab = EngineSlab::new();
     for (i, graph) in graphs.iter().enumerate() {
         let delay = DelayModel::jitter(3 + i as u64);
-        let cold = run_async(graph, delay.clone(), |v| Flood::new(graph, v), SimLimits::default())
-            .expect("cold run");
+        let cold = cold_run(graph, delay.clone(), None);
         let recycled = run_async_recycled(
             graph,
             delay,
@@ -139,15 +149,7 @@ fn faulted_runs_recycle_cleanly_too() {
         .link_up(5000, NodeId(7), NodeId(8));
     let mut slab = EngineSlab::new();
     for round in 0..2 {
-        let cold = det_synchronizer::netsim::run_async_faulted(
-            &graph,
-            DelayModel::jitter(4),
-            Some(&plan),
-            |v| Flood::new(&graph, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
-        )
-        .expect("cold faulted run");
+        let cold = cold_run(&graph, DelayModel::jitter(4), Some(&plan));
         let recycled = run_async_recycled(
             &graph,
             DelayModel::jitter(4),
@@ -198,9 +200,7 @@ fn error_runs_discard_slab_state_without_poisoning_later_runs() {
     assert_eq!(slab.runs(), 1, "an aborted run does not count");
 
     // And the next run through the same slab matches a cold run exactly.
-    let cold =
-        run_async(&graph, DelayModel::jitter(5), |v| Flood::new(&graph, v), SimLimits::default())
-            .expect("cold run");
+    let cold = cold_run(&graph, DelayModel::jitter(5), None);
     let after = run_async_recycled(
         &graph,
         DelayModel::jitter(5),

@@ -1,0 +1,272 @@
+//! Golden schedules: digests of whole executions, recorded by the code at
+//! commit `005986dbfd5e45a54187418aae3faa8ce59f4f5f` — the last commit at
+//! which the serial engine's per-event path, its three-pass batch path and the
+//! sharded engine's two merge arms were four independent copies of the
+//! delivery/ack/drop rules.
+//!
+//! Since then both engines draw every sequence number in one shared effects
+//! core (`ds-netsim::effects`), so the equivalence suites (`scheduler_equiv`,
+//! `threaded_equiv`, `fault_injection`, ...) compare that core with itself: a
+//! wrong seq draw would move every engine in lock-step and still pass them.
+//! The constants below are the outside reference — they were produced by
+//! running this file against the commit above, **not** by the current code,
+//! and must never be regenerated to make a failing change pass. A schedule
+//! change that is intended has to say so and re-record them from a commit
+//! whose schedules are independently justified.
+//!
+//! Each scenario runs on every engine configuration and must reproduce
+//!
+//! * the **schedule digest**: FNV-1a over every delivery's
+//!   [`DeliveryRecord::schedule_key`](det_synchronizer::netsim::DeliveryRecord::schedule_key)
+//!   in processing order, followed by the counters below, and
+//! * the **counter digest**: FNV-1a over `(events, acks, algorithm messages,
+//!   control messages, time_to_output bits, time_to_quiescence bits,
+//!   dropped_events, fault_transitions)` alone — also checked on
+//!   `run_async_recycled`, which does not trace.
+
+use det_synchronizer::algos::bfs::BfsAlgorithm;
+use det_synchronizer::netsim::protocol::Protocol;
+use det_synchronizer::netsim::{
+    run_async_faulted_traced, run_async_recycled, run_async_sharded_faulted_traced_with,
+    AsyncReport, DeliveryTrace, EngineSlab, MessageClass, ShardedOptions, ThreadMode,
+    TICKS_PER_UNIT,
+};
+use det_synchronizer::prelude::*;
+use det_synchronizer::sync::alpha::AlphaSynchronizer;
+use det_synchronizer::sync::beta::{BetaSynchronizer, SpanningTree};
+
+/// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// `None` and `Some(0)` must hash differently: a tag word, then the value.
+    fn opt(&mut self, w: Option<u64>) {
+        self.word(u64::from(w.is_some()));
+        self.word(w.unwrap_or(0));
+    }
+}
+
+fn hash_counters<P>(h: &mut Fnv, report: &AsyncReport<P>) {
+    let m = &report.metrics;
+    h.word(m.events);
+    h.word(m.acks);
+    h.word(m.class_messages(MessageClass::Algorithm));
+    h.word(m.class_messages(MessageClass::Control));
+    h.opt(m.time_to_output.map(f64::to_bits));
+    h.word(m.time_to_quiescence.to_bits());
+    h.word(report.dropped_events);
+    h.word(report.fault_transitions);
+}
+
+fn counter_digest<P>(report: &AsyncReport<P>) -> u64 {
+    let mut h = Fnv::new();
+    hash_counters(&mut h, report);
+    h.0
+}
+
+fn schedule_digest<P>(report: &AsyncReport<P>, trace: &DeliveryTrace) -> u64 {
+    let mut h = Fnv::new();
+    for rec in &trace.records {
+        let (seq, tick, src, dst, cause) = rec.schedule_key();
+        h.word(seq);
+        h.word(tick);
+        h.word(src.index() as u64);
+        h.word(dst.index() as u64);
+        h.opt(cause);
+    }
+    hash_counters(&mut h, report);
+    h.0
+}
+
+/// The digests one scenario must reproduce on every engine configuration.
+struct Golden {
+    schedule: u64,
+    counters: u64,
+}
+
+/// Runs `make`'s protocol on the wheel, the heap, the single-shard sharded
+/// engine, three shards over two forced workers (batching on and off) and the
+/// recycled wheel, and checks each against `golden`. Returns the recycled
+/// wheel's report and the ticks the sharded runs batched, so each scenario can
+/// assert it exercises the machinery it is there for.
+fn check<P, F>(
+    name: &str,
+    graph: &Graph,
+    delay: &DelayModel,
+    faults: Option<&FaultPlan>,
+    make: F,
+    golden: &Golden,
+) -> (AsyncReport<P>, u64)
+where
+    P: Protocol + Send,
+    P::Message: Send,
+    F: Fn(NodeId) -> P,
+{
+    let limits = SimLimits::default();
+    let verify = |config: &str, report: &AsyncReport<P>, trace: &DeliveryTrace| {
+        assert!(report.metrics.events > 0, "{name} on {config}: the scenario must do work");
+        let (schedule, counters) = (schedule_digest(report, trace), counter_digest(report));
+        assert_eq!(
+            (schedule, counters),
+            (golden.schedule, golden.counters),
+            "{name} on {config}: got schedule {schedule:#018x} counters {counters:#018x}"
+        );
+    };
+    let mut batched_ticks = 0;
+    for kind in [
+        SchedulerKind::TimingWheel,
+        SchedulerKind::BinaryHeap,
+        SchedulerKind::Sharded { shards: 1, workers: 0 },
+    ] {
+        let (report, trace) =
+            run_async_faulted_traced(graph, delay.clone(), faults, &make, limits, kind)
+                .unwrap_or_else(|e| panic!("{name} on {kind:?}: {e}"));
+        verify(&format!("{kind:?}"), &report, &trace);
+    }
+    for batching in [true, false] {
+        let opts = ShardedOptions {
+            workers: 2,
+            threads: ThreadMode::ForceOn,
+            batching,
+            ..ShardedOptions::new(3)
+        };
+        let (report, trace) = run_async_sharded_faulted_traced_with(
+            graph,
+            delay.clone(),
+            faults,
+            &make,
+            limits,
+            opts,
+        )
+        .unwrap_or_else(|e| panic!("{name} on {opts:?}: {e}"));
+        verify(&format!("{opts:?}"), &report, &trace);
+        batched_ticks += report.batched_ticks;
+    }
+    let mut slab = EngineSlab::new();
+    let report = run_async_recycled(graph, delay.clone(), faults, &make, limits, &mut slab)
+        .unwrap_or_else(|e| panic!("{name} recycled: {e}"));
+    let counters = counter_digest(&report);
+    assert_eq!(counters, golden.counters, "{name} recycled: got counters {counters:#018x}");
+    (report, batched_ticks)
+}
+
+fn det_bfs<'g>(
+    graph: &'g Graph,
+    max_pulse: u64,
+) -> impl Fn(NodeId) -> DetSynchronizer<BfsAlgorithm<'g>> {
+    let cfg = SynchronizerConfig::build(graph, max_pulse);
+    move |v| DetSynchronizer::new(v, BfsAlgorithm::new(graph, v, &[NodeId(0)]), cfg.clone())
+}
+
+#[test]
+fn det_bfs_on_a_deep_grid_under_uniform_delays() {
+    // Corner-rooted BFS on 16×16 needs 30 pulses: a deep schedule (T ≥ 14),
+    // where det-synchronizer seq mistakes actually surface, and uniform
+    // delays put hundreds of deliveries on one tick.
+    let graph = Graph::grid(16, 16);
+    let (wheel, _) = check(
+        "det/grid16x16/uniform",
+        &graph,
+        &DelayModel::uniform(),
+        None,
+        det_bfs(&graph, 32),
+        &Golden { schedule: 0xfb68_700b_0c03_322e, counters: 0x94ea_141d_f55d_f992 },
+    );
+    assert!(wheel.max_batch >= 256, "uniform delays must pile a whole wave onto one tick");
+}
+
+#[test]
+fn alpha_bfs_on_a_torus_under_jitter() {
+    let graph = Graph::torus(12, 12);
+    check(
+        "alpha/torus12x12/jitter7",
+        &graph,
+        &DelayModel::jitter(7),
+        None,
+        |v| AlphaSynchronizer::new(&graph, v, BfsAlgorithm::new(&graph, v, &[NodeId(0)]), 14),
+        &Golden { schedule: 0x3601_5a5b_9403_0681, counters: 0xaa74_8fd8_6b84_9d01 },
+    );
+}
+
+#[test]
+fn beta_bfs_on_a_random_regular_graph_under_floored_jitter() {
+    // The 500-tick delay floor forms multi-tick batched windows on the
+    // sharded engine, so the in-window heap arm of the merge is live.
+    let graph = Graph::random_regular(64, 4, 5);
+    let tree = SpanningTree::bfs(&graph, NodeId(0));
+    let (_, batched_ticks) = check(
+        "beta/regular64x4/jitter_at_least",
+        &graph,
+        &DelayModel::jitter_at_least(19, 0.5),
+        None,
+        |v| BetaSynchronizer::new(tree.clone(), v, BfsAlgorithm::new(&graph, v, &[NodeId(0)]), 12),
+        &Golden { schedule: 0x0230_0d5b_895b_6416, counters: 0x92fc_853d_fd4d_67ff },
+    );
+    assert!(batched_ticks > 0, "the delay floor must form multi-tick windows");
+}
+
+#[test]
+fn det_bfs_under_outages_through_the_overflow_tiers() {
+    // Multi-τ outage delays park deliveries beyond the wheel's horizon.
+    let graph = Graph::grid(8, 8);
+    let (wheel, _) = check(
+        "det/grid8x8/outage",
+        &graph,
+        &DelayModel::outage(11, 4, 2),
+        None,
+        det_bfs(&graph, 16),
+        &Golden { schedule: 0x0ef9_b7ad_2407_277f, counters: 0x9cc7_1d76_e514_45ae },
+    );
+    assert!(wheel.overflow_events > 0, "outage delays must park events past the horizon");
+}
+
+/// Short link episodes and crash/recover pairs while the opening waves are
+/// dense, then one crash that never recovers. Dropped messages starve the det
+/// schedule (no retransmission), so these runs end partial — by design.
+fn churn_and_crash(graph: &Graph) -> FaultPlan {
+    FaultPlan::random_churn(graph, 33, 10, 3, 12 * TICKS_PER_UNIT)
+        .node_crash(2 * TICKS_PER_UNIT + 7, NodeId(9))
+        .node_recover(5 * TICKS_PER_UNIT, NodeId(9))
+        .node_crash(9 * TICKS_PER_UNIT, NodeId(63))
+}
+
+#[test]
+fn det_bfs_under_link_churn_and_crashes() {
+    let graph = Graph::grid(8, 8);
+    let (wheel, _) = check(
+        "det/grid8x8/churn+crash/jitter5",
+        &graph,
+        &DelayModel::jitter(5),
+        Some(&churn_and_crash(&graph)),
+        det_bfs(&graph, 16),
+        &Golden { schedule: 0xc745_952f_6987_dc70, counters: 0x0b62_64d5_735c_f557 },
+    );
+    assert!(wheel.dropped_events > 0, "the fault plan must actually eat deliveries");
+}
+
+#[test]
+fn det_bfs_under_link_churn_and_crashes_on_dense_ticks() {
+    // Uniform delays put drops, acks and live deliveries on the same crowded
+    // tick — the case the recording commit ran through its three-pass batch.
+    let graph = Graph::grid(8, 8);
+    let (wheel, _) = check(
+        "det/grid8x8/churn+crash/uniform",
+        &graph,
+        &DelayModel::uniform(),
+        Some(&churn_and_crash(&graph)),
+        det_bfs(&graph, 16),
+        &Golden { schedule: 0xae1c_15d3_10c6_d903, counters: 0x041d_8a83_9eef_7448 },
+    );
+    assert!(wheel.dropped_events > 0, "the fault plan must actually eat deliveries");
+    assert!(wheel.max_batch > 32, "drops must land on crowded ticks");
+}

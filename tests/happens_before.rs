@@ -14,7 +14,9 @@
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
-use det_synchronizer::netsim::{run_async_traced, run_async_with, MessageClass, SimLimits};
+use det_synchronizer::netsim::{
+    run_async_faulted, run_async_faulted_traced, MessageClass, SimLimits,
+};
 use det_synchronizer::prelude::*;
 use ds_verify::{check_equivalence, check_trace};
 
@@ -75,9 +77,10 @@ impl Protocol for Chatter<'_> {
 /// the serial record count (so callers can assert the scenario was
 /// non-trivial).
 fn verify_scenario(graph: &Graph, delay: &DelayModel, context: &str) -> usize {
-    let (wheel_report, wheel_trace) = run_async_traced(
+    let (wheel_report, wheel_trace) = run_async_faulted_traced(
         graph,
         delay.clone(),
+        None,
         |v| Chatter::new(graph, v),
         SimLimits::default(),
         SchedulerKind::TimingWheel,
@@ -89,9 +92,10 @@ fn verify_scenario(graph: &Graph, delay: &DelayModel, context: &str) -> usize {
     assert_eq!(report.records, wheel_trace.records.len());
 
     for scheduler in SHARDED {
-        let (sharded_report, sharded_trace) = run_async_traced(
+        let (sharded_report, sharded_trace) = run_async_faulted_traced(
             graph,
             delay.clone(),
+            None,
             |v| Chatter::new(graph, v),
             SimLimits::default(),
             scheduler,
@@ -152,9 +156,10 @@ fn overflow_parked_events_keep_the_hb_contract() {
     // re-enter the wheel in seq order, and the trace must not show it.
     let graph = Graph::random_connected(24, 0.15, 5);
     let delay = DelayModel::outage(13, 5, 2);
-    let (report, trace) = run_async_traced(
+    let (report, trace) = run_async_faulted_traced(
         &graph,
         delay.clone(),
+        None,
         |v| Chatter::new(&graph, v),
         SimLimits::default(),
         SchedulerKind::TimingWheel,
@@ -167,9 +172,10 @@ fn overflow_parked_events_keep_the_hb_contract() {
     check_trace(&trace).expect("overflow path broke the HB contract on the wheel");
 
     for scheduler in SHARDED {
-        let (sharded_report, sharded_trace) = run_async_traced(
+        let (sharded_report, sharded_trace) = run_async_faulted_traced(
             &graph,
             delay.clone(),
+            None,
             |v| Chatter::new(&graph, v),
             SimLimits::default(),
             scheduler,
@@ -193,17 +199,19 @@ fn tracing_is_zero_overhead_when_off() {
     for scheduler in
         [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap].into_iter().chain(SHARDED)
     {
-        let untraced = run_async_with(
+        let untraced = run_async_faulted(
             &graph,
             delay.clone(),
+            None,
             |v| Chatter::new(&graph, v),
             SimLimits::default(),
             scheduler,
         )
         .expect("untraced run");
-        let (traced, trace) = run_async_traced(
+        let (traced, trace) = run_async_faulted_traced(
             &graph,
             delay.clone(),
+            None,
             |v| Chatter::new(&graph, v),
             SimLimits::default(),
             scheduler,

@@ -24,7 +24,8 @@
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
 use det_synchronizer::netsim::{
-    run_async_sharded_with, run_async_with, MessageClass, ShardedOptions, SimLimits, ThreadMode,
+    run_async_faulted, run_async_sharded_faulted_with, MessageClass, ShardedOptions, SimLimits,
+    ThreadMode,
 };
 use det_synchronizer::prelude::*;
 use std::cell::RefCell;
@@ -89,14 +90,15 @@ type RecorderView = (Vec<(NodeId, NodeId, u64)>, Vec<Vec<(NodeId, u64)>>, RunMet
 
 fn run_recorder(graph: &Graph, delay: DelayModel, scheduler: SchedulerKind) -> RecorderView {
     // The Recorder's shared `Rc` log is deliberately not `Send`:
-    // `run_async_with` runs `Sharded` kinds on the coordinator thread
+    // `run_async_faulted` runs `Sharded` kinds on the coordinator thread
     // (sequentially, same execution), so the global interleaving stays
     // observable; the threaded hand-off is pinned by the `ds-netsim` unit
     // tests and the `Session`-level matrix below.
     let log: DeliveryLog = Rc::new(RefCell::new(Vec::new()));
-    let report = run_async_with(
+    let report = run_async_faulted(
         graph,
         delay,
+        None,
         |v| Recorder {
             me: v,
             neighbors: graph.neighbors(v),
@@ -179,7 +181,7 @@ fn all_schedulers_agree_under_every_standard_adversary() {
 }
 
 /// Like [`Recorder`] but without the shared `Rc` log, so it is `Send` and can
-/// go through [`run_async_sharded_with`] — the only public surface that
+/// go through [`run_async_sharded_faulted_with`] — the only public surface that
 /// exposes the batching knob. The per-node arrival streams plus byte-identical
 /// `RunMetrics` are exactly what the sharded contract promises.
 #[derive(Debug)]
@@ -228,9 +230,10 @@ fn batching_on_and_off_produce_bit_identical_schedules() {
     let mut adversaries = vec![DelayModel::jitter(7), DelayModel::uniform()];
     adversaries.push(DelayModel::outage(7, 5, 2));
     let run_sharded = |delay: &DelayModel, shards: usize, batching: bool| {
-        let report = run_async_sharded_with(
+        let report = run_async_sharded_faulted_with(
             &graph,
             delay.clone(),
+            None,
             |v| SendRecorder {
                 me: v,
                 neighbors: graph.neighbors(v),
@@ -268,9 +271,10 @@ fn batching_on_and_off_produce_bit_identical_schedules() {
 fn every_sync_kind_is_scheduler_independent_on_bfs() {
     // Full stack: the synchronizers' executions (outputs *and* byte-identical
     // RunMetrics) must not depend on the scheduler choice. The `Sharded` kinds
-    // here go through `Session` → the executors → `run_async_sharded`, which
-    // engages worker threads when the host has spare cores — on multi-core CI
-    // this pins the cross-thread hand-off end to end.
+    // here go through `Session` → the executors →
+    // `run_async_sharded_faulted_with`, which engages worker threads when the
+    // host has spare cores — on multi-core CI this pins the cross-thread
+    // hand-off end to end.
     let graph = Graph::grid(5, 5);
     for kind in SyncKind::standard_suite() {
         for delay_seed in [2u64, 31] {

@@ -10,8 +10,8 @@
 
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
 use det_synchronizer::netsim::{
-    run_async_sharded_traced_with, run_async_traced, MessageClass, ShardedOptions, SimLimits,
-    ThreadMode,
+    run_async_faulted_traced, run_async_sharded_faulted_traced_with, MessageClass, ShardedOptions,
+    SimLimits, ThreadMode,
 };
 use det_synchronizer::prelude::*;
 use ds_verify::{check_equivalence, check_trace};
@@ -63,9 +63,10 @@ fn arrivals(report: &det_synchronizer::netsim::AsyncReport<Flood<'_>>) -> Vec<Ve
 fn forced_worker_threads_reproduce_the_serial_schedule() {
     let graph = Graph::grid(12, 12);
     for delay in [DelayModel::uniform(), DelayModel::jitter(7)] {
-        let (wheel_report, wheel_trace) = run_async_traced(
+        let (wheel_report, wheel_trace) = run_async_faulted_traced(
             &graph,
             delay.clone(),
+            None,
             |v| Flood::new(&graph, v),
             SimLimits::default(),
             SchedulerKind::TimingWheel,
@@ -75,9 +76,10 @@ fn forced_worker_threads_reproduce_the_serial_schedule() {
 
         for shards in [2usize, 4] {
             for workers in [1usize, 2, 4] {
-                let (threaded_report, threaded_trace) = run_async_sharded_traced_with(
+                let (threaded_report, threaded_trace) = run_async_sharded_faulted_traced_with(
                     &graph,
                     delay.clone(),
+                    None,
                     |v| Flood::new(&graph, v),
                     SimLimits::default(),
                     ShardedOptions {
@@ -113,9 +115,10 @@ fn forced_and_disabled_threads_trace_identically() {
     for shards in [2usize, 4] {
         for batching in [true, false] {
             let run = |threads: ThreadMode, workers: usize| {
-                run_async_sharded_traced_with(
+                run_async_sharded_faulted_traced_with(
                     &graph,
                     delay.clone(),
+                    None,
                     |v| Flood::new(&graph, v),
                     SimLimits::default(),
                     ShardedOptions { workers, threads, batching, ..ShardedOptions::new(shards) },
