@@ -11,7 +11,7 @@
 //! `Õ(m)` message complexity of the corollary; DESIGN.md §3 records the
 //! simplification.
 
-use ds_covers::SparseCover;
+use ds_covers::{ClusterId, SparseCover};
 use ds_graph::{Graph, NodeId};
 use ds_netsim::delay::DelayModel;
 use ds_netsim::event_driven::{EventDriven, PulseCtx};
@@ -20,7 +20,6 @@ use ds_netsim::FaultPlan;
 use ds_sync::executor::RunHealth;
 use ds_sync::session::{Session, SessionError, SyncKind};
 use ds_sync::synchronizer::SynchronizerConfig;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Messages of the leader-election algorithm, all scoped to one cluster of the cover.
@@ -45,7 +44,9 @@ struct ClusterState {
 pub struct LeaderElection {
     me: NodeId,
     cover: Arc<SparseCover>,
-    clusters: BTreeMap<u32, ClusterState>,
+    /// One state per cluster tree containing `me`, in the order of the cover's
+    /// position table (`SparseCover::tree_clusters_of`).
+    clusters: Vec<ClusterState>,
     member_pending: usize,
     leader: Option<u64>,
     output: Option<NodeId>,
@@ -55,45 +56,44 @@ impl LeaderElection {
     /// Creates the instance for node `me`, using a cover whose every cluster spans the
     /// whole graph (any cover of radius at least the diameter).
     pub fn new(me: NodeId, cover: Arc<SparseCover>) -> Self {
-        let mut clusters = BTreeMap::new();
-        for &cid in cover.tree_clusters_of(me) {
-            let cluster = cover.cluster(cid);
-            let is_member = cover.clusters_of(me).contains(&cid);
-            clusters.insert(
-                cid.0 as u32,
-                ClusterState {
-                    children_left: cluster.children_of(me).len(),
-                    best: if is_member { me.index() as u64 } else { u64::MAX },
-                    sent_up: false,
-                },
-            );
-        }
+        let clusters = cover
+            .tree_pos_of(me)
+            .map(|pos| ClusterState {
+                children_left: pos.children.len(),
+                best: if pos.is_member { me.index() as u64 } else { u64::MAX },
+                sent_up: false,
+            })
+            .collect();
         let member_pending = cover.clusters_of(me).len();
         LeaderElection { me, cover, clusters, member_pending, leader: None, output: None }
     }
 
-    fn try_advance(&mut self, cluster: u32, ctx: &mut PulseCtx<LeaderMsg>) {
-        let cid = ds_covers::ClusterId(cluster as usize);
-        let c = self.cover.cluster(cid);
-        let Some(state) = self.clusters.get_mut(&cluster) else { return };
+    /// Local index of `cluster` among the cluster trees containing `me`.
+    fn local_index(&self, cluster: u32) -> Option<usize> {
+        self.cover.tree_index_of(self.me, ClusterId(cluster as usize))
+    }
+
+    /// Advances the convergecast in the `k`-th cluster tree containing `me`.
+    fn try_advance(&mut self, k: usize, ctx: &mut PulseCtx<LeaderMsg>) {
+        let state = &mut self.clusters[k];
         if state.sent_up || state.children_left > 0 {
             return;
         }
         state.sent_up = true;
         let best = state.best;
-        match c.parent_of(self.me) {
-            Some(parent) => ctx.send(parent, LeaderMsg::Up { cluster, best }),
-            None => self.complete_cluster(cluster, best, ctx),
+        let pos = self.cover.tree_pos(self.me, k);
+        match pos.parent {
+            Some(parent) => ctx.send(parent, LeaderMsg::Up { cluster: pos.cluster.0 as u32, best }),
+            None => self.complete_cluster(k, best, ctx),
         }
     }
 
-    fn complete_cluster(&mut self, cluster: u32, leader: u64, ctx: &mut PulseCtx<LeaderMsg>) {
-        let cid = ds_covers::ClusterId(cluster as usize);
-        let c = self.cover.cluster(cid);
-        for &child in c.children_of(self.me) {
-            ctx.send(child, LeaderMsg::Down { cluster, leader });
+    fn complete_cluster(&mut self, k: usize, leader: u64, ctx: &mut PulseCtx<LeaderMsg>) {
+        let pos = self.cover.tree_pos(self.me, k);
+        for &child in pos.children {
+            ctx.send(child, LeaderMsg::Down { cluster: pos.cluster.0 as u32, leader });
         }
-        if self.cover.clusters_of(self.me).contains(&cid) {
+        if pos.is_member {
             self.leader = Some(self.leader.map_or(leader, |l| l.min(leader)));
             self.member_pending = self.member_pending.saturating_sub(1);
             if self.member_pending == 0 {
@@ -110,9 +110,8 @@ impl EventDriven for LeaderElection {
     type Output = NodeId;
 
     fn on_init(&mut self, ctx: &mut PulseCtx<LeaderMsg>) {
-        let clusters: Vec<u32> = self.clusters.keys().copied().collect();
-        for cluster in clusters {
-            self.try_advance(cluster, ctx);
+        for k in 0..self.clusters.len() {
+            self.try_advance(k, ctx);
         }
     }
 
@@ -120,14 +119,15 @@ impl EventDriven for LeaderElection {
         for &(_, msg) in received {
             match msg {
                 LeaderMsg::Up { cluster, best } => {
-                    if let Some(state) = self.clusters.get_mut(&cluster) {
-                        state.best = state.best.min(best);
-                        state.children_left = state.children_left.saturating_sub(1);
-                    }
-                    self.try_advance(cluster, ctx);
+                    let Some(k) = self.local_index(cluster) else { continue };
+                    let state = &mut self.clusters[k];
+                    state.best = state.best.min(best);
+                    state.children_left = state.children_left.saturating_sub(1);
+                    self.try_advance(k, ctx);
                 }
                 LeaderMsg::Down { cluster, leader } => {
-                    self.complete_cluster(cluster, leader, ctx);
+                    let Some(k) = self.local_index(cluster) else { continue };
+                    self.complete_cluster(k, leader, ctx);
                 }
             }
         }

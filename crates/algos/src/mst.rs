@@ -16,7 +16,7 @@
 //! CONGEST-faithful. Message *counts*, which is what the experiments measure, remain
 //! `Õ(n)` plus the synchronizer overhead.
 
-use ds_covers::SparseCover;
+use ds_covers::{ClusterId, SparseCover};
 use ds_graph::weights::{EdgeWeights, UnionFind};
 use ds_graph::{Graph, NodeId};
 use ds_netsim::delay::DelayModel;
@@ -24,7 +24,6 @@ use ds_netsim::event_driven::{EventDriven, PulseCtx};
 use ds_netsim::metrics::RunMetrics;
 use ds_sync::session::{Session, SessionError, SyncKind};
 use ds_sync::synchronizer::SynchronizerConfig;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An undirected weighted edge `(u, v, w)` with `u < v`.
@@ -69,7 +68,9 @@ pub struct MstAlgorithm {
     me: NodeId,
     n: usize,
     cover: Arc<SparseCover>,
-    clusters: BTreeMap<u32, ClusterState>,
+    /// One state per cluster tree containing `me`, in the order of the cover's
+    /// position table (`SparseCover::tree_clusters_of`).
+    clusters: Vec<ClusterState>,
     output: Option<Vec<(NodeId, NodeId)>>,
 }
 
@@ -81,48 +82,41 @@ impl MstAlgorithm {
             .filter(|&(_, u, v)| u == me || v == me)
             .map(|(e, u, v)| (u.index() as u32, v.index() as u32, weights.weight(e)))
             .collect();
-        let mut clusters = BTreeMap::new();
-        for &cid in cover.tree_clusters_of(me) {
-            let cluster = cover.cluster(cid);
-            clusters.insert(
-                cid.0 as u32,
-                ClusterState {
-                    children_left: cluster.children_of(me).len(),
-                    edges: incident.clone(),
-                    sent_up: false,
-                },
-            );
-        }
+        let clusters = cover
+            .tree_pos_of(me)
+            .map(|pos| ClusterState {
+                children_left: pos.children.len(),
+                edges: incident.clone(),
+                sent_up: false,
+            })
+            .collect();
         MstAlgorithm { me, n: graph.node_count(), cover, clusters, output: None }
     }
 
-    fn try_advance(&mut self, cluster: u32, ctx: &mut PulseCtx<MstMsg>) {
-        let cid = ds_covers::ClusterId(cluster as usize);
-        let c = self.cover.cluster(cid);
-        let forest = {
-            let Some(state) = self.clusters.get_mut(&cluster) else { return };
-            if state.sent_up || state.children_left > 0 {
-                return;
-            }
-            state.sent_up = true;
-            spanning_forest(std::mem::take(&mut state.edges), self.n)
-        };
-        match c.parent_of(self.me) {
-            Some(parent) => ctx.send(parent, MstMsg::Up { cluster, forest }),
-            None => self.complete_cluster(cluster, forest, ctx),
+    /// Local index of `cluster` among the cluster trees containing `me`.
+    fn local_index(&self, cluster: u32) -> Option<usize> {
+        self.cover.tree_index_of(self.me, ClusterId(cluster as usize))
+    }
+
+    /// Advances the convergecast in the `k`-th cluster tree containing `me`.
+    fn try_advance(&mut self, k: usize, ctx: &mut PulseCtx<MstMsg>) {
+        let state = &mut self.clusters[k];
+        if state.sent_up || state.children_left > 0 {
+            return;
+        }
+        state.sent_up = true;
+        let forest = spanning_forest(std::mem::take(&mut state.edges), self.n);
+        let pos = self.cover.tree_pos(self.me, k);
+        match pos.parent {
+            Some(parent) => ctx.send(parent, MstMsg::Up { cluster: pos.cluster.0 as u32, forest }),
+            None => self.complete_cluster(k, forest, ctx),
         }
     }
 
-    fn complete_cluster(
-        &mut self,
-        cluster: u32,
-        tree: Vec<WeightedEdge>,
-        ctx: &mut PulseCtx<MstMsg>,
-    ) {
-        let cid = ds_covers::ClusterId(cluster as usize);
-        let c = self.cover.cluster(cid);
-        for &child in c.children_of(self.me) {
-            ctx.send(child, MstMsg::Down { cluster, tree: tree.clone() });
+    fn complete_cluster(&mut self, k: usize, tree: Vec<WeightedEdge>, ctx: &mut PulseCtx<MstMsg>) {
+        let pos = self.cover.tree_pos(self.me, k);
+        for &child in pos.children {
+            ctx.send(child, MstMsg::Down { cluster: pos.cluster.0 as u32, tree: tree.clone() });
         }
         if self.output.is_none() {
             let mine: Vec<(NodeId, NodeId)> = tree
@@ -143,9 +137,8 @@ impl EventDriven for MstAlgorithm {
     type Output = Vec<(NodeId, NodeId)>;
 
     fn on_init(&mut self, ctx: &mut PulseCtx<MstMsg>) {
-        let clusters: Vec<u32> = self.clusters.keys().copied().collect();
-        for cluster in clusters {
-            self.try_advance(cluster, ctx);
+        for k in 0..self.clusters.len() {
+            self.try_advance(k, ctx);
         }
     }
 
@@ -153,14 +146,15 @@ impl EventDriven for MstAlgorithm {
         for (_, msg) in received {
             match msg {
                 MstMsg::Up { cluster, forest } => {
-                    if let Some(state) = self.clusters.get_mut(cluster) {
-                        state.edges.extend_from_slice(forest);
-                        state.children_left = state.children_left.saturating_sub(1);
-                    }
-                    self.try_advance(*cluster, ctx);
+                    let Some(k) = self.local_index(*cluster) else { continue };
+                    let state = &mut self.clusters[k];
+                    state.edges.extend_from_slice(forest);
+                    state.children_left = state.children_left.saturating_sub(1);
+                    self.try_advance(k, ctx);
                 }
                 MstMsg::Down { cluster, tree } => {
-                    self.complete_cluster(*cluster, tree.clone(), ctx);
+                    let Some(k) = self.local_index(*cluster) else { continue };
+                    self.complete_cluster(k, tree.clone(), ctx);
                 }
             }
         }

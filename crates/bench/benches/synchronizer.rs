@@ -10,10 +10,12 @@
 
 use ds_algos::bfs::BfsAlgorithm;
 use ds_covers::builder::build_sparse_cover;
+use ds_covers::{ClusterId, TreePos};
 use ds_graph::{Graph, NodeId};
 use ds_netsim::delay::DelayModel;
-use ds_sync::registration::{RegAction, RegMsg, RegistrationInstance, TreePosition};
+use ds_sync::registration::{ChildMark, RegAction, RegMsg, RegistrationInstance};
 use ds_sync::session::{Session, SyncKind};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Times `f` and prints its per-iteration median over `SAMPLES` samples.
@@ -54,45 +56,49 @@ fn bench_cover_construction() {
 fn bench_registration_roundtrip() {
     // One register/deregister cycle on a path cluster tree of depth 32, driven
     // directly (Lemma 3.4: O(h) messages). Instances are one-shot, so each
-    // iteration starts from a clone of a prebuilt template; the clone is the only
-    // setup inside the timed loop.
-    let template: Vec<RegistrationInstance> = (0..33usize)
-        .map(|v| {
-            RegistrationInstance::new(TreePosition {
-                parent: if v == 0 { None } else { Some(NodeId(v - 1)) },
-                children: if v == 32 { vec![] } else { vec![NodeId(v + 1)] },
-            })
-        })
-        .collect();
+    // iteration starts from a copy of a prebuilt template; the copy is the only
+    // setup inside the timed loop. Positions are borrowed, as in the synchronizer:
+    // node `v`'s only child is `path[v + 1]`.
+    let path: Vec<NodeId> = (0..=33usize).map(NodeId).collect();
+    let pos = |v: usize| TreePos {
+        cluster: ClusterId(0),
+        parent: v.checked_sub(1).map(NodeId),
+        children: if v == 32 { &[] } else { &path[v + 1..v + 2] },
+        is_member: true,
+    };
+    let template: Vec<(RegistrationInstance, [ChildMark; 1])> =
+        (0..33).map(|v| (RegistrationInstance::new(pos(v)), [ChildMark::default()])).collect();
+    let mut actions: Vec<RegAction> = Vec::new();
+    let mut queue: VecDeque<(usize, usize, RegMsg)> = VecDeque::new();
     bench("registration_roundtrip_depth32", || {
         let mut nodes = template.clone();
-        let mut queue: Vec<(usize, usize, RegMsg)> = Vec::new();
-        let apply = |from: usize, acts: Vec<RegAction>, queue: &mut Vec<(usize, usize, RegMsg)>| {
-            for a in acts {
-                if let RegAction::Send { to, msg } = a {
-                    queue.push((from, to.index(), msg));
-                }
-            }
-        };
-        let mut actions = Vec::new();
-        nodes[32].register(&mut actions);
-        apply(32, actions, &mut queue);
+        // `None` is node 32's own command: register first, deregister once the
+        // registration wave has quiesced.
+        let mut input: Option<(usize, usize, RegMsg)> = None;
         let mut deregistered = false;
         loop {
-            if queue.is_empty() {
+            let v = input.map_or(32, |(_, to, _)| to);
+            let (inst, marks) = &mut nodes[v];
+            let marks = &mut marks[..pos(v).children.len()];
+            match input {
+                Some((from, _, msg)) => {
+                    inst.on_message(pos(v), marks, NodeId(from), msg, &mut actions)
+                }
+                None if deregistered => inst.deregister(pos(v), marks, &mut actions),
+                None => inst.register(pos(v), marks, &mut actions),
+            }
+            for a in actions.drain(..) {
+                if let RegAction::Send { to, msg } = a {
+                    queue.push_back((v, to.index(), msg));
+                }
+            }
+            input = queue.pop_front();
+            if input.is_none() {
                 if deregistered {
                     break;
                 }
                 deregistered = true;
-                let mut acts = Vec::new();
-                nodes[32].deregister(&mut acts);
-                apply(32, acts, &mut queue);
-                continue;
             }
-            let (from, to, msg) = queue.remove(0);
-            let mut acts = Vec::new();
-            nodes[to].on_message(NodeId(from), msg, &mut acts);
-            apply(to, acts, &mut queue);
         }
     });
 }

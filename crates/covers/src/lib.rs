@@ -213,6 +213,35 @@ impl Cluster {
     }
 }
 
+/// The position of one node in one cluster tree, as answered by the cover's
+/// per-node position table ([`SparseCover::tree_pos`]): everything a node-local
+/// protocol needs to relay along the tree, without searching the cluster.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TreePos<'a> {
+    /// The cluster whose tree this is.
+    pub cluster: ClusterId,
+    /// Parent of the node in the cluster tree (`None` at the cluster root).
+    pub parent: Option<NodeId>,
+    /// Children of the node in the cluster tree, ascending.
+    pub children: &'a [NodeId],
+    /// Whether the node is a member (terminal) of the cluster, not just a
+    /// Steiner node of its tree.
+    pub is_member: bool,
+}
+
+/// One row entry of the position table: the `k`-th tree cluster of a node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct TreeSlot {
+    /// Parent's node index, [`NO_PARENT`] at the cluster root.
+    parent: u32,
+    /// The node's children in this tree: `tree_children[children_start..children_end]`.
+    children_start: u32,
+    children_end: u32,
+    is_member: bool,
+}
+
+const NO_PARENT: u32 = u32::MAX;
+
 /// A sparse `d`-cover (Definition 2.1): clusters with cluster trees such that every
 /// `d`-ball is contained in some cluster.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -222,23 +251,78 @@ pub struct SparseCover {
     /// The clusters.
     pub clusters: Vec<Cluster>,
     membership: Vec<Vec<ClusterId>>,
-    tree_membership: Vec<Vec<ClusterId>>,
+    /// The per-node cluster-tree position table, CSR by node: the tree clusters of
+    /// node `v` are `tree_ids[tree_offsets[v]..tree_offsets[v + 1]]` (ascending
+    /// cluster id), `tree_slots` runs parallel to `tree_ids`, and each node's
+    /// children lists sit back to back in `tree_children`.
+    tree_offsets: Vec<u32>,
+    tree_ids: Vec<ClusterId>,
+    tree_slots: Vec<TreeSlot>,
+    tree_children: Vec<NodeId>,
 }
 
 impl SparseCover {
     /// Assembles a cover from clusters, for a graph with `n` nodes.
+    ///
+    /// Builds the membership lists and the position table by walking every
+    /// cluster's dense tree arrays twice (count, then fill) — no per-node searches.
     pub fn new(radius: usize, clusters: Vec<Cluster>, n: usize) -> Self {
+        assert!(n < NO_PARENT as usize, "node indices must fit the table's u32 slots");
         let mut membership = vec![Vec::new(); n];
-        let mut tree_membership = vec![Vec::new(); n];
+        // Count pass: tree clusters and tree children per node.
+        let mut tree_offsets = vec![0u32; n + 1];
+        let mut child_cursor = vec![0u32; n + 1];
         for c in &clusters {
             for &v in &c.members {
                 membership[v.index()].push(c.id);
             }
-            for v in c.tree_nodes() {
-                tree_membership[v.index()].push(c.id);
+            for (i, &v) in c.tree.iter().enumerate() {
+                tree_offsets[v.index() + 1] += 1;
+                child_cursor[v.index() + 1] += c.child_offsets[i + 1] - c.child_offsets[i];
             }
         }
-        SparseCover { radius, clusters, membership, tree_membership }
+        for v in 0..n {
+            tree_offsets[v + 1] += tree_offsets[v];
+            child_cursor[v + 1] += child_cursor[v];
+        }
+        // Fill pass, clusters in ascending id order so every node's row is sorted.
+        // `members ⊆ tree` and both are sorted, so membership is a merge walk.
+        let total = tree_offsets[n] as usize;
+        let mut slot_cursor = tree_offsets[..n].to_vec();
+        let mut tree_ids = vec![ClusterId(0); total];
+        let blank =
+            TreeSlot { parent: NO_PARENT, children_start: 0, children_end: 0, is_member: false };
+        let mut tree_slots = vec![blank; total];
+        let mut tree_children = vec![NodeId(0); child_cursor[n] as usize];
+        for c in &clusters {
+            let mut members = c.members.iter().peekable();
+            for (i, &v) in c.tree.iter().enumerate() {
+                let children =
+                    &c.child_list[c.child_offsets[i] as usize..c.child_offsets[i + 1] as usize];
+                let start = child_cursor[v.index()];
+                let end = start + children.len() as u32;
+                tree_children[start as usize..end as usize].copy_from_slice(children);
+                child_cursor[v.index()] = end;
+                let at = slot_cursor[v.index()] as usize;
+                slot_cursor[v.index()] += 1;
+                tree_ids[at] = c.id;
+                tree_slots[at] = TreeSlot {
+                    parent: c.parent[i].map_or(NO_PARENT, |p| p.index() as u32),
+                    children_start: start,
+                    children_end: end,
+                    is_member: members.next_if_eq(&&v).is_some(),
+                };
+            }
+        }
+        SparseCover {
+            radius,
+            clusters,
+            membership,
+            tree_offsets,
+            tree_ids,
+            tree_slots,
+            tree_children,
+        }
     }
 
     /// Number of clusters.
@@ -260,9 +344,41 @@ impl SparseCover {
         &self.membership[v.index()]
     }
 
-    /// Clusters in whose tree `v` participates (as member or Steiner node).
+    /// Clusters in whose tree `v` participates (as member or Steiner node),
+    /// ascending. The position of a cluster in this list is its *local index* `k`
+    /// at `v`, the key of [`SparseCover::tree_pos`].
     pub fn tree_clusters_of(&self, v: NodeId) -> &[ClusterId] {
-        &self.tree_membership[v.index()]
+        &self.tree_ids
+            [self.tree_offsets[v.index()] as usize..self.tree_offsets[v.index() + 1] as usize]
+    }
+
+    /// Local index of `cluster` among the tree clusters of `v`, if `v` participates
+    /// in its tree: one binary search over the node's own (short) list.
+    pub fn tree_index_of(&self, v: NodeId, cluster: ClusterId) -> Option<usize> {
+        self.tree_clusters_of(v).binary_search(&cluster).ok()
+    }
+
+    /// Position of `v` in its `k`-th tree cluster, in `O(1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.tree_clusters_of(v).len()`.
+    pub fn tree_pos(&self, v: NodeId, k: usize) -> TreePos<'_> {
+        let (lo, hi) = (self.tree_offsets[v.index()], self.tree_offsets[v.index() + 1]);
+        assert!(k < (hi - lo) as usize, "node {v} has no tree cluster #{k}");
+        let at = lo as usize + k;
+        let slot = &self.tree_slots[at];
+        TreePos {
+            cluster: self.tree_ids[at],
+            parent: (slot.parent != NO_PARENT).then_some(NodeId(slot.parent as usize)),
+            children: &self.tree_children[slot.children_start as usize..slot.children_end as usize],
+            is_member: slot.is_member,
+        }
+    }
+
+    /// Positions of `v` in all its tree clusters, in local-index order.
+    pub fn tree_pos_of(&self, v: NodeId) -> impl ExactSizeIterator<Item = TreePos<'_>> {
+        (0..self.tree_clusters_of(v).len()).map(move |k| self.tree_pos(v, k))
     }
 
     /// Largest number of clusters any node is a member of.
@@ -429,6 +545,47 @@ mod tests {
         assert!(cover.clusters_of(NodeId(3)).is_empty());
         assert_eq!(cover.max_membership(), 1);
         assert_eq!(cover.max_height(), 1);
+    }
+
+    /// The position table must agree, entry by entry, with the per-cluster lookups it
+    /// replaces on the message paths.
+    fn assert_table_matches_cluster_lookups(cover: &SparseCover, n: usize) {
+        for v in (0..n).map(NodeId) {
+            let expected: Vec<ClusterId> =
+                cover.clusters.iter().filter(|c| c.contains_tree_node(v)).map(|c| c.id).collect();
+            assert_eq!(cover.tree_clusters_of(v), expected, "tree clusters of {v}");
+            assert_eq!(cover.tree_pos_of(v).len(), expected.len());
+            for (k, &cid) in expected.iter().enumerate() {
+                let cluster = cover.cluster(cid);
+                let pos = cover.tree_pos(v, k);
+                assert_eq!(
+                    (pos.cluster, pos.parent, pos.children, pos.is_member),
+                    (cid, cluster.parent_of(v), cluster.children_of(v), cluster.contains_member(v)),
+                    "position #{k} of {v}"
+                );
+                assert_eq!(cover.tree_index_of(v, cid), Some(k));
+            }
+            assert_eq!(cover.tree_index_of(v, ClusterId(cover.cluster_count())), None);
+        }
+    }
+
+    #[test]
+    fn position_table_matches_cluster_lookups() {
+        for (graph, d) in [
+            (Graph::grid(16, 16), 4),
+            (Graph::torus(12, 12), 2),
+            (Graph::random_regular(256, 4, 5), 3),
+        ] {
+            let cover = builder::build_sparse_cover(&graph, d);
+            assert_table_matches_cluster_lookups(&cover, graph.node_count());
+        }
+        // A repaired cover is assembled from kept and re-carved clusters.
+        let graph = Graph::grid(8, 8);
+        let cover = builder::build_sparse_cover(&graph, 2);
+        let crashed = repair::without_node(&graph, NodeId(27));
+        let (repaired, stats) = repair::repair_sparse_cover(&cover, &graph, &crashed);
+        assert!(stats.dropped > 0 && stats.kept > 0);
+        assert_table_matches_cluster_lookups(&repaired, graph.node_count());
     }
 
     #[test]

@@ -20,8 +20,15 @@
 //! and peer messages ([`RegistrationInstance::on_message`]), and emits
 //! [`RegAction`]s — messages to tree neighbors plus local notifications — which the
 //! embedding protocol (the synchronizer) routes over the network. One instance exists
-//! per (cluster, stage) pair per node, created lazily.
+//! per (cluster, stage) pair per node.
+//!
+//! The instance is a small `Copy` cell (Lemma 3.5: constant-size state per
+//! cluster-tree edge). It owns neither its tree position nor its per-child state:
+//! every call borrows the node's [`TreePos`] from the cover's position table and a
+//! slice of [`ChildMark`]s — one byte per tree child, as many as the position has
+//! children — from storage the embedding protocol provides (DESIGN.md §3.4).
 
+use ds_covers::TreePos;
 use ds_graph::NodeId;
 
 /// Messages exchanged between cluster-tree neighbors by the registration abstraction.
@@ -49,15 +56,6 @@ pub enum RegAction {
     Free,
 }
 
-/// The role of the local node within one cluster tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TreePosition {
-    /// Parent in the cluster tree (`None` for the cluster root).
-    pub parent: Option<NodeId>,
-    /// Children in the cluster tree.
-    pub children: Vec<NodeId>,
-}
-
 /// Edge marks as seen from the node above the edge (for child edges) or below it (for
 /// the parent edge).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -68,10 +66,17 @@ enum EdgeMark {
     Waiting,
 }
 
+/// State of one child edge, as seen from the parent: the edge's mark, plus whether
+/// the child's `R` invocation is waiting for this node to become finished.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub struct ChildMark {
+    mark: EdgeMark,
+    r_waiting: bool,
+}
+
 /// Per-node state of the registration abstraction for one (cluster, stage).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct RegistrationInstance {
-    position: TreePosition,
     /// Whether the path from this node to the root is known to be fully dirty.
     finished: bool,
     /// This node's own lifecycle.
@@ -80,50 +85,40 @@ pub struct RegistrationInstance {
     free: bool,
     /// Mark of the edge to the parent, from this node's point of view.
     parent_edge: EdgeMark,
-    /// Marks of the child edges, aligned with `position.children` (flat: children
-    /// lists are short, so a linear index scan beats any map).
-    child_marks: Vec<EdgeMark>,
-    /// Whether each child's `R` invocation is waiting for this node to become
-    /// finished, aligned with `position.children`.
-    r_waiting: Vec<bool>,
     /// Whether this node's own registration is waiting for the parent's `R`.
     own_r_pending: bool,
     /// Whether a `RegisterUp` has been sent and not yet answered.
     awaiting_parent: bool,
 }
 
+/// Index of `child` in the position's children list (flat: children lists are
+/// short, so a linear scan beats any map).
+///
+/// # Panics
+///
+/// Panics if `child` is not a cluster-tree child of this node (registration
+/// messages only travel along cluster-tree edges).
+fn child_index(pos: TreePos<'_>, child: NodeId) -> usize {
+    pos.children.iter().position(|&c| c == child).expect("registration message from a non-child")
+}
+
 impl RegistrationInstance {
-    /// Creates the instance for a node at the given tree position. The cluster root
-    /// (no parent) starts out `finished`, as in the paper.
-    pub fn new(position: TreePosition) -> Self {
-        let finished = position.parent.is_none();
-        let degree = position.children.len();
+    /// Creates the instance for a node at `pos`. The cluster root (no parent)
+    /// starts out `finished`, as in the paper; creation has no other effect, so
+    /// creating an instance early is indistinguishable from creating it lazily.
+    ///
+    /// Every later call must pass the same `pos` and the same `marks` slice, which
+    /// starts out all-default and has one entry per child of `pos`.
+    pub fn new(pos: TreePos<'_>) -> Self {
         RegistrationInstance {
-            position,
-            finished,
+            finished: pos.parent.is_none(),
             registered: false,
             deregistered: false,
             free: false,
             parent_edge: EdgeMark::Clean,
-            child_marks: vec![EdgeMark::Clean; degree],
-            r_waiting: vec![false; degree],
             own_r_pending: false,
             awaiting_parent: false,
         }
-    }
-
-    /// Index of `child` in the children list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `child` is not a cluster-tree child of this node (registration
-    /// messages only travel along cluster-tree edges).
-    fn child_index(&self, child: NodeId) -> usize {
-        self.position
-            .children
-            .iter()
-            .position(|&c| c == child)
-            .expect("registration message from a non-child")
     }
 
     /// Whether this node's registration has been confirmed.
@@ -142,12 +137,18 @@ impl RegistrationInstance {
     }
 
     /// Starts this node's registration (procedure `R`). Idempotent.
-    pub fn register(&mut self, actions: &mut Vec<RegAction>) {
+    pub fn register(
+        &mut self,
+        pos: TreePos<'_>,
+        marks: &mut [ChildMark],
+        actions: &mut Vec<RegAction>,
+    ) {
+        assert_eq!(marks.len(), pos.children.len(), "one mark per cluster-tree child");
         if self.registered || self.own_r_pending {
             return;
         }
         self.own_r_pending = true;
-        self.invoke_r(actions);
+        self.invoke_r(pos, marks, actions);
     }
 
     /// Deregisters this node (procedure `D`).
@@ -156,34 +157,47 @@ impl RegistrationInstance {
     ///
     /// Panics if the node has not completed registration, or deregisters twice: the
     /// synchronizer always registers, waits for confirmation, then deregisters once.
-    pub fn deregister(&mut self, actions: &mut Vec<RegAction>) {
+    pub fn deregister(
+        &mut self,
+        pos: TreePos<'_>,
+        marks: &mut [ChildMark],
+        actions: &mut Vec<RegAction>,
+    ) {
+        assert_eq!(marks.len(), pos.children.len(), "one mark per cluster-tree child");
         assert!(self.registered, "deregister requires a confirmed registration");
         assert!(!self.deregistered, "deregister is one-shot per instance");
         self.registered = false;
         self.deregistered = true;
-        self.invoke_d(actions);
+        self.invoke_d(pos, marks, actions);
     }
 
     /// Handles a registration message from the cluster-tree neighbor `from`.
-    pub fn on_message(&mut self, from: NodeId, msg: RegMsg, actions: &mut Vec<RegAction>) {
+    // ds-lint: hot-path
+    pub fn on_message(
+        &mut self,
+        pos: TreePos<'_>,
+        marks: &mut [ChildMark],
+        from: NodeId,
+        msg: RegMsg,
+        actions: &mut Vec<RegAction>,
+    ) {
+        assert_eq!(marks.len(), pos.children.len(), "one mark per cluster-tree child");
         match msg {
             RegMsg::RegisterUp => {
-                let i = self.child_index(from);
-                self.child_marks[i] = EdgeMark::Dirty;
-                self.r_waiting[i] = true;
-                self.invoke_r(actions);
+                marks[child_index(pos, from)] =
+                    ChildMark { mark: EdgeMark::Dirty, r_waiting: true };
+                self.invoke_r(pos, marks, actions);
             }
             RegMsg::RegisterDone => {
                 self.awaiting_parent = false;
-                self.complete_r(actions);
+                self.complete_r(pos, marks, actions);
             }
             RegMsg::DeregisterUp => {
-                let i = self.child_index(from);
-                self.child_marks[i] = EdgeMark::Waiting;
-                if self.position.parent.is_none() {
-                    self.maybe_issue_goahead(actions);
+                marks[child_index(pos, from)].mark = EdgeMark::Waiting;
+                if pos.parent.is_none() {
+                    self.maybe_issue_goahead(pos, marks, actions);
                 } else {
-                    self.invoke_d(actions);
+                    self.invoke_d(pos, marks, actions);
                 }
             }
             RegMsg::GoAheadDown => {
@@ -197,18 +211,24 @@ impl RegistrationInstance {
                 if self.parent_edge == EdgeMark::Waiting {
                     self.parent_edge = EdgeMark::Clean;
                 }
-                self.receive_goahead(actions);
+                self.receive_goahead(pos, marks, actions);
             }
         }
     }
 
     /// Procedure `R` at this node.
-    fn invoke_r(&mut self, actions: &mut Vec<RegAction>) {
+    // ds-lint: hot-path
+    fn invoke_r(
+        &mut self,
+        pos: TreePos<'_>,
+        marks: &mut [ChildMark],
+        actions: &mut Vec<RegAction>,
+    ) {
         if self.finished {
-            self.complete_r(actions);
+            self.complete_r(pos, marks, actions);
             return;
         }
-        let parent = self.position.parent.expect("only the root is finished from the start");
+        let parent = pos.parent.expect("only the root is finished from the start");
         if self.parent_edge != EdgeMark::Dirty {
             self.parent_edge = EdgeMark::Dirty;
         }
@@ -219,34 +239,43 @@ impl RegistrationInstance {
     }
 
     /// This node has become finished: complete all pending `R` invocations.
-    fn complete_r(&mut self, actions: &mut Vec<RegAction>) {
+    // ds-lint: hot-path
+    fn complete_r(
+        &mut self,
+        pos: TreePos<'_>,
+        marks: &mut [ChildMark],
+        actions: &mut Vec<RegAction>,
+    ) {
         self.finished = true;
         if self.own_r_pending {
             self.own_r_pending = false;
             self.registered = true;
             actions.push(RegAction::Registered);
         }
-        for i in 0..self.r_waiting.len() {
-            if self.r_waiting[i] {
-                self.r_waiting[i] = false;
-                actions.push(RegAction::Send {
-                    to: self.position.children[i],
-                    msg: RegMsg::RegisterDone,
-                });
+        for (m, &child) in marks.iter_mut().zip(pos.children) {
+            if m.r_waiting {
+                m.r_waiting = false;
+                actions.push(RegAction::Send { to: child, msg: RegMsg::RegisterDone });
             }
         }
     }
 
     /// Procedure `D` at this node.
-    fn invoke_d(&mut self, actions: &mut Vec<RegAction>) {
-        if self.child_marks.contains(&EdgeMark::Dirty) {
+    // ds-lint: hot-path
+    fn invoke_d(
+        &mut self,
+        pos: TreePos<'_>,
+        marks: &mut [ChildMark],
+        actions: &mut Vec<RegAction>,
+    ) {
+        if marks.iter().any(|m| m.mark == EdgeMark::Dirty) {
             return;
         }
         if self.registered {
             return;
         }
-        match self.position.parent {
-            None => self.maybe_issue_goahead(actions),
+        match pos.parent {
+            None => self.maybe_issue_goahead(pos, marks, actions),
             Some(parent) => {
                 if self.parent_edge == EdgeMark::Dirty {
                     self.parent_edge = EdgeMark::Waiting;
@@ -265,43 +294,109 @@ impl RegistrationInstance {
     }
 
     /// Procedure `G` at this node: consume and forward the Go-Ahead.
-    fn receive_goahead(&mut self, actions: &mut Vec<RegAction>) {
+    // ds-lint: hot-path
+    fn receive_goahead(
+        &mut self,
+        pos: TreePos<'_>,
+        marks: &mut [ChildMark],
+        actions: &mut Vec<RegAction>,
+    ) {
         if self.deregistered && !self.free {
             self.free = true;
             actions.push(RegAction::Free);
         }
-        for i in 0..self.child_marks.len() {
-            if self.child_marks[i] == EdgeMark::Waiting {
-                self.child_marks[i] = EdgeMark::Clean;
-                actions.push(RegAction::Send {
-                    to: self.position.children[i],
-                    msg: RegMsg::GoAheadDown,
-                });
+        for (m, &child) in marks.iter_mut().zip(pos.children) {
+            if m.mark == EdgeMark::Waiting {
+                m.mark = EdgeMark::Clean;
+                actions.push(RegAction::Send { to: child, msg: RegMsg::GoAheadDown });
             }
         }
     }
 
     /// At the root: issue a Go-Ahead if no child edge is dirty.
-    fn maybe_issue_goahead(&mut self, actions: &mut Vec<RegAction>) {
-        debug_assert!(self.position.parent.is_none());
-        if self.child_marks.contains(&EdgeMark::Dirty) {
+    // ds-lint: hot-path
+    fn maybe_issue_goahead(
+        &mut self,
+        pos: TreePos<'_>,
+        marks: &mut [ChildMark],
+        actions: &mut Vec<RegAction>,
+    ) {
+        debug_assert!(pos.parent.is_none());
+        if marks.iter().any(|m| m.mark == EdgeMark::Dirty) {
             return;
         }
-        self.receive_goahead(actions);
+        self.receive_goahead(pos, marks, actions);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ds_covers::ClusterId;
     use std::collections::{BTreeMap, BTreeSet};
+
+    /// One node of a hand-built cluster tree: the position and mark storage the
+    /// synchronizer would lend the instance, owned here instead.
+    struct Node {
+        parent: Option<NodeId>,
+        children: Vec<NodeId>,
+        marks: Vec<ChildMark>,
+        inst: RegistrationInstance,
+    }
+
+    impl Node {
+        fn new(parent: Option<usize>, children: &[usize]) -> Self {
+            let parent = parent.map(NodeId);
+            let children: Vec<NodeId> = children.iter().map(|&c| NodeId(c)).collect();
+            let pos =
+                TreePos { cluster: ClusterId(0), parent, children: &children, is_member: true };
+            let inst = RegistrationInstance::new(pos);
+            Node { parent, marks: vec![ChildMark::default(); children.len()], children, inst }
+        }
+
+        /// Runs one call on the instance over this node's position and marks, and
+        /// returns the actions it emitted.
+        fn step(
+            &mut self,
+            call: impl FnOnce(
+                &mut RegistrationInstance,
+                TreePos<'_>,
+                &mut [ChildMark],
+                &mut Vec<RegAction>,
+            ),
+        ) -> Vec<RegAction> {
+            let pos = TreePos {
+                cluster: ClusterId(0),
+                parent: self.parent,
+                children: &self.children,
+                is_member: true,
+            };
+            let mut actions = Vec::new();
+            call(&mut self.inst, pos, &mut self.marks, &mut actions);
+            actions
+        }
+
+        fn register(&mut self) -> Vec<RegAction> {
+            self.step(|inst, pos, marks, actions| inst.register(pos, marks, actions))
+        }
+
+        fn deregister(&mut self) -> Vec<RegAction> {
+            self.step(|inst, pos, marks, actions| inst.deregister(pos, marks, actions))
+        }
+
+        fn deliver(&mut self, from: usize, msg: RegMsg) -> Vec<RegAction> {
+            self.step(|inst, pos, marks, actions| {
+                inst.on_message(pos, marks, NodeId(from), msg, actions)
+            })
+        }
+    }
 
     /// A tiny sequential harness that delivers registration messages between the
     /// node-local instances of one cluster tree, in FIFO order, and records local
     /// notifications. Used to unit-test the state machine without the full simulator
     /// (the simulator-level tests live in the synchronizer integration tests).
     struct Harness {
-        nodes: BTreeMap<NodeId, RegistrationInstance>,
+        nodes: BTreeMap<NodeId, Node>,
         inbox: Vec<(NodeId, NodeId, RegMsg)>,
         registered: BTreeSet<NodeId>,
         freed: Vec<NodeId>,
@@ -310,20 +405,17 @@ mod tests {
 
     impl Harness {
         fn new(parents: &[(usize, Option<usize>)]) -> Self {
-            let mut children: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
+            let mut children: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for &(v, p) in parents {
                 if let Some(p) = p {
-                    children.entry(p).or_default().push(NodeId(v));
+                    children.entry(p).or_default().push(v);
                 }
             }
             let nodes = parents
                 .iter()
                 .map(|&(v, p)| {
-                    let pos = TreePosition {
-                        parent: p.map(NodeId),
-                        children: children.get(&v).cloned().unwrap_or_default(),
-                    };
-                    (NodeId(v), RegistrationInstance::new(pos))
+                    let kids = children.get(&v).map_or(&[][..], Vec::as_slice);
+                    (NodeId(v), Node::new(p, kids))
                 })
                 .collect();
             Harness {
@@ -351,14 +443,12 @@ mod tests {
         }
 
         fn register(&mut self, v: usize) {
-            let mut actions = Vec::new();
-            self.nodes.get_mut(&NodeId(v)).unwrap().register(&mut actions);
+            let actions = self.nodes.get_mut(&NodeId(v)).unwrap().register();
             self.apply(NodeId(v), actions);
         }
 
         fn deregister(&mut self, v: usize) {
-            let mut actions = Vec::new();
-            self.nodes.get_mut(&NodeId(v)).unwrap().deregister(&mut actions);
+            let actions = self.nodes.get_mut(&NodeId(v)).unwrap().deregister();
             self.apply(NodeId(v), actions);
         }
 
@@ -366,8 +456,7 @@ mod tests {
         fn drain(&mut self) {
             while !self.inbox.is_empty() {
                 let (from, to, msg) = self.inbox.remove(0);
-                let mut actions = Vec::new();
-                self.nodes.get_mut(&to).unwrap().on_message(from, msg, &mut actions);
+                let actions = self.nodes.get_mut(&to).unwrap().deliver(from.index(), msg);
                 self.apply(to, actions);
             }
         }
@@ -456,6 +545,35 @@ mod tests {
         assert_eq!(freed, vec![NodeId(1), NodeId(2), NodeId(3)]);
     }
 
+    /// A star's centre has `n − 1` tree children: the per-child marks must not be
+    /// capped by any fixed-width encoding.
+    #[test]
+    fn a_root_with_200_children_tracks_every_child_edge() {
+        let mut parents = vec![(0, None)];
+        parents.extend((1..=200).map(|v| (v, Some(0))));
+        let mut h = Harness::new(&parents);
+        let registrants: Vec<usize> = (1..=200).filter(|v| v % 2 == 0).collect();
+        for &v in &registrants {
+            h.register(v);
+        }
+        h.drain();
+        assert_eq!(h.registered.len(), registrants.len());
+        // One RegisterUp and one RegisterDone per registrant.
+        assert_eq!(h.messages, 2 * registrants.len());
+        for &v in &registrants[..registrants.len() - 1] {
+            h.deregister(v);
+        }
+        h.drain();
+        assert!(h.freed.is_empty(), "node 200 is still registered");
+        h.deregister(200);
+        h.drain();
+        // One DeregisterUp and one GoAheadDown per registrant on top.
+        assert_eq!(h.messages, 4 * registrants.len());
+        let mut freed: Vec<usize> = h.freed.iter().map(|v| v.index()).collect();
+        freed.sort_unstable();
+        assert_eq!(freed, registrants);
+    }
+
     #[test]
     fn message_cost_is_proportional_to_path_length() {
         // Register guarantee 1: registration and deregistration of a node at depth h
@@ -506,73 +624,60 @@ mod tests {
     fn stale_goahead_does_not_wipe_a_redirtied_parent_edge() {
         // Root 0 — relay 1 — leaves 2 and 3. Messages are delivered by hand so the
         // stale Go-Ahead can be held back and reordered after the new RegisterUp.
-        let pos = |parent: Option<usize>, children: &[usize]| TreePosition {
-            parent: parent.map(NodeId),
-            children: children.iter().map(|&c| NodeId(c)).collect(),
-        };
-        let mut n0 = RegistrationInstance::new(pos(None, &[1]));
-        let mut n1 = RegistrationInstance::new(pos(Some(0), &[2, 3]));
-        let mut n2 = RegistrationInstance::new(pos(Some(1), &[]));
-        let mut n3 = RegistrationInstance::new(pos(Some(1), &[]));
-        let deliver = |inst: &mut RegistrationInstance, from: usize, msg: RegMsg| {
-            let mut actions = Vec::new();
-            inst.on_message(NodeId(from), msg, &mut actions);
-            actions
-        };
+        let mut n0 = Node::new(None, &[1]);
+        let mut n1 = Node::new(Some(0), &[2, 3]);
+        let mut n2 = Node::new(Some(1), &[]);
+        let mut n3 = Node::new(Some(1), &[]);
 
         // Wave 1: node 2 registers through the relay and deregisters.
-        let mut a = Vec::new();
-        n2.register(&mut a);
+        let a = n2.register();
         assert_eq!(a, vec![RegAction::Send { to: NodeId(1), msg: RegMsg::RegisterUp }]);
-        let a = deliver(&mut n1, 2, RegMsg::RegisterUp);
+        let a = n1.deliver(2, RegMsg::RegisterUp);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(0), msg: RegMsg::RegisterUp }]);
-        let a = deliver(&mut n0, 1, RegMsg::RegisterUp);
+        let a = n0.deliver(1, RegMsg::RegisterUp);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(1), msg: RegMsg::RegisterDone }]);
-        let a = deliver(&mut n1, 0, RegMsg::RegisterDone);
+        let a = n1.deliver(0, RegMsg::RegisterDone);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(2), msg: RegMsg::RegisterDone }]);
-        let a = deliver(&mut n2, 1, RegMsg::RegisterDone);
+        let a = n2.deliver(1, RegMsg::RegisterDone);
         assert_eq!(a, vec![RegAction::Registered]);
-        let mut a = Vec::new();
-        n2.deregister(&mut a);
+        let a = n2.deregister();
         assert_eq!(a, vec![RegAction::Send { to: NodeId(1), msg: RegMsg::DeregisterUp }]);
-        let a = deliver(&mut n1, 2, RegMsg::DeregisterUp);
+        let a = n1.deliver(2, RegMsg::DeregisterUp);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(0), msg: RegMsg::DeregisterUp }]);
         // The root issues the wave-1 Go-Ahead — hold it in flight.
-        let a = deliver(&mut n0, 1, RegMsg::DeregisterUp);
+        let a = n0.deliver(1, RegMsg::DeregisterUp);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(1), msg: RegMsg::GoAheadDown }]);
 
         // Wave 2: node 3 registers; the relay re-dirties its parent edge.
-        let mut a = Vec::new();
-        n3.register(&mut a);
+        let a = n3.register();
         assert_eq!(a, vec![RegAction::Send { to: NodeId(1), msg: RegMsg::RegisterUp }]);
-        let a = deliver(&mut n1, 3, RegMsg::RegisterUp);
+        let a = n1.deliver(3, RegMsg::RegisterUp);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(0), msg: RegMsg::RegisterUp }]);
 
         // The stale wave-1 Go-Ahead now lands: it must free node 2 without clearing
         // the re-dirtied parent edge.
-        let a = deliver(&mut n1, 0, RegMsg::GoAheadDown);
+        let a = n1.deliver(0, RegMsg::GoAheadDown);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(2), msg: RegMsg::GoAheadDown }]);
-        let a = deliver(&mut n2, 1, RegMsg::GoAheadDown);
+        let a = n2.deliver(1, RegMsg::GoAheadDown);
         assert_eq!(a, vec![RegAction::Free]);
 
         // Wave 2 completes: registration confirms, then deregistration must still
         // propagate up (this is the step the bug broke) and the Go-Ahead must return.
-        let a = deliver(&mut n0, 1, RegMsg::RegisterUp);
+        let a = n0.deliver(1, RegMsg::RegisterUp);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(1), msg: RegMsg::RegisterDone }]);
-        let a = deliver(&mut n1, 0, RegMsg::RegisterDone);
+        let a = n1.deliver(0, RegMsg::RegisterDone);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(3), msg: RegMsg::RegisterDone }]);
-        let a = deliver(&mut n3, 1, RegMsg::RegisterDone);
+        let a = n3.deliver(1, RegMsg::RegisterDone);
         assert_eq!(a, vec![RegAction::Registered]);
-        let mut a = Vec::new();
-        n3.deregister(&mut a);
+        let a = n3.deregister();
         assert_eq!(a, vec![RegAction::Send { to: NodeId(1), msg: RegMsg::DeregisterUp }]);
-        let a = deliver(&mut n1, 3, RegMsg::DeregisterUp);
+        let a = n1.deliver(3, RegMsg::DeregisterUp);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(0), msg: RegMsg::DeregisterUp }]);
-        let a = deliver(&mut n0, 1, RegMsg::DeregisterUp);
+        let a = n0.deliver(1, RegMsg::DeregisterUp);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(1), msg: RegMsg::GoAheadDown }]);
-        let a = deliver(&mut n1, 0, RegMsg::GoAheadDown);
+        let a = n1.deliver(0, RegMsg::GoAheadDown);
         assert_eq!(a, vec![RegAction::Send { to: NodeId(3), msg: RegMsg::GoAheadDown }]);
-        let a = deliver(&mut n3, 1, RegMsg::GoAheadDown);
+        let a = n3.deliver(1, RegMsg::GoAheadDown);
         assert_eq!(a, vec![RegAction::Free]);
     }
 }

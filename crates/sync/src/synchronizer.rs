@@ -44,9 +44,9 @@
 
 use crate::flat::{FlatMap, FlatSet, PulseSet};
 use crate::pulse;
-use crate::registration::{RegAction, RegMsg, RegistrationInstance, TreePosition};
+use crate::registration::{ChildMark, RegAction, RegMsg, RegistrationInstance};
 use ds_covers::builder::build_synchronizer_cover;
-use ds_covers::{ClusterId, LayeredSparseCover};
+use ds_covers::{ClusterId, LayeredSparseCover, SparseCover, TreePos};
 use ds_graph::{metrics, Graph, NodeId};
 use ds_netsim::event_driven::{canonical_batch, EventDriven, PulseCtx};
 use ds_netsim::metrics::MessageClass;
@@ -211,10 +211,9 @@ impl SynchronizerConfig {
         &self.tracked[q as usize]
     }
 
-    /// Tree position of node `v` in cluster `cluster` of cover layer `cover_idx`.
-    fn tree_position(&self, cover_idx: usize, cluster: ClusterId, v: NodeId) -> TreePosition {
-        let c = self.covers.level(cover_idx).cluster(cluster);
-        TreePosition { parent: c.parent_of(v), children: c.children_of(v).to_vec() }
+    /// The cover used by stage `p`.
+    fn stage_cover(&self, p: u64) -> &SparseCover {
+        self.covers.level(self.cover_idx(p))
     }
 }
 
@@ -232,7 +231,9 @@ struct VStage {
 /// Anchor bookkeeping for one stage anchored at this virtual node.
 #[derive(Clone, Debug)]
 struct AnchorStage {
-    clusters: Vec<ClusterId>,
+    /// Number of clusters the anchor registers in: all it is a member of, in the
+    /// stage's cover.
+    clusters: usize,
     registered: usize,
     deregistered: bool,
     dereg_requested: bool,
@@ -265,20 +266,42 @@ impl<M> VNode<M> {
     }
 }
 
-/// Barrier state for one (cover layer, cluster): phase A. Each cluster-tree child
-/// reports up exactly once, so a countdown suffices.
-#[derive(Clone, Debug)]
-struct BarrierA {
-    children_left: usize,
+/// Base-stage barrier state at this node for one cluster tree: phase A per (cover
+/// layer, cluster), phase B per (stage, cluster). Each cluster-tree child reports up
+/// exactly once, so a countdown suffices.
+#[derive(Clone, Copy, Debug)]
+struct Barrier {
+    children_left: u32,
     sent_up: bool,
+    /// Phase B only: the completion broadcast has reached this node.
+    done: bool,
 }
 
-/// Barrier state for one (stage, cluster): phase B.
-#[derive(Clone, Debug)]
-struct BarrierB {
-    children_left: usize,
-    sent_up: bool,
+impl Barrier {
+    fn new(pos: TreePos<'_>) -> Self {
+        Barrier { children_left: pos.children.len() as u32, sent_up: false, done: false }
+    }
 }
+
+/// The registration abstraction's state at this node for one (stage, cluster).
+#[derive(Clone, Copy, Debug)]
+struct RegCell {
+    inst: RegistrationInstance,
+    /// Where this cell's per-child marks start in `DetSynchronizer::reg_marks`; their
+    /// number is the position's child count.
+    marks_at: u32,
+}
+
+/// One call on a registration cell.
+#[derive(Clone, Copy, Debug)]
+enum RegCall {
+    Register,
+    Deregister,
+    Message { from: NodeId, msg: RegMsg },
+}
+
+/// `stage_row` / `barrier_a_row` entry of a row that does not exist (yet).
+const NO_ROW: u32 = u32::MAX;
 
 /// Internal work items, processed by [`DetSynchronizer::drain_work`].
 #[derive(Clone, Debug)]
@@ -308,13 +331,23 @@ pub struct DetSynchronizer<A: EventDriven> {
     /// Stages for which this physical node has received a recipient-level Go-Ahead.
     goahead_recv: PulseSet,
     vnodes: FlatMap<u64, VNode<A::Msg>>,
-    reg: FlatMap<(u64, u32), RegistrationInstance>,
-    barrier_a: FlatMap<(u32, u32), BarrierA>,
-    barrier_b: FlatMap<(u64, u32), BarrierB>,
+    /// Per-(stage, cluster) state lives in dense rows (DESIGN.md §3.4): a stage's row
+    /// has one entry per tree cluster of this node in the stage's cover, in the
+    /// cover's local-index order (`SparseCover::tree_clusters_of`). `stage_row[s]` is
+    /// where the row of stage `s` starts — in `barriers` for base stages (phase B,
+    /// created by `setup_barriers`), in `reg_cells` for all others (created whole on
+    /// first touch) — or `NO_ROW`.
+    stage_row: Vec<u32>,
+    reg_cells: Vec<RegCell>,
+    /// Per-child marks of all cells, one run per cell (`RegCell::marks_at`).
+    reg_marks: Vec<ChildMark>,
+    /// Actions of the registration call in progress; drained before the next one.
+    reg_actions: Vec<RegAction>,
+    /// Start of each base cover layer's phase-A row in `barriers`, by cover layer.
+    barrier_a_row: Vec<u32>,
+    barriers: Vec<Barrier>,
     /// Phase-A confirmations still missing before pulse-0 messages may be sent.
     init_barrier_pending: usize,
-    /// Phase-B confirmations received per base stage.
-    base_goahead_recv: FlatMap<u64, usize>,
     is_initiator: bool,
     work: VecDeque<Work>,
     /// Diagnostic: algorithm messages that arrived out of pulse order (must stay 0).
@@ -327,6 +360,8 @@ impl<A: EventDriven> DetSynchronizer<A> {
     /// Creates the synchronizer instance for node `me`, wrapping `alg`.
     pub fn new(me: NodeId, alg: A, cfg: Arc<SynchronizerConfig>) -> Self {
         let bound = cfg.max_pulse + 1;
+        let stage_row = vec![NO_ROW; bound as usize];
+        let barrier_a_row = vec![NO_ROW; cfg.covers.layers()];
         DetSynchronizer {
             me,
             cfg,
@@ -337,11 +372,13 @@ impl<A: EventDriven> DetSynchronizer<A> {
             max_processed: None,
             goahead_recv: PulseSet::with_bound(bound),
             vnodes: FlatMap::new(),
-            reg: FlatMap::new(),
-            barrier_a: FlatMap::new(),
-            barrier_b: FlatMap::new(),
+            stage_row,
+            reg_cells: Vec::new(),
+            reg_marks: Vec::new(),
+            reg_actions: Vec::new(),
+            barrier_a_row,
+            barriers: Vec::new(),
             init_barrier_pending: 0,
-            base_goahead_recv: FlatMap::new(),
             is_initiator: false,
             work: VecDeque::new(),
             ordering_violations: 0,
@@ -373,11 +410,20 @@ impl<A: EventDriven> DetSynchronizer<A> {
             self.goahead_recv.iter().collect::<Vec<_>>(),
             self.processed.iter().collect::<Vec<_>>()
         );
+        let base_goahead_recv: Vec<(u64, usize)> = self
+            .cfg
+            .base_stages()
+            .iter()
+            .filter(|&&st| self.stage_row[st as usize] != NO_ROW)
+            .map(|&st| {
+                let row = &self.barriers[self.stage_row[st as usize] as usize..];
+                (st, self.stage_positions(st).zip(row).filter(|(_, b)| b.done).count())
+            })
+            .collect();
         let _ = writeln!(
             s,
-            "  init_barrier_pending={} base_goahead_recv={:?}",
-            self.init_barrier_pending,
-            self.base_goahead_recv.iter().map(|(k, v)| (k, *v)).collect::<Vec<_>>()
+            "  init_barrier_pending={} base_goahead_recv={base_goahead_recv:?}",
+            self.init_barrier_pending
         );
         for (p, v) in self.vnodes.iter() {
             let _ = writeln!(
@@ -406,8 +452,15 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 );
             }
         }
-        for ((st, cl), inst) in self.reg.iter() {
-            let _ = writeln!(s, "  reg ({st},{cl}): {inst:?}");
+        for st in 1..=self.cfg.max_pulse {
+            if self.stage_row[st as usize] == NO_ROW || self.cfg.stage(st).prev_prev == 0 {
+                continue;
+            }
+            let row = &self.reg_cells[self.stage_row[st as usize] as usize..];
+            for (pos, cell) in self.stage_positions(st).zip(row) {
+                let marks = &self.reg_marks[cell.marks_at as usize..][..pos.children.len()];
+                let _ = writeln!(s, "  reg ({st},{}): {:?} {marks:?}", pos.cluster.0, cell.inst);
+            }
         }
         s
     }
@@ -425,28 +478,69 @@ impl<A: EventDriven> DetSynchronizer<A> {
         ctx.send_with(to, msg, prio, class);
     }
 
-    fn member_clusters(&self, stage: u64) -> Vec<ClusterId> {
-        let idx = self.cfg.cover_idx(stage);
-        self.cfg.covers.level(idx).clusters_of(self.me).to_vec()
+    /// Clusters of `stage`'s cover this node is a member of (where anchors register).
+    fn member_clusters(&self, stage: u64) -> &[ClusterId] {
+        self.cfg.stage_cover(stage).clusters_of(self.me)
     }
 
-    fn reg_instance(&mut self, stage: u64, cluster: ClusterId) -> &mut RegistrationInstance {
-        let cfg = Arc::clone(&self.cfg);
-        let me = self.me;
-        self.reg.get_mut_or_insert_with((stage, cluster.0 as u32), || {
-            let idx = cfg.cover_idx(stage);
-            RegistrationInstance::new(cfg.tree_position(idx, cluster, me))
-        })
+    /// This node's cluster-tree positions in `stage`'s cover, in row order.
+    fn stage_positions(&self, stage: u64) -> impl ExactSizeIterator<Item = TreePos<'_>> {
+        self.cfg.stage_cover(stage).tree_pos_of(self.me)
     }
 
-    fn handle_reg_actions(
-        &mut self,
-        ctx: &mut SCtx<A>,
-        stage: u64,
-        cluster: ClusterId,
-        actions: Vec<RegAction>,
-    ) {
-        for a in actions {
+    /// Local index (row offset) of `cluster` in cover layer `cover_idx` at this node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this node is not in the cluster's tree: registration and barrier
+    /// messages only travel along cluster-tree edges.
+    fn local_index(&self, cover_idx: usize, cluster: ClusterId) -> usize {
+        self.cfg
+            .covers
+            .level(cover_idx)
+            .tree_index_of(self.me, cluster)
+            .expect("cluster-tree message at a node outside that tree")
+    }
+
+    /// Makes `call` on the registration cell of (`stage`, `cluster`) and routes the
+    /// actions it emits. The first touch of a stage creates its whole row: creating
+    /// an instance has no side effect, so eager-per-row equals lazy-per-instance.
+    // ds-lint: hot-path
+    fn reg_step(&mut self, ctx: &mut SCtx<A>, stage: u64, cluster: ClusterId, call: RegCall) {
+        debug_assert!(self.cfg.stage(stage).prev_prev > 0, "base stages use barriers");
+        let k = self.local_index(self.cfg.cover_idx(stage), cluster);
+        let cover = self.cfg.stage_cover(stage);
+        let row = &mut self.stage_row[stage as usize];
+        if *row == NO_ROW {
+            // Once per (node, stage): the row's cells and marks are appended to the
+            // node's two arenas, which only ever grow.
+            *row = self.reg_cells.len() as u32;
+            for pos in cover.tree_pos_of(self.me) {
+                let marks_at = self.reg_marks.len();
+                self.reg_cells.push(RegCell {
+                    inst: RegistrationInstance::new(pos),
+                    marks_at: marks_at as u32,
+                });
+                self.reg_marks.resize(marks_at + pos.children.len(), ChildMark::default());
+            }
+        }
+        let pos = cover.tree_pos(self.me, k);
+        let cell = &mut self.reg_cells[*row as usize + k];
+        let marks = &mut self.reg_marks[cell.marks_at as usize..][..pos.children.len()];
+        let actions = &mut self.reg_actions;
+        match call {
+            RegCall::Register => cell.inst.register(pos, marks, actions),
+            RegCall::Deregister => cell.inst.deregister(pos, marks, actions),
+            RegCall::Message { from, msg } => cell.inst.on_message(pos, marks, from, msg, actions),
+        }
+        self.handle_reg_actions(ctx, stage, cluster);
+    }
+
+    /// Routes the actions the last registration call left in `reg_actions`.
+    // ds-lint: hot-path
+    fn handle_reg_actions(&mut self, ctx: &mut SCtx<A>, stage: u64, cluster: ClusterId) {
+        let mut actions = std::mem::take(&mut self.reg_actions);
+        for a in actions.drain(..) {
             match a {
                 RegAction::Send { to, msg } => {
                     self.send(
@@ -461,6 +555,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 RegAction::Free => self.on_registration_free(stage),
             }
         }
+        self.reg_actions = actions;
     }
 
     fn on_registration_confirmed(&mut self, stage: u64) {
@@ -470,7 +565,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         if let Some(v) = self.vnodes.get_mut(anchor_pulse) {
             if let Some(a) = v.anchored.get_mut(stage) {
                 a.registered += 1;
-                fully_registered = a.registered == a.clusters.len();
+                fully_registered = a.registered == a.clusters;
             }
             let st = v.stages.get_mut_or_default(gate_stage);
             if st.gate_pending > 0 {
@@ -491,7 +586,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         if let Some(v) = self.vnodes.get_mut(anchor_pulse) {
             if let Some(a) = v.anchored.get_mut(stage) {
                 a.freed += 1;
-                if a.deregistered && a.freed == a.clusters.len() && !a.goahead_done {
+                if a.deregistered && a.freed == a.clusters && !a.goahead_done {
                     a.goahead_done = true;
                     done = true;
                 }
@@ -612,6 +707,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         }
     }
 
+    // ds-lint: hot-path
     fn recompute_stage(&mut self, ctx: &mut SCtx<A>, q: u64, s: u64) {
         if s == 0 || s > self.cfg.max_pulse {
             return;
@@ -648,43 +744,36 @@ impl<A: EventDriven> DetSynchronizer<A> {
         // Phase 2: if this virtual node is the anchor of stages whose registration is
         // triggered by s-safety (q == prev(s) > 0), start those registrations and gate
         // the upward report on their confirmation.
-        if q == info_prev && q > 0 {
-            let gate_stages: Vec<u64> = self.cfg.stages_with_prev(s).to_vec();
-            if has_children && !gate_stages.is_empty() {
-                let mut plan: Vec<(u64, ClusterId)> = Vec::new();
-                for &p in &gate_stages {
-                    for c in self.member_clusters(p) {
-                        plan.push((p, c));
+        if q == info_prev && q > 0 && has_children && !self.cfg.stages_with_prev(s).is_empty() {
+            let already_started = {
+                let cfg = &*self.cfg;
+                let gate_stages = cfg.stages_with_prev(s);
+                let v = self.vnodes.get_mut(q).expect("vnode exists");
+                let st = v.stages.get_mut_or_default(s);
+                let started = st.gate_started;
+                if !started {
+                    st.gate_started = true;
+                    st.gate_pending = 0;
+                    for &p in gate_stages {
+                        let clusters = cfg.stage_cover(p).clusters_of(self.me).len();
+                        st.gate_pending += clusters;
+                        v.anchored.get_mut_or_insert_with(p, || AnchorStage {
+                            clusters,
+                            registered: 0,
+                            deregistered: false,
+                            dereg_requested: false,
+                            freed: 0,
+                            goahead_done: false,
+                        });
                     }
                 }
-                let already_started = {
-                    let v = self.vnodes.get_mut(q).expect("vnode exists");
-                    let st = v.stages.get_mut_or_default(s);
-                    let started = st.gate_started;
-                    if !started {
-                        st.gate_started = true;
-                        st.gate_pending = plan.len();
-                        for &p in &gate_stages {
-                            let clusters: Vec<ClusterId> =
-                                plan.iter().filter(|(pp, _)| *pp == p).map(|(_, c)| *c).collect();
-                            v.anchored.get_mut_or_insert_with(p, || AnchorStage {
-                                clusters,
-                                registered: 0,
-                                deregistered: false,
-                                dereg_requested: false,
-                                freed: 0,
-                                goahead_done: false,
-                            });
-                        }
-                    }
-                    started
-                };
-                if !already_started {
-                    for (p, c) in plan {
-                        let mut actions = Vec::new();
-                        self.reg_instance(p, c).register(&mut actions);
-                        self.handle_reg_actions(ctx, p, c, actions);
-                    }
+                started
+            };
+            if !already_started {
+                let mut i = 0;
+                while let Some(&p) = self.cfg.stages_with_prev(s).get(i) {
+                    self.reg_each_member_cluster(ctx, p, RegCall::Register);
+                    i += 1;
                 }
             }
         }
@@ -695,21 +784,10 @@ impl<A: EventDriven> DetSynchronizer<A> {
             if info_anchor == 0 && self.cfg.stage(s).prev_prev == 0 {
                 self.work.push_back(Work::BarrierBCheck(s));
             }
-            let mut dereg_plan: Vec<(u64, ClusterId)> = Vec::new();
-            if let Some(v) = self.vnodes.get_mut(q) {
-                if let Some(a) = v.anchored.get_mut(s) {
-                    a.dereg_requested = true;
-                    if a.registered == a.clusters.len() && !a.deregistered {
-                        a.deregistered = true;
-                        dereg_plan = a.clusters.iter().map(|&c| (s, c)).collect();
-                    }
-                }
+            if let Some(a) = self.vnodes.get_mut(q).and_then(|v| v.anchored.get_mut(s)) {
+                a.dereg_requested = true;
             }
-            for (p, c) in dereg_plan {
-                let mut actions = Vec::new();
-                self.reg_instance(p, c).deregister(&mut actions);
-                self.handle_reg_actions(ctx, p, c, actions);
-            }
+            self.maybe_flush_anchor(ctx, q, s);
         }
 
         // Phase 4: report s-safety to the execution-tree parent (gated).
@@ -745,53 +823,48 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     /// Handles a pending deregistration that was blocked on outstanding registrations,
     /// and pending safety reports blocked on the gate. Re-driven from the work queue.
+    // ds-lint: hot-path
     fn maybe_flush_anchor(&mut self, ctx: &mut SCtx<A>, q: u64, s: u64) {
-        let mut dereg_plan: Vec<(u64, ClusterId)> = Vec::new();
-        if let Some(v) = self.vnodes.get_mut(q) {
-            if let Some(a) = v.anchored.get_mut(s) {
-                if a.dereg_requested && a.registered == a.clusters.len() && !a.deregistered {
-                    a.deregistered = true;
-                    dereg_plan = a.clusters.iter().map(|&c| (s, c)).collect();
-                }
-            }
+        let Some(a) = self.vnodes.get_mut(q).and_then(|v| v.anchored.get_mut(s)) else { return };
+        if a.dereg_requested && a.registered == a.clusters && !a.deregistered {
+            a.deregistered = true;
+            self.reg_each_member_cluster(ctx, s, RegCall::Deregister);
         }
-        for (p, c) in dereg_plan {
-            let mut actions = Vec::new();
-            self.reg_instance(p, c).deregister(&mut actions);
-            self.handle_reg_actions(ctx, p, c, actions);
+    }
+
+    /// Makes `call` (register or deregister) on this node's cell in every cluster of
+    /// `stage`'s cover it is a member of, in ascending cluster order.
+    // ds-lint: hot-path
+    fn reg_each_member_cluster(&mut self, ctx: &mut SCtx<A>, stage: u64, call: RegCall) {
+        let mut i = 0;
+        while let Some(&c) = self.member_clusters(stage).get(i) {
+            self.reg_step(ctx, stage, c, call);
+            i += 1;
         }
     }
 
     // ----- go-aheads ----------------------------------------------------------------
 
+    // ds-lint: hot-path
     fn record_goahead(&mut self, ctx: &mut SCtx<A>, q: u64, s: u64) {
-        let (forward_children, forward_recipients, self_child) = {
-            let Some(v) = self.vnodes.get_mut(q) else { return };
-            if v.goaheads.contains(s) {
-                return;
+        let Some(v) = self.vnodes.get_mut(q) else { return };
+        if v.goaheads.contains(s) {
+            return;
+        }
+        v.goaheads.insert(s);
+        let v = &*v;
+        if s >= q + 2 {
+            for c in v.children_remote.iter() {
+                let msg = SyncMsg::GoAheadExec { stage: s, sender_pulse: q };
+                ctx.send_with(c, msg, s, MessageClass::Control);
             }
-            v.goaheads.insert(s);
-            let children: Vec<NodeId> =
-                if s >= q + 2 { v.children_remote.iter().collect() } else { Vec::new() };
-            let recipients: Vec<NodeId> =
-                if q + 1 == s { v.recipients.clone() } else { Vec::new() };
-            (children, recipients, v.child_self && s >= q + 2)
-        };
-        for c in forward_children {
-            self.send(
-                ctx,
-                c,
-                SyncMsg::GoAheadExec { stage: s, sender_pulse: q },
-                s,
-                MessageClass::Control,
-            );
+            if v.child_self {
+                self.work.push_back(Work::GoAhead(q + 1, s));
+            }
         }
-        if self_child {
-            self.work.push_back(Work::GoAhead(q + 1, s));
-        }
-        if !forward_recipients.is_empty() || q + 1 == s {
-            for r in forward_recipients {
-                self.send(ctx, r, SyncMsg::GoAheadRecipient { stage: s }, s, MessageClass::Control);
+        if q + 1 == s {
+            for &r in &v.recipients {
+                ctx.send_with(r, SyncMsg::GoAheadRecipient { stage: s }, s, MessageClass::Control);
             }
             self.goahead_recv.insert(s);
             self.work.push_back(Work::TryProcess);
@@ -800,46 +873,32 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     // ----- base-stage barriers -------------------------------------------------------
 
-    fn barrier_a_key(&self, cover_idx: usize, cluster: ClusterId) -> (u32, u32) {
-        (cover_idx as u32, cluster.0 as u32)
-    }
-
     fn setup_barriers(&mut self, ctx: &mut SCtx<A>) {
-        let cfg = Arc::clone(&self.cfg);
+        let cfg = &*self.cfg;
         // Phase A: one barrier per (base cover level, cluster tree containing me).
         for &idx in &cfg.base_cover_levels {
             let cover = cfg.covers.level(idx);
-            for &cid in cover.tree_clusters_of(self.me) {
-                let cluster = cover.cluster(cid);
-                self.barrier_a.insert(
-                    self.barrier_a_key(idx, cid),
-                    BarrierA { children_left: cluster.children_of(self.me).len(), sent_up: false },
-                );
-            }
+            self.barrier_a_row[idx] = self.barriers.len() as u32;
+            self.barriers.extend(cover.tree_pos_of(self.me).map(Barrier::new));
             if self.is_initiator {
                 self.init_barrier_pending += cover.clusters_of(self.me).len();
             }
         }
         // Phase B: one barrier per (base stage, cluster tree containing me).
         for &stage in cfg.base_stages() {
-            let idx = cfg.cover_idx(stage);
-            let cover = cfg.covers.level(idx);
-            for &cid in cover.tree_clusters_of(self.me) {
-                let cluster = cover.cluster(cid);
-                self.barrier_b.insert(
-                    (stage, cid.0 as u32),
-                    BarrierB { children_left: cluster.children_of(self.me).len(), sent_up: false },
-                );
-            }
-            self.base_goahead_recv.insert(stage, 0);
+            self.stage_row[stage as usize] = self.barriers.len() as u32;
+            self.barriers.extend(cfg.stage_cover(stage).tree_pos_of(self.me).map(Barrier::new));
         }
         // Kick off phase A at the leaves (and trivially-complete roots).
-        let a_keys: Vec<(u32, u32)> = self.barrier_a.keys().collect();
-        for key in a_keys {
-            self.barrier_a_try_advance(ctx, key);
+        let mut i = 0;
+        while let Some(&idx) = self.cfg.base_cover_levels.get(i) {
+            for k in 0..self.cfg.covers.level(idx).tree_clusters_of(self.me).len() {
+                self.barrier_a_try_advance(ctx, idx, k);
+            }
+            i += 1;
         }
         // Kick off phase B where this node has nothing to wait for.
-        for &stage in cfg.base_stages() {
+        for &stage in self.cfg.base_stages() {
             self.work.push_back(Work::BarrierBCheck(stage));
         }
         if self.is_initiator && self.init_barrier_pending == 0 {
@@ -847,47 +906,37 @@ impl<A: EventDriven> DetSynchronizer<A> {
         }
     }
 
-    fn barrier_a_try_advance(&mut self, ctx: &mut SCtx<A>, key: (u32, u32)) {
-        let cfg = Arc::clone(&self.cfg);
-        let (idx, cid) = (key.0 as usize, ClusterId(key.1 as usize));
-        let cover = cfg.covers.level(idx);
-        let cluster = cover.cluster(cid);
-        let Some(state) = self.barrier_a.get_mut(key) else { return };
+    /// Phase A at this node for its `k`-th tree cluster of cover layer `idx`: once
+    /// every child has reported, report up (or complete, at the root).
+    // ds-lint: hot-path
+    fn barrier_a_try_advance(&mut self, ctx: &mut SCtx<A>, idx: usize, k: usize) {
+        let state = &mut self.barriers[self.barrier_a_row[idx] as usize + k];
         if state.sent_up || state.children_left > 0 {
             return;
         }
         state.sent_up = true;
-        match cluster.parent_of(self.me) {
+        let pos = self.cfg.covers.level(idx).tree_pos(self.me, k);
+        match pos.parent {
             Some(parent) => {
-                self.send(
-                    ctx,
-                    parent,
-                    SyncMsg::BarrierAUp { cover_idx: key.0, cluster: key.1 },
-                    0,
-                    MessageClass::Control,
-                );
+                let msg =
+                    SyncMsg::BarrierAUp { cover_idx: idx as u32, cluster: pos.cluster.0 as u32 };
+                self.send(ctx, parent, msg, 0, MessageClass::Control);
             }
-            None => self.barrier_a_complete(ctx, key),
+            None => self.barrier_a_complete(ctx, idx, k),
         }
     }
 
     /// Phase A complete at the root (or received from the parent): deliver locally and
     /// broadcast down the cluster tree.
-    fn barrier_a_complete(&mut self, ctx: &mut SCtx<A>, key: (u32, u32)) {
-        let cfg = Arc::clone(&self.cfg);
-        let (idx, cid) = (key.0 as usize, ClusterId(key.1 as usize));
-        let cover = cfg.covers.level(idx);
-        let cluster = cover.cluster(cid);
-        for &c in cluster.children_of(self.me) {
-            self.send(
-                ctx,
-                c,
-                SyncMsg::BarrierADown { cover_idx: key.0, cluster: key.1 },
-                0,
-                MessageClass::Control,
-            );
+    // ds-lint: hot-path
+    fn barrier_a_complete(&mut self, ctx: &mut SCtx<A>, idx: usize, k: usize) {
+        let pos = self.cfg.covers.level(idx).tree_pos(self.me, k);
+        for &c in pos.children {
+            let msg =
+                SyncMsg::BarrierADown { cover_idx: idx as u32, cluster: pos.cluster.0 as u32 };
+            self.send(ctx, c, msg, 0, MessageClass::Control);
         }
-        if self.is_initiator && cover.clusters_of(self.me).contains(&cid) {
+        if self.is_initiator && pos.is_member {
             self.init_barrier_pending = self.init_barrier_pending.saturating_sub(1);
             if self.init_barrier_pending == 0 {
                 self.release_initiator_sends(ctx);
@@ -911,74 +960,60 @@ impl<A: EventDriven> DetSynchronizer<A> {
         }
     }
 
-    /// Re-evaluates this node's phase-B contributions for base stage `stage`.
+    /// Re-evaluates all of this node's phase-B contributions for base stage `stage`
+    /// (its own `stage`-safety may have changed).
+    // ds-lint: hot-path
     fn barrier_b_check(&mut self, ctx: &mut SCtx<A>, stage: u64) {
-        let cfg = Arc::clone(&self.cfg);
-        let idx = cfg.cover_idx(stage);
-        let cover = cfg.covers.level(idx);
-        let my_safe = if self.is_initiator {
-            self.vnodes
-                .get(0)
-                .map(|v| v.stages.get(stage).map(|st| st.subtree_safe).unwrap_or(false))
-                .unwrap_or(false)
-        } else {
-            true
-        };
-        let tree_clusters: Vec<ClusterId> = cover.tree_clusters_of(self.me).to_vec();
-        for cid in tree_clusters {
-            let key = (stage, cid.0 as u32);
-            let member = cover.clusters_of(self.me).contains(&cid);
-            let gate_on_safety = self.is_initiator && member;
-            let ready = {
-                let Some(state) = self.barrier_b.get_mut(key) else { continue };
-                if state.sent_up || state.children_left > 0 {
-                    continue;
-                }
-                if gate_on_safety && !my_safe {
-                    continue;
-                }
-                state.sent_up = true;
-                true
-            };
-            if ready {
-                let cluster = cover.cluster(cid);
-                match cluster.parent_of(self.me) {
-                    Some(parent) => {
-                        self.send(
-                            ctx,
-                            parent,
-                            SyncMsg::BarrierBUp { stage, cluster: key.1 },
-                            stage,
-                            MessageClass::Control,
-                        );
-                    }
-                    None => self.barrier_b_complete(ctx, stage, cid),
-                }
-            }
+        for k in 0..self.cfg.stage_cover(stage).tree_clusters_of(self.me).len() {
+            self.barrier_b_try_advance(ctx, stage, k);
         }
     }
 
-    /// Phase B complete for (stage, cluster): broadcast the base-stage Go-Ahead down
-    /// the cluster tree and count it locally if this node is an initiator member.
-    fn barrier_b_complete(&mut self, ctx: &mut SCtx<A>, stage: u64, cid: ClusterId) {
-        let cfg = Arc::clone(&self.cfg);
-        let idx = cfg.cover_idx(stage);
-        let cover = cfg.covers.level(idx);
-        let cluster = cover.cluster(cid);
-        for &c in cluster.children_of(self.me) {
-            self.send(
-                ctx,
-                c,
-                SyncMsg::BarrierBDown { stage, cluster: cid.0 as u32 },
-                stage,
-                MessageClass::Control,
-            );
+    /// Phase B of base stage `stage` at this node for its `k`-th tree cluster: once
+    /// every child has reported — and, at an initiator member, the initiator is
+    /// `stage`-safe — report up (or complete, at the root).
+    // ds-lint: hot-path
+    fn barrier_b_try_advance(&mut self, ctx: &mut SCtx<A>, stage: u64, k: usize) {
+        let at = self.stage_row[stage as usize] as usize + k;
+        let state = self.barriers[at];
+        if state.sent_up || state.children_left > 0 {
+            return;
         }
-        if self.is_initiator && cover.clusters_of(self.me).contains(&cid) {
-            let needed = cover.clusters_of(self.me).len();
-            let counter = self.base_goahead_recv.get_mut_or_default(stage);
-            *counter += 1;
-            if *counter == needed {
+        let pos = self.cfg.stage_cover(stage).tree_pos(self.me, k);
+        if self.is_initiator && pos.is_member {
+            let my_safe = self.vnodes.get(0).and_then(|v| v.stages.get(stage));
+            if !my_safe.is_some_and(|st| st.subtree_safe) {
+                return;
+            }
+        }
+        self.barriers[at].sent_up = true;
+        match pos.parent {
+            Some(parent) => {
+                let msg = SyncMsg::BarrierBUp { stage, cluster: pos.cluster.0 as u32 };
+                self.send(ctx, parent, msg, stage, MessageClass::Control);
+            }
+            None => self.barrier_b_complete(ctx, stage, k),
+        }
+    }
+
+    /// Phase B complete for `stage` in this node's `k`-th tree cluster: broadcast the
+    /// base-stage Go-Ahead down the cluster tree and, at an initiator member, release
+    /// the stage once every cluster it is a member of has completed.
+    // ds-lint: hot-path
+    fn barrier_b_complete(&mut self, ctx: &mut SCtx<A>, stage: u64, k: usize) {
+        let pos = self.cfg.stage_cover(stage).tree_pos(self.me, k);
+        for &c in pos.children {
+            let msg = SyncMsg::BarrierBDown { stage, cluster: pos.cluster.0 as u32 };
+            self.send(ctx, c, msg, stage, MessageClass::Control);
+        }
+        if self.is_initiator && pos.is_member {
+            let row = self.stage_row[stage as usize] as usize;
+            self.barriers[row + k].done = true;
+            let all_done = self
+                .stage_positions(stage)
+                .zip(&self.barriers[row..])
+                .all(|(pos, state)| !pos.is_member || state.done);
+            if all_done {
                 self.work.push_back(Work::GoAhead(0, stage));
             }
         }
@@ -1053,6 +1088,7 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
         self.drain_work(ctx);
     }
 
+    // ds-lint: hot-path
     fn on_message(&mut self, from: NodeId, msg: Self::Message, ctx: &mut Ctx<Self::Message>) {
         match msg {
             SyncMsg::Alg { pulse, payload } => {
@@ -1075,22 +1111,15 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
                 self.work.push_back(Work::RecomputeComplete(pulse));
             }
             SyncMsg::Decision { pulse, created, chosen_parent } => {
-                let mut forward: Vec<u64> = Vec::new();
                 if let Some(v) = self.vnodes.get_mut(pulse - 1) {
                     v.undecided = v.undecided.saturating_sub(1);
                     if created && chosen_parent {
                         v.children_remote.insert(from);
-                        forward = v.goaheads.iter().filter(|&s| s > pulse).collect();
+                        for s in v.goaheads.iter().filter(|&s| s > pulse) {
+                            let msg = SyncMsg::GoAheadExec { stage: s, sender_pulse: pulse - 1 };
+                            ctx.send_with(from, msg, s, MessageClass::Control);
+                        }
                     }
-                }
-                for s in forward {
-                    self.send(
-                        ctx,
-                        from,
-                        SyncMsg::GoAheadExec { stage: s, sender_pulse: pulse - 1 },
-                        s,
-                        MessageClass::Control,
-                    );
                 }
                 self.work.push_back(Work::RecomputeComplete(pulse - 1));
             }
@@ -1109,33 +1138,31 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
                 self.work.push_back(Work::TryProcess);
             }
             SyncMsg::Reg { stage, cluster, msg } => {
-                let cid = ClusterId(cluster as usize);
-                let mut actions = Vec::new();
-                self.reg_instance(stage, cid).on_message(from, msg, &mut actions);
-                self.handle_reg_actions(ctx, stage, cid, actions);
+                let call = RegCall::Message { from, msg };
+                self.reg_step(ctx, stage, ClusterId(cluster as usize), call);
             }
             SyncMsg::BarrierAUp { cover_idx, cluster } => {
-                let key = (cover_idx, cluster);
-                let complete_at_root = {
-                    let Some(state) = self.barrier_a.get_mut(key) else { return };
-                    state.children_left = state.children_left.saturating_sub(1);
-                    state.children_left == 0 && !state.sent_up
-                };
-                if complete_at_root {
-                    self.barrier_a_try_advance(ctx, key);
-                }
+                let idx = cover_idx as usize;
+                let k = self.local_index(idx, ClusterId(cluster as usize));
+                let state = &mut self.barriers[self.barrier_a_row[idx] as usize + k];
+                state.children_left = state.children_left.saturating_sub(1);
+                self.barrier_a_try_advance(ctx, idx, k);
             }
             SyncMsg::BarrierADown { cover_idx, cluster } => {
-                self.barrier_a_complete(ctx, (cover_idx, cluster));
+                let idx = cover_idx as usize;
+                let k = self.local_index(idx, ClusterId(cluster as usize));
+                self.barrier_a_complete(ctx, idx, k);
             }
             SyncMsg::BarrierBUp { stage, cluster } => {
-                if let Some(state) = self.barrier_b.get_mut((stage, cluster)) {
-                    state.children_left = state.children_left.saturating_sub(1);
-                }
-                self.work.push_back(Work::BarrierBCheck(stage));
+                let k = self.local_index(self.cfg.cover_idx(stage), ClusterId(cluster as usize));
+                let state = &mut self.barriers[self.stage_row[stage as usize] as usize + k];
+                state.children_left = state.children_left.saturating_sub(1);
+                // Only this cluster's barrier can have become ready.
+                self.barrier_b_try_advance(ctx, stage, k);
             }
             SyncMsg::BarrierBDown { stage, cluster } => {
-                self.barrier_b_complete(ctx, stage, ClusterId(cluster as usize));
+                let k = self.local_index(self.cfg.cover_idx(stage), ClusterId(cluster as usize));
+                self.barrier_b_complete(ctx, stage, k);
             }
         }
         self.drain_work(ctx);
@@ -1213,8 +1240,9 @@ mod tests {
     /// real finished run.
     #[test]
     fn debug_stall_reports_per_node_protocol_state() {
-        let graph = Graph::path(4);
-        let cfg = SynchronizerConfig::build(&graph, 4);
+        // Deep enough (10 pulses) for non-base stages, so registration rows exist.
+        let graph = Graph::path(10);
+        let cfg = SynchronizerConfig::build(&graph, 10);
         let report = run_async_faulted(
             &graph,
             DelayModel::jitter(3),
@@ -1238,5 +1266,31 @@ mod tests {
         }
         // The initiator's dump names its pulse-0 virtual node.
         assert!(report.nodes[0].debug_stall().contains("vnode p=0"));
+        // One `reg (stage,cluster)` line per created cell: a touched stage's row is
+        // created whole, so its lines name exactly the node's tree clusters in the
+        // stage's cover, in order.
+        let mut reg_lines = 0;
+        for (i, node) in report.nodes.iter().enumerate() {
+            let dump = node.debug_stall();
+            for stage in 1..=cfg.max_pulse {
+                let listed: Vec<String> = dump
+                    .lines()
+                    .filter(|l| l.starts_with(&format!("  reg ({stage},")))
+                    .map(|l| l[..l.find(')').expect("key closes")].to_string())
+                    .collect();
+                if listed.is_empty() {
+                    continue;
+                }
+                let expected: Vec<String> = cfg
+                    .stage_cover(stage)
+                    .tree_clusters_of(NodeId(i))
+                    .iter()
+                    .map(|c| format!("  reg ({stage},{}", c.0))
+                    .collect();
+                assert_eq!(listed, expected, "node {i} stage {stage}");
+                reg_lines += listed.len();
+            }
+        }
+        assert!(reg_lines > 0, "a 10-pulse run registers in some non-base stage");
     }
 }

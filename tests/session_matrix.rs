@@ -103,6 +103,41 @@ fn all_synchronizers_agree_under_every_adversary() {
     }
 }
 
+/// High-degree cluster trees: a star's centre has `n − 1` tree children and every
+/// caterpillar spine node nine legs, so per-child registration marks and barrier
+/// countdowns must scale past any fixed width. Det must still reproduce the
+/// lock-step outputs, on the serial wheel and on the sharded engine.
+#[test]
+fn det_matches_direct_on_high_degree_cluster_trees() {
+    fn check<A: EventDriven>(name: &str, graph: &Graph, mut make: impl FnMut(NodeId) -> A) {
+        let direct = Session::on(graph).synchronizer(SyncKind::Direct).run(&mut make).unwrap();
+        assert!(direct.outputs.iter().all(Option::is_some), "{name}: no ground truth");
+        for scheduler in
+            [SchedulerKind::TimingWheel, SchedulerKind::Sharded { shards: 2, workers: 0 }]
+        {
+            let run = Session::on(graph)
+                .delay(DelayModel::jitter(17))
+                .scheduler(scheduler)
+                .synchronizer(SyncKind::DetAuto)
+                .run(&mut make)
+                .unwrap_or_else(|e| panic!("{name}/{scheduler:?}: {e}"));
+            assert_eq!(run.outputs, direct.outputs, "{name}/{scheduler:?}");
+            assert_eq!(run.ordering_violations, 0, "{name}/{scheduler:?}");
+        }
+    }
+    for (name, graph) in [("star", Graph::star(200)), ("caterpillar", Graph::caterpillar(20, 9))] {
+        // The last node is a leaf, so the BFS is as deep as the graph allows: 21
+        // pulses on the caterpillar (non-base stages, so registrations cross the
+        // nine-leg spine nodes); the star only ever reaches the base-stage barriers,
+        // whose countdown at the centre starts at 199.
+        let source = NodeId(graph.node_count() - 1);
+        check(&format!("{name}/bfs"), &graph, |v| BfsAlgorithm::new(&graph, v, &[source]));
+        let d = metrics::diameter(&graph).unwrap().max(1);
+        let cover = Arc::new(build_sparse_cover(&graph, d));
+        check(&format!("{name}/leader"), &graph, |v| LeaderElection::new(v, cover.clone()));
+    }
+}
+
 /// Regression test for the registration-abstraction deadlock: on deep pulse
 /// schedules (T ≈ 15, reached by an 8×8 grid BFS from a corner) a stale Go-Ahead
 /// could wipe a re-dirtied cluster-tree edge and stall the far corner forever.
