@@ -7,6 +7,12 @@
 //! experiment targets a theorem: the quantities of interest are time and message
 //! *overhead factors* and their growth with `n`.
 //!
+//! Simulator speed is not measured here: the stand-alone `benchmark/` package is
+//! the performance reference, and schedule identity (event counts, digests) is
+//! pinned by `tests/golden_schedule.rs`. What remains beside E1–E8 is the E7
+//! microbench (`benches/synchronizer.rs`) and the E10 scheduler microbench
+//! (`exp_sched`).
+//!
 //! All executions flow through [`Session`] and the
 //! [`Synchronizer`](ds_sync::executor::Synchronizer) trait — the baseline
 //! comparison (E2) is literally a loop over [`SyncKind::standard_suite`], with no
@@ -14,10 +20,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod compare;
-pub mod json;
-pub mod perf;
-pub mod service;
 pub mod table;
 
 pub use table::{print_table, render_table, Row};

@@ -57,11 +57,11 @@ use ds_graph::{Graph, NodeId};
 use ds_netsim::async_engine::SimLimits;
 use ds_netsim::delay::DelayModel;
 use ds_netsim::event_driven::EventDriven;
-use ds_netsim::pool::WorkerPool;
-use ds_netsim::sync_engine::run_sync;
+use ds_netsim::pool::{PanicPayload, WorkerPool};
 use ds_netsim::{FaultPlan, SchedulerKind, SlabBank};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 /// The synchronizer parameters a cover construction depends on (besides the
@@ -345,70 +345,29 @@ impl<'g> ServiceRequest<'g> {
         self
     }
 
-    /// Runs this request standalone through an equivalent [`Session`] — the
-    /// reference execution the pooled run is bit-identical to. `extras`
-    /// applies pool-independent session options (the pool's own path adds
-    /// the recycle bank here).
-    fn run_via_session<A, F>(
-        &self,
-        make: &mut F,
-        extras: impl FnOnce(Session<'g>) -> Session<'g>,
-        cfg: Option<Arc<SynchronizerConfig>>,
-        bound: u64,
-    ) -> Result<SynchronizedRun<A::Output>, SessionError>
-    where
-        A: EventDriven,
-        F: FnMut(NodeId) -> A,
-    {
-        let kind = match cfg {
-            Some(cfg) => SyncKind::Det(cfg),
-            None => self.kind.clone(),
-        };
+    /// The equivalent [`Session`] — the one place a request's fields are read,
+    /// so limit and pulse-bound rules are `Session`'s own.
+    fn session(&self) -> Session<'g> {
         let mut session = Session::on(self.graph)
             .delay(self.delay.clone())
             .limits(self.limits)
             .scheduler(self.scheduler)
-            .synchronizer(kind)
-            .pulse_bound(bound);
+            .synchronizer(self.kind.clone());
+        if let Some(bound) = self.pulse_bound {
+            session = session.pulse_bound(bound);
+        }
         if let Some(plan) = &self.faults {
             session = session.faults(plan.clone());
         }
-        extras(session).run(make)
-    }
-
-    /// Resolves the pulse bound exactly as [`Session::run`] would: the
-    /// explicit bound (clamped ≥ 1) if set; `1` if the kind needs none;
-    /// otherwise `T(A)` from a synchronous ground-truth run.
-    fn resolve_pulse_bound<A, F>(&self, make: &mut F) -> Result<u64, SessionError>
-    where
-        A: EventDriven,
-        F: FnMut(NodeId) -> A,
-    {
-        if let Some(bound) = self.pulse_bound {
-            return Ok(bound.max(1));
-        }
-        if !self.kind.needs_pulse_bound() {
-            return Ok(1);
-        }
-        let sync = run_sync(self.graph, make, self.limits.max_rounds)?;
-        Ok(sync.rounds_to_quiescence.max(1))
-    }
-
-    fn validate(&self) -> Result<(), SessionError> {
-        if self.limits.max_events == 0 {
-            return Err(SessionError::InvalidLimits { what: "max_events" });
-        }
-        if self.limits.max_rounds == 0 {
-            return Err(SessionError::InvalidLimits { what: "max_rounds" });
-        }
-        Ok(())
+        session
     }
 }
 
-/// Runs one request through the service path: validate, resolve the pulse
-/// bound, serve `DetAuto` from the cover cache, run with recycled engine
-/// state. Used by the pool's workers; also callable inline (worker count 0
-/// routes here) — the execution is identical either way.
+/// Runs one request through the service path: build the equivalent
+/// [`Session`], validate and resolve the pulse bound by its rules, serve
+/// `DetAuto` from the cover cache, run with recycled engine state. Used by
+/// the pool's workers; also callable inline (worker count 0 routes here) —
+/// the execution is identical either way.
 fn run_one<A, F>(
     req: &ServiceRequest<'_>,
     cache: &CoverCache,
@@ -419,18 +378,28 @@ where
     A: EventDriven,
     F: FnMut(NodeId) -> A,
 {
-    req.validate()?;
-    let bound = req.resolve_pulse_bound(make)?;
+    let session = req.session().recycle(bank.clone());
+    let bound = session.resolve_pulse_bound(session.validate()?, make)?;
+    let mut session = session.pulse_bound(bound);
     // DetAuto is the cacheable kind: its config is a pure function of
     // (graph, bound), which is exactly the cache key. Everything else
     // passes through unchanged.
-    let cfg = match &req.kind {
-        SyncKind::DetAuto => {
-            Some(cache.get_or_build(req.graph, SynchronizerParams { max_pulse: bound }))
-        }
-        _ => None,
-    };
-    req.run_via_session(make, |s| s.recycle(bank.clone()), cfg, bound)
+    if matches!(req.kind, SyncKind::DetAuto) {
+        let cfg = cache.get_or_build(req.graph, SynchronizerParams { max_pulse: bound });
+        session = session.synchronizer(SyncKind::Det(cfg));
+    }
+    session.run(make)
+}
+
+/// The per-slot error of a request whose protocol (or algorithm factory)
+/// panicked: the payload's message if it is a string, as `panic!` payloads are.
+fn protocol_panicked(payload: PanicPayload) -> SessionError {
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|message| (*message).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    SessionError::ProtocolPanicked { message }
 }
 
 /// One queued unit of pool work: a request, the shared cache/bank handles,
@@ -492,8 +461,9 @@ impl SessionPool {
     /// state (the usual determinism contract for factories).
     ///
     /// Requests are independent: one failing (its `Err` is returned in its
-    /// slot) never affects another. A panicking protocol propagates after
-    /// the whole batch drained, like the sharded engine's worker barrier.
+    /// slot) never affects another. A panicking protocol or factory fails
+    /// its own slot with [`SessionError::ProtocolPanicked`]; the unwound run's
+    /// engine state is dropped, never returned to the bank.
     pub fn run_batch<'g, A, F>(
         &self,
         requests: &[ServiceRequest<'g>],
@@ -513,7 +483,10 @@ impl SessionPool {
                 .enumerate()
                 .map(|(i, req)| {
                     let mut make = make.clone();
-                    run_one(req, &self.cache, &self.bank, &mut |v| make(i, v))
+                    catch_unwind(AssertUnwindSafe(|| {
+                        run_one(req, &self.cache, &self.bank, &mut |v| make(i, v))
+                    }))
+                    .unwrap_or_else(|payload| Err(protocol_panicked(payload)))
                 })
                 .collect();
         }
@@ -537,17 +510,15 @@ impl SessionPool {
                 );
             }
             let mut results: Vec<_> = (0..requests.len()).map(|_| None).collect();
-            let mut panicked = None;
+            // Every job is collected before anything is returned, so no
+            // worker is left sending into a dropped channel (same discipline
+            // as the sharded engine's barrier).
             for _ in 0..requests.len() {
                 let (_, job, panic) = pool.collect();
-                panicked = panicked.or(panic);
-                results[job.index] = job.result;
-            }
-            // Resume only after every job answered, so no worker is left
-            // sending into a dropped channel (same discipline as the sharded
-            // engine's barrier).
-            if let Some(payload) = panicked {
-                std::panic::resume_unwind(payload);
+                results[job.index] = match panic {
+                    Some(payload) => Some(Err(protocol_panicked(payload))),
+                    None => job.result,
+                };
             }
             results.into_iter().map(|r| r.expect("every job ran")).collect()
         })

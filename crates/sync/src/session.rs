@@ -107,10 +107,8 @@ impl SyncKind {
         }
     }
 
-    /// Whether resolving this kind requires a pulse bound `T(A)` (also used by
-    /// [`crate::service`], whose requests resolve bounds exactly like a
-    /// standalone session).
-    pub(crate) fn needs_pulse_bound(&self) -> bool {
+    /// Whether resolving this kind requires a pulse bound `T(A)`.
+    fn needs_pulse_bound(&self) -> bool {
         matches!(self, SyncKind::Alpha | SyncKind::Beta { .. } | SyncKind::DetAuto)
     }
 
@@ -148,6 +146,13 @@ pub enum SessionError {
     },
     /// The underlying simulation failed.
     Sim(SimError),
+    /// The protocol (or its factory) panicked inside a
+    /// [`SessionPool`](crate::service::SessionPool) request; only that
+    /// request's slot fails.
+    ProtocolPanicked {
+        /// The panic message, when the payload was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -160,6 +165,9 @@ impl fmt::Display for SessionError {
                 write!(f, "invalid simulation limits: {what} must be positive")
             }
             SessionError::Sim(e) => write!(f, "simulation error: {e}"),
+            SessionError::ProtocolPanicked { message } => {
+                write!(f, "protocol panicked: {message}")
+            }
         }
     }
 }
@@ -351,7 +359,7 @@ impl<'g> Session<'g> {
         self
     }
 
-    fn validate(&self) -> Result<&SyncKind, SessionError> {
+    pub(crate) fn validate(&self) -> Result<&SyncKind, SessionError> {
         if self.limits.max_events == 0 {
             return Err(SessionError::InvalidLimits { what: "max_events" });
         }
@@ -375,7 +383,11 @@ impl<'g> Session<'g> {
 
     /// Resolves the pulse bound: the explicit bound if set, otherwise `T(A)` from a
     /// synchronous ground-truth run (only executed when the chosen kind needs it).
-    fn resolve_pulse_bound<A, F>(&self, kind: &SyncKind, make: &mut F) -> Result<u64, SessionError>
+    pub(crate) fn resolve_pulse_bound<A, F>(
+        &self,
+        kind: &SyncKind,
+        make: &mut F,
+    ) -> Result<u64, SessionError>
     where
         A: EventDriven,
         F: FnMut(NodeId) -> A,

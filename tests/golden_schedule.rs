@@ -23,6 +23,11 @@
 //!   control messages, time_to_output bits, time_to_quiescence bits,
 //!   dropped_events, fault_transitions)` alone — also checked on
 //!   `run_async_recycled`, which does not trace.
+//!
+//! `RECORDED_EVENTS` is the events-only identity gate of the retired E9/E11
+//! smoke matrices: `metrics.events` copied from the two JSON artifacts committed
+//! at `326dd8c` (DESIGN.md §4), the parent of the commit that deleted them. Same
+//! rule: never produced by the code under test, never re-recorded to pass.
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::netsim::protocol::Protocol;
@@ -34,6 +39,7 @@ use det_synchronizer::netsim::{
 use det_synchronizer::prelude::*;
 use det_synchronizer::sync::alpha::AlphaSynchronizer;
 use det_synchronizer::sync::beta::{BetaSynchronizer, SpanningTree};
+use det_synchronizer::sync::service::{ServiceRequest, SessionPool};
 
 /// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
 struct Fnv(u64);
@@ -269,4 +275,76 @@ fn det_bfs_under_link_churn_and_crashes_on_dense_ticks() {
     );
     assert!(wheel.dropped_events > 0, "the fault plan must actually eat deliveries");
     assert!(wheel.max_batch > 32, "drops must land on crowded ticks");
+}
+
+/// One family's 7 recorded scenario counts (see the module docs); per-kind
+/// pairs are `[uniform, jitter(7)]`.
+struct RecordedEvents {
+    family: &'static str,
+    direct: u64,
+    alpha: [u64; 2],
+    beta: [u64; 2],
+    det: [u64; 2],
+    /// Sum over a pooled batch of 8 det requests, `jitter(3..=10)`.
+    service_batch: Option<u64>,
+}
+
+#[rustfmt::skip]
+const RECORDED_EVENTS: [RecordedEvents; 4] = [
+    RecordedEvents { family: "grid/256", direct: 705, alpha: [32_130, 32_130], beta: [17_730, 17_730], det: [21_107, 21_033], service_batch: Some(168_699) },
+    RecordedEvents { family: "torus/256", direct: 769, alpha: [19_970, 19_970], beta: [10_718, 10_718], det: [15_815, 15_809], service_batch: None },
+    RecordedEvents { family: "cycle/256", direct: 257, alpha: [67_074, 67_074], beta: [66_814, 66_814], det: [79_744, 79_744], service_batch: None },
+    RecordedEvents { family: "random-regular/256", direct: 765, alpha: [10_710, 10_710], beta: [6_120, 6_120], det: [10_764, 10_764], service_batch: Some(86_112) },
+];
+
+#[test]
+fn recorded_event_counts_hold_on_both_engines_and_through_the_pool() {
+    let graphs = [
+        Graph::grid(16, 16),
+        Graph::torus(16, 16),
+        Graph::cycle(256),
+        Graph::random_regular(256, 4, 256),
+    ];
+    let delays = [DelayModel::uniform(), DelayModel::jitter(7)];
+    let engines = [SchedulerKind::TimingWheel, SchedulerKind::Sharded { shards: 4, workers: 2 }];
+    for (graph, rec) in graphs.iter().zip(&RECORDED_EVENTS) {
+        let family = rec.family;
+        let bfs = |v| BfsAlgorithm::new(graph, v, &[NodeId(0)]);
+        let direct = Session::on(graph).synchronizer(SyncKind::Direct).run(bfs).expect("direct");
+        assert_eq!(direct.metrics.events, rec.direct, "{family}/direct");
+        let t = direct.metrics.time_to_quiescence.max(1.0) as u64;
+        let kinds = [
+            (SyncKind::Alpha, rec.alpha),
+            (SyncKind::Beta { root: NodeId(0) }, rec.beta),
+            (SyncKind::DetAuto, rec.det),
+        ];
+        for (kind, recorded) in kinds {
+            for (delay, events) in delays.iter().zip(recorded) {
+                for scheduler in engines {
+                    let what = format!("{family}/{}/{delay:?} on {scheduler:?}", kind.label());
+                    let run = Session::on(graph)
+                        .delay(delay.clone())
+                        .synchronizer(kind.clone())
+                        .scheduler(scheduler)
+                        .pulse_bound(t)
+                        .run(bfs)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(run.outputs, direct.outputs, "{what}: diverged from direct");
+                    assert_eq!(run.metrics.events, events, "{what}: events");
+                }
+            }
+        }
+        let Some(batch_events) = rec.service_batch else { continue };
+        let requests: Vec<_> = (3..=10)
+            .map(|seed| ServiceRequest::on(graph).delay(DelayModel::jitter(seed)).pulse_bound(t))
+            .collect();
+        for workers in [1, 4] {
+            let events: u64 = SessionPool::new(workers)
+                .run_batch::<BfsAlgorithm, _>(&requests, |_, v| bfs(v))
+                .into_iter()
+                .map(|run| run.expect("pooled request").metrics.events)
+                .sum();
+            assert_eq!(events, batch_events, "{family}: batch of 8 over {workers} workers");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Release-mode scale smoke test: a synchronized BFS on a 64×64 grid (4096 nodes,
 //! the E9 headline scenario) must complete — correctly — within an explicit event
 //! budget. Ignored under debug builds, where the unoptimized engines are too slow
-//! for a smoke test; CI runs `cargo test --release` for this file via the E9 job.
+//! for a smoke test; CI runs `cargo test --release` for this file in `perf-smoke`.
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::graph::metrics;
@@ -55,4 +55,20 @@ fn synchronized_bfs_on_64x64_grid_completes_within_event_budget() {
             "node {v}"
         );
     }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode smoke test; debug engines are too slow")]
+fn sharded_128x128_grid_reproduces_the_recorded_event_count() {
+    // `grid/16384/det/jitter` of the retired E9 matrix: 7,900,379 events in the
+    // artifact committed at `326dd8c`, recorded there on the serial wheel.
+    let graph = Graph::grid(128, 128);
+    let run = Session::on(&graph)
+        .delay(DelayModel::jitter(7))
+        .synchronizer(SyncKind::DetAuto)
+        .scheduler(SchedulerKind::Sharded { shards: 4, workers: 2 })
+        .pulse_bound(255)
+        .run(|v| BfsAlgorithm::new(&graph, v, &[NodeId(0)]))
+        .expect("128x128 sharded synchronized BFS");
+    assert_eq!(run.metrics.events, 7_900_379);
 }

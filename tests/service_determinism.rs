@@ -10,14 +10,13 @@
 //! cold run ever allocated, and capacity is an engine internal that never
 //! influences a schedule (like `AsyncReport::overflow_events`).
 
-use det_synchronizer::algos::bfs::BfsAlgorithm;
+use det_synchronizer::algos::bfs::{BfsAlgorithm, BfsOutput};
+use det_synchronizer::netsim::PulseCtx;
 use det_synchronizer::prelude::*;
 use det_synchronizer::sync::service::{ServiceRequest, SessionPool};
 
 /// Runs one request through a standalone `Session` — the reference execution.
-fn run_standalone(
-    req: &ServiceRequest<'_>,
-) -> SynchronizedRun<det_synchronizer::algos::bfs::BfsOutput> {
+fn run_standalone(req: &ServiceRequest<'_>) -> SynchronizedRun<BfsOutput> {
     let mut session = Session::on(req.graph)
         .delay(req.delay.clone())
         .limits(req.limits)
@@ -188,4 +187,55 @@ fn mixed_success_and_failure_slots_stay_independent() {
     // The failing slots must not have disturbed the succeeding ones — nor can
     // a failed run's engine state ever re-enter the recycling bank.
     assert_bit_identical(results[3].as_ref().expect("req 3"), &standalone, "req 3");
+}
+
+/// BFS that panics in `on_init` when `cursed` — a hostile protocol.
+struct CursedBfs<'g> {
+    bfs: BfsAlgorithm<'g>,
+    cursed: bool,
+}
+
+impl EventDriven for CursedBfs<'_> {
+    type Msg = u64;
+    type Output = BfsOutput;
+
+    fn on_init(&mut self, ctx: &mut PulseCtx<u64>) {
+        assert!(!self.cursed, "cursed on_init");
+        self.bfs.on_init(ctx);
+    }
+
+    fn on_pulse(&mut self, received: &[(NodeId, u64)], ctx: &mut PulseCtx<u64>) {
+        self.bfs.on_pulse(received, ctx);
+    }
+
+    fn output(&self) -> Option<BfsOutput> {
+        self.bfs.output()
+    }
+}
+
+#[test]
+fn a_panicking_protocol_fails_its_own_slot_not_the_batch() {
+    // With an explicit bound the panic hits inside the engine, slab checked out.
+    let grid = Graph::grid(4, 4);
+    let requests = vec![ServiceRequest::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8); 3];
+    let standalone = run_standalone(&requests[0]);
+    let make = |i: usize, v: NodeId| CursedBfs {
+        bfs: BfsAlgorithm::new(&grid, v, &[NodeId(0)]),
+        cursed: i == 1,
+    };
+    for workers in [0, 2] {
+        let pool = SessionPool::new(workers);
+        // The second batch runs on the bank and cache the panic left behind.
+        for batch in 0..2 {
+            let results = pool.run_batch::<CursedBfs, _>(&requests, make);
+            let what = format!("workers={workers}, batch {batch}");
+            assert_bit_identical(results[0].as_ref().expect("req 0"), &standalone, &what);
+            assert_eq!(
+                results[1].as_ref().err(),
+                Some(&SessionError::ProtocolPanicked { message: "cursed on_init".into() }),
+                "{what}"
+            );
+            assert_bit_identical(results[2].as_ref().expect("req 2"), &standalone, &what);
+        }
+    }
 }
