@@ -1,14 +1,14 @@
-//! Scheduler microbenchmarks: the asynchronous engine's hot data structures in
+//! E10 — scheduler microbenchmarks: the asynchronous engine's hot data structures in
 //! isolation — `TimingWheel` vs the `BinaryHeap` reference on `schedule` /
 //! `take_due`, and `StageQueue` vs a binary heap on `push` / `pop`.
 //!
-//! E7/E9 measure whole runs; constant-factor regressions in the scheduler hide
-//! inside them behind protocol and cache noise. This binary drives the structures
-//! directly with a deterministic engine-like workload (bursty schedules, bounded
-//! delays, batched drains, clustered link priorities), so a slowdown of the wheel
-//! or the bucket queue is visible without a full E9 sweep. No external deps: the
-//! timing loop is hand-rolled and rows go through the shared `ds-bench` table
-//! renderer.
+//! E1–E8 and `benchmark/` measure whole runs; constant-factor regressions in the
+//! scheduler hide inside them behind protocol and cache noise. This binary drives
+//! the structures directly with a deterministic engine-like workload (bursty
+//! schedules, bounded delays, batched drains, clustered link priorities), so a
+//! slowdown of the wheel or the bucket queue is visible without a whole-run
+//! benchmark. No external deps: the timing loop is hand-rolled and rows go
+//! through the shared `ds-bench` table renderer.
 //!
 //! Two sections back the sharded engine's parallel machinery specifically:
 //!
@@ -22,10 +22,7 @@
 //!   batching is on; it must stay cheap enough to be free relative to a drain.
 //! * `arena/*` — the baseline the event arena is judged against: the
 //!   per-event owned-enum walk (payloads inline in the wheel slots, drained one
-//!   event at a time in seq order), plus the hierarchical wheel on the
-//!   10%-overflow workload — whose every multi-horizon delay must be absorbed
-//!   by the promoted/coarse tiers (`far_parked == 0`, asserted) instead of the
-//!   old `BinaryHeap` overflow path.
+//!   event at a time in seq order).
 //!
 //! Usage: `exp_sched [--smoke]` (`--smoke` shrinks the op counts for CI).
 
@@ -307,7 +304,7 @@ fn probe_rows(probes: u64) -> Vec<Row> {
 /// Destination nodes the drain benchmark spreads its events over.
 const ARENA_DSTS: u64 = 512;
 
-/// In-flight population for the drain benchmark. Delays cluster on coarse
+/// In-flight population for the drain benchmark. Delays cluster on round
 /// multiples (protocols send in waves, so arrivals pile onto shared ticks),
 /// which with this population gives batches of a few hundred events per
 /// drained tick — the shape of a busy barrier.
@@ -377,25 +374,6 @@ fn arena_rows(events: u64) -> Vec<Row> {
     }]
 }
 
-/// The hierarchical wheel on the 10%-overflow workload: every multi-horizon
-/// delay classifies as overflow, and all of them must land in the
-/// promoted/coarse tiers — the far heap (the old `BinaryHeap` overflow path)
-/// stays empty for outage-shaped delays.
-fn hier_wheel_rows(events: u64) -> Vec<Row> {
-    let mut wheel = TimingWheel::new(1000);
-    drive_scheduler(&mut wheel, events, 10);
-    assert!(wheel.overflow_scheduled() > 0, "the 10%-overflow workload must overflow");
-    assert_eq!(wheel.far_parked(), 0, "outage-shaped overflow must bypass the far heap");
-    vec![Row {
-        label: "arena/hier-wheel/10%-overflow".to_string(),
-        values: vec![
-            ("events", events as f64),
-            ("overflow", wheel.overflow_scheduled() as f64),
-            ("far_parked", wheel.far_parked() as f64),
-        ],
-    }]
-}
-
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     let (events, ops, barriers, probes) = if smoke {
@@ -412,8 +390,4 @@ fn main() {
     );
     print_table("batched-window probe (window_cap + occupancy bitsets)", &probe_rows(probes));
     print_table("event arena baseline (owned per-event walk)", &arena_rows(events));
-    print_table(
-        "hierarchical-wheel overflow tiers (10%-overflow workload, far heap must stay empty)",
-        &hier_wheel_rows(events),
-    );
 }

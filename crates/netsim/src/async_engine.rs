@@ -29,7 +29,7 @@
 //! strictly later, so the batch is complete) and fires them one at a time in
 //! that order: activate the destination, then replay the activation's effects
 //! straight from its outbox. The global event queue is a bounded-horizon
-//! **hierarchical timing wheel** — `O(1)` per event instead of the
+//! **timing wheel** — `O(1)` per in-horizon event instead of the
 //! `O(log n)` of the reference binary heap (selectable via [`SchedulerKind`];
 //! both produce bit-identical schedules, see [`crate::scheduler`]) — and the
 //! per-link queues are per-stage FIFO buckets ([`crate::stage_queue`]).
@@ -100,8 +100,8 @@ pub struct AsyncReport<P> {
     pub metrics: RunMetrics,
     /// The per-node protocol instances after the run (holding outputs and state).
     pub nodes: Vec<P>,
-    /// Events scheduled beyond the timing wheel's horizon and staged through
-    /// its coarser overflow tiers (0 for single-`τ` delay models and for the
+    /// Events scheduled beyond the timing wheel's horizon and parked in its
+    /// overflow heap (0 for single-`τ` delay models and for the
     /// heap scheduler, which has no horizon). Kept out of [`RunMetrics`]
     /// deliberately: it describes the scheduler's internals, not the simulated
     /// execution, and so may differ between schedulers whose runs are

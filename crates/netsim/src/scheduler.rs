@@ -19,16 +19,8 @@
 //!   scheduled at the tick currently being drained (delays are at least one tick),
 //! * entries whose delay exceeds the horizon (the composite
 //!   [`crate::delay::DelayModel::Outage`] adversary produces them; the single-`τ`
-//!   models never do) park in a **hierarchical** second tier instead of a wheel
-//!   slot: a coarse-granularity wheel of 64 buckets, each spanning `horizon + 1`
-//!   ticks, absorbs them in `O(1)`, and only entries beyond even the coarse span
-//!   (63 coarse buckets ≈ 63 `τ`) fall through to a last-resort binary heap.
-//!   As the clock advances, due-soon entries are *promoted* into a dedicated
-//!   promoted wheel (same geometry as the fine wheel) that is drained **before**
-//!   the fine slot of the same tick — an overflow-classified entry's `seq` is
-//!   always smaller than any fine entry of the same tick, since it was
-//!   necessarily scheduled more than a horizon earlier, so the drain order (and
-//!   hence the schedule) is bit-identical to the old single-heap overflow path.
+//!   models never do) wait in one overflow binary heap next to the wheel and are
+//!   drained **before** the slot of the same tick (`seq` order: see `take_due`).
 //!
 //! The engine picks the implementation through [`SchedulerKind`]; the heap is kept
 //! as the executable specification the wheel is tested against (see
@@ -141,39 +133,14 @@ impl<T> Ord for MinEntry<T> {
     }
 }
 
-/// Number of buckets in the coarse tier of the hierarchical wheel.
-const COARSE_BUCKETS: u64 = 64;
-
-/// Bounded-horizon timing wheel with `horizon + 1` rotating slots and a
-/// hierarchical second tier for beyond-horizon events.
+/// Bounded-horizon timing wheel with `horizon + 1` rotating slots.
 ///
 /// Slot `at % (horizon + 1)` holds the events of absolute tick `at`; because all
 /// pending events lie in `(now, now + horizon]`, distinct pending ticks never
 /// share a slot. A dense occupancy bitset finds the next non-empty slot in a few
-/// word operations, and drained slot buffers are recycled through a free list
-/// (so steady-state scheduling never allocates).
-///
-/// Events scheduled more than a horizon past their logical origin (overflow —
-/// only multi-`τ` adversaries produce them) are spread over three tiers by
-/// distance from the clock:
-///
-/// * **promoted wheel** (`at − now ≤ horizon`): same geometry as the fine
-///   wheel, kept separate so overflow-classified entries drain *before* the
-///   fine slot of the same tick (their seqs are necessarily smaller — they
-///   were scheduled more than a horizon earlier),
-/// * **coarse wheel** (`at − now ≤ 63 · (horizon + 1)`): 64 unordered buckets
-///   of one coarse granule (`horizon + 1` ticks) each, `O(1)` insertion. The
-///   63-granule span keeps bucket indices injective over the live range, so a
-///   bucket never mixes two granules,
-/// * **far heap** (beyond the coarse span): the last-resort binary heap; a
-///   distance of 63+ `τ` is outside anything the delay adversaries produce, so
-///   this tier stays empty in practice ([`TimingWheel::far_parked`] proves it).
-///
-/// On every clock advance, entries whose tick moved within `now + horizon` are
-/// promoted inward (far → promoted, coarse → promoted; at most two coarse
-/// buckets can hold promotable entries per advance). Promotions insert in
-/// ascending `seq` per promoted slot, so drained batches are bit-identical to
-/// the old single-overflow-heap implementation.
+/// word operations, drained slot buffers are recycled through a free list (so
+/// steady-state scheduling never allocates), and beyond-horizon events wait in
+/// one overflow heap that is consulted next to the wheel.
 #[derive(Debug)]
 pub struct TimingWheel<T> {
     /// One buffer of `(seq, payload)` per slot; insertion order is `seq` order.
@@ -182,42 +149,17 @@ pub struct TimingWheel<T> {
     occupied: Vec<u64>,
     /// Current absolute tick (the last tick drained by `take_due`).
     now: u64,
-    /// Number of events currently parked in fine slots (excludes the
-    /// hierarchical overflow tiers).
+    /// Number of events currently parked in slots (excludes the overflow heap).
     pending: usize,
     /// Maximum in-wheel scheduling distance, in ticks.
     horizon: u64,
-    /// Promoted wheel: overflow-classified events whose tick is now within
-    /// `(now, now + horizon]`, drained before the fine slot of the same tick.
-    promoted: Vec<Vec<(u64, T)>>,
-    /// Occupancy bitset of the promoted wheel.
-    promoted_occupied: Vec<u64>,
-    /// Number of events in promoted slots.
-    promoted_pending: usize,
-    /// Coarse wheel: bucket `(at / (horizon + 1)) % 64` holds unordered
-    /// `(at, seq, payload)` entries with `at − now` in
-    /// `(horizon, 63 · (horizon + 1)]`.
-    coarse: Vec<Vec<(u64, u64, T)>>,
-    /// Occupancy mask of the coarse buckets.
-    coarse_mask: u64,
-    /// Number of events in coarse buckets.
-    coarse_len: usize,
-    /// Cached earliest tick over all coarse entries (`u64::MAX` when empty).
-    coarse_min: u64,
-    /// Events beyond even the coarse span.
-    far: BinaryHeap<MinEntry<T>>,
-    /// Total events ever parked in the far heap ([`TimingWheel::far_parked`]).
-    far_parked: u64,
-    /// Total events scheduled beyond the horizon *of their logical origin*
-    /// (exposed through [`EventScheduler::overflow_scheduled`]); counts every
-    /// promoted/coarse/far park, so the total is independent of which tier
-    /// absorbed the event.
+    /// Events scheduled more than `horizon` ticks past their logical origin.
+    overflow: BinaryHeap<MinEntry<T>>,
+    /// Total events ever parked in the overflow heap (exposed through
+    /// [`EventScheduler::overflow_scheduled`]).
     overflow_scheduled: u64,
-    /// Recycled slot buffers: a drained fine or promoted slot's buffer
-    /// returns here.
+    /// Recycled slot buffers: a drained slot's buffer returns here.
     free: Vec<Vec<(u64, T)>>,
-    /// Scratch for coarse-bucket promotion (sorted by `seq` before insertion).
-    promote_buf: Vec<(u64, u64, T)>,
 }
 
 impl<T> TimingWheel<T> {
@@ -236,46 +178,15 @@ impl<T> TimingWheel<T> {
             now: 0,
             pending: 0,
             horizon,
-            promoted: (0..slot_count).map(|_| Vec::new()).collect(),
-            promoted_occupied: vec![0; slot_count.div_ceil(64)],
-            promoted_pending: 0,
-            coarse: (0..COARSE_BUCKETS).map(|_| Vec::new()).collect(),
-            coarse_mask: 0,
-            coarse_len: 0,
-            coarse_min: u64::MAX,
-            far: BinaryHeap::new(),
-            far_parked: 0,
+            overflow: BinaryHeap::new(),
             overflow_scheduled: 0,
             free: Vec::new(),
-            promote_buf: Vec::new(),
         }
     }
 
-    /// One coarse granule: the tick span of a single coarse bucket.
-    fn granule(&self) -> u64 {
-        self.horizon + 1
-    }
-
-    /// Largest `at − now` the coarse tier accepts. 63 granules (not 64): the
-    /// live range `(now, now + 63·granule]` then spans at most 64 distinct
-    /// granule indices, so `(at / granule) % 64` is injective over it and a
-    /// bucket never mixes entries of two granules.
-    fn coarse_span(&self) -> u64 {
-        (COARSE_BUCKETS - 1) * self.granule()
-    }
-
-    /// Total number of pending events (fine slots plus every overflow tier).
+    /// Total number of pending events (wheel slots plus overflow).
     pub fn len(&self) -> usize {
-        self.pending + self.promoted_pending + self.coarse_len + self.far.len()
-    }
-
-    /// How many events ever fell through to the last-resort far heap — the
-    /// `O(log n)` tier the hierarchical coarse wheel exists to keep empty.
-    /// The outage adversaries' multi-`τ` delays all land in the coarse tier
-    /// (its span is ~63 `τ`), so a non-zero value here means an adversary
-    /// exceeded the design envelope.
-    pub fn far_parked(&self) -> u64 {
-        self.far_parked
+        self.pending + self.overflow.len()
     }
 
     /// Whether no events are pending.
@@ -283,31 +194,14 @@ impl<T> TimingWheel<T> {
         self.len() == 0
     }
 
-    /// Earliest tick held by any overflow tier (promoted, coarse or far), or
-    /// `None` when all three are empty. This is exactly the set the old
-    /// implementation kept in its single overflow heap, so every consumer
-    /// (window caps, next-tick picks) sees the same minimum it used to.
-    fn overflow_next(&self) -> Option<u64> {
-        let mut next = if self.coarse_len > 0 { self.coarse_min } else { u64::MAX };
-        if self.promoted_pending > 0 {
-            next = next.min(self.next_time_in(&self.promoted_occupied));
-        }
-        if let Some(e) = self.far.peek() {
-            next = next.min(e.at);
-        }
-        (next != u64::MAX).then_some(next)
-    }
-
-    /// Absolute tick of the earliest pending event (any tier), or `None` if
-    /// the wheel is empty. The sharded engine's coordinator peeks every shard
-    /// wheel through this to pick the global next tick.
+    /// Absolute tick of the earliest pending event (wheel slots or overflow), or
+    /// `None` if the wheel is empty. The sharded engine's coordinator peeks every
+    /// shard wheel through this to pick the global next tick.
     pub fn next_tick(&self) -> Option<u64> {
         let wheel_next = (self.pending > 0).then(|| self.next_occupied_time());
-        match (wheel_next, self.overflow_next()) {
-            (None, None) => None,
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
+        match (wheel_next, self.overflow.peek().map(|e| e.at)) {
             (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
     }
 
@@ -329,11 +223,6 @@ impl<T> TimingWheel<T> {
             "cannot advance past a pending event"
         );
         self.now = t;
-        // Promote on every clock advance, *before* any schedule call at the
-        // new time: a later schedule may direct-insert into a promoted slot,
-        // and the promoted-slot seq order only holds if everything older was
-        // already promoted.
-        self.promote();
     }
 
     /// Resets an *empty* wheel to absolute tick 0, keeping every allocation
@@ -351,25 +240,20 @@ impl<T> TimingWheel<T> {
         assert!(self.is_empty(), "only an empty wheel can be reset for reuse");
         self.now = 0;
         self.occupied.fill(0);
-        self.promoted_occupied.fill(0);
-        self.coarse_mask = 0;
-        self.coarse_min = u64::MAX;
-        self.far_parked = 0;
         self.overflow_scheduled = 0;
     }
 
     /// The largest window end tick (inclusive) up to which this wheel's
     /// occupancy bitset alone describes every pending event, capped by `end`.
     /// Two caps apply: ticks beyond `now + horizon` cannot hold wheel entries
-    /// (so the bitset says nothing about them), and the earliest
-    /// overflow-classified entry — invisible to the fine bitset, whichever
-    /// tier it sits in — must stay strictly outside the window. The sharded
-    /// engine's batch-window probe intersects this across all shard wheels
-    /// before enumerating occupied ticks.
+    /// (so the bitset says nothing about them), and the earliest overflow
+    /// entry — invisible to the bitset — must stay strictly outside the
+    /// window. The sharded engine's batch-window probe intersects this across
+    /// all shard wheels before enumerating occupied ticks.
     pub fn window_cap(&self, end: u64) -> u64 {
         let mut cap = end.min(self.now + self.horizon);
-        if let Some(at) = self.overflow_next() {
-            cap = cap.min(at.saturating_sub(1));
+        if let Some(e) = self.overflow.peek() {
+            cap = cap.min(e.at.saturating_sub(1));
         }
         cap
     }
@@ -409,118 +293,16 @@ impl<T> TimingWheel<T> {
     /// Absolute tick of the earliest non-empty slot. Requires `pending > 0`.
     fn next_occupied_time(&self) -> u64 {
         debug_assert!(self.pending > 0);
-        self.next_time_in(&self.occupied)
-    }
-
-    /// Absolute tick of the earliest set bit in `occupied` (the fine or the
-    /// promoted wheel's bitset — both wheels share the slot geometry and hold
-    /// only ticks in `(now, now + horizon]`). Requires a set bit.
-    fn next_time_in(&self, occupied: &[u64]) -> u64 {
         let len = self.slots.len();
         let cur = (self.now % len as u64) as usize;
-        let idx = bitset::find_set_from(occupied, cur + 1)
-            .or_else(|| bitset::find_set_from(occupied, 0))
-            .expect("a pending entry implies an occupied slot");
+        let idx = bitset::find_set_from(&self.occupied, cur + 1)
+            .or_else(|| bitset::find_set_from(&self.occupied, 0))
+            .expect("pending > 0 implies an occupied slot");
         debug_assert_ne!(idx, cur, "the current slot was drained and delays are positive");
         let d = if idx > cur { idx - cur } else { idx + len - cur };
         self.now + d as u64
     }
 
-    /// Inserts an overflow-classified entry into the promoted wheel. The
-    /// caller guarantees `at` is in `[now, now + horizon]` (equality with
-    /// `now` happens in `take_due`, which promotes tick `t`'s own entries
-    /// just before draining them) and that `seq` exceeds every seq already in
-    /// `at`'s promoted slot (promotions run oldest-first on every clock
-    /// advance, and direct inserts draw monotonically increasing seqs, so
-    /// insertion order is seq order).
-    fn insert_promoted(&mut self, at: u64, seq: u64, payload: T) {
-        debug_assert!(at >= self.now && at - self.now <= self.horizon);
-        let idx = (at % self.slots.len() as u64) as usize;
-        if self.promoted[idx].is_empty() {
-            if self.promoted[idx].capacity() == 0 {
-                if let Some(buf) = self.free.pop() {
-                    self.promoted[idx] = buf;
-                }
-            }
-            bitset::set(&mut self.promoted_occupied, idx);
-        }
-        debug_assert!(
-            self.promoted[idx].last().is_none_or(|&(s, _)| s < seq),
-            "promoted-slot insertion order must be seq order"
-        );
-        self.promoted[idx].push((seq, payload));
-        self.promoted_pending += 1;
-    }
-
-    /// Moves every far/coarse entry whose tick is now within
-    /// `(now, now + horizon]` into the promoted wheel. Runs on every clock
-    /// advance, before any schedule call at the new time.
-    ///
-    /// Order matters twice: far entries move first (for the same tick their
-    /// seqs are strictly smaller than any coarse entry's — a far park means a
-    /// logical origin more than a coarse span earlier, and seq draws are
-    /// monotone in logical time), and coarse candidates are sorted by `seq`
-    /// before insertion (coarse buckets are unordered).
-    fn promote(&mut self) {
-        let bound = self.now + self.horizon;
-        while self.far.peek().is_some_and(|e| e.at <= bound) {
-            let e = self.far.pop().expect("peeked");
-            self.insert_promoted(e.at, e.seq, e.payload);
-        }
-        if self.coarse_len == 0 || self.coarse_min > bound {
-            return;
-        }
-        // Promotable coarse entries have ticks in (now, now + horizon], a
-        // range shorter than one granule: at most the two buckets holding
-        // granules now/granule and bound/granule can contain them. The first
-        // bucket empties completely (all its ticks are ≤ bound); the second
-        // may keep its later entries.
-        let granule = self.granule();
-        let b0 = (self.now / granule) % COARSE_BUCKETS;
-        let b1 = (bound / granule) % COARSE_BUCKETS;
-        let mut moved = std::mem::take(&mut self.promote_buf);
-        for b in [b0, b1] {
-            if self.coarse_mask & (1 << b) == 0 {
-                continue;
-            }
-            let bucket = &mut self.coarse[b as usize];
-            let mut i = 0;
-            while i < bucket.len() {
-                if bucket[i].0 <= bound {
-                    moved.push(bucket.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            if bucket.is_empty() {
-                self.coarse_mask &= !(1 << b);
-            }
-            if b0 == b1 {
-                break;
-            }
-        }
-        if !moved.is_empty() {
-            self.coarse_len -= moved.len();
-            moved.sort_unstable_by_key(|&(_, seq, _)| seq);
-            for (at, seq, payload) in moved.drain(..) {
-                self.insert_promoted(at, seq, payload);
-            }
-            // Recompute the cached minimum over the surviving buckets.
-            self.coarse_min = u64::MAX;
-            let mut mask = self.coarse_mask;
-            while mask != 0 {
-                let b = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                for &(at, _, _) in &self.coarse[b] {
-                    self.coarse_min = self.coarse_min.min(at);
-                }
-            }
-        }
-        self.promote_buf = moved;
-    }
-}
-
-impl<T> TimingWheel<T> {
     /// [`EventScheduler::schedule`] with the slot-or-overflow decision taken
     /// against an explicit logical origin `from ≤ self.now` instead of the
     /// wheel clock. The sharded engine advances its wheels to a batched
@@ -528,9 +310,8 @@ impl<T> TimingWheel<T> {
     /// a merge-time schedule must classify overflow exactly as the serial
     /// wheel did at the event's own tick, or `overflow_scheduled` (and the
     /// window cap) would depend on the batching mode. Parking a would-fit
-    /// entry in the overflow heap is harmless: seq draws are monotone in
-    /// logical time, so overflow entries of a tick still sort before any slot
-    /// entry of the same tick.
+    /// entry in the overflow heap is harmless (see `take_due`).
+    // ds-lint: hot-path
     pub(crate) fn schedule_from(&mut self, from: u64, at: u64, seq: u64, payload: T) {
         debug_assert!(at > self.now, "events must be scheduled in the strict future");
         debug_assert!(from <= self.now, "the logical origin cannot trail the wheel clock");
@@ -552,60 +333,39 @@ impl<T> TimingWheel<T> {
             self.pending += 1;
         } else {
             self.overflow_scheduled += 1;
-            // Overflow-classified: pick the innermost tier the tick fits,
-            // measured from the *current* clock (the logical origin only
-            // decides classification; placement is a pure internal concern
-            // and every tier drains at the exact same tick in the same order).
-            if at - self.now <= self.horizon {
-                self.insert_promoted(at, seq, payload);
-            } else if at - self.now <= self.coarse_span() {
-                let b = ((at / self.granule()) % COARSE_BUCKETS) as usize;
-                self.coarse[b].push((at, seq, payload));
-                self.coarse_mask |= 1 << b;
-                self.coarse_len += 1;
-                self.coarse_min = self.coarse_min.min(at);
-            } else {
-                self.far_parked += 1;
-                self.far.push(MinEntry { at, seq, payload });
-            }
+            self.overflow.push(MinEntry { at, seq, payload });
         }
     }
 }
 
 impl<T> EventScheduler<T> for TimingWheel<T> {
     fn schedule(&mut self, at: u64, seq: u64, payload: T) {
-        let now = self.now;
-        self.schedule_from(now, at, seq, payload);
+        self.schedule_from(self.now, at, seq, payload);
     }
 
+    // ds-lint: hot-path
     fn take_due(&mut self, due: &mut Vec<(u64, T)>) -> Option<u64> {
         let t = self.next_tick()?;
-        // Advance the clock first, then promote: tick `t`'s overflow entries
-        // (wherever they were parked) all land in the promoted slot of `t`,
-        // in ascending seq order.
-        self.now = t;
-        self.promote();
-        let idx = (t % self.slots.len() as u64) as usize;
-        // Overflow-classified entries of tick `t` were scheduled more than a
-        // horizon before any fine entry of tick `t`, so their seqs are
-        // strictly smaller: drain the promoted slot first to keep `due` in
-        // ascending seq order. (A non-empty slot at `idx` can only hold tick
-        // `t`: both wheels span `(now, now + horizon]`, and `t` is the
-        // earliest pending tick.)
-        if self.promoted_pending > 0 && !self.promoted[idx].is_empty() {
-            let mut buf = std::mem::take(&mut self.promoted[idx]);
-            bitset::clear(&mut self.promoted_occupied, idx);
-            self.promoted_pending -= buf.len();
-            due.append(&mut buf);
-            self.free.push(buf);
+        // An overflow entry of tick `t` was scheduled from a logical origin
+        // more than a horizon before that of any slot entry of tick `t`, and
+        // seq draws are monotone in logical time, so its seq is smaller: pop
+        // the heap's entries of `t` first, then append the slot, to keep
+        // `due` in ascending seq order.
+        while self.overflow.peek().is_some_and(|e| e.at == t) {
+            let e = self.overflow.pop().expect("peeked");
+            due.push((e.seq, e.payload));
         }
-        if self.pending > 0 && !self.slots[idx].is_empty() {
+        // A non-empty slot at `idx` can only hold tick `t`: slots span
+        // `(now, now + horizon]` and `t` is the earliest pending tick.
+        let idx = (t % self.slots.len() as u64) as usize;
+        if !self.slots[idx].is_empty() {
             let mut buf = std::mem::take(&mut self.slots[idx]);
             bitset::clear(&mut self.occupied, idx);
             self.pending -= buf.len();
             due.append(&mut buf);
             self.free.push(buf);
         }
+        self.now = t;
         Some(t)
     }
 
@@ -663,10 +423,17 @@ mod tests {
         let mut out = Vec::new();
         let mut due = Vec::new();
         while let Some(t) = sched.take_due(&mut due) {
-            out.push((t, due.clone()));
-            due.clear();
+            out.push((t, std::mem::take(&mut due)));
         }
         out
+    }
+
+    /// Deterministic pseudo-random draws in `0..m`.
+    fn lcg(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |m| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        }
     }
 
     #[test]
@@ -915,82 +682,73 @@ mod tests {
     }
 
     #[test]
-    fn far_tier_parks_beyond_the_coarse_span_and_drains_in_order() {
-        // Horizon 10 → granule 11, coarse span 63 · 11 = 693: a delay past 693
-        // must park in the far heap, count `far_parked`, and still drain at
-        // its exact tick through promotion.
+    fn overflow_far_beyond_the_horizon_drains_at_its_exact_tick() {
+        // 800 is 80 horizons ahead; 400 is the nearer overflow entry.
         let mut w = TimingWheel::new(10);
+        w.schedule(800, 0, 0u32);
+        w.schedule(400, 1, 1);
+        assert_eq!((w.overflow_scheduled(), w.len(), w.next_tick()), (2, 2, Some(400)));
         let mut due = Vec::new();
-        w.schedule(800, 0, 0u32); // 800 > 693: far
-        assert_eq!(w.far_parked(), 1);
-        assert_eq!(w.overflow_scheduled(), 1);
-        w.schedule(400, 1, 1); // coarse (11 ≤ 400 ≤ 693)
-        assert_eq!(w.far_parked(), 1);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.next_tick(), Some(400));
         assert_eq!(w.take_due(&mut due), Some(400));
         assert_eq!(due, vec![(1, 1)]);
-        due.clear();
-        // take_due jumps straight to 800: the far entry is promoted at the
-        // moment the clock lands on its own tick (the `at == now` edge).
-        assert_eq!(w.take_due(&mut due), Some(800));
-        assert_eq!(due, vec![(0, 0)]);
-        due.clear();
-        assert_eq!(w.take_due(&mut due), None);
-        assert_eq!(w.len(), 0);
+        assert_eq!((w.len(), w.next_tick()), (1, Some(800)));
+        assert_eq!(drain_all(&mut w), vec![(800, vec![(0, 0)])]);
+        assert_eq!((w.len(), w.next_tick()), (0, None));
     }
 
     #[test]
-    fn all_tiers_merge_at_one_tick_in_seq_order() {
-        // One tick fed from every tier — far park, coarse park, direct
-        // promoted insert, fine slot — must drain as a single ascending-seq
-        // batch. Runs under Miri via the `scheduler::` filter.
+    fn overflow_parks_and_slot_inserts_merge_at_one_tick_in_seq_order() {
+        // One tick fed by an origin-0 park, a park after a clock advance, a
+        // park classified by an old logical origin and a slot insert drains
+        // as one ascending-seq batch. Runs under Miri (`scheduler::` filter).
         let mut w = TimingWheel::new(10);
-        let mut due = Vec::new();
-        w.schedule(800, 0, 10u32); // from 0: beyond 693 → far
+        w.schedule(800, 0, 10u32);
         w.advance_to(200);
-        w.schedule(800, 1, 11); // from 200: overflow, 600 ≤ 693 → coarse
-        w.advance_to(795); // promotes both into the slot of 800, far first
-        assert_eq!(w.far_parked(), 1);
-        w.schedule_from(300, 800, 2, 12); // overflow by origin, in-horizon → promoted
-        w.schedule(800, 3, 13); // 5 ≤ horizon → fine slot
-        assert_eq!(w.overflow_scheduled(), 3);
-        assert_eq!(w.len(), 4);
-        assert_eq!(w.take_due(&mut due), Some(800));
-        assert_eq!(due, vec![(0, 10), (1, 11), (2, 12), (3, 13)]);
+        w.schedule(800, 1, 11);
+        w.advance_to(795);
+        w.schedule_from(300, 800, 2, 12); // overflow by origin, though 5 ≤ horizon
+        w.schedule(800, 3, 13); // slot
+        assert_eq!((w.overflow_scheduled(), w.len()), (3, 4));
+        assert_eq!(drain_all(&mut w), vec![(800, vec![(0, 10), (1, 11), (2, 12), (3, 13)])]);
     }
 
-    #[test]
-    fn outage_shaped_overflow_never_reaches_the_far_heap() {
-        // The 10%-overflow bench workload: delays in [1000, 5000) against a
-        // 1000-tick horizon. Every overflow lands in the promoted or coarse
-        // wheel (span 63 · 1001 = 63063), so the `BinaryHeap` far tier stays
-        // empty — the hierarchical wheel replaces the old overflow-heap path
-        // while the heap reference pins the schedule bit-identical.
-        let mut state = 0xDEAD_BEEFu64;
-        let mut rand = move |m: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
-        let mut wheel = TimingWheel::new(1000);
-        let mut heap = HeapScheduler::new();
-        let (mut wd, mut hd) = (Vec::new(), Vec::new());
+    /// The 10%-overflow bench workload (delays in [1000, 5000) against a
+    /// 1000-tick horizon), one drain per four schedules, then a full drain.
+    fn outage_shaped_run<S: EventScheduler<u32>>(sched: &mut S) -> Vec<(u64, Vec<(u64, u32)>)> {
+        let mut rand = lcg(0xDEAD_BEEF);
+        let mut out = Vec::new();
+        let mut due = Vec::new();
         let mut now = 0u64;
         for seq in 0..2000u64 {
             let delay = if rand(10) == 0 { 1000 + rand(4000) } else { 1 + rand(1000) };
-            wheel.schedule(now + delay, seq, (seq % 97) as u32);
-            heap.schedule(now + delay, seq, (seq % 97) as u32);
+            sched.schedule(now + delay, seq, (seq % 97) as u32);
             if seq % 4 == 3 {
-                let tw = wheel.take_due(&mut wd);
-                assert_eq!(tw, heap.take_due(&mut hd));
-                assert_eq!(wd, hd);
-                now = tw.expect("events pending");
-                wd.clear();
-                hd.clear();
+                now = sched.take_due(&mut due).expect("events pending");
+                out.push((now, std::mem::take(&mut due)));
             }
         }
+        out.extend(drain_all(sched));
+        out
+    }
+
+    #[test]
+    fn outage_shaped_overflow_agrees_with_the_heap_step_by_step() {
+        let mut wheel = TimingWheel::new(1000);
+        assert_eq!(outage_shaped_run(&mut wheel), outage_shaped_run(&mut HeapScheduler::new()));
         assert!(wheel.overflow_scheduled() > 0, "the workload must exercise overflow");
-        assert_eq!(wheel.far_parked(), 0, "outage-scale delays must stay out of the far heap");
+    }
+
+    #[test]
+    fn reset_after_overflow_replays_identically() {
+        // The recycling contract: an emptied wheel, once `reset`, schedules
+        // exactly as a new one — same batches, same overflow count.
+        let mut wheel = TimingWheel::new(1000);
+        let first = outage_shaped_run(&mut wheel);
+        let parked = wheel.overflow_scheduled();
+        wheel.reset();
+        assert_eq!((wheel.overflow_scheduled(), wheel.next_tick()), (0, None));
+        assert_eq!(outage_shaped_run(&mut wheel), first);
+        assert_eq!(wheel.overflow_scheduled(), parked);
     }
 
     #[test]
@@ -999,11 +757,7 @@ mod tests {
         // Deterministic pseudo-random interleaving of schedules and drains, with
         // occasional beyond-horizon delays; both schedulers must emit identical
         // (time, seq, payload) streams.
-        let mut state = 0x9E37_79B9u64;
-        let mut rand = move |m: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
+        let mut rand = lcg(0x9E37_79B9);
         for _ in 0..20 {
             let mut wheel = TimingWheel::new(100);
             let mut heap = HeapScheduler::new();
@@ -1017,9 +771,8 @@ mod tests {
                 if pending == 0 || rand(3) > 0 {
                     let burst = 1 + rand(4);
                     for _ in 0..burst {
-                        // Mostly in-horizon delays, occasionally beyond the
-                        // horizon (coarse tier), rarely beyond the coarse
-                        // span of 63 · 101 = 6363 (far tier).
+                        // Mostly in-horizon delays, occasionally a few
+                        // horizons out, rarely 64+ horizons out.
                         let delay = match rand(20) {
                             0 => 6400 + rand(8000),
                             1 | 2 => 100 + rand(400),

@@ -144,6 +144,15 @@ pub enum SessionError {
         /// Description of the offending field.
         what: &'static str,
     },
+    /// An explicit [`Session::pulse_bound`] exceeds `limits.max_rounds`: the
+    /// limit already rules out a synchronous run that long, and per-pulse state
+    /// is sized by the bound.
+    PulseBoundTooLarge {
+        /// The requested pulse bound.
+        bound: u64,
+        /// The session's `max_rounds` limit.
+        max_rounds: u64,
+    },
     /// The underlying simulation failed.
     Sim(SimError),
     /// The protocol (or its factory) panicked inside a
@@ -163,6 +172,9 @@ impl fmt::Display for SessionError {
             }
             SessionError::InvalidLimits { what } => {
                 write!(f, "invalid simulation limits: {what} must be positive")
+            }
+            SessionError::PulseBoundTooLarge { bound, max_rounds } => {
+                write!(f, "pulse bound {bound} exceeds the max_rounds limit {max_rounds}")
             }
             SessionError::Sim(e) => write!(f, "simulation error: {e}"),
             SessionError::ProtocolPanicked { message } => {
@@ -352,7 +364,8 @@ impl<'g> Session<'g> {
 
     /// Fixes the pulse bound `T(A)` explicitly instead of resolving it from a
     /// synchronous ground-truth run. Useful when the bound is already known (e.g. a
-    /// diameter bound for BFS) or when the ground-truth run is too expensive.
+    /// diameter bound for BFS) or when the ground-truth run is too expensive. A
+    /// bound above `limits.max_rounds` is rejected when the session runs.
     #[must_use]
     pub fn pulse_bound(mut self, bound: u64) -> Self {
         self.pulse_bound = Some(bound);
@@ -365,6 +378,10 @@ impl<'g> Session<'g> {
         }
         if self.limits.max_rounds == 0 {
             return Err(SessionError::InvalidLimits { what: "max_rounds" });
+        }
+        let max_rounds = self.limits.max_rounds;
+        if let Some(bound) = self.pulse_bound.filter(|&bound| bound > max_rounds) {
+            return Err(SessionError::PulseBoundTooLarge { bound, max_rounds });
         }
         self.kind.as_ref().ok_or(SessionError::MissingSynchronizer)
     }
@@ -407,7 +424,7 @@ impl<'g> Session<'g> {
     /// # Errors
     ///
     /// Returns a [`SessionError`] if no synchronizer was configured, the limits are
-    /// unusable, or the simulation fails.
+    /// unusable, an explicit pulse bound exceeds `limits.max_rounds`, or the simulation fails.
     pub fn run<A, F>(&self, mut make: F) -> Result<SynchronizedRun<A::Output>, SessionError>
     where
         A: EventDriven,
@@ -425,7 +442,7 @@ impl<'g> Session<'g> {
     /// # Errors
     ///
     /// Returns a [`SessionError`] if no synchronizer was configured, the limits are
-    /// unusable, or either simulation fails.
+    /// unusable, an explicit pulse bound exceeds `limits.max_rounds`, or either simulation fails.
     pub fn compare<A, F>(&self, mut make: F) -> Result<ComparisonReport<A::Output>, SessionError>
     where
         A: EventDriven,
@@ -521,10 +538,35 @@ mod tests {
     }
 
     #[test]
+    fn pulse_bounds_past_max_rounds_are_rejected() {
+        let graph = Graph::path(4);
+        let limits = SimLimits { max_rounds: 12, ..SimLimits::default() };
+        for kind in [SyncKind::Alpha, SyncKind::Beta { root: NodeId(0) }, SyncKind::DetAuto] {
+            let with_bound = |bound| {
+                Session::on(&graph).synchronizer(kind.clone()).limits(limits).pulse_bound(bound)
+            };
+            let run = with_bound(12).run(|v| Flood::new(&graph, v));
+            assert!(run.is_ok(), "{}: a bound equal to the limit is accepted", kind.label());
+            for bound in [13, u64::MAX] {
+                let expected = SessionError::PulseBoundTooLarge { bound, max_rounds: 12 };
+                let err = with_bound(bound).run(|v| Flood::new(&graph, v)).unwrap_err();
+                assert_eq!(err, expected, "{}", kind.label());
+                let err = with_bound(bound).compare(|v| Flood::new(&graph, v)).unwrap_err();
+                assert_eq!(err, expected, "{}", kind.label());
+            }
+        }
+    }
+
+    #[test]
     fn session_errors_format_helpfully() {
         assert!(format!("{}", SessionError::MissingSynchronizer).contains("synchronizer"));
         assert!(format!("{}", SessionError::InvalidLimits { what: "max_events" })
             .contains("max_events"));
+        let too_large = SessionError::PulseBoundTooLarge { bound: 1 << 40, max_rounds: 1_000_000 };
+        assert_eq!(
+            too_large.to_string(),
+            "pulse bound 1099511627776 exceeds the max_rounds limit 1000000"
+        );
     }
 
     #[test]

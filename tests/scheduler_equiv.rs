@@ -24,8 +24,8 @@
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
 use det_synchronizer::netsim::{
-    run_async_faulted, run_async_sharded_faulted_with, MessageClass, ShardedOptions, SimLimits,
-    ThreadMode,
+    run_async_faulted, run_async_sharded_faulted_with, AsyncReport, MessageClass, ShardedOptions,
+    SimLimits, ThreadMode,
 };
 use det_synchronizer::prelude::*;
 use std::cell::RefCell;
@@ -218,36 +218,44 @@ impl Protocol for SendRecorder<'_> {
     }
 }
 
+impl<'g> SendRecorder<'g> {
+    fn new(graph: &'g Graph, v: NodeId) -> Self {
+        SendRecorder { me: v, neighbors: graph.neighbors(v), arrivals: Vec::new(), waves_left: 3 }
+    }
+}
+
+/// Per-node arrival streams, metrics, beyond-horizon event count.
+type SendView = (Vec<Vec<(NodeId, u64)>>, RunMetrics, u64);
+
+fn send_view(report: AsyncReport<SendRecorder<'_>>) -> SendView {
+    let arrivals = report.nodes.into_iter().map(|n| n.arrivals).collect();
+    (arrivals, report.metrics, report.overflow_events)
+}
+
+fn run_send_sharded(graph: &Graph, delay: &DelayModel, options: ShardedOptions) -> SendView {
+    let limits = SimLimits::default();
+    let init = |v| SendRecorder::new(graph, v);
+    send_view(
+        run_async_sharded_faulted_with(graph, delay.clone(), None, init, limits, options)
+            .expect("sharded recorder run"),
+    )
+}
+
 #[test]
 fn batching_on_and_off_produce_bit_identical_schedules() {
     // The dynamic batching gate only widens barriers over causally independent
     // ticks, so flipping it must not move a single event: per-node arrival
     // streams and RunMetrics are pinned against the serial wheel reference for
     // both settings, across shard counts and adversaries (including the outage
-    // model, whose multi-τ delays exercise the hierarchical wheel's coarse
-    // tier inside the window-cap computation).
+    // model, whose multi-τ delays put the wheel's overflow heap inside the
+    // window-cap computation).
     let graph = Graph::random_connected(26, 0.14, 11);
     let mut adversaries = vec![DelayModel::jitter(7), DelayModel::uniform()];
     adversaries.push(DelayModel::outage(7, 5, 2));
     let run_sharded = |delay: &DelayModel, shards: usize, batching: bool| {
-        let report = run_async_sharded_faulted_with(
-            &graph,
-            delay.clone(),
-            None,
-            |v| SendRecorder {
-                me: v,
-                neighbors: graph.neighbors(v),
-                arrivals: Vec::new(),
-                waves_left: 3,
-            },
-            SimLimits::default(),
-            ShardedOptions { batching, threads: ThreadMode::Off, ..ShardedOptions::new(shards) },
-        )
-        .expect("sharded recorder run");
-        let metrics = report.metrics;
-        let arrivals: Vec<Vec<(NodeId, u64)>> =
-            report.nodes.into_iter().map(|n| n.arrivals).collect();
-        (arrivals, metrics)
+        let options =
+            ShardedOptions { batching, threads: ThreadMode::Off, ..ShardedOptions::new(shards) };
+        run_send_sharded(&graph, delay, options)
     };
     for delay in &adversaries {
         let wheel = run_recorder(&graph, delay.clone(), SchedulerKind::TimingWheel);
@@ -263,6 +271,38 @@ fn batching_on_and_off_produce_bit_identical_schedules() {
                 wheel.2, on.1,
                 "metrics diverged from the wheel (shards={shards}, {delay:?})"
             );
+        }
+    }
+}
+
+#[test]
+fn delays_far_past_the_horizon_agree_on_every_engine() {
+    // `outage(7, 100, 70)` delays a message by up to 71 τ, so overflow entries
+    // sit dozens of horizons ahead of the clock while in-horizon traffic flows
+    // around them: the wheel, the heap reference and the sharded engine
+    // (batched or not, threaded or not) must still agree on every arrival
+    // stream and metric, and wheel and sharded on the overflow count.
+    let graph = Graph::random_connected(26, 0.14, 11);
+    let delay = DelayModel::outage(7, 100, 70);
+    let run = |scheduler: SchedulerKind| {
+        let limits = SimLimits::default();
+        let init = |v| SendRecorder::new(&graph, v);
+        send_view(
+            run_async_faulted(&graph, delay.clone(), None, init, limits, scheduler)
+                .expect("recorder run"),
+        )
+    };
+    let wheel = run(SchedulerKind::TimingWheel);
+    assert!(wheel.2 > 0, "the adversary must reach the overflow heap");
+    let heap = run(SchedulerKind::BinaryHeap);
+    assert_eq!((&wheel.0, &wheel.1), (&heap.0, &heap.1), "heap diverged from the wheel");
+    for shards in [1usize, 3] {
+        for batching in [true, false] {
+            for threads in [ThreadMode::Off, ThreadMode::ForceOn] {
+                let options = ShardedOptions { batching, threads, ..ShardedOptions::new(shards) };
+                let got = run_send_sharded(&graph, &delay, options);
+                assert_eq!(wheel, got, "sharded diverged from the wheel ({options:?})");
+            }
         }
     }
 }

@@ -213,29 +213,54 @@ impl EventDriven for CursedBfs<'_> {
     }
 }
 
+/// Runs a 3-request batch whose middle request must fail with `expected`,
+/// inline and on two workers, twice per pool (the second batch runs on the
+/// bank and cache the failure left behind): the outer slots stay bit-identical
+/// to a standalone run of request 0.
+fn assert_only_the_middle_slot_fails<A, F>(
+    requests: &[ServiceRequest<'_>],
+    make: F,
+    expected: &SessionError,
+) where
+    A: EventDriven<Output = BfsOutput>,
+    F: FnMut(usize, NodeId) -> A + Clone + Send,
+{
+    let standalone = run_standalone(&requests[0]);
+    for workers in [0, 2] {
+        let pool = SessionPool::new(workers);
+        for batch in 0..2 {
+            let results = pool.run_batch::<A, _>(requests, make.clone());
+            let what = format!("workers={workers}, batch {batch}");
+            assert_bit_identical(results[0].as_ref().expect("req 0"), &standalone, &what);
+            assert_eq!(results[1].as_ref().err(), Some(expected), "{what}");
+            assert_bit_identical(results[2].as_ref().expect("req 2"), &standalone, &what);
+        }
+    }
+}
+
 #[test]
 fn a_panicking_protocol_fails_its_own_slot_not_the_batch() {
     // With an explicit bound the panic hits inside the engine, slab checked out.
     let grid = Graph::grid(4, 4);
     let requests = vec![ServiceRequest::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8); 3];
-    let standalone = run_standalone(&requests[0]);
     let make = |i: usize, v: NodeId| CursedBfs {
         bfs: BfsAlgorithm::new(&grid, v, &[NodeId(0)]),
         cursed: i == 1,
     };
-    for workers in [0, 2] {
-        let pool = SessionPool::new(workers);
-        // The second batch runs on the bank and cache the panic left behind.
-        for batch in 0..2 {
-            let results = pool.run_batch::<CursedBfs, _>(&requests, make);
-            let what = format!("workers={workers}, batch {batch}");
-            assert_bit_identical(results[0].as_ref().expect("req 0"), &standalone, &what);
-            assert_eq!(
-                results[1].as_ref().err(),
-                Some(&SessionError::ProtocolPanicked { message: "cursed on_init".into() }),
-                "{what}"
-            );
-            assert_bit_identical(results[2].as_ref().expect("req 2"), &standalone, &what);
-        }
-    }
+    let expected = SessionError::ProtocolPanicked { message: "cursed on_init".into() };
+    assert_only_the_middle_slot_fails(&requests, make, &expected);
+}
+
+#[test]
+fn an_absurd_pulse_bound_fails_its_own_slot_not_the_process() {
+    // Per-pulse state is sized by the bound, so before the `max_rounds` rule
+    // this request aborted the whole process on a 26 TB allocation — beyond
+    // what `catch_unwind` can turn into an error.
+    let grid = Graph::grid(4, 4);
+    let ok = ServiceRequest::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8);
+    let requests = vec![ok.clone(), ok.clone().pulse_bound(1 << 40), ok];
+    let make = |_: usize, v: NodeId| BfsAlgorithm::new(&grid, v, &[NodeId(0)]);
+    let max_rounds = SimLimits::default().max_rounds;
+    let expected = SessionError::PulseBoundTooLarge { bound: 1 << 40, max_rounds };
+    assert_only_the_middle_slot_fails(&requests, make, &expected);
 }
