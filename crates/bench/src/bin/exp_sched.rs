@@ -10,16 +10,13 @@
 //! benchmark. No external deps: the timing loop is hand-rolled and rows go
 //! through the shared `ds-bench` table renderer.
 //!
-//! Two sections back the sharded engine's parallel machinery specifically:
+//! Two more sections follow:
 //!
 //! * `pool/*` — the per-barrier cost of handing K shard tasks to worker
 //!   threads and waiting for them back, comparing the persistent
 //!   [`WorkerPool`] rendezvous against spawning a fresh `thread::scope` per
 //!   barrier (the engine's previous strategy, kept here as the baseline the
 //!   pool must beat).
-//! * `probe/*` — the batched-window probe (`TimingWheel::window_cap` +
-//!   `occupied_ticks_within`), which the engine runs once per barrier when
-//!   batching is on; it must stay cheap enough to be free relative to a drain.
 //! * `arena/*` — the baseline the event arena is judged against: the
 //!   per-event owned-enum walk (payloads inline in the wheel slots, drained one
 //!   event at a time in seq order).
@@ -244,63 +241,6 @@ fn pool_rows(barriers: u64) -> Vec<Row> {
     rows
 }
 
-/// Sparse wheel occupancy (events 200 ticks apart, delays well past one
-/// tick), probed the way the engine's batching gate does: cap the window,
-/// walk the occupancy bitsets, drain to the window end, refill what drained.
-fn drive_window_probe(probes: u64) -> u64 {
-    let mut wheel = TimingWheel::new(1000);
-    let mut seq = 0u64;
-    // Five events in flight, 200 ticks apart: sparse occupancy with real
-    // multi-tick windows, held in steady state by the drain-matched refill.
-    for i in 1..=5u64 {
-        wheel.schedule(200 * i, seq, 0u32);
-        seq += 1;
-    }
-    let mut window: Vec<u64> = Vec::new();
-    let mut due: Vec<(u64, u32)> = Vec::new();
-    let mut occupied = 0u64;
-    for _ in 0..probes {
-        let t0 = wheel.next_tick().expect("refilled every probe");
-        window.clear();
-        window.push(t0);
-        let end = wheel.window_cap(t0 + 499);
-        if end > t0 {
-            wheel.occupied_ticks_within(end, &mut window);
-            window.sort_unstable();
-            window.dedup();
-        }
-        occupied += window.len() as u64;
-        let t_last = *window.last().expect("window holds t0");
-        let mut drained = 0u64;
-        for &t in &window {
-            if wheel.next_tick() == Some(t) {
-                wheel.take_due(&mut due);
-                drained += due.len() as u64;
-                due.clear();
-            }
-        }
-        wheel.advance_to(t_last);
-        for i in 1..=drained {
-            wheel.schedule(t_last + 200 * i, seq, 0u32);
-            seq += 1;
-        }
-    }
-    occupied
-}
-
-fn probe_rows(probes: u64) -> Vec<Row> {
-    let mut occupied = 0u64;
-    let probe_ns = median_ns_per_op(probes, || occupied = drive_window_probe(probes));
-    vec![Row {
-        label: "probe/window-cap+bitset".to_string(),
-        values: vec![
-            ("probes", probes as f64),
-            ("ns/probe", probe_ns),
-            ("ticks/win", occupied as f64 / probes as f64),
-        ],
-    }]
-}
-
 /// Destination nodes the drain benchmark spreads its events over.
 const ARENA_DSTS: u64 = 512;
 
@@ -376,11 +316,8 @@ fn arena_rows(events: u64) -> Vec<Row> {
 
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let (events, ops, barriers, probes) = if smoke {
-        (200_000, 400_000, 2_000, 100_000)
-    } else {
-        (2_000_000, 4_000_000, 20_000, 1_000_000)
-    };
+    let (events, ops, barriers) =
+        if smoke { (200_000, 400_000, 2_000) } else { (2_000_000, 4_000_000, 20_000) };
     let mut rows = scheduler_rows(events);
     rows.extend(stage_queue_rows(ops));
     print_table("scheduler microbenchmarks (schedule/take_due, link push/pop)", &rows);
@@ -388,6 +325,5 @@ fn main() {
         "pool dispatch (per-barrier rendezvous vs fresh scope spawn)",
         &pool_rows(barriers),
     );
-    print_table("batched-window probe (window_cap + occupancy bitsets)", &probe_rows(probes));
     print_table("event arena baseline (owned per-event walk)", &arena_rows(events));
 }

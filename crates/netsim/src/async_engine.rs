@@ -116,16 +116,12 @@ pub struct AsyncReport<P> {
     /// (capacity, summed over shards). An engine internal.
     pub arena_bytes: u64,
     /// Size of the largest one-tick due batch the engine processed. An engine
-    /// internal (the sharded engine reports the largest per-shard batch).
+    /// internal (the sharded engine reports the largest per-shard batch of
+    /// one tick).
     pub max_batch: u64,
-    /// Extra ticks the sharded engine processed inside batched windows (window
-    /// length minus one, summed over all barriers; 0 for the serial engines,
-    /// when batching is off, or when every occupied tick already sits on the
-    /// delay grid — e.g. the uniform model, whose events all land `τ` apart, so
-    /// each window holds a single tick). Like
-    /// [`overflow_events`](AsyncReport::overflow_events), this describes the
-    /// engine's internals, not the simulated execution, so it lives outside
-    /// [`RunMetrics`].
+    /// Always 0. The sharded engine's batched windows of several ticks per
+    /// barrier were removed (DESIGN.md §6.3); the field stays because
+    /// external readers (`benchmark/`) name it.
     pub batched_ticks: u64,
     /// Barriers whose phase 1 the sharded engine shipped to its worker pool
     /// (0 for the serial engines and for runs without worker threads). Also an
@@ -136,7 +132,7 @@ pub struct AsyncReport<P> {
     /// messages drained when injecting onto a dead link. Always 0 without a
     /// [`FaultPlan`]. Unlike the scheduler internals above this *does*
     /// describe the simulated execution, and is identical across engines,
-    /// shard counts and batching modes.
+    /// shard counts and worker counts.
     pub dropped_events: u64,
     /// Fault-plan transitions applied during the run (one per link/node flip
     /// whose tick was reached; identical across engines). Always 0 without a
@@ -239,7 +235,7 @@ impl<P: Protocol, S: EventScheduler<EvRef>> Storage for Serial<P, S> {
     }
 
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn schedule(&mut self, _now: u64, at: u64, seq: u64, ev: Event) {
+    fn schedule(&mut self, at: u64, seq: u64, ev: Event) {
         let ev = match ev {
             Event::Deliver { link, handle, .. } => EvRef::deliver(link.0, handle),
             Event::Ack { link } => EvRef::ack(link.0),
@@ -343,7 +339,7 @@ where
                 .map(|(report, trace, _heap)| (report, trace))
         }
         SchedulerKind::Sharded { shards, workers: _ } => {
-            crate::sharded::run_core(graph, delay, faults, make, limits, shards, true, None, traced)
+            crate::sharded::run_core(graph, delay, faults, make, limits, shards, None, traced)
         }
     }
 }

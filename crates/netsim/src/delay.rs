@@ -167,33 +167,6 @@ impl DelayModel {
         TICKS_PER_UNIT
     }
 
-    /// A lower bound on every delay this model can ever draw, in ticks (at
-    /// least 1: zero-delay messages do not exist). The sharded engine's
-    /// batched windows use this bound to size a window's *static* part: any
-    /// stretch of consecutive ticks shorter than `min_delay_ticks()` is
-    /// causality-free, because an event processed inside it cannot schedule
-    /// another event that still lands inside it, so those ticks can share one
-    /// parallel phase 1. Ticks past the bound still batch — the engine feeds
-    /// them through its in-window heap instead (DESIGN.md §6.3) — so the
-    /// floor no longer gates batching on or off, it only splits the window.
-    ///
-    /// The bound is a *per-draw guarantee*, which is why the composite models
-    /// pin it at 1: [`DelayModel::SlowCut`]'s fast links and
-    /// [`DelayModel::Bursty`]'s off-period messages take exactly 1 tick, and
-    /// [`DelayModel::Outage`]'s per-message base jitter is drawn from
-    /// `[1, τ]`, so each of them *can* produce a 1-tick delay even when a
-    /// particular run never does. A model whose realized delays all exceed
-    /// the floor (`bursty(1)` delivers every message at exactly `τ`) still
-    /// advertises 1 here — whether its schedule batches is then decided
-    /// per window by the wheels' actual occupancy, not by this bound.
-    pub fn min_delay_ticks(&self) -> u64 {
-        match *self {
-            DelayModel::Uniform => TICKS_PER_UNIT,
-            DelayModel::Jitter { min_ticks, .. } => min_ticks.max(1),
-            DelayModel::SlowCut { .. } | DelayModel::Bursty { .. } | DelayModel::Outage { .. } => 1,
-        }
-    }
-
     /// The standard set of adversaries exercised by the integration tests and the
     /// robustness experiment (E8 in DESIGN.md).
     pub fn standard_suite(seed: u64) -> Vec<DelayModel> {
@@ -278,46 +251,10 @@ mod tests {
     }
 
     #[test]
-    fn min_delay_bounds_every_drawn_delay() {
-        let mut models = DelayModel::standard_suite(11);
-        models.push(DelayModel::outage(11, 5, 2));
-        for d in models {
-            let min = d.min_delay_ticks();
-            assert!(min >= 1, "{d:?}: zero minimum delay");
-            assert!(min <= d.max_delay_ticks(), "{d:?}");
-            for seq in 0..200 {
-                for now in [0u64, 137, 4 * TICKS_PER_UNIT + 3] {
-                    let x = d.delay_ticks_at(NodeId(2), NodeId(5), seq, now);
-                    assert!(x >= min, "{d:?}: drew {x} below the advertised minimum {min}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn min_delay_is_the_static_window_bound_the_sharded_engine_expects() {
-        // Pinned per model: uniform and floored jitter guarantee wide static
-        // window parts; the 1-tick-capable adversaries (including composite
-        // outage, whose base jitter is drawn from [1, τ]) pin the floor at 1
-        // and rely on the dynamic occupancy probe for their batching.
-        assert_eq!(DelayModel::uniform().min_delay_ticks(), TICKS_PER_UNIT);
-        assert_eq!(DelayModel::jitter(9).min_delay_ticks(), 1);
-        assert_eq!(DelayModel::jitter_at_least(9, 0.5).min_delay_ticks(), TICKS_PER_UNIT / 2);
-        assert_eq!(DelayModel::slow_cut(3).min_delay_ticks(), 1);
-        assert_eq!(DelayModel::bursty(3).min_delay_ticks(), 1);
-        assert_eq!(DelayModel::outage(1, 5, 2).min_delay_ticks(), 1);
-    }
-
-    #[test]
     fn bursty_one_realizes_only_delays_above_its_floor() {
-        // `bursty(1)` marks every message slow: each draw is exactly τ while
-        // the advertised floor stays at the conservative 1. The floor is a
-        // per-draw guarantee, not a realized minimum — the engine-level
-        // consequence (such a model batches only what the dynamic occupancy
-        // gate finds, here nothing, since every event sits on the τ grid) is
-        // pinned by `sharded::tests::batching_counters_respect_the_soundness_gate`.
+        // `bursty(1)` marks every message slow: each draw is exactly τ, so
+        // its schedule sits on the τ grid like the uniform model's.
         let d = DelayModel::bursty(1);
-        assert_eq!(d.min_delay_ticks(), 1);
         for seq in 0..200 {
             assert_eq!(d.delay_ticks(NodeId(3), NodeId(4), seq), TICKS_PER_UNIT);
         }

@@ -136,8 +136,8 @@ pub(crate) trait Storage {
     fn home(&mut self, v: NodeId) -> Home<'_, Self::Node>;
 
     /// Files `ev` (a `Deliver` or an `Ack`) to fire at tick `at` with global
-    /// sequence number `seq`; `now` is the tick it is scheduled from.
-    fn schedule(&mut self, now: u64, at: u64, seq: u64, ev: Event);
+    /// sequence number `seq`, scheduled from the tick the core is processing.
+    fn schedule(&mut self, at: u64, seq: u64, ev: Event);
 }
 
 /// Engine-global state of one asynchronous run plus the rules that mutate it.
@@ -158,8 +158,8 @@ pub(crate) struct Core<'g, P: Protocol> {
     /// bit-identical with tracing on or off.
     trace: Option<TraceState>,
     /// The compiled fault adversary. `None` (the default) makes every check a
-    /// dead branch. Engines read it to plan around its transitions (the
-    /// sharded window cap and drain-time defusing).
+    /// dead branch. The sharded engine reads it to defuse blocked deliveries
+    /// at drain time.
     pub(crate) faults: Option<FaultState>,
     /// Messages dropped by the fault adversary ([`AsyncReport::dropped_events`]).
     dropped: u64,
@@ -250,7 +250,7 @@ impl<'g, P: Protocol> Core<'g, P> {
         if let Some(tr) = self.trace.as_mut() {
             tr.on_scheduled(seq);
         }
-        st.schedule(self.now, at, seq, ev);
+        st.schedule(at, seq, ev);
     }
 
     /// Queues one message `from` sent on its link, drawing its message seq.
@@ -449,8 +449,8 @@ impl<'g, P: Protocol> Core<'g, P> {
 
     /// Closes the run. The report's scheduler and arena internals
     /// (`overflow_events`, `peak_live_handles`, `arena_bytes`,
-    /// `batched_ticks`, `pool_dispatches`) are zero: they describe the
-    /// engine's layout, so the engine fills them in.
+    /// `pool_dispatches`) are zero: they describe the engine's layout, so the
+    /// engine fills them in. `batched_ticks` stays 0 for every engine.
     pub(crate) fn finish(mut self, nodes: Vec<P>) -> (AsyncReport<P>, Option<DeliveryTrace>) {
         self.metrics.time_to_output = self.time_all_done.map(|t| t as f64 / TICKS_PER_UNIT as f64);
         self.metrics.time_to_quiescence = self.now as f64 / TICKS_PER_UNIT as f64;

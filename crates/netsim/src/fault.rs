@@ -19,11 +19,10 @@
 //!   activated, so it emits nothing until (and unless) it recovers.
 //!
 //! Determinism is load-bearing: fault transitions are applied at fixed ticks,
-//! the drop paths draw **no** sequence numbers from the global stream, and the
-//! batching window probe treats the next fault transition as a hard window
-//! boundary (`ds-netsim::sharded` §Batched windows). Schedules under any
-//! `FaultPlan` are therefore bit-identical across engines, shard counts,
-//! worker counts and batching modes — pinned by `tests/fault_injection.rs`.
+//! before any event of that tick fires, and the drop paths draw **no**
+//! sequence numbers from the global stream. Schedules under any `FaultPlan`
+//! are therefore bit-identical across engines, shard counts and worker
+//! counts — pinned by `tests/fault_injection.rs`.
 
 use ds_graph::{DirectedEdgeId, Graph, NodeId};
 
@@ -255,13 +254,6 @@ impl FaultState {
         }
     }
 
-    /// The tick of the first unapplied op strictly after `now`, if any. The
-    /// batched window probe treats this as a hard window boundary so the
-    /// fault flags are constant across every tick of a window.
-    pub fn next_transition_after(&self, now: u64) -> Option<u64> {
-        self.ops[self.cursor..].iter().map(|&(tick, _)| tick).find(|&tick| tick > now)
-    }
-
     /// Whether a delivery on `link` (`from → to`) is blocked under the current
     /// flags: the link is down, the sender crashed, or the receiver crashed.
     pub fn blocks(&self, link: DirectedEdgeId, from: NodeId, to: NodeId) -> bool {
@@ -308,20 +300,17 @@ mod tests {
         state.advance_to(4);
         assert_eq!(state.transitions(), 0);
         assert!(!state.blocks(fwd, NodeId(1), NodeId(2)));
-        assert_eq!(state.next_transition_after(4), Some(5));
 
         state.advance_to(10);
         assert_eq!(state.transitions(), 2);
         assert!(state.is_crashed(NodeId(3)));
         assert!(state.blocks(fwd, NodeId(1), NodeId(2)));
         assert!(state.blocks(fwd.reversed(), NodeId(2), NodeId(1)));
-        assert_eq!(state.next_transition_after(10), Some(15));
 
         state.advance_to(30);
         assert_eq!(state.transitions(), 4);
         assert!(!state.is_crashed(NodeId(3)));
         assert!(!state.blocks(fwd, NodeId(1), NodeId(2)));
-        assert_eq!(state.next_transition_after(30), None);
     }
 
     #[test]

@@ -34,8 +34,7 @@
 //!   binary-heap reference it is tested against ([`SchedulerKind`] selects),
 //! * [`sharded`] runs the asynchronous engine over node shards — shard-local
 //!   delivery in parallel worker threads, a serial cross-shard merge in global
-//!   sequence order at each tick barrier, causality-free tick windows batched
-//!   into one wide parallel phase — with schedules bit-identical to the
+//!   sequence order at each tick barrier — with schedules bit-identical to the
 //!   single-threaded wheel,
 //! * [`pool`] holds the persistent worker pool the sharded engine round-robins
 //!   its shards over (the only module in the workspace allowed to create

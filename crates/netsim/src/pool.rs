@@ -7,7 +7,7 @@
 //! over channels, so K shards can round-robin over W ≤ K workers and the two
 //! knobs decouple (`ShardedOptions::shards` vs `ShardedOptions::workers`).
 //!
-//! The rendezvous protocol per tick (or batched window) is a strict barrier:
+//! The rendezvous protocol per tick is a strict barrier:
 //!
 //! 1. the coordinator moves each participating shard's [`ShardWork`] into the
 //!    pool with [`WorkerPool::dispatch`] — task `slot` goes to worker

@@ -43,10 +43,10 @@ pub enum SchedulerKind {
     BinaryHeap,
     /// Sharded engine: the node set is partitioned into `shards` contiguous
     /// dense-id ranges, each with its own timing wheel and link queues; each
-    /// tick (or batched window of causality-free ticks) runs shard-local
-    /// protocol activations — in parallel over a persistent worker pool when
-    /// worker threads are available — followed by a serial cross-shard merge
-    /// in global `(tick, seq)` order, so the schedule is bit-identical to
+    /// occupied tick runs shard-local protocol activations — in parallel over
+    /// a persistent worker pool when worker threads are available — followed
+    /// by a serial cross-shard merge in global `seq` order, so the schedule
+    /// is bit-identical to
     /// [`SchedulerKind::TimingWheel`] (see [`crate::sharded`] and
     /// [`crate::pool`]).
     Sharded {
@@ -103,9 +103,8 @@ pub trait EventScheduler<T> {
 // ---------------------------------------------------------------------------
 
 /// A timestamped event ordered earliest `(at, seq)` first (`Ord` reversed for
-/// [`BinaryHeap`]'s max-heap); shared by the wheel's overflow heap, the
-/// reference [`HeapScheduler`] and the sharded engine's in-window heap, so
-/// their orderings can never drift apart.
+/// [`BinaryHeap`]'s max-heap); shared by the wheel's overflow heap and the
+/// reference [`HeapScheduler`], so their orderings can never drift apart.
 #[derive(Debug)]
 pub(crate) struct MinEntry<T> {
     pub(crate) at: u64,
@@ -153,7 +152,7 @@ pub struct TimingWheel<T> {
     pending: usize,
     /// Maximum in-wheel scheduling distance, in ticks.
     horizon: u64,
-    /// Events scheduled more than `horizon` ticks past their logical origin.
+    /// Events scheduled more than `horizon` ticks past the wheel clock.
     overflow: BinaryHeap<MinEntry<T>>,
     /// Total events ever parked in the overflow heap (exposed through
     /// [`EventScheduler::overflow_scheduled`]).
@@ -243,53 +242,6 @@ impl<T> TimingWheel<T> {
         self.overflow_scheduled = 0;
     }
 
-    /// The largest window end tick (inclusive) up to which this wheel's
-    /// occupancy bitset alone describes every pending event, capped by `end`.
-    /// Two caps apply: ticks beyond `now + horizon` cannot hold wheel entries
-    /// (so the bitset says nothing about them), and the earliest overflow
-    /// entry — invisible to the bitset — must stay strictly outside the
-    /// window. The sharded engine's batch-window probe intersects this across
-    /// all shard wheels before enumerating occupied ticks.
-    pub fn window_cap(&self, end: u64) -> u64 {
-        let mut cap = end.min(self.now + self.horizon);
-        if let Some(e) = self.overflow.peek() {
-            cap = cap.min(e.at.saturating_sub(1));
-        }
-        cap
-    }
-
-    /// Appends to `out` the absolute ticks in `(now, end]` whose wheel slot is
-    /// non-empty, in ascending order. Callers must first cap `end` with
-    /// [`TimingWheel::window_cap`] so the bitset walk is exhaustive (no
-    /// beyond-horizon slots, no overflow entries hiding inside the window).
-    pub fn occupied_ticks_within(&self, end: u64, out: &mut Vec<u64>) {
-        if self.pending == 0 || end <= self.now {
-            return;
-        }
-        debug_assert!(end - self.now <= self.horizon, "cap end with window_cap first");
-        let len = self.slots.len();
-        let cur = (self.now % len as u64) as usize;
-        // Pending events live in (now, now + horizon], i.e. every slot except
-        // `cur` maps to exactly one absolute tick in that range: slots after
-        // `cur` belong to this wheel revolution, slots before it to the next.
-        let segments =
-            [(cur + 1, len, self.now - cur as u64), (0, cur, self.now + len as u64 - cur as u64)];
-        for (from, stop, base) in segments {
-            let mut i = from;
-            while let Some(idx) = bitset::find_set_from(&self.occupied, i) {
-                if idx >= stop {
-                    break;
-                }
-                let t = base + idx as u64;
-                if t > end {
-                    return;
-                }
-                out.push(t);
-                i = idx + 1;
-            }
-        }
-    }
-
     /// Absolute tick of the earliest non-empty slot. Requires `pending > 0`.
     fn next_occupied_time(&self) -> u64 {
         debug_assert!(self.pending > 0);
@@ -302,20 +254,13 @@ impl<T> TimingWheel<T> {
         let d = if idx > cur { idx - cur } else { idx + len - cur };
         self.now + d as u64
     }
+}
 
-    /// [`EventScheduler::schedule`] with the slot-or-overflow decision taken
-    /// against an explicit logical origin `from ≤ self.now` instead of the
-    /// wheel clock. The sharded engine advances its wheels to a batched
-    /// window's last tick *before* the merge replays the window's events, so
-    /// a merge-time schedule must classify overflow exactly as the serial
-    /// wheel did at the event's own tick, or `overflow_scheduled` (and the
-    /// window cap) would depend on the batching mode. Parking a would-fit
-    /// entry in the overflow heap is harmless (see `take_due`).
+impl<T> EventScheduler<T> for TimingWheel<T> {
     // ds-lint: hot-path
-    pub(crate) fn schedule_from(&mut self, from: u64, at: u64, seq: u64, payload: T) {
+    fn schedule(&mut self, at: u64, seq: u64, payload: T) {
         debug_assert!(at > self.now, "events must be scheduled in the strict future");
-        debug_assert!(from <= self.now, "the logical origin cannot trail the wheel clock");
-        if at - from <= self.horizon {
+        if at - self.now <= self.horizon {
             let idx = (at % self.slots.len() as u64) as usize;
             if self.slots[idx].is_empty() {
                 if self.slots[idx].capacity() == 0 {
@@ -336,21 +281,14 @@ impl<T> TimingWheel<T> {
             self.overflow.push(MinEntry { at, seq, payload });
         }
     }
-}
-
-impl<T> EventScheduler<T> for TimingWheel<T> {
-    fn schedule(&mut self, at: u64, seq: u64, payload: T) {
-        self.schedule_from(self.now, at, seq, payload);
-    }
 
     // ds-lint: hot-path
     fn take_due(&mut self, due: &mut Vec<(u64, T)>) -> Option<u64> {
         let t = self.next_tick()?;
-        // An overflow entry of tick `t` was scheduled from a logical origin
-        // more than a horizon before that of any slot entry of tick `t`, and
-        // seq draws are monotone in logical time, so its seq is smaller: pop
-        // the heap's entries of `t` first, then append the slot, to keep
-        // `due` in ascending seq order.
+        // An overflow entry of tick `t` was scheduled more than a horizon
+        // before any slot entry of tick `t`, and seq draws are monotone in
+        // time, so its seq is smaller: pop the heap's entries of `t` first,
+        // then append the slot, to keep `due` in ascending seq order.
         while self.overflow.peek().is_some_and(|e| e.at == t) {
             let e = self.overflow.pop().expect("peeked");
             due.push((e.seq, e.payload));
@@ -532,156 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn window_probe_enumerates_occupied_ticks_in_order() {
-        let mut w = TimingWheel::new(1000);
-        for (at, seq) in [(3u64, 0u64), (500, 1), (500, 2), (999, 3)] {
-            w.schedule(at, seq, 0u32);
-        }
-        // No cap in play: every pending tick is within the horizon and there
-        // is no overflow, so the probe sees all of them.
-        assert_eq!(w.window_cap(900), 900);
-        let mut out = Vec::new();
-        w.occupied_ticks_within(w.window_cap(900), &mut out);
-        assert_eq!(out, vec![3, 500]);
-        out.clear();
-        w.occupied_ticks_within(w.window_cap(2000), &mut out);
-        assert_eq!(out, vec![3, 500, 999]);
-        // end <= now and an empty wheel both yield nothing.
-        out.clear();
-        let empty: TimingWheel<u32> = TimingWheel::new(10);
-        empty.occupied_ticks_within(5, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn window_probe_handles_slot_wraparound() {
-        // Advance the wheel so `now % slot_count` sits mid-array, then schedule
-        // ticks on both sides of the wrap boundary: enumeration must come back
-        // in ascending absolute-tick order regardless of slot index order.
-        let mut w = TimingWheel::new(10);
-        w.schedule(8, 0, 0u32);
-        let mut due = Vec::new();
-        assert_eq!(w.take_due(&mut due), Some(8)); // now = 8, cur = 8 of 0..=10
-        w.schedule(9, 1, 0); // slot 9 (this revolution)
-        w.schedule(13, 2, 0); // slot 2 (next revolution)
-        w.schedule(17, 3, 0); // slot 6 (next revolution)
-        let mut out = Vec::new();
-        w.occupied_ticks_within(w.window_cap(u64::MAX), &mut out);
-        assert_eq!(out, vec![9, 13, 17]);
-        out.clear();
-        w.occupied_ticks_within(w.window_cap(13), &mut out);
-        assert_eq!(out, vec![9, 13]);
-    }
-
-    #[test]
-    fn window_cap_respects_horizon_and_overflow() {
-        let mut w = TimingWheel::new(1000);
-        assert_eq!(w.window_cap(5000), 1000, "no wheel entry can live past now + horizon");
-        w.schedule(2500, 0, 0u32); // beyond-horizon: parks in overflow
-        assert_eq!(w.window_cap(5000), 1000, "the horizon cap still binds first");
-        let mut due = Vec::new();
-        w.schedule(900, 1, 1);
-        assert_eq!(w.take_due(&mut due), Some(900));
-        due.clear();
-        w.schedule(1700, 2, 2);
-        assert_eq!(w.take_due(&mut due), Some(1700));
-        // The overflow entry at 2500 is now inside the horizon but invisible to
-        // the occupancy bitset: the cap must stop the window strictly before it.
-        assert_eq!(w.window_cap(5000), 2499);
-        assert_eq!(w.window_cap(2000), 2000);
-        let mut out = Vec::new();
-        w.occupied_ticks_within(w.window_cap(5000), &mut out);
-        assert!(out.is_empty(), "the overflow entry must not appear as an occupied tick");
-    }
-
-    #[test]
-    fn window_probe_is_exhaustive_up_to_the_exact_horizon_boundary() {
-        // Slots span exactly (now, now + horizon]; the probe must see an event
-        // sitting on the last representable tick, and the cap must refuse to
-        // reach one tick further. Runs under Miri via the `scheduler::` filter.
-        let mut w = TimingWheel::new(100);
-        let mut due = Vec::new();
-        w.schedule(40, 0, 0u32);
-        assert_eq!(w.take_due(&mut due), Some(40)); // now = 40
-        due.clear();
-        w.schedule(140, 1, 1); // exactly now + horizon: last slot tick
-        w.schedule(141, 2, 2); // one past it: must park in overflow
-        assert_eq!(w.overflow_scheduled(), 1);
-        // The overflow entry at 141 pins the cap to 140 — which here equals
-        // the horizon cap, so the boundary tick itself stays probeable.
-        assert_eq!(w.window_cap(u64::MAX), 140);
-        let mut out = Vec::new();
-        w.occupied_ticks_within(w.window_cap(u64::MAX), &mut out);
-        assert_eq!(out, vec![140], "the boundary slot tick must be enumerated");
-        // Draining both shows the overflow entry was adjacent, not lost.
-        assert_eq!(w.take_due(&mut due), Some(140));
-        due.clear();
-        assert_eq!(w.take_due(&mut due), Some(141));
-        assert_eq!(due, vec![(2, 2)]);
-    }
-
-    #[test]
-    fn overflow_entries_adjacent_to_a_window_clip_its_cap() {
-        // An overflow entry one tick past a probed window's last occupied tick
-        // must not widen or shift the window; one tick *inside* it must clip
-        // the cap below that occupied tick. Runs under Miri.
-        let mut w = TimingWheel::new(1000);
-        let mut due = Vec::new();
-        w.schedule(1, 0, 0u32);
-        assert_eq!(w.take_due(&mut due), Some(1)); // now = 1
-        due.clear();
-        w.schedule(300, 1, 1);
-        w.schedule(500, 2, 2);
-        // Adjacent overflow: an entry at 1002 parks (beyond the horizon from
-        // its origin) one tick past the largest probeable tick, 1001.
-        w.schedule_from(0, 1002, 3, 3);
-        assert_eq!(w.overflow_scheduled(), 1);
-        assert_eq!(w.window_cap(u64::MAX), 1001);
-        let mut out = Vec::new();
-        w.occupied_ticks_within(w.window_cap(u64::MAX), &mut out);
-        assert_eq!(out, vec![300, 500]);
-        // An overflow entry *between* two occupied ticks (parked long before
-        // the wheel advanced into its range) clips the cap below the later
-        // tick: the probe must stop at the earlier one.
-        let mut w2 = TimingWheel::new(1000);
-        w2.schedule(600, 0, 0u32);
-        w2.schedule(1400, 1, 1); // beyond-horizon from time 0: overflow
-        assert_eq!(w2.overflow_scheduled(), 1);
-        assert_eq!(w2.take_due(&mut due), Some(600)); // now = 600
-        due.clear();
-        w2.schedule(800, 2, 2);
-        w2.schedule(1500, 3, 3); // in-horizon slot past the overflow entry
-        assert_eq!(w2.window_cap(u64::MAX), 1399);
-        out.clear();
-        w2.occupied_ticks_within(w2.window_cap(u64::MAX), &mut out);
-        assert_eq!(out, vec![800], "the cap must hide ticks past the overflow entry");
-    }
-
-    #[test]
-    fn schedule_from_classifies_overflow_by_the_logical_origin() {
-        // The sharded merge schedules with wheels already advanced to the
-        // window's last tick; the overflow decision must follow the logical
-        // origin or the count would depend on the batching mode. A would-fit
-        // entry parked in overflow still drains at its tick, before any slot
-        // entry of that tick (its seq is necessarily smaller).
-        let mut w = TimingWheel::new(1000);
-        let mut due = Vec::new();
-        w.schedule(5, 0, 0u32);
-        assert_eq!(w.take_due(&mut due), Some(5));
-        due.clear();
-        w.advance_to(600); // the coordinator moved past a batched window
-                           // Target 1200 fits from the wheel clock (600 + 1000) but not from the
-                           // logical origin 150 the serial engine would have used.
-        w.schedule_from(150, 1200, 1, 7);
-        assert_eq!(w.overflow_scheduled(), 1, "classification follows the origin");
-        w.schedule_from(600, 1200, 2, 8); // fits from its origin: slot entry
-        assert_eq!(w.overflow_scheduled(), 1);
-        assert_eq!(w.next_tick(), Some(1200));
-        assert_eq!(w.take_due(&mut due), Some(1200));
-        assert_eq!(due, vec![(1, 7), (2, 8)], "overflow drains before the slot at its tick");
-    }
-
-    #[test]
     fn overflow_far_beyond_the_horizon_drains_at_its_exact_tick() {
         // 800 is 80 horizons ahead; 400 is the nearer overflow entry.
         let mut w = TimingWheel::new(10);
@@ -698,17 +486,17 @@ mod tests {
 
     #[test]
     fn overflow_parks_and_slot_inserts_merge_at_one_tick_in_seq_order() {
-        // One tick fed by an origin-0 park, a park after a clock advance, a
-        // park classified by an old logical origin and a slot insert drains
-        // as one ascending-seq batch. Runs under Miri (`scheduler::` filter).
+        // One tick fed by an origin-0 park, a park after a clock advance and
+        // two slot inserts drains as one ascending-seq batch. Runs under Miri
+        // (`scheduler::` filter).
         let mut w = TimingWheel::new(10);
         w.schedule(800, 0, 10u32);
         w.advance_to(200);
         w.schedule(800, 1, 11);
         w.advance_to(795);
-        w.schedule_from(300, 800, 2, 12); // overflow by origin, though 5 ≤ horizon
+        w.schedule(800, 2, 12); // slot
         w.schedule(800, 3, 13); // slot
-        assert_eq!((w.overflow_scheduled(), w.len()), (3, 4));
+        assert_eq!((w.overflow_scheduled(), w.len()), (2, 4));
         assert_eq!(drain_all(&mut w), vec![(800, vec![(0, 10), (1, 11), (2, 12), (3, 13)])]);
     }
 

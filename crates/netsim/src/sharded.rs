@@ -1,7 +1,7 @@
 //! Parallel sharded asynchronous engine: shard-local delivery over a
-//! persistent worker pool, serial cross-shard merge at the tick barrier,
-//! causality-free tick windows batched into one wide parallel phase —
-//! schedules **bit-identical** to the single-threaded timing wheel.
+//! persistent worker pool, serial cross-shard merge at one barrier per
+//! occupied tick — schedules **bit-identical** to the single-threaded timing
+//! wheel.
 //!
 //! # Shard layout
 //!
@@ -34,7 +34,7 @@
 //! nodes: no same-tick event can observe another's effects, because every
 //! delay is at least one tick, acknowledgments never touch node state, and a
 //! node's own deliveries reach it in ascending `seq` order within its shard's
-//! event list. Each tick therefore runs as:
+//! event list. Each occupied tick therefore runs as one barrier:
 //!
 //! * **Phase 1 — shard-local delivery (parallel).** Every shard drains its due
 //!   events and runs the activations of its deliveries, in shard-local `seq`
@@ -65,55 +65,17 @@
 //! record interleavings in a different order; per-node observation sequences
 //! are identical. On an error (`SimError`), the run aborts at the same event
 //! as the serial engine. The serial engine stops *activating* there too; here
-//! phase 1 has already run every activation of the barrier's static part
-//! before the merge notices — the API returns no nodes on error, so this is
-//! only observable through the escape hatches above (state shared across node
-//! instances, or an activation that panics past the serial abort point).
-//! Events the merge fires inline (the in-window heap) stop exactly like the
-//! serial engine's.
+//! phase 1 has already run every activation of the tick before the merge
+//! notices — the API returns no nodes on error, so this is only observable
+//! through the escape hatches above (state shared across node instances, or
+//! an activation that panics past the serial abort point).
 //!
-//! # Batched windows
-//!
-//! A barrier's *window* `[t0, t_last]` is every occupied tick the wheels'
-//! occupancy bitsets report from the earliest pending tick `t0` up to a cap:
-//! the wheels' shared horizon, the earliest overflow entry (invisible to the
-//! bitsets, [`TimingWheel::window_cap`]), and — under a fault plan — the tick
-//! before the next fault transition, so the fault flags are constant across
-//! the whole window. The window splits at the **static boundary**
-//! `t0 + min`, where `min = DelayModel::min_delay_ticks()`:
-//!
-//! * Ticks up to the boundary are causality-free among *drained* events —
-//!   everything drained was scheduled before the barrier began — so their
-//!   activations all run in one wide **phase 1** (parallel across shards).
-//!   An event processed at tick `t ≥ t0` schedules its effects at
-//!   `t + d ≥ t0 + min`: at or past the boundary, but always during the
-//!   merge, after the boundary tick was drained — such an effect routes to
-//!   the in-window heap with a merge-time seq larger than every seq drained
-//!   at its tick, so the `(tick, seq)` replay still processes it in exactly
-//!   the serial position (widening the boundary any further would be
-//!   unsound: a drained tick past `t0 + min` could causally depend on
-//!   another drained tick of the same window).
-//! * Ticks past the boundary drain directly into a coordinator-local
-//!   **in-window heap** ordered by `(tick, seq)`. The merge processes them
-//!   inline, exactly as the serial engine would at that tick, and any effect
-//!   they schedule at or before `t_last` re-enters the same heap (the wheels
-//!   are already advanced past it). Because these land at or after the
-//!   static boundary with post-drain seqs, every phase-1 activation of a
-//!   node still precedes all of its inline activations — per-node order, and
-//!   the global `(tick, seq)` replay order, are exactly serial.
-//!
-//! The merge therefore replays ready-list events and heap events in one
-//! `(tick, seq)` order, restoring the core's `now` per event, so every delay
-//! draw and schedule target matches the serial engine tick for tick. A heap
-//! event is fired by the core in full (fault check, activation, effects) —
-//! the same call the serial loop makes per event; a ready-list delivery was
-//! activated in phase 1, so the merge only replays its effects. The
-//! split gate is **dynamic**: models with a 1-tick floor (`jitter`, the
-//! composite `outage`) get a one-tick static part but still batch whatever
-//! occupied ticks the probe finds — the old static `min > 1` gate is gone
-//! (`delay.rs` documents the floor's remaining role). Uniform-style models
-//! whose events all land on τ-multiples produce singleton windows and report
-//! `batched_ticks = 0`, exactly as before.
+//! Every wheel's clock equals the barrier's tick during the merge (wheels
+//! without events at the tick are advanced to it), so a merge-time schedule
+//! classifies in-horizon versus overflow exactly as the one global wheel of
+//! the serial engine does. PR 7's batched windows of several ticks per
+//! barrier were removed after an A/B showed no end-to-end gain (DESIGN.md
+//! §6.3).
 //!
 //! # Threads and cost
 //!
@@ -123,17 +85,16 @@
 //! depend on thread timing). The two knobs decouple: pick `shards` for
 //! partition granularity and `workers` for the host's core count
 //! ([`ShardedOptions::workers`]; `0` means one worker per shard). The pool is
-//! engaged per barrier, and only when the tick — or batched window — carries
-//! enough events to amortize the two channel hops per non-empty shard;
-//! sparser barriers are processed inline by the coordinator.
-//! [`ThreadMode::Auto`] also disables workers entirely on single-core hosts,
-//! where sharding still helps by shrinking the per-phase working set (nodes
-//! of one shard, then links), but time-slicing threads would only add
-//! overhead. Phase 2 is inherently serial — it is the price of a
-//! sequence-exact adversary — so speedup follows Amdahl's law in the
-//! activation share of the workload; DESIGN.md §6 tabulates the costs, and
-//! [`AsyncReport::batched_ticks`] / [`AsyncReport::pool_dispatches`] make the
-//! batching and hand-off rates observable per run.
+//! engaged per barrier, and only when the tick carries enough events to
+//! amortize the two channel hops per non-empty shard; sparser barriers are
+//! processed inline by the coordinator. [`ThreadMode::Auto`] also disables
+//! workers entirely on single-core hosts, where sharding still helps by
+//! shrinking the per-phase working set (nodes of one shard, then links), but
+//! time-slicing threads would only add overhead. Phase 2 is inherently serial
+//! — it is the price of a sequence-exact adversary — so speedup follows
+//! Amdahl's law in the activation share of the workload; DESIGN.md §6
+//! tabulates the costs, and [`AsyncReport::pool_dispatches`] makes the
+//! hand-off rate observable per run.
 
 use crate::arena::PayloadArena;
 use crate::async_engine::{AsyncReport, SimError, SimLimits};
@@ -142,16 +103,15 @@ use crate::effects::{Core, Event, Home, LinkState, Storage};
 use crate::fault::{FaultPlan, FaultState};
 use crate::pool::{PanicPayload, WorkerPool};
 use crate::protocol::{Ctx, Outgoing, Protocol};
-use crate::scheduler::{EventScheduler, MinEntry, TimingWheel};
+use crate::scheduler::{EventScheduler, TimingWheel};
 use crate::trace::DeliveryTrace;
 use ds_graph::{DirectedEdgeId, Graph, NodeId};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-/// Minimum number of due events in a barrier (one tick, or one batched window)
-/// before phase 1 is shipped to the worker pool; sparser barriers are
-/// processed inline by the coordinator, because the hand-off (two channel
-/// operations per non-empty shard) would exceed the activation work it
-/// parallelizes.
+/// Minimum number of due events in a tick before phase 1 is shipped to the
+/// worker pool; sparser ticks are processed inline by the coordinator,
+/// because the hand-off (two channel operations per non-empty shard) would
+/// exceed the activation work it parallelizes.
 const PARALLEL_TICK_THRESHOLD: usize = 128;
 
 /// When the sharded engine engages pool worker threads.
@@ -185,19 +145,13 @@ pub struct ShardedOptions {
     pub workers: usize,
     /// Worker-thread policy.
     pub threads: ThreadMode,
-    /// Whether to batch windows of consecutive occupied ticks into one wide
-    /// phase (see the module docs; on by default). The window splits at
-    /// `t0 + min_delay`: ticks at or below run as causality-free phase 1,
-    /// later occupied ticks drain through the coordinator's in-window heap.
-    /// Schedules are bit-identical either way.
-    pub batching: bool,
 }
 
 impl ShardedOptions {
     /// The default configuration for `shards` shards: one worker per shard,
-    /// [`ThreadMode::Auto`], batching on.
+    /// [`ThreadMode::Auto`].
     pub fn new(shards: usize) -> Self {
-        ShardedOptions { shards, workers: 0, threads: ThreadMode::Auto, batching: true }
+        ShardedOptions { shards, workers: 0, threads: ThreadMode::Auto }
     }
 }
 
@@ -268,15 +222,10 @@ impl ShardLayout {
 // Events and per-shard state
 // ---------------------------------------------------------------------------
 
-/// Phase-1 output for one event, consumed by the merge in `(tick, seq)`
-/// order — the serial processing order (`seq` alone is not monotone across
-/// the ticks of a batched window: a later tick's event may carry a smaller
-/// `seq` if it was scheduled earlier).
+/// Phase-1 output for one event, consumed by the merge in ascending `seq` —
+/// the serial processing order within the tick.
 #[derive(Clone, Copy, Debug)]
 struct Ready {
-    /// Absolute tick the event fired at (every tick of a batched window
-    /// contributes to the same ready list).
-    tick: u64,
     seq: u64,
     ev: Event,
     /// For a `Deliver` (whose activation ran in phase 1): how many captured
@@ -292,52 +241,34 @@ pub(crate) struct ShardWork<P: Protocol> {
     lo: usize,
     nodes: Vec<P>,
     done: Vec<bool>,
-    /// Events due in the current barrier, tick run by tick run (ascending
-    /// tick; ascending shard-local `seq` within a run).
+    /// Events due at the current tick, ascending shard-local `seq`.
     due: Vec<(u64, Event)>,
-    /// Tick-run boundaries of `due`: `(tick, end)` marks that `due[..end]`
-    /// covers all runs up to and including `tick`. One entry per tick the
-    /// shard has events at; a plain unbatched barrier records exactly one.
-    tick_runs: Vec<(u64, usize)>,
-    /// Phase-1 outputs, ascending `(tick, seq)`.
+    /// Phase-1 outputs, ascending `seq`.
     ready: Vec<Ready>,
     /// Payloads of every in-flight message addressed to this shard's nodes,
     /// behind the `u32` handles the events and link queues carry. Travels
     /// with the shard to its worker, so phase 1 takes payloads out without
     /// touching any other shard's state — **handles never cross shards**.
     payloads: PayloadArena<P::Message>,
-    /// Captured outbox messages of this barrier's activations, in event order;
+    /// Captured outbox messages of this tick's activations, in event order;
     /// the merge pops from the front as it replays the events.
     captured: VecDeque<Outgoing<P::Message>>,
     /// Recycled activation outbox buffer.
     outbox_buf: Vec<Outgoing<P::Message>>,
-    /// Per-tick counts of this shard's nodes that became done during the
-    /// current barrier (ascending tick, zero counts omitted); the coordinator
-    /// merges these across shards in tick order so `time_all_done` lands on
-    /// the same tick as the serial engine's.
-    newly_done: Vec<(u64, usize)>,
+    /// How many of this shard's nodes became done during the current tick;
+    /// the coordinator sums these into the core's done count.
+    newly_done: usize,
 }
 
-/// Phase 1 for one shard: run this barrier's activations (every tick run of a
-/// batched window), capture their outboxes. Runs on a pool worker when the
-/// barrier is dense enough, inline on the coordinator otherwise — same code,
-/// same effects either way. This is the one place an activation runs outside
-/// the effects core (the core lives on the coordinator; workers share
-/// nothing), so it carries its own done-check.
+/// Phase 1 for one shard: run this tick's activations, capture their
+/// outboxes. Runs on a pool worker when the tick is dense enough, inline on
+/// the coordinator otherwise — same code, same effects either way. This is
+/// the one place an activation runs outside the effects core (the core lives
+/// on the coordinator; workers share nothing), so it carries its own
+/// done-check.
 // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
 fn phase1<P: Protocol>(w: &mut ShardWork<P>) {
-    let mut runs = std::mem::take(&mut w.tick_runs);
-    debug_assert_eq!(runs.last().map_or(0, |&(_, end)| end), w.due.len());
-    let mut run_idx = 0usize;
-    let mut newly = 0usize;
-    for (i, (seq, ev)) in w.due.drain(..).enumerate() {
-        while i >= runs[run_idx].1 {
-            if newly > 0 {
-                w.newly_done.push((runs[run_idx].0, newly));
-                newly = 0;
-            }
-            run_idx += 1;
-        }
+    for (seq, ev) in w.due.drain(..) {
         let mut outbox = 0;
         if let Event::Deliver { from, to, handle, .. } = ev {
             let local = to.index() - w.lo;
@@ -349,35 +280,21 @@ fn phase1<P: Protocol>(w: &mut ShardWork<P>) {
             w.outbox_buf = ctx.into_buffer();
             if !w.done[local] && w.nodes[local].is_done() {
                 w.done[local] = true;
-                newly += 1;
+                w.newly_done += 1;
             }
         }
-        w.ready.push(Ready { tick: runs[run_idx].0, seq, ev, outbox });
+        w.ready.push(Ready { seq, ev, outbox });
     }
-    if newly > 0 {
-        w.newly_done.push((runs[run_idx].0, newly));
-    }
-    runs.clear();
-    w.tick_runs = runs;
 }
 
 /// The sharded engine's data layout: per shard one wheel, one link table
-/// (outgoing links of its nodes) and one [`ShardWork`]; plus the
-/// coordinator's in-window event queue (see the module docs §Batched
-/// windows).
+/// (outgoing links of its nodes) and one [`ShardWork`].
 struct Shards<P: Protocol> {
     layout: ShardLayout,
     wheels: Vec<TimingWheel<Event>>,
     links: Vec<Vec<LinkState<u32>>>,
     /// `None` only while a shard is out on a pool worker (phase 1).
     works: Vec<Option<ShardWork<P>>>,
-    /// Min-heap on `(at, seq)` of the events the merge processes inline:
-    /// window ticks past the static boundary, and merge-time effects that
-    /// land at or before `t_last` (the wheels are already advanced past it).
-    heap: BinaryHeap<MinEntry<Event>>,
-    /// Last tick of the current window (0 outside a barrier: every target is
-    /// strictly later, so routing degenerates to the wheels).
-    t_last: u64,
 }
 
 impl<P: Protocol> Shards<P> {
@@ -412,17 +329,13 @@ impl<P: Protocol> Storage for Shards<P> {
     /// link's source shard — the cross-shard hand-off that makes the next
     /// barrier's phase 1 shard-local again.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn schedule(&mut self, now: u64, at: u64, seq: u64, ev: Event) {
-        if at <= self.t_last {
-            self.heap.push(MinEntry { at, seq, payload: ev });
-            return;
-        }
+    fn schedule(&mut self, at: u64, seq: u64, ev: Event) {
         let s = match ev {
             Event::Deliver { to, .. } => self.layout.shard_of(to),
             Event::Ack { link } => self.layout.link_home(link).0,
             Event::Dropped { .. } => unreachable!("the core schedules only deliveries and acks"),
         };
-        self.wheels[s].schedule_from(now, at, seq, ev);
+        self.wheels[s].schedule(at, seq, ev);
     }
 }
 
@@ -434,7 +347,7 @@ impl<P: Protocol> Storage for Shards<P> {
 /// if one is given. The execution — schedule, outputs, metrics, drop counts —
 /// is bit-identical to
 /// [`run_async_faulted`](crate::async_engine::run_async_faulted) on the
-/// timing wheel for every shard count, worker count, and batching mode.
+/// timing wheel for every shard count and worker count.
 ///
 /// # Errors
 ///
@@ -523,12 +436,12 @@ where
         }
     };
     if workers == 0 {
-        return run_core(graph, delay, faults, make, limits, k, opts.batching, None, traced);
+        return run_core(graph, delay, faults, make, limits, k, None, traced);
     }
     WorkerPool::run(
         workers,
         |w: &mut ShardWork<P>| phase1(w),
-        |pool| run_core(graph, delay, faults, make, limits, k, opts.batching, Some(pool), traced),
+        |pool| run_core(graph, delay, faults, make, limits, k, Some(pool), traced),
     )
 }
 
@@ -549,7 +462,6 @@ pub(crate) fn run_core<P, F>(
     mut make: F,
     limits: SimLimits,
     shards: usize,
-    batching: bool,
     mut pool: Option<&mut WorkerPool<ShardWork<P>>>,
     traced: bool,
 ) -> Result<(AsyncReport<P>, Option<DeliveryTrace>), SimError>
@@ -560,10 +472,6 @@ where
     let layout = ShardLayout::new(graph, shards);
     let k = layout.k;
     let horizon = delay.max_delay_ticks();
-    // The static part of a window is bounded by the delay floor (see the
-    // module docs §Batched windows); ticks past it batch through the
-    // in-window heap, so no `min_delay > 1` gate remains.
-    let min_delay = delay.min_delay_ticks();
 
     let mut links: Vec<Vec<LinkState<u32>>> = (0..k).map(|_| Vec::new()).collect();
     for e in 0..graph.directed_edge_count() {
@@ -578,12 +486,11 @@ where
                 nodes: (lo..hi).map(|i| make(NodeId(i))).collect(),
                 done: vec![false; hi - lo],
                 due: Vec::new(),
-                tick_runs: Vec::new(),
                 ready: Vec::new(),
                 payloads: PayloadArena::new(),
                 captured: VecDeque::new(),
                 outbox_buf: Vec::new(),
-                newly_done: Vec::new(),
+                newly_done: 0,
             })
         })
         .collect();
@@ -592,121 +499,48 @@ where
         wheels: (0..k).map(|_| TimingWheel::new(horizon)).collect(),
         links,
         works,
-        heap: BinaryHeap::new(),
-        t_last: 0,
     };
     let faults = faults.map(|plan| FaultState::new(graph, plan));
     let trace_shards = traced.then_some(k as u32);
     let mut core = Core::new(graph, delay, limits, trace_shards, faults);
-    // Extra ticks processed inside batched windows, and barriers whose phase 1
-    // was shipped to the worker pool.
-    let (mut batched_ticks, mut pool_dispatches) = (0u64, 0u64);
+    // Barriers whose phase 1 was shipped to the worker pool.
+    let mut pool_dispatches = 0u64;
 
     // Time 0, in global node order — the serial engine's init order, so the
     // initial seq draws match exactly.
     core.start(&mut st)?;
 
-    // One barrier per iteration: find the globally earliest pending tick,
-    // widen it to a causality-free window when batching applies, drain every
-    // shard's events of every window tick, run phase 1 (shard-local
-    // activations), then the serial phase-2 merge in `(tick, seq)` order.
+    // One barrier per occupied tick: find the globally earliest pending tick,
+    // drain every shard's events of it, run phase 1 (shard-local
+    // activations), then the serial phase-2 merge in global `seq` order.
     let mut pos = vec![0usize; k];
-    let mut window: Vec<u64> = Vec::new();
-    let mut done_scratch: Vec<(u64, usize)> = Vec::new();
-    let mut ext_scratch: Vec<(u64, Event)> = Vec::new();
-    while let Some(t0) = st.wheels.iter().filter_map(TimingWheel::next_tick).min() {
-        // Apply fault transitions due by t0. The window cap below keeps the
-        // flags constant through t_last, so drain-time fault checks see the
-        // same state the serial engine sees at each window tick.
-        core.advance_faults(t0);
-        // The window [t0, end]: every tick the occupancy bitsets report,
-        // capped per wheel by the horizon and the earliest overflow entry
-        // (invisible to the bitsets), and by the next fault transition. t0
-        // itself is pushed explicitly — it may be overflow-only.
-        window.clear();
-        window.push(t0);
-        if batching {
-            let mut end = u64::MAX;
-            for wheel in &st.wheels {
-                end = wheel.window_cap(end);
-            }
-            if let Some(next) = core.faults.as_ref().and_then(|f| f.next_transition_after(t0)) {
-                end = end.min(next - 1);
-            }
-            if end > t0 {
-                for wheel in &st.wheels {
-                    wheel.occupied_ticks_within(end, &mut window);
-                }
-                window.sort_unstable();
-                window.dedup();
-            }
-        }
-        let t_last = *window.last().expect("window holds t0");
-        batched_ticks += window.len() as u64 - 1;
-
-        // Drain the window. Ticks up to the static boundary feed phase 1
-        // (fault-blocked deliveries are defused to `Dropped` in place — the
-        // flags cannot change before t_last, so this equals the serial
-        // at-tick check); later ticks bypass phase 1 entirely and go to the
-        // in-window heap for inline processing during the merge.
-        //
-        // The boundary sits at `t0 + min_delay` — one tick *wider* than the
-        // "effects land strictly past the boundary" rule needs — because a
-        // merge effect that lands exactly on the boundary is still serial-
-        // exact: it is scheduled during phase 2, after the boundary tick was
-        // drained and the wheels advanced, so it routes to the in-window heap
-        // with a seq drawn later than every seq drained at that tick, and the
-        // `(tick, seq)` merge processes it after all of them — while every
-        // phase-1 activation of the boundary tick precedes the whole merge.
-        // Widening past `t0 + min_delay` would be unsound: a tick that can
-        // receive an effect of another *drained* tick of the same window must
-        // not activate in the same parallel phase. With `min_delay == 1`
-        // (jitter's per-draw floor) the static part is two ticks, not one.
-        let static_end = t0 + min_delay;
+    while let Some(t) = st.wheels.iter().filter_map(TimingWheel::next_tick).min() {
+        // Apply fault transitions due by t. The flags are constant within a
+        // tick, so defusing fault-blocked deliveries to `Dropped` at drain
+        // time equals the serial engine's at-fire check.
+        core.advance_faults(t);
+        core.now = t;
         let mut total_due = 0usize;
-        for &t in &window {
-            if t <= static_end {
-                for (wheel, work) in st.wheels.iter_mut().zip(&mut st.works) {
-                    if wheel.next_tick() == Some(t) {
-                        let w = work.as_mut().expect("shard at home");
-                        let before = w.due.len();
-                        let drained = wheel.take_due(&mut w.due);
-                        debug_assert_eq!(drained, Some(t));
-                        if let Some(f) = core.faults.as_ref() {
-                            for (_, ev) in &mut w.due[before..] {
-                                if let Event::Deliver { link, from, to, handle } = *ev {
-                                    if f.blocks(link, from, to) {
-                                        *ev = Event::Dropped { link, to, handle };
-                                    }
-                                }
-                            }
-                        }
-                        w.tick_runs.push((t, w.due.len()));
-                        total_due += w.due.len() - before;
-                    }
-                }
-            } else {
-                for wheel in st.wheels.iter_mut() {
-                    if wheel.next_tick() == Some(t) {
-                        let drained = wheel.take_due(&mut ext_scratch);
-                        debug_assert_eq!(drained, Some(t));
-                        for (seq, ev) in ext_scratch.drain(..) {
-                            st.heap.push(MinEntry { at: t, seq, payload: ev });
+        for (wheel, work) in st.wheels.iter_mut().zip(&mut st.works) {
+            if wheel.next_tick() != Some(t) {
+                // Idle wheels keep lock-step with the busy ones, so overflow
+                // classification matches one global wheel's.
+                wheel.advance_to(t);
+                continue;
+            }
+            let w = work.as_mut().expect("shard at home");
+            wheel.take_due(&mut w.due);
+            if let Some(f) = core.faults.as_ref() {
+                for (_, ev) in &mut w.due {
+                    if let Event::Deliver { link, from, to, handle } = *ev {
+                        if f.blocks(link, from, to) {
+                            *ev = Event::Dropped { link, to, handle };
                         }
                     }
                 }
             }
-        }
-        // Advance every wheel to the window's end before any merge effect
-        // schedules into it: the clocks stay in lock-step, and anything the
-        // merge schedules at or before `t_last` is routed to the in-window
-        // heap instead.
-        for wheel in st.wheels.iter_mut() {
-            wheel.advance_to(t_last);
-        }
-        st.t_last = t_last;
-        for s in 0..k {
-            core.max_batch = core.max_batch.max(st.work(s).due.len() as u64);
+            total_due += w.due.len();
+            core.max_batch = core.max_batch.max(w.due.len() as u64);
         }
 
         // Phase 1.
@@ -739,46 +573,26 @@ where
                 }
             }
         }
-        // Done accounting: merge the shards' per-tick counts in tick order so
-        // the cumulative count crosses `n` at the same tick as it would have
-        // serially.
-        done_scratch.clear();
-        for s in 0..k {
-            done_scratch.append(&mut st.work(s).newly_done);
-        }
-        done_scratch.sort_unstable_by_key(|&(tick, _)| tick);
-        for &(tick, count) in &done_scratch {
-            core.count_done(count, tick);
-        }
+        let newly_done = (0..k).map(|s| std::mem::take(&mut st.work(s).newly_done)).sum();
+        core.count_done(newly_done, t);
 
-        // Phase 2: merge of the shards' ready lists AND the in-window heap by
-        // global `(tick, seq)` — the serial processing order (each ready list
-        // is already ascending in it; the heap pops in it). `core.now` is
-        // restored per event, so every delay draw and schedule target matches
-        // the serial engine's exactly. Heap events fire in full, activation
-        // included — they sit strictly past the static boundary, so every
-        // phase-1 activation of the same node already happened; ready
-        // deliveries were activated in phase 1, so only their effects replay.
-        pos.iter_mut().for_each(|p| *p = 0);
+        // Phase 2: merge of the shards' ready lists by global `seq` — the
+        // serial processing order (each ready list is already ascending in
+        // it). Deliveries were activated in phase 1, so only their effects
+        // replay; acks and drops fire in full.
+        pos.fill(0);
         loop {
-            let mut best: Option<((u64, u64), usize)> = None;
+            let mut best: Option<(u64, usize)> = None;
             for (s, (work, &p)) in st.works.iter().zip(&pos).enumerate() {
                 if let Some(item) = work.as_ref().expect("shard at home").ready.get(p) {
-                    if best.is_none_or(|(key, _)| (item.tick, item.seq) < key) {
-                        best = Some(((item.tick, item.seq), s));
+                    if best.is_none_or(|(seq, _)| item.seq < seq) {
+                        best = Some((item.seq, s));
                     }
                 }
-            }
-            if st.heap.peek().is_some_and(|e| best.is_none_or(|(key, _)| (e.at, e.seq) < key)) {
-                let entry = st.heap.pop().expect("peeked above");
-                core.now = entry.at;
-                core.fire(&mut st, entry.seq, entry.payload)?;
-                continue;
             }
             let Some((_, s)) = best else { break };
             let item = st.work(s).ready[pos[s]];
             pos[s] += 1;
-            core.now = item.tick;
             match item.ev {
                 Event::Deliver { link, from, to, .. } => {
                     core.begin_delivery(item.seq, s as u32, from, to)?;
@@ -796,8 +610,6 @@ where
             w.ready.clear();
             debug_assert!(w.captured.is_empty(), "merge consumed every captured message");
         }
-        debug_assert!(st.heap.is_empty(), "merge drained the in-window heap");
-        st.t_last = 0;
     }
 
     let (mut peak_live_handles, mut arena_bytes) = (0u64, 0u64);
@@ -814,7 +626,6 @@ where
         overflow_events: st.wheels.iter().map(|w| w.overflow_scheduled()).sum(),
         peak_live_handles,
         arena_bytes,
-        batched_ticks,
         pool_dispatches,
         ..report
     };
@@ -918,21 +729,12 @@ mod tests {
         for delay in adversaries {
             let reference = wheel_run(&graph, &delay);
             for shards in [1, 2, 3, 4, 7, 26, 100] {
-                for batching in [true, false] {
-                    let got = sharded_run(
-                        &graph,
-                        &delay,
-                        ShardedOptions {
-                            threads: ThreadMode::Off,
-                            batching,
-                            ..ShardedOptions::new(shards)
-                        },
-                    );
-                    assert_eq!(
-                        got, reference,
-                        "shards={shards} batching={batching} diverged under {delay:?}"
-                    );
-                }
+                let got = sharded_run(
+                    &graph,
+                    &delay,
+                    ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(shards) },
+                );
+                assert_eq!(got, reference, "shards={shards} diverged under {delay:?}");
             }
         }
     }
@@ -941,8 +743,7 @@ mod tests {
     fn faulted_sharded_runs_match_the_serial_wheel() {
         // Under a churn plan — link episodes plus a mid-run crash/recovery —
         // the sharded engine must reproduce the serial wheel's arrival
-        // streams, drop counts and transition counts for every shard count
-        // and batching mode; batching windows must stop at fault transitions.
+        // streams, drop counts and transition counts for every shard count.
         let graph = Graph::random_connected(26, 0.14, 11);
         let mut plan = FaultPlan::random_churn(&graph, 42, 6, 2, 5 * TICKS_PER_UNIT);
         plan = plan
@@ -967,38 +768,29 @@ mod tests {
                 reference.overflow_events,
             );
             for shards in [1, 2, 4, 7] {
-                for batching in [true, false] {
-                    let report = run_async_sharded_faulted_with(
-                        &graph,
-                        delay.clone(),
-                        Some(&plan),
-                        |v| Chatter::new(&graph, v),
-                        SimLimits::default(),
-                        ShardedOptions {
-                            threads: ThreadMode::Off,
-                            batching,
-                            ..ShardedOptions::new(shards)
-                        },
-                    )
-                    .expect("faulted sharded run");
-                    assert_eq!(
-                        report.dropped_events, ref_dropped,
-                        "shards={shards} batching={batching} drop count diverged under {delay:?}"
-                    );
-                    assert_eq!(
-                        report.fault_transitions, ref_transitions,
-                        "shards={shards} batching={batching} transitions diverged under {delay:?}"
-                    );
-                    let got: NodeView = (
-                        report.nodes.into_iter().map(|n| n.arrivals).collect(),
-                        report.metrics,
-                        report.overflow_events,
-                    );
-                    assert_eq!(
-                        got, reference_view,
-                        "shards={shards} batching={batching} diverged under {delay:?}"
-                    );
-                }
+                let report = run_async_sharded_faulted_with(
+                    &graph,
+                    delay.clone(),
+                    Some(&plan),
+                    |v| Chatter::new(&graph, v),
+                    SimLimits::default(),
+                    ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(shards) },
+                )
+                .expect("faulted sharded run");
+                assert_eq!(
+                    report.dropped_events, ref_dropped,
+                    "shards={shards} drop count diverged under {delay:?}"
+                );
+                assert_eq!(
+                    report.fault_transitions, ref_transitions,
+                    "shards={shards} transitions diverged under {delay:?}"
+                );
+                let got: NodeView = (
+                    report.nodes.into_iter().map(|n| n.arrivals).collect(),
+                    report.metrics,
+                    report.overflow_events,
+                );
+                assert_eq!(got, reference_view, "shards={shards} diverged under {delay:?}");
             }
         }
     }
@@ -1049,47 +841,6 @@ mod tests {
             );
             assert_eq!(got, reference, "workers={workers} diverged");
         }
-    }
-
-    #[test]
-    fn batching_counters_respect_the_soundness_gate() {
-        // A floored-jitter adversary (min delay 500 ticks) spreads deliveries
-        // across ticks, so causality-free windows really form; the engine must
-        // report them via `batched_ticks` — and report exactly zero whenever
-        // batching is off. The coordinator path never ships a barrier to the
-        // pool. Under the dynamic gate, 1-tick-floor models batch too: their
-        // static part is a single tick, but the window probe still folds every
-        // occupied tick it can see into the in-window heap.
-        let graph = Graph::random_connected(26, 0.14, 11);
-        let run = |delay: &DelayModel, batching: bool| {
-            run_async_sharded_faulted_with(
-                &graph,
-                delay.clone(),
-                None,
-                |v| Chatter::new(&graph, v),
-                SimLimits::default(),
-                ShardedOptions { threads: ThreadMode::Off, batching, ..ShardedOptions::new(4) },
-            )
-            .expect("sharded run")
-        };
-        let floored = DelayModel::jitter_at_least(5, 0.5);
-        let batched = run(&floored, true);
-        assert!(batched.batched_ticks > 0, "floored jitter must form multi-tick windows");
-        assert_eq!(batched.pool_dispatches, 0, "ThreadMode::Off must never touch the pool");
-        assert_eq!(run(&floored, false).batched_ticks, 0, "batching off must report zero");
-        for ungated in [DelayModel::jitter(5), DelayModel::outage(7, 5, 2)] {
-            let report = run(&ungated, true);
-            assert!(
-                report.batched_ticks > 0,
-                "{ungated:?} must batch under the dynamic occupancy gate"
-            );
-        }
-        // Uniform delays land every event on the τ grid: each barrier's
-        // occupancy probe finds nothing past t0, so windows stay singletons.
-        // `bursty(1)` realizes the same all-τ schedule while advertising a
-        // 1-tick floor — batching is decided by occupancy, not the floor.
-        assert_eq!(run(&DelayModel::uniform(), true).batched_ticks, 0);
-        assert_eq!(run(&DelayModel::bursty(1), true).batched_ticks, 0);
     }
 
     #[test]
@@ -1235,10 +986,11 @@ mod tests {
     #[test]
     fn traced_runs_cross_worker_threads_unchanged() {
         // The trace lives with the coordinator; ForceOn workers must neither
-        // see it nor change what it records.
+        // see it nor change what it records, and the coordinator-only run
+        // must never touch the pool.
         let graph = Graph::grid(12, 12);
         let delay = DelayModel::uniform();
-        let (_, sequential) = run_async_sharded_faulted_traced_with(
+        let (sequential_report, sequential) = run_async_sharded_faulted_traced_with(
             &graph,
             delay.clone(),
             None,
@@ -1258,6 +1010,11 @@ mod tests {
         .expect("threaded traced run");
         assert_eq!(threaded, sequential);
         assert!(report.metrics.events > 0);
+        assert!(report.pool_dispatches > 0, "the uniform waves must reach the pool");
+        assert_eq!(
+            sequential_report.pool_dispatches, 0,
+            "ThreadMode::Off must never touch the pool"
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct ExecutionEnv<'g> {
     /// Event/round budgets.
     pub limits: SimLimits,
     /// Event scheduler driving the asynchronous engine (ignored by the lock-step
-    /// executor). Both kinds produce bit-identical runs.
+    /// executor). All three kinds produce bit-identical runs.
     pub scheduler: SchedulerKind,
     /// Record a [`DeliveryTrace`] for the happens-before checker (`ds-verify`).
     /// Off by default; the traced execution is bit-identical to the untraced
@@ -161,10 +161,9 @@ pub struct SynchronizedRun<O> {
     /// The delivery trace, when the environment asked for one
     /// ([`ExecutionEnv::trace`]; always `None` for the lock-step executor).
     pub trace: Option<DeliveryTrace>,
-    /// Extra ticks the engine processed inside batched causality-free windows
-    /// ([`AsyncReport::batched_ticks`]; 0 for the lock-step executor and for
-    /// serial engines). An engine internal surfaced for the bench artifact —
-    /// it never differs between runs that differ only in scheduler.
+    /// Always 0, like [`AsyncReport::batched_ticks`]: the sharded engine's
+    /// batched windows were removed. Kept because external readers
+    /// (`benchmark/`) name the field.
     pub batched_ticks: u64,
     /// Deliveries dropped by the fault plan ([`AsyncReport::dropped_events`];
     /// 0 without faults and for the lock-step executor).
@@ -192,7 +191,6 @@ pub struct SynchronizedRun<O> {
 /// [`AsyncReport`]; all zero (the default) for the lock-step executor.
 #[derive(Default)]
 struct EngineCounters {
-    batched_ticks: u64,
     dropped_events: u64,
     fault_transitions: u64,
     peak_live_handles: u64,
@@ -203,7 +201,6 @@ struct EngineCounters {
 impl EngineCounters {
     fn of<P>(report: &AsyncReport<P>) -> Self {
         EngineCounters {
-            batched_ticks: report.batched_ticks,
             dropped_events: report.dropped_events,
             fault_transitions: report.fault_transitions,
             peak_live_handles: report.peak_live_handles,
@@ -228,7 +225,7 @@ impl<O> SynchronizedRun<O> {
             metrics,
             ordering_violations,
             trace,
-            batched_ticks: engine.batched_ticks,
+            batched_ticks: 0,
             dropped_events: engine.dropped_events,
             fault_transitions: engine.fault_transitions,
             peak_live_handles: engine.peak_live_handles,

@@ -53,7 +53,7 @@ use crate::executor::{
     Synchronizer,
 };
 use crate::synchronizer::SynchronizerConfig;
-use ds_graph::{Graph, NodeId};
+use ds_graph::{metrics, Graph, NodeId};
 use ds_netsim::async_engine::{SimError, SimLimits};
 use ds_netsim::delay::DelayModel;
 use ds_netsim::event_driven::EventDriven;
@@ -153,6 +153,13 @@ pub enum SessionError {
         /// The session's `max_rounds` limit.
         max_rounds: u64,
     },
+    /// The chosen [`SyncKind`] cannot run on the session's graph: a β root
+    /// outside the graph, or β / [`SyncKind::DetAuto`] (which build a
+    /// spanning tree or a cover) on an empty or disconnected graph.
+    InvalidSynchronizer {
+        /// Description of the offending configuration.
+        what: &'static str,
+    },
     /// The underlying simulation failed.
     Sim(SimError),
     /// The protocol (or its factory) panicked inside a
@@ -176,6 +183,7 @@ impl fmt::Display for SessionError {
             SessionError::PulseBoundTooLarge { bound, max_rounds } => {
                 write!(f, "pulse bound {bound} exceeds the max_rounds limit {max_rounds}")
             }
+            SessionError::InvalidSynchronizer { what } => write!(f, "invalid synchronizer: {what}"),
             SessionError::Sim(e) => write!(f, "simulation error: {e}"),
             SessionError::ProtocolPanicked { message } => {
                 write!(f, "protocol panicked: {message}")
@@ -383,7 +391,23 @@ impl<'g> Session<'g> {
         if let Some(bound) = self.pulse_bound.filter(|&bound| bound > max_rounds) {
             return Err(SessionError::PulseBoundTooLarge { bound, max_rounds });
         }
-        self.kind.as_ref().ok_or(SessionError::MissingSynchronizer)
+        let kind = self.kind.as_ref().ok_or(SessionError::MissingSynchronizer)?;
+        // β and DetAuto build a spanning tree / cover over the whole graph
+        // and panic deep inside that build otherwise; one BFS settles it.
+        let n = self.graph.node_count();
+        let reaches_all =
+            |root: NodeId| metrics::bfs_distances(self.graph, root).iter().all(Option::is_some);
+        let what = match kind {
+            SyncKind::Beta { root } if root.index() >= n => {
+                "the beta root is not a node of the graph"
+            }
+            SyncKind::Beta { root } if !reaches_all(*root) => "beta needs a connected graph",
+            SyncKind::DetAuto if n == 0 || !reaches_all(NodeId(0)) => {
+                "det needs a non-empty connected graph"
+            }
+            _ => return Ok(kind),
+        };
+        Err(SessionError::InvalidSynchronizer { what })
     }
 
     fn env(&self) -> ExecutionEnv<'g> {
@@ -424,7 +448,8 @@ impl<'g> Session<'g> {
     /// # Errors
     ///
     /// Returns a [`SessionError`] if no synchronizer was configured, the limits are
-    /// unusable, an explicit pulse bound exceeds `limits.max_rounds`, or the simulation fails.
+    /// unusable, an explicit pulse bound exceeds `limits.max_rounds`, the
+    /// synchronizer cannot run on the graph, or the simulation fails.
     pub fn run<A, F>(&self, mut make: F) -> Result<SynchronizedRun<A::Output>, SessionError>
     where
         A: EventDriven,
@@ -442,7 +467,8 @@ impl<'g> Session<'g> {
     /// # Errors
     ///
     /// Returns a [`SessionError`] if no synchronizer was configured, the limits are
-    /// unusable, an explicit pulse bound exceeds `limits.max_rounds`, or either simulation fails.
+    /// unusable, an explicit pulse bound exceeds `limits.max_rounds`, the
+    /// synchronizer cannot run on the graph, or either simulation fails.
     pub fn compare<A, F>(&self, mut make: F) -> Result<ComparisonReport<A::Output>, SessionError>
     where
         A: EventDriven,
@@ -567,6 +593,49 @@ mod tests {
             too_large.to_string(),
             "pulse bound 1099511627776 exceeds the max_rounds limit 1000000"
         );
+        let bad_root =
+            SessionError::InvalidSynchronizer { what: "the beta root is not a node of the graph" };
+        assert_eq!(
+            bad_root.to_string(),
+            "invalid synchronizer: the beta root is not a node of the graph"
+        );
+    }
+
+    #[test]
+    fn synchronizers_that_cannot_run_on_the_graph_are_rejected() {
+        // Two disjoint edges, a grid with a β root outside it, and the empty
+        // graph: each would panic inside the spanning-tree or cover build.
+        let split = Graph::from_edges(4, [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))])
+            .expect("two disjoint edges");
+        let grid = Graph::grid(3, 3);
+        let empty = Graph::new(0);
+        let cases = [
+            (
+                &grid,
+                SyncKind::Beta { root: NodeId(99) },
+                "the beta root is not a node of the graph",
+            ),
+            (&split, SyncKind::Beta { root: NodeId(0) }, "beta needs a connected graph"),
+            (&split, SyncKind::DetAuto, "det needs a non-empty connected graph"),
+            (
+                &empty,
+                SyncKind::Beta { root: NodeId(0) },
+                "the beta root is not a node of the graph",
+            ),
+            (&empty, SyncKind::DetAuto, "det needs a non-empty connected graph"),
+        ];
+        for (graph, kind, what) in cases {
+            let expected = SessionError::InvalidSynchronizer { what };
+            let session = Session::on(graph).synchronizer(kind.clone());
+            let err = session.run(|v| Flood::new(graph, v)).unwrap_err();
+            assert_eq!(err, expected, "{kind:?} via run");
+            let err = session.compare(|v| Flood::new(graph, v)).unwrap_err();
+            assert_eq!(err, expected, "{kind:?} via compare");
+        }
+        // α needs no global structure: it runs on the disconnected graph.
+        let alpha =
+            Session::on(&split).synchronizer(SyncKind::Alpha).run(|v| Flood::new(&split, v));
+        assert!(alpha.is_ok(), "{:?}", alpha.err());
     }
 
     #[test]

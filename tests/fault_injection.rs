@@ -5,7 +5,7 @@
 //! * **Determinism under faults** — for every [`FaultPlan`] the schedule is
 //!   bit-identical across repeat runs, across the wheel/heap serial engines,
 //!   and across the sharded engine's whole configuration matrix
-//!   (shards × workers × batching). Faults change *what* happens, never make
+//!   (shards × workers). Faults change *what* happens, never make
 //!   it nondeterministic.
 //! * **Happens-before soundness under churn** — every faulted trace still
 //!   passes the `ds-verify` happens-before checker: drops remove deliveries,
@@ -81,9 +81,9 @@ fn fault_plans(graph: &Graph) -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// The acceptance matrix: under every fault plan, the wheel, the heap and the
-/// sharded engine over shards {1, 2, 4, 7} × workers {0, 2, 4} × batching
-/// on/off all produce the same schedule, drop the same deliveries and apply
-/// the same fault transitions — and a repeat run reproduces it bit for bit.
+/// sharded engine over shards {1, 2, 4, 7} × workers {0, 2, 4} all produce
+/// the same schedule, drop the same deliveries and apply the same fault
+/// transitions — and a repeat run reproduces it bit for bit.
 #[test]
 fn every_fault_plan_is_bit_identical_across_the_engine_matrix() {
     let graph = Graph::grid(6, 6);
@@ -123,39 +123,31 @@ fn every_fault_plan_is_bit_identical_across_the_engine_matrix() {
 
             for shards in [1usize, 2, 4, 7] {
                 for workers in [0usize, 2, 4] {
-                    for batching in [true, false] {
-                        let label = format!(
-                            "{plan_name}: shards={shards} workers={workers} batching={batching}"
-                        );
-                        let (sharded, sharded_trace) = run_async_sharded_faulted_traced_with(
-                            &graph,
-                            delay.clone(),
-                            Some(&plan),
-                            |v| Flood::new(&graph, v),
-                            SimLimits::default(),
-                            ShardedOptions {
-                                workers,
-                                threads: ThreadMode::ForceOn,
-                                batching,
-                                ..ShardedOptions::new(shards)
-                            },
-                        )
-                        .unwrap_or_else(|e| panic!("{label}: {e}"));
-                        check_trace(&sharded_trace)
-                            .expect("faulted sharded trace violates happens-before");
-                        check_equivalence(&ref_trace, &sharded_trace)
-                            .unwrap_or_else(|v| panic!("{label}: trace diverged: {v:?}"));
-                        let arrivals: Vec<_> =
-                            sharded.nodes.iter().map(|n| n.arrivals.clone()).collect();
-                        assert_eq!(arrivals, ref_arrivals, "{label}");
-                        assert_eq!(sharded.metrics, reference.metrics, "{label}");
-                        assert_eq!(sharded.overflow_events, reference.overflow_events, "{label}");
-                        assert_eq!(sharded.dropped_events, reference.dropped_events, "{label}");
-                        assert_eq!(
-                            sharded.fault_transitions, reference.fault_transitions,
-                            "{label}"
-                        );
-                    }
+                    let label = format!("{plan_name}: shards={shards} workers={workers}");
+                    let (sharded, sharded_trace) = run_async_sharded_faulted_traced_with(
+                        &graph,
+                        delay.clone(),
+                        Some(&plan),
+                        |v| Flood::new(&graph, v),
+                        SimLimits::default(),
+                        ShardedOptions {
+                            workers,
+                            threads: ThreadMode::ForceOn,
+                            ..ShardedOptions::new(shards)
+                        },
+                    )
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    check_trace(&sharded_trace)
+                        .expect("faulted sharded trace violates happens-before");
+                    check_equivalence(&ref_trace, &sharded_trace)
+                        .unwrap_or_else(|v| panic!("{label}: trace diverged: {v:?}"));
+                    let arrivals: Vec<_> =
+                        sharded.nodes.iter().map(|n| n.arrivals.clone()).collect();
+                    assert_eq!(arrivals, ref_arrivals, "{label}");
+                    assert_eq!(sharded.metrics, reference.metrics, "{label}");
+                    assert_eq!(sharded.overflow_events, reference.overflow_events, "{label}");
+                    assert_eq!(sharded.dropped_events, reference.dropped_events, "{label}");
+                    assert_eq!(sharded.fault_transitions, reference.fault_transitions, "{label}");
                 }
             }
         }

@@ -101,10 +101,9 @@ struct Golden {
 }
 
 /// Runs `make`'s protocol on the wheel, the heap, the single-shard sharded
-/// engine, three shards over two forced workers (batching on and off) and the
-/// recycled wheel, and checks each against `golden`. Returns the recycled
-/// wheel's report and the ticks the sharded runs batched, so each scenario can
-/// assert it exercises the machinery it is there for.
+/// engine, three shards over two forced workers and the recycled wheel, and
+/// checks each against `golden`. Returns the recycled wheel's report, so each
+/// scenario can assert it exercises the machinery it is there for.
 fn check<P, F>(
     name: &str,
     graph: &Graph,
@@ -112,7 +111,7 @@ fn check<P, F>(
     faults: Option<&FaultPlan>,
     make: F,
     golden: &Golden,
-) -> (AsyncReport<P>, u64)
+) -> AsyncReport<P>
 where
     P: Protocol + Send,
     P::Message: Send,
@@ -128,7 +127,6 @@ where
             "{name} on {config}: got schedule {schedule:#018x} counters {counters:#018x}"
         );
     };
-    let mut batched_ticks = 0;
     for kind in [
         SchedulerKind::TimingWheel,
         SchedulerKind::BinaryHeap,
@@ -139,31 +137,18 @@ where
                 .unwrap_or_else(|e| panic!("{name} on {kind:?}: {e}"));
         verify(&format!("{kind:?}"), &report, &trace);
     }
-    for batching in [true, false] {
-        let opts = ShardedOptions {
-            workers: 2,
-            threads: ThreadMode::ForceOn,
-            batching,
-            ..ShardedOptions::new(3)
-        };
-        let (report, trace) = run_async_sharded_faulted_traced_with(
-            graph,
-            delay.clone(),
-            faults,
-            &make,
-            limits,
-            opts,
-        )
-        .unwrap_or_else(|e| panic!("{name} on {opts:?}: {e}"));
-        verify(&format!("{opts:?}"), &report, &trace);
-        batched_ticks += report.batched_ticks;
-    }
+    let opts =
+        ShardedOptions { workers: 2, threads: ThreadMode::ForceOn, ..ShardedOptions::new(3) };
+    let (report, trace) =
+        run_async_sharded_faulted_traced_with(graph, delay.clone(), faults, &make, limits, opts)
+            .unwrap_or_else(|e| panic!("{name} on {opts:?}: {e}"));
+    verify(&format!("{opts:?}"), &report, &trace);
     let mut slab = EngineSlab::new();
     let report = run_async_recycled(graph, delay.clone(), faults, &make, limits, &mut slab)
         .unwrap_or_else(|e| panic!("{name} recycled: {e}"));
     let counters = counter_digest(&report);
     assert_eq!(counters, golden.counters, "{name} recycled: got counters {counters:#018x}");
-    (report, batched_ticks)
+    report
 }
 
 fn det_bfs<'g>(
@@ -180,7 +165,7 @@ fn det_bfs_on_a_deep_grid_under_uniform_delays() {
     // where det-synchronizer seq mistakes actually surface, and uniform
     // delays put hundreds of deliveries on one tick.
     let graph = Graph::grid(16, 16);
-    let (wheel, _) = check(
+    let wheel = check(
         "det/grid16x16/uniform",
         &graph,
         &DelayModel::uniform(),
@@ -206,11 +191,11 @@ fn alpha_bfs_on_a_torus_under_jitter() {
 
 #[test]
 fn beta_bfs_on_a_random_regular_graph_under_floored_jitter() {
-    // The 500-tick delay floor forms multi-tick batched windows on the
-    // sharded engine, so the in-window heap arm of the merge is live.
+    // The 500-tick delay floor spreads each wave over half a time unit of
+    // sparse ticks: many thin barriers on the sharded engine.
     let graph = Graph::random_regular(64, 4, 5);
     let tree = SpanningTree::bfs(&graph, NodeId(0));
-    let (_, batched_ticks) = check(
+    check(
         "beta/regular64x4/jitter_at_least",
         &graph,
         &DelayModel::jitter_at_least(19, 0.5),
@@ -218,14 +203,13 @@ fn beta_bfs_on_a_random_regular_graph_under_floored_jitter() {
         |v| BetaSynchronizer::new(tree.clone(), v, BfsAlgorithm::new(&graph, v, &[NodeId(0)]), 12),
         &Golden { schedule: 0x0230_0d5b_895b_6416, counters: 0x92fc_853d_fd4d_67ff },
     );
-    assert!(batched_ticks > 0, "the delay floor must form multi-tick windows");
 }
 
 #[test]
 fn det_bfs_under_outages_through_the_overflow_tiers() {
     // Multi-τ outage delays park deliveries beyond the wheel's horizon.
     let graph = Graph::grid(8, 8);
-    let (wheel, _) = check(
+    let wheel = check(
         "det/grid8x8/outage",
         &graph,
         &DelayModel::outage(11, 4, 2),
@@ -249,7 +233,7 @@ fn churn_and_crash(graph: &Graph) -> FaultPlan {
 #[test]
 fn det_bfs_under_link_churn_and_crashes() {
     let graph = Graph::grid(8, 8);
-    let (wheel, _) = check(
+    let wheel = check(
         "det/grid8x8/churn+crash/jitter5",
         &graph,
         &DelayModel::jitter(5),
@@ -265,7 +249,7 @@ fn det_bfs_under_link_churn_and_crashes_on_dense_ticks() {
     // Uniform delays put drops, acks and live deliveries on the same crowded
     // tick — the case the recording commit ran through its three-pass batch.
     let graph = Graph::grid(8, 8);
-    let (wheel, _) = check(
+    let wheel = check(
         "det/grid8x8/churn+crash/uniform",
         &graph,
         &DelayModel::uniform(),

@@ -219,7 +219,6 @@ fn tracing_is_zero_overhead_when_off() {
         .expect("traced run");
         assert_eq!(traced.metrics, untraced.metrics, "{scheduler:?} metrics diverged");
         assert_eq!(traced.overflow_events, untraced.overflow_events);
-        assert_eq!(traced.batched_ticks, untraced.batched_ticks);
         assert_eq!(traced.pool_dispatches, untraced.pool_dispatches);
         let arrivals =
             |r: &det_synchronizer::netsim::AsyncReport<Chatter<'_>>| -> Vec<Vec<(NodeId, u64)>> {

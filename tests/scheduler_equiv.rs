@@ -182,7 +182,7 @@ fn all_schedulers_agree_under_every_standard_adversary() {
 
 /// Like [`Recorder`] but without the shared `Rc` log, so it is `Send` and can
 /// go through [`run_async_sharded_faulted_with`] — the only public surface that
-/// exposes the batching knob. The per-node arrival streams plus byte-identical
+/// exposes the thread mode. The per-node arrival streams plus byte-identical
 /// `RunMetrics` are exactly what the sharded contract promises.
 #[derive(Debug)]
 struct SendRecorder<'g> {
@@ -232,6 +232,15 @@ fn send_view(report: AsyncReport<SendRecorder<'_>>) -> SendView {
     (arrivals, report.metrics, report.overflow_events)
 }
 
+fn run_send(graph: &Graph, delay: &DelayModel, scheduler: SchedulerKind) -> SendView {
+    let limits = SimLimits::default();
+    let init = |v| SendRecorder::new(graph, v);
+    send_view(
+        run_async_faulted(graph, delay.clone(), None, init, limits, scheduler)
+            .expect("recorder run"),
+    )
+}
+
 fn run_send_sharded(graph: &Graph, delay: &DelayModel, options: ShardedOptions) -> SendView {
     let limits = SimLimits::default();
     let init = |v| SendRecorder::new(graph, v);
@@ -242,35 +251,21 @@ fn run_send_sharded(graph: &Graph, delay: &DelayModel, options: ShardedOptions) 
 }
 
 #[test]
-fn batching_on_and_off_produce_bit_identical_schedules() {
-    // The dynamic batching gate only widens barriers over causally independent
-    // ticks, so flipping it must not move a single event: per-node arrival
-    // streams and RunMetrics are pinned against the serial wheel reference for
-    // both settings, across shard counts and adversaries (including the outage
-    // model, whose multi-τ delays put the wheel's overflow heap inside the
-    // window-cap computation).
+fn sharded_matches_the_wheel_across_shard_counts_and_adversaries() {
+    // Through the public sharded entry point (coordinator only), per-node
+    // arrival streams, RunMetrics and the overflow count are pinned against
+    // the serial wheel across shard counts and adversaries — including the
+    // outage model, whose multi-τ delays park events in every shard wheel's
+    // overflow heap while idle wheels advance in lock-step.
     let graph = Graph::random_connected(26, 0.14, 11);
-    let mut adversaries = vec![DelayModel::jitter(7), DelayModel::uniform()];
-    adversaries.push(DelayModel::outage(7, 5, 2));
-    let run_sharded = |delay: &DelayModel, shards: usize, batching: bool| {
-        let options =
-            ShardedOptions { batching, threads: ThreadMode::Off, ..ShardedOptions::new(shards) };
-        run_send_sharded(&graph, delay, options)
-    };
+    let adversaries = [DelayModel::jitter(7), DelayModel::uniform(), DelayModel::outage(7, 5, 2)];
     for delay in &adversaries {
-        let wheel = run_recorder(&graph, delay.clone(), SchedulerKind::TimingWheel);
+        let wheel = run_send(&graph, delay, SchedulerKind::TimingWheel);
         for shards in [1usize, 2, 4, 7] {
-            let on = run_sharded(delay, shards, true);
-            let off = run_sharded(delay, shards, false);
-            assert_eq!(on, off, "batching flipped the schedule (shards={shards}, {delay:?})");
-            assert_eq!(
-                wheel.1, on.0,
-                "per-node arrivals diverged from the wheel (shards={shards}, {delay:?})"
-            );
-            assert_eq!(
-                wheel.2, on.1,
-                "metrics diverged from the wheel (shards={shards}, {delay:?})"
-            );
+            let options =
+                ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(shards) };
+            let got = run_send_sharded(&graph, delay, options);
+            assert_eq!(wheel, got, "sharded diverged from the wheel (shards={shards}, {delay:?})");
         }
     }
 }
@@ -280,29 +275,19 @@ fn delays_far_past_the_horizon_agree_on_every_engine() {
     // `outage(7, 100, 70)` delays a message by up to 71 τ, so overflow entries
     // sit dozens of horizons ahead of the clock while in-horizon traffic flows
     // around them: the wheel, the heap reference and the sharded engine
-    // (batched or not, threaded or not) must still agree on every arrival
-    // stream and metric, and wheel and sharded on the overflow count.
+    // (threaded or not) must still agree on every arrival stream and metric,
+    // and wheel and sharded on the overflow count.
     let graph = Graph::random_connected(26, 0.14, 11);
     let delay = DelayModel::outage(7, 100, 70);
-    let run = |scheduler: SchedulerKind| {
-        let limits = SimLimits::default();
-        let init = |v| SendRecorder::new(&graph, v);
-        send_view(
-            run_async_faulted(&graph, delay.clone(), None, init, limits, scheduler)
-                .expect("recorder run"),
-        )
-    };
-    let wheel = run(SchedulerKind::TimingWheel);
+    let wheel = run_send(&graph, &delay, SchedulerKind::TimingWheel);
     assert!(wheel.2 > 0, "the adversary must reach the overflow heap");
-    let heap = run(SchedulerKind::BinaryHeap);
+    let heap = run_send(&graph, &delay, SchedulerKind::BinaryHeap);
     assert_eq!((&wheel.0, &wheel.1), (&heap.0, &heap.1), "heap diverged from the wheel");
     for shards in [1usize, 3] {
-        for batching in [true, false] {
-            for threads in [ThreadMode::Off, ThreadMode::ForceOn] {
-                let options = ShardedOptions { batching, threads, ..ShardedOptions::new(shards) };
-                let got = run_send_sharded(&graph, &delay, options);
-                assert_eq!(wheel, got, "sharded diverged from the wheel ({options:?})");
-            }
+        for threads in [ThreadMode::Off, ThreadMode::ForceOn] {
+            let options = ShardedOptions { threads, ..ShardedOptions::new(shards) };
+            let got = run_send_sharded(&graph, &delay, options);
+            assert_eq!(wheel, got, "sharded diverged from the wheel ({options:?})");
         }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! The matrix mixes graphs, delay adversaries, synchronizer kinds (direct, α,
 //! β, det with and without a shared config), schedulers (serial wheel and
-//! sharded with batching live) and fault plans, and checks every comparable
+//! sharded) and fault plans, and checks every comparable
 //! field of [`SynchronizedRun`]. The single deliberate exclusion is
 //! `arena_bytes`: a recycled payload arena may carry more *capacity* than a
 //! cold run ever allocated, and capacity is an engine internal that never
@@ -44,7 +44,6 @@ fn assert_bit_identical<O: std::fmt::Debug + PartialEq>(
     assert_eq!(pooled.dropped_events, solo.dropped_events, "{what}: dropped events");
     assert_eq!(pooled.fault_transitions, solo.fault_transitions, "{what}: fault transitions");
     assert_eq!(pooled.health, solo.health, "{what}: health");
-    assert_eq!(pooled.batched_ticks, solo.batched_ticks, "{what}: batched ticks");
     assert_eq!(pooled.peak_live_handles, solo.peak_live_handles, "{what}: arena high-water");
     assert_eq!(pooled.max_batch, solo.max_batch, "{what}: max due batch");
 }
@@ -263,4 +262,34 @@ fn an_absurd_pulse_bound_fails_its_own_slot_not_the_process() {
     let max_rounds = SimLimits::default().max_rounds;
     let expected = SessionError::PulseBoundTooLarge { bound: 1 << 40, max_rounds };
     assert_only_the_middle_slot_fails(&requests, make, &expected);
+}
+
+#[test]
+fn a_synchronizer_that_cannot_run_on_its_graph_fails_its_own_slot() {
+    // Unvalidated, each panics inside the spanning-tree or cover build and
+    // the pool would blame the protocol with `ProtocolPanicked`.
+    let grid = Graph::grid(4, 4);
+    let split = Graph::from_edges(4, [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))])
+        .expect("two disjoint edges");
+    let ok = ServiceRequest::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8);
+    let hostile = [
+        (
+            ServiceRequest::on(&grid).synchronizer(SyncKind::Beta { root: NodeId(99) }),
+            "the beta root is not a node of the graph",
+        ),
+        (
+            ServiceRequest::on(&split).synchronizer(SyncKind::Beta { root: NodeId(0) }),
+            "beta needs a connected graph",
+        ),
+        (ServiceRequest::on(&split), "det needs a non-empty connected graph"),
+    ];
+    for (bad, what) in hostile {
+        let requests = vec![ok.clone(), bad, ok.clone()];
+        let make = |i: usize, v: NodeId| BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)]);
+        assert_only_the_middle_slot_fails(
+            &requests,
+            make,
+            &SessionError::InvalidSynchronizer { what },
+        );
+    }
 }

@@ -1,9 +1,10 @@
 //! Threaded sharded engine vs. the serial wheel, with worker threads forced
 //! on. This is the ThreadSanitizer target of the `analysis` CI job (DESIGN.md
 //! §8): the grid workloads here put well over `PARALLEL_TICK_THRESHOLD` due
-//! events into each barrier, so phase 1 genuinely crosses the worker-pool
-//! channel hand-off — including pools smaller than the shard count, where
-//! one worker serves several shards per barrier — and TSan watches every
+//! events into their dense ticks, so phase 1 genuinely crosses the
+//! worker-pool channel hand-off (every forced run asserts
+//! `pool_dispatches > 0`) — including pools smaller than the shard count,
+//! where one worker serves several shards per barrier — and TSan watches every
 //! access while the assertions pin that the threads changed nothing —
 //! schedules, metrics and delivery traces all bit-identical to the serial
 //! reference.
@@ -62,7 +63,10 @@ fn arrivals(report: &det_synchronizer::netsim::AsyncReport<Flood<'_>>) -> Vec<Ve
 #[test]
 fn forced_worker_threads_reproduce_the_serial_schedule() {
     let graph = Graph::grid(12, 12);
-    for delay in [DelayModel::uniform(), DelayModel::jitter(7)] {
+    // Uniform delays keep each wave on one tick; `bursty(3)` splits it into a
+    // 1-tick and a τ-tick part, both still dense. (Jitter spreads a wave over
+    // a thousand sparse ticks, none of which reaches the pool.)
+    for delay in [DelayModel::uniform(), DelayModel::bursty(3)] {
         let (wheel_report, wheel_trace) = run_async_faulted_traced(
             &graph,
             delay.clone(),
@@ -89,6 +93,10 @@ fn forced_worker_threads_reproduce_the_serial_schedule() {
                     },
                 )
                 .expect("threaded run");
+                assert!(
+                    threaded_report.pool_dispatches > 0,
+                    "phase 1 must cross threads ({shards} shards, {workers} workers, {delay:?})"
+                );
                 assert_eq!(
                     threaded_report.metrics, wheel_report.metrics,
                     "metrics diverged ({shards} shards, {workers} workers, {delay:?})"
@@ -107,43 +115,30 @@ fn forced_worker_threads_reproduce_the_serial_schedule() {
 
 #[test]
 fn forced_and_disabled_threads_trace_identically() {
-    // jitter_at_least keeps a 500-tick delay floor, so the batched-window path
-    // is live here too: batching over the pool must trace identically to the
-    // coordinator-only run.
+    // Uniform delays put each pulse wave on one tick, so the forced runs
+    // genuinely hand phase 1 to the pool: the threaded trace must equal the
+    // coordinator-only one record for record.
     let graph = Graph::grid(12, 12);
-    let delay = DelayModel::jitter_at_least(19, 0.5);
+    let delay = DelayModel::uniform();
     for shards in [2usize, 4] {
-        for batching in [true, false] {
-            let run = |threads: ThreadMode, workers: usize| {
-                run_async_sharded_faulted_traced_with(
-                    &graph,
-                    delay.clone(),
-                    None,
-                    |v| Flood::new(&graph, v),
-                    SimLimits::default(),
-                    ShardedOptions { workers, threads, batching, ..ShardedOptions::new(shards) },
-                )
-                .expect("sharded run")
-            };
-            let (off_report, off_trace) = run(ThreadMode::Off, 0);
-            let (on_report, on_trace) = run(ThreadMode::ForceOn, 2);
-            assert_eq!(on_report.metrics, off_report.metrics, "{shards} shards, {batching}");
-            assert_eq!(arrivals(&on_report), arrivals(&off_report), "{shards} shards, {batching}");
-            assert_eq!(on_trace, off_trace, "{shards} shards, batching={batching}");
-            check_trace(&on_trace).expect("threaded trace violates HB");
-            if batching {
-                assert_eq!(
-                    on_report.batched_ticks, off_report.batched_ticks,
-                    "batching must not depend on the thread mode"
-                );
-                assert!(
-                    off_report.batched_ticks > 0,
-                    "the 500-tick delay floor must form real multi-tick windows"
-                );
-            } else {
-                assert_eq!(off_report.batched_ticks, 0);
-                assert_eq!(on_report.batched_ticks, 0);
-            }
-        }
+        let run = |threads: ThreadMode, workers: usize| {
+            run_async_sharded_faulted_traced_with(
+                &graph,
+                delay.clone(),
+                None,
+                |v| Flood::new(&graph, v),
+                SimLimits::default(),
+                ShardedOptions { workers, threads, ..ShardedOptions::new(shards) },
+            )
+            .expect("sharded run")
+        };
+        let (off_report, off_trace) = run(ThreadMode::Off, 0);
+        let (on_report, on_trace) = run(ThreadMode::ForceOn, 2);
+        assert!(on_report.pool_dispatches > 0, "{shards} shards: the pool never engaged");
+        assert_eq!(off_report.pool_dispatches, 0, "{shards} shards");
+        assert_eq!(on_report.metrics, off_report.metrics, "{shards} shards");
+        assert_eq!(arrivals(&on_report), arrivals(&off_report), "{shards} shards");
+        assert_eq!(on_trace, off_trace, "{shards} shards");
+        check_trace(&on_trace).expect("threaded trace violates HB");
     }
 }
