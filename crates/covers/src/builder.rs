@@ -20,24 +20,23 @@
 //! property checks (`validate()` + sparsity bounds). DESIGN.md §3.3 documents
 //! the complexity.
 
-use crate::decomposition::build_decomposition_with;
+use crate::decomposition::{build_decomposition_with, DecompCluster};
 use crate::scratch::{BfsScratch, MarkSet};
 use crate::{Cluster, ClusterId, LayeredSparseCover, SparseCover};
 use ds_graph::{Graph, NodeId};
 
-/// Scratch buffers shared by every ball, cluster and layer of one build (and by
-/// the incremental repair in [`crate::repair`]).
-pub(crate) struct CoverScratch {
+/// Scratch buffers shared by every ball, cluster and layer of one build.
+struct CoverScratch {
     /// Ball growing (decomposition) and `d`-expansion of carved clusters.
-    pub(crate) ball: BfsScratch,
+    ball: BfsScratch,
     /// Bounded BFS tree from each cluster center.
-    pub(crate) tree: BfsScratch,
+    tree: BfsScratch,
     /// Nodes already added to the cluster tree under construction.
     in_tree: MarkSet,
 }
 
 impl CoverScratch {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         CoverScratch {
             ball: BfsScratch::new(n),
             tree: BfsScratch::new(n),
@@ -71,12 +70,11 @@ fn build_sparse_cover_with(graph: &Graph, d: usize, scratch: &mut CoverScratch) 
 }
 
 /// Turns one carved decomposition cluster into a cover cluster: `d`-expansion of
-/// the carved members plus the rooted cluster tree. Shared between the
-/// from-scratch build and the incremental repair in [`crate::repair`].
-pub(crate) fn realize_cluster(
+/// the carved members plus the rooted cluster tree.
+fn realize_cluster(
     graph: &Graph,
     d: usize,
-    dc: &crate::decomposition::DecompCluster,
+    dc: &DecompCluster,
     scratch: &mut CoverScratch,
     id: ClusterId,
 ) -> Cluster {

@@ -109,6 +109,10 @@ pub fn build_decomposition(graph: &Graph, separation: usize) -> NetworkDecomposi
 
 /// [`build_decomposition`] over caller-provided scratch buffers (reused across the
 /// layers of a layered cover build).
+///
+/// Each color round carves balls out of the nodes no earlier round carved,
+/// growing every ball in the *full* graph (carved nodes still conduct
+/// distance); doubling counts and center selection see only uncarved nodes.
 pub(crate) fn build_decomposition_with(
     graph: &Graph,
     separation: usize,
@@ -116,40 +120,17 @@ pub(crate) fn build_decomposition_with(
 ) -> NetworkDecomposition {
     let n = graph.node_count();
     assert!(n > 0, "decomposition requires a non-empty graph");
-    carve_decomposition_over(graph, separation, bfs, vec![true; n], n)
-}
-
-/// Ball-carving restricted to a subset: partitions the `alive` nodes into
-/// `separation`-separated color classes, growing every ball in the *full* graph
-/// (non-alive nodes conduct distance, exactly like carved nodes in a full build).
-///
-/// This is the engine behind both [`build_decomposition`] (`alive` = all nodes)
-/// and the incremental cover repair in [`crate::repair`], which re-carves only
-/// the orphans of broken clusters. Doubling counts and center selection see only
-/// alive nodes, so the color count is `O(log |alive|)` and every cluster has weak
-/// radius at most `separation · ⌈log₂ |alive|⌉`.
-///
-/// Works on disconnected graphs: a ball stops growing at its component boundary
-/// and an isolated alive node becomes a singleton cluster.
-pub(crate) fn carve_decomposition_over(
-    graph: &Graph,
-    separation: usize,
-    bfs: &mut BfsScratch,
-    mut alive: Vec<bool>,
-    mut alive_count: usize,
-) -> NetworkDecomposition {
-    let n = graph.node_count();
-    assert_eq!(alive.len(), n, "alive mask must cover the graph");
-    assert!(alive_count > 0, "carving requires at least one alive node");
     let step = separation.max(1);
+    let mut uncarved = vec![true; n];
+    let mut uncarved_count = n;
     let mut remaining = vec![false; n];
     let mut colors: Vec<Vec<DecompCluster>> = Vec::new();
     // Cumulative count of remaining nodes by ball radius (index = BFS depth).
     let mut cum: Vec<usize> = Vec::new();
 
-    while alive_count > 0 {
-        remaining.copy_from_slice(&alive);
-        let mut remaining_count = alive_count;
+    while uncarved_count > 0 {
+        remaining.copy_from_slice(&uncarved);
+        let mut remaining_count = uncarved_count;
         let mut this_color: Vec<DecompCluster> = Vec::new();
         // Centers are carved smallest-id first and carving only removes nodes, so
         // the minimum remaining id is monotone within a round: one forward cursor
@@ -208,8 +189,8 @@ pub(crate) fn carve_decomposition_over(
                 if d <= inner_radius {
                     weak_radius = weak_radius.max(d);
                     members.push(v);
-                    alive[v.index()] = false;
-                    alive_count -= 1;
+                    uncarved[v.index()] = false;
+                    uncarved_count -= 1;
                 }
             }
             members.sort_unstable();

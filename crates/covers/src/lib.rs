@@ -1,4 +1,4 @@
-//! Sparse covers, layered covers, network decompositions and low-diameter partitions.
+//! Sparse covers, layered covers and network decompositions.
 //!
 //! The synchronizer relies on the graph-theoretic notion of a *sparse `d`-cover*
 //! (Definition 2.1 of the paper): a collection of clusters, each equipped with a
@@ -28,11 +28,6 @@
 //!   (Definition 4.19) by deterministic ball carving.
 //! * [`builder`] — sparse `d`-covers and layered covers from the decomposition
 //!   (Theorem 4.21 interface).
-//! * [`partition`] — low-diameter *partitions* (disjoint clusters covering all
-//!   nodes) used by the γ-synchronizer baseline.
-//! * [`repair`] — incremental maintenance under dynamic topology: on a link or
-//!   node event, only the clusters the event touches are re-carved, with a
-//!   documented additive membership degradation (DESIGN.md §9).
 //! * [`stats`] — quality statistics (membership, stretch, edge load) used by the
 //!   cover-quality experiment (E6).
 //!
@@ -46,8 +41,6 @@
 
 pub mod builder;
 pub mod decomposition;
-pub mod partition;
-pub mod repair;
 pub(crate) mod scratch;
 pub mod stats;
 
@@ -325,6 +318,11 @@ impl SparseCover {
         }
     }
 
+    /// Number of nodes of the graph the cover was built for.
+    pub fn node_count(&self) -> usize {
+        self.membership.len()
+    }
+
     /// Number of clusters.
     pub fn cluster_count(&self) -> usize {
         self.clusters.len()
@@ -541,6 +539,7 @@ mod tests {
     #[test]
     fn sparse_cover_membership_lookup() {
         let cover = SparseCover::new(1, vec![star_cluster()], 4);
+        assert_eq!(cover.node_count(), 4);
         assert_eq!(cover.clusters_of(NodeId(1)), &[ClusterId(0)]);
         assert!(cover.clusters_of(NodeId(3)).is_empty());
         assert_eq!(cover.max_membership(), 1);
@@ -579,13 +578,6 @@ mod tests {
             let cover = builder::build_sparse_cover(&graph, d);
             assert_table_matches_cluster_lookups(&cover, graph.node_count());
         }
-        // A repaired cover is assembled from kept and re-carved clusters.
-        let graph = Graph::grid(8, 8);
-        let cover = builder::build_sparse_cover(&graph, 2);
-        let crashed = repair::without_node(&graph, NodeId(27));
-        let (repaired, stats) = repair::repair_sparse_cover(&cover, &graph, &crashed);
-        assert!(stats.dropped > 0 && stats.kept > 0);
-        assert_table_matches_cluster_lookups(&repaired, graph.node_count());
     }
 
     #[test]

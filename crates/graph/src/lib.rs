@@ -429,7 +429,7 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        // Dropping a single edge changes the hash (the repair-path case).
+        // Dropping a single edge changes the hash.
         let full = Graph::cycle(6);
         let trimmed =
             Graph::from_edges(6, full.edges().take(full.edge_count() - 1).map(|(_, u, v)| (u, v)))

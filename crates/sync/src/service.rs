@@ -103,7 +103,7 @@ struct CacheInner {
 /// * **Soundness**: a hit is returned only after full `Graph` equality
 ///   against the stored topology (`Graph: Eq`), so a hash collision
 ///   coexists under one key rather than aliasing. Any structural change —
-///   a removed edge, a repaired graph, a different edge insertion order —
+///   a removed edge, an added edge, a different edge insertion order —
 ///   changes the key or fails the equality check and misses.
 /// * **Build outside the lock**: a miss releases the lock, builds, then
 ///   re-checks under the lock (first writer wins), so concurrent sessions

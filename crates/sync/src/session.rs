@@ -154,8 +154,9 @@ pub enum SessionError {
         max_rounds: u64,
     },
     /// The chosen [`SyncKind`] cannot run on the session's graph: a β root
-    /// outside the graph, or β / [`SyncKind::DetAuto`] (which build a
-    /// spanning tree or a cover) on an empty or disconnected graph.
+    /// outside the graph, β / [`SyncKind::DetAuto`] (which build a
+    /// spanning tree or a cover) on an empty or disconnected graph, or a
+    /// [`SyncKind::Det`] config built for a graph of another node count.
     InvalidSynchronizer {
         /// Description of the offending configuration.
         what: &'static str,
@@ -393,7 +394,8 @@ impl<'g> Session<'g> {
         }
         let kind = self.kind.as_ref().ok_or(SessionError::MissingSynchronizer)?;
         // β and DetAuto build a spanning tree / cover over the whole graph
-        // and panic deep inside that build otherwise; one BFS settles it.
+        // and panic deep inside that build otherwise; one BFS settles it. A
+        // prebuilt det config must at least match the graph's node count.
         let n = self.graph.node_count();
         let reaches_all =
             |root: NodeId| metrics::bfs_distances(self.graph, root).iter().all(Option::is_some);
@@ -404,6 +406,9 @@ impl<'g> Session<'g> {
             SyncKind::Beta { root } if !reaches_all(*root) => "beta needs a connected graph",
             SyncKind::DetAuto if n == 0 || !reaches_all(NodeId(0)) => {
                 "det needs a non-empty connected graph"
+            }
+            SyncKind::Det(cfg) if cfg.covers.level(0).node_count() != n => {
+                "the det config was built for a graph with a different node count"
             }
             _ => return Ok(kind),
         };
@@ -604,11 +609,16 @@ mod tests {
     #[test]
     fn synchronizers_that_cannot_run_on_the_graph_are_rejected() {
         // Two disjoint edges, a grid with a β root outside it, and the empty
-        // graph: each would panic inside the spanning-tree or cover build.
+        // graph: each would panic inside the spanning-tree or cover build. A
+        // det config built for a bigger graph would run to wrong outputs, one
+        // built for a smaller graph would fail on a non-neighbor send.
         let split = Graph::from_edges(4, [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))])
             .expect("two disjoint edges");
         let grid = Graph::grid(3, 3);
+        let bigger = Graph::grid(4, 4);
         let empty = Graph::new(0);
+        let det_for = |g: &Graph| SyncKind::Det(SynchronizerConfig::build(g, 8));
+        let wrong_size = "the det config was built for a graph with a different node count";
         let cases = [
             (
                 &grid,
@@ -623,6 +633,8 @@ mod tests {
                 "the beta root is not a node of the graph",
             ),
             (&empty, SyncKind::DetAuto, "det needs a non-empty connected graph"),
+            (&grid, det_for(&bigger), wrong_size),
+            (&bigger, det_for(&grid), wrong_size),
         ];
         for (graph, kind, what) in cases {
             let expected = SessionError::InvalidSynchronizer { what };

@@ -266,11 +266,13 @@ fn an_absurd_pulse_bound_fails_its_own_slot_not_the_process() {
 
 #[test]
 fn a_synchronizer_that_cannot_run_on_its_graph_fails_its_own_slot() {
-    // Unvalidated, each panics inside the spanning-tree or cover build and
-    // the pool would blame the protocol with `ProtocolPanicked`.
+    // Unvalidated, the first three panic inside the spanning-tree or cover
+    // build and the pool would blame the protocol with `ProtocolPanicked`; the
+    // det config built for a bigger graph would run to wrong outputs.
     let grid = Graph::grid(4, 4);
     let split = Graph::from_edges(4, [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))])
         .expect("two disjoint edges");
+    let bigger_cfg = SynchronizerConfig::build(&Graph::grid(6, 6), 8);
     let ok = ServiceRequest::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8);
     let hostile = [
         (
@@ -282,6 +284,10 @@ fn a_synchronizer_that_cannot_run_on_its_graph_fails_its_own_slot() {
             "beta needs a connected graph",
         ),
         (ServiceRequest::on(&split), "det needs a non-empty connected graph"),
+        (
+            ServiceRequest::on(&grid).synchronizer(SyncKind::Det(bigger_cfg)),
+            "the det config was built for a graph with a different node count",
+        ),
     ];
     for (bad, what) in hostile {
         let requests = vec![ok.clone(), bad, ok.clone()];
