@@ -13,10 +13,9 @@
 //! microbench (`benches/synchronizer.rs`) and the E10 scheduler microbench
 //! (`exp_sched`).
 //!
-//! All executions flow through [`Session`] and the
-//! [`Synchronizer`](ds_sync::executor::Synchronizer) trait — the baseline
-//! comparison (E2) is literally a loop over [`SyncKind::standard_suite`], with no
-//! per-baseline runner code.
+//! All executions flow through [`Session::run`], which dispatches on the
+//! [`SyncKind`] — the baseline comparison (E2) is literally a loop over
+//! [`SyncKind::standard_suite`], with no per-baseline runner code.
 
 #![forbid(unsafe_code)]
 

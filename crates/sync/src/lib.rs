@@ -8,13 +8,16 @@
 //!   (Sections 4–5, Theorems 5.2–5.5).
 //! * [`alpha`], [`beta`] — the classical baselines (Appendix A), used for the
 //!   overhead-comparison experiments.
-//! * [`executor`] — the [`executor::Synchronizer`] trait: one
-//!   object-safe pipeline through which the deterministic synchronizer, both
-//!   baselines and the lock-step ground truth all execute.
 //! * [`session`] — the [`session::Session`] builder, the single entry
-//!   point for running and comparing event-driven algorithms.
+//!   point and the one request description: [`session::Session::run`]
+//!   dispatches on the [`session::SyncKind`] once, so the deterministic
+//!   synchronizer, both baselines and the lock-step ground truth all execute
+//!   through it.
+//! * [`executor`] — what a run returns ([`executor::SynchronizedRun`],
+//!   [`executor::RunHealth`]) and the engine dispatch the asynchronous
+//!   synchronizers share.
 //! * [`service`] — simulation-as-a-service: [`service::SessionPool`] runs
-//!   batches of independent requests concurrently, amortizing cover
+//!   batches of independent sessions concurrently, amortizing cover
 //!   construction (a [`service::CoverCache`]) and engine allocations (a
 //!   recycling bank) across them, with every pooled run bit-identical to its
 //!   standalone session.
@@ -44,10 +47,7 @@ pub mod event_driven {
     pub use ds_netsim::event_driven::{canonical_batch, EventDriven, PulseCtx};
 }
 
-pub use executor::{
-    AlphaExecutor, BetaExecutor, DetExecutor, DirectExecutor, ExecutionEnv, RunHealth,
-    SynchronizedRun, Synchronizer,
-};
+pub use executor::{RunHealth, SynchronizedRun};
 pub use service::{CoverCache, ServiceRequest, SessionPool, SynchronizerParams};
 pub use session::{ComparisonReport, Session, SessionError, SyncKind};
 pub use synchronizer::{collect_outputs, DetSynchronizer, SyncMsg, SynchronizerConfig};

@@ -8,17 +8,15 @@
 //! structure of Ghaffari–Trygub depends only on the topology and the pulse
 //! bound, never on the workload — so a service can build it once per
 //! `(topology, parameters)` and share it, via `Arc`, across every session
-//! that runs on it. This module provides the three pieces:
+//! that runs on it. A request is a plain [`Session`]: the pool runs the same
+//! description a standalone caller would. This module provides the two
+//! pieces that serve requests:
 //!
 //! * [`CoverCache`] — a bounded, thread-safe cache of built
 //!   [`SynchronizerConfig`]s keyed by `(graph structural hash, n, m,
 //!   SynchronizerParams)`, with **verify-on-hit**: a hit is returned only
 //!   after a full `Graph` equality check, so a 64-bit hash collision can
 //!   never alias two topologies (they coexist under one key instead).
-//! * [`ServiceRequest`] — one simulation request: a graph, a delay
-//!   adversary, a [`SyncKind`], scheduler, limits, and an optional fault
-//!   plan. A plain-data description, deliberately mirroring the `Session`
-//!   builder.
 //! * [`SessionPool`] — runs a batch of requests concurrently over the
 //!   `ds-netsim::pool` worker threads (the workspace's single thread-spawn
 //!   site), resolving `DetAuto` through the shared cover cache and drawing
@@ -26,8 +24,8 @@
 //!
 //! # Pooled determinism
 //!
-//! Every pooled run is **bit-identical** to the same request run through a
-//! standalone `Session` (pinned by `tests/service_determinism.rs`),
+//! Every pooled run is **bit-identical** to the same request's own
+//! [`Session::run`] (pinned by `tests/service_determinism.rs`),
 //! regardless of cache hits, recycled engine state, worker count, or
 //! interleaving with other requests. The argument is by construction:
 //!
@@ -38,7 +36,7 @@
 //! 2. A cache-hit `SynchronizerConfig` is the output of the same
 //!    deterministic `build(graph, max_pulse)` the standalone session would
 //!    have run — verified equal-keyed *and* equal-graphed — so `Det(hit)`
-//!    and `DetAuto` instantiate identical executors.
+//!    and `DetAuto` build identical protocol instances.
 //! 3. Recycled engine state is bit-identical to cold state by the reset
 //!    contract of `ds-netsim::recycle` (asserted by the engine every run).
 //! 4. Completion order is irrelevant: results are reassembled by submission
@@ -54,11 +52,9 @@ use crate::executor::SynchronizedRun;
 use crate::session::{Session, SessionError, SyncKind};
 use crate::synchronizer::SynchronizerConfig;
 use ds_graph::{Graph, NodeId};
-use ds_netsim::async_engine::SimLimits;
-use ds_netsim::delay::DelayModel;
 use ds_netsim::event_driven::EventDriven;
 use ds_netsim::pool::{PanicPayload, WorkerPool};
-use ds_netsim::{FaultPlan, SchedulerKind, SlabBank};
+use ds_netsim::SlabBank;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -264,112 +260,17 @@ impl CacheInner {
     }
 }
 
-/// One simulation request for a [`SessionPool`]: the per-request half of a
-/// [`Session`], as plain data. Construct with [`ServiceRequest::on`] and the
-/// builder methods (same names and defaults as `Session`'s).
-#[derive(Clone, Debug)]
-pub struct ServiceRequest<'g> {
-    /// The network graph.
-    pub graph: &'g Graph,
-    /// The delay adversary.
-    pub delay: DelayModel,
-    /// Which synchronizer to drive the algorithm with.
-    pub kind: SyncKind,
-    /// The event scheduler.
-    pub scheduler: SchedulerKind,
-    /// Simulation budgets.
-    pub limits: SimLimits,
-    /// Explicit pulse bound `T(A)`, or `None` to resolve it from a
-    /// synchronous ground-truth run (exactly like a standalone session).
-    pub pulse_bound: Option<u64>,
-    /// Optional dynamic-topology fault plan.
-    pub faults: Option<FaultPlan>,
-}
+/// The former name of a [`SessionPool`] request. Kept only because
+/// `benchmark/src/api.rs` names it; a request is a [`Session`].
+pub type ServiceRequest<'g> = Session<'g>;
 
-impl<'g> ServiceRequest<'g> {
-    /// Starts a request on `graph` with the [`Session`] defaults: uniform
-    /// delays, default limits, timing-wheel scheduler, deterministic
-    /// synchronizer with auto-built config ([`SyncKind::DetAuto`] — the kind
-    /// the cover cache serves).
-    pub fn on(graph: &'g Graph) -> Self {
-        ServiceRequest {
-            graph,
-            delay: DelayModel::uniform(),
-            kind: SyncKind::DetAuto,
-            scheduler: SchedulerKind::default(),
-            limits: SimLimits::default(),
-            pulse_bound: None,
-            faults: None,
-        }
-    }
-
-    /// Sets the delay adversary.
-    #[must_use]
-    pub fn delay(mut self, delay: DelayModel) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Chooses the synchronizer.
-    #[must_use]
-    pub fn synchronizer(mut self, kind: SyncKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Selects the event scheduler.
-    #[must_use]
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the simulation budgets.
-    #[must_use]
-    pub fn limits(mut self, limits: SimLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Fixes the pulse bound explicitly.
-    #[must_use]
-    pub fn pulse_bound(mut self, bound: u64) -> Self {
-        self.pulse_bound = Some(bound);
-        self
-    }
-
-    /// Injects a fault plan.
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// The equivalent [`Session`] — the one place a request's fields are read,
-    /// so limit and pulse-bound rules are `Session`'s own.
-    fn session(&self) -> Session<'g> {
-        let mut session = Session::on(self.graph)
-            .delay(self.delay.clone())
-            .limits(self.limits)
-            .scheduler(self.scheduler)
-            .synchronizer(self.kind.clone());
-        if let Some(bound) = self.pulse_bound {
-            session = session.pulse_bound(bound);
-        }
-        if let Some(plan) = &self.faults {
-            session = session.faults(plan.clone());
-        }
-        session
-    }
-}
-
-/// Runs one request through the service path: build the equivalent
-/// [`Session`], validate and resolve the pulse bound by its rules, serve
-/// `DetAuto` from the cover cache, run with recycled engine state. Used by
-/// the pool's workers; also callable inline (worker count 0 routes here) —
-/// the execution is identical either way.
+/// Runs one request through the service path: validate and resolve the pulse
+/// bound by [`Session`]'s rules, serve `DetAuto` from the cover cache, run
+/// with the pool's recycled engine state. Used by the pool's workers; also
+/// callable inline (worker count 0 routes here) — the execution is identical
+/// either way.
 fn run_one<A, F>(
-    req: &ServiceRequest<'_>,
+    req: &Session<'_>,
     cache: &CoverCache,
     bank: &SlabBank,
     make: &mut F,
@@ -378,9 +279,9 @@ where
     A: EventDriven,
     F: FnMut(NodeId) -> A,
 {
-    let session = req.session().recycle(bank.clone());
-    let bound = session.resolve_pulse_bound(session.validate()?, make)?;
-    let mut session = session.pulse_bound(bound);
+    req.validate()?;
+    let bound = req.resolve_pulse_bound(make)?;
+    let mut session = req.clone().recycle(bank.clone());
     // DetAuto is the cacheable kind: its config is a pure function of
     // (graph, bound), which is exactly the cache key. Everything else
     // passes through unchanged.
@@ -388,7 +289,7 @@ where
         let cfg = cache.get_or_build(req.graph, SynchronizerParams { max_pulse: bound });
         session = session.synchronizer(SyncKind::Det(cfg));
     }
-    session.run(make)
+    Ok(session.execute(bound, make)?)
 }
 
 /// The per-slot error of a request whose protocol (or algorithm factory)
@@ -407,7 +308,7 @@ fn protocol_panicked(payload: PanicPayload) -> SessionError {
 /// fills. Reassembled by `index` after out-of-order completion.
 struct Job<'r, 'g, A: EventDriven, F> {
     index: usize,
-    req: &'r ServiceRequest<'g>,
+    req: &'r Session<'g>,
     cache: &'r CoverCache,
     bank: SlabBank,
     make: F,
@@ -458,7 +359,9 @@ impl SessionPool {
     ///
     /// `make(i, v)` builds the algorithm instance of node `v` for request
     /// `i` — it is cloned per job, and must not observe shared mutable
-    /// state (the usual determinism contract for factories).
+    /// state (the usual determinism contract for factories). Each request
+    /// runs as its own [`Session::run`] would, except that it draws engine
+    /// state from the pool's bank in place of any bank it carries.
     ///
     /// Requests are independent: one failing (its `Err` is returned in its
     /// slot) never affects another. A panicking protocol or factory fails
@@ -466,7 +369,7 @@ impl SessionPool {
     /// engine state is dropped, never returned to the bank.
     pub fn run_batch<'g, A, F>(
         &self,
-        requests: &[ServiceRequest<'g>],
+        requests: &[Session<'g>],
         make: F,
     ) -> Vec<Result<SynchronizedRun<A::Output>, SessionError>>
     where
@@ -538,6 +441,8 @@ impl fmt::Debug for SessionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ds_netsim::async_engine::SimLimits;
+    use ds_netsim::delay::DelayModel;
     use ds_netsim::event_driven::PulseCtx;
 
     #[derive(Debug)]
@@ -620,12 +525,12 @@ mod tests {
     #[test]
     fn pooled_batch_matches_inline_and_keeps_submission_order() {
         let graphs = [Graph::grid(3, 3), Graph::path(7), Graph::cycle(6)];
-        let requests: Vec<ServiceRequest<'_>> = graphs
+        let requests: Vec<Session<'_>> = graphs
             .iter()
             .enumerate()
-            .map(|(i, g)| ServiceRequest::on(g).delay(DelayModel::jitter(3 + i as u64)))
+            .map(|(i, g)| Session::on(g).delay(DelayModel::jitter(3 + i as u64)))
             .collect();
-        let make = |i: usize, v: NodeId| Flood::new(requests[i].graph, v);
+        let make = |i: usize, v: NodeId| Flood::new(requests[i].graph(), v);
         let inline = SessionPool::new(0).run_batch::<Flood, _>(&requests, make);
         let pooled = SessionPool::new(2).run_batch::<Flood, _>(&requests, make);
         for (i, (a, b)) in inline.iter().zip(&pooled).enumerate() {
@@ -639,9 +544,9 @@ mod tests {
     fn invalid_requests_fail_in_their_slot_without_poisoning_the_batch() {
         let graph = Graph::path(4);
         let requests = vec![
-            ServiceRequest::on(&graph),
-            ServiceRequest::on(&graph).limits(SimLimits { max_events: 0, ..SimLimits::default() }),
-            ServiceRequest::on(&graph),
+            Session::on(&graph),
+            Session::on(&graph).limits(SimLimits { max_events: 0, ..SimLimits::default() }),
+            Session::on(&graph),
         ];
         let results =
             SessionPool::new(2).run_batch::<Flood, _>(&requests, |_, v| Flood::new(&graph, v));

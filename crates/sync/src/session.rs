@@ -2,10 +2,12 @@
 //! algorithms under any synchronizer.
 //!
 //! A session names a graph, a delay adversary, simulation budgets and a
-//! [`SyncKind`]; [`Session::run`] executes the algorithm once through the chosen
-//! [`Synchronizer`] implementation, and [`Session::compare`] additionally runs the
-//! lock-step ground truth and reports the overhead factors the paper's theorems
-//! bound.
+//! [`SyncKind`] (the paper's synchronizer, [`SyncKind::DetAuto`], unless another
+//! is chosen); [`Session::run`] executes the algorithm once under that
+//! synchronizer, and [`Session::compare`] additionally runs the lock-step ground
+//! truth and reports the overhead factors the paper's theorems bound. A session
+//! is plain data, so it is also the request a
+//! [`SessionPool`](crate::service::SessionPool) runs in batches.
 //!
 //! ```
 //! use ds_graph::{Graph, NodeId};
@@ -47,12 +49,12 @@
 //! assert!(report.outputs_match());
 //! ```
 
-use crate::beta::SpanningTree;
-use crate::executor::{
-    AlphaExecutor, BetaExecutor, DetExecutor, DirectExecutor, ExecutionEnv, SynchronizedRun,
-    Synchronizer,
+use crate::alpha::AlphaSynchronizer;
+use crate::beta::{BetaSynchronizer, SpanningTree};
+use crate::executor::{RunHealth, SynchronizedRun};
+use crate::synchronizer::{
+    collect_outputs, DetSynchronizer, SynchronizedOutputs, SynchronizerConfig,
 };
-use crate::synchronizer::SynchronizerConfig;
 use ds_graph::{metrics, Graph, NodeId};
 use ds_netsim::async_engine::{SimError, SimLimits};
 use ds_netsim::delay::DelayModel;
@@ -96,8 +98,8 @@ impl SyncKind {
         ]
     }
 
-    /// Short label ("direct", "alpha", "beta", "det"), matching
-    /// [`Synchronizer::name`].
+    /// Short label ("direct", "alpha", "beta", "det"), used as a row label by
+    /// the experiment harness.
     pub fn label(&self) -> &'static str {
         match self {
             SyncKind::Direct => "direct",
@@ -111,34 +113,11 @@ impl SyncKind {
     fn needs_pulse_bound(&self) -> bool {
         matches!(self, SyncKind::Alpha | SyncKind::Beta { .. } | SyncKind::DetAuto)
     }
-
-    /// Builds the executor for this kind on `graph`, simulating at most
-    /// `pulse_bound` pulses where a bound is needed.
-    fn instantiate<A: EventDriven>(
-        &self,
-        graph: &Graph,
-        pulse_bound: u64,
-    ) -> Box<dyn Synchronizer<A>> {
-        match self {
-            SyncKind::Direct => Box::new(DirectExecutor),
-            SyncKind::Alpha => Box::new(AlphaExecutor { max_pulse: pulse_bound }),
-            SyncKind::Beta { root } => Box::new(BetaExecutor {
-                tree: SpanningTree::bfs(graph, *root),
-                max_pulse: pulse_bound,
-            }),
-            SyncKind::Det(cfg) => Box::new(DetExecutor { cfg: Arc::clone(cfg) }),
-            SyncKind::DetAuto => {
-                Box::new(DetExecutor { cfg: SynchronizerConfig::build(graph, pulse_bound) })
-            }
-        }
-    }
 }
 
 /// Errors from [`Session::run`] / [`Session::compare`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SessionError {
-    /// `run`/`compare` was called without [`Session::synchronizer`].
-    MissingSynchronizer,
     /// The configured [`SimLimits`] are unusable (a zero budget).
     InvalidLimits {
         /// Description of the offending field.
@@ -175,9 +154,6 @@ pub enum SessionError {
 impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SessionError::MissingSynchronizer => {
-                write!(f, "no synchronizer configured: call Session::synchronizer(..) first")
-            }
             SessionError::InvalidLimits { what } => {
                 write!(f, "invalid simulation limits: {what} must be positive")
             }
@@ -244,28 +220,28 @@ impl<O: PartialEq> ComparisonReport<O> {
 /// the module docs for a complete example and `DESIGN.md` for the theorem map.
 #[derive(Clone, Debug)]
 pub struct Session<'g> {
-    graph: &'g Graph,
-    delay: DelayModel,
-    limits: SimLimits,
-    kind: Option<SyncKind>,
-    pulse_bound: Option<u64>,
-    scheduler: SchedulerKind,
-    trace: bool,
-    faults: Option<FaultPlan>,
-    recycle: Option<SlabBank>,
+    pub(crate) graph: &'g Graph,
+    pub(crate) delay: DelayModel,
+    pub(crate) limits: SimLimits,
+    pub(crate) kind: SyncKind,
+    pub(crate) pulse_bound: Option<u64>,
+    pub(crate) scheduler: SchedulerKind,
+    pub(crate) trace: bool,
+    pub(crate) faults: Option<FaultPlan>,
+    pub(crate) recycle: Option<SlabBank>,
 }
 
 impl<'g> Session<'g> {
     /// Starts building a session on `graph`. Defaults: uniform delays, default
-    /// [`SimLimits`], no synchronizer (one must be chosen before running), pulse
-    /// bound resolved automatically from the synchronous ground truth, timing-wheel
-    /// event scheduler.
+    /// [`SimLimits`], the paper's synchronizer with its cover built internally
+    /// ([`SyncKind::DetAuto`]), pulse bound resolved automatically from the
+    /// synchronous ground truth, timing-wheel event scheduler.
     pub fn on(graph: &'g Graph) -> Self {
         Session {
             graph,
             delay: DelayModel::uniform(),
             limits: SimLimits::default(),
-            kind: None,
+            kind: SyncKind::DetAuto,
             pulse_bound: None,
             scheduler: SchedulerKind::default(),
             trace: false,
@@ -364,10 +340,10 @@ impl<'g> Session<'g> {
         self
     }
 
-    /// Chooses the synchronizer.
+    /// Chooses the synchronizer (default [`SyncKind::DetAuto`]).
     #[must_use]
     pub fn synchronizer(mut self, kind: SyncKind) -> Self {
-        self.kind = Some(kind);
+        self.kind = kind;
         self
     }
 
@@ -381,7 +357,12 @@ impl<'g> Session<'g> {
         self
     }
 
-    pub(crate) fn validate(&self) -> Result<&SyncKind, SessionError> {
+    /// The network graph the session runs on.
+    pub fn graph(&self) -> &'g Graph {
+        self.graph
+    }
+
+    pub(crate) fn validate(&self) -> Result<(), SessionError> {
         if self.limits.max_events == 0 {
             return Err(SessionError::InvalidLimits { what: "max_events" });
         }
@@ -392,14 +373,13 @@ impl<'g> Session<'g> {
         if let Some(bound) = self.pulse_bound.filter(|&bound| bound > max_rounds) {
             return Err(SessionError::PulseBoundTooLarge { bound, max_rounds });
         }
-        let kind = self.kind.as_ref().ok_or(SessionError::MissingSynchronizer)?;
         // β and DetAuto build a spanning tree / cover over the whole graph
         // and panic deep inside that build otherwise; one BFS settles it. A
         // prebuilt det config must at least match the graph's node count.
         let n = self.graph.node_count();
         let reaches_all =
             |root: NodeId| metrics::bfs_distances(self.graph, root).iter().all(Option::is_some);
-        let what = match kind {
+        let what = match &self.kind {
             SyncKind::Beta { root } if root.index() >= n => {
                 "the beta root is not a node of the graph"
             }
@@ -410,30 +390,14 @@ impl<'g> Session<'g> {
             SyncKind::Det(cfg) if cfg.covers.level(0).node_count() != n => {
                 "the det config was built for a graph with a different node count"
             }
-            _ => return Ok(kind),
+            _ => return Ok(()),
         };
         Err(SessionError::InvalidSynchronizer { what })
     }
 
-    fn env(&self) -> ExecutionEnv<'g> {
-        ExecutionEnv {
-            graph: self.graph,
-            delay: self.delay.clone(),
-            limits: self.limits,
-            scheduler: self.scheduler,
-            trace: self.trace,
-            faults: self.faults.clone(),
-            recycle: self.recycle.clone(),
-        }
-    }
-
     /// Resolves the pulse bound: the explicit bound if set, otherwise `T(A)` from a
     /// synchronous ground-truth run (only executed when the chosen kind needs it).
-    pub(crate) fn resolve_pulse_bound<A, F>(
-        &self,
-        kind: &SyncKind,
-        make: &mut F,
-    ) -> Result<u64, SessionError>
+    pub(crate) fn resolve_pulse_bound<A, F>(&self, make: &mut F) -> Result<u64, SessionError>
     where
         A: EventDriven,
         F: FnMut(NodeId) -> A,
@@ -441,49 +405,104 @@ impl<'g> Session<'g> {
         if let Some(bound) = self.pulse_bound {
             return Ok(bound.max(1));
         }
-        if !kind.needs_pulse_bound() {
+        if !self.kind.needs_pulse_bound() {
             return Ok(1);
         }
         let sync = run_sync(self.graph, make, self.limits.max_rounds)?;
         Ok(sync.rounds_to_quiescence.max(1))
     }
 
-    /// Runs the algorithm once through the configured synchronizer.
+    /// Runs the algorithm once under the session's synchronizer, simulating at
+    /// most `bound` pulses where the kind needs a bound: the one place a
+    /// [`SyncKind`] is dispatched on. The factory is taken as a `dyn` so the
+    /// engines are instantiated once per protocol and algorithm, not once per
+    /// caller's closure type.
+    pub(crate) fn execute<A: EventDriven>(
+        &self,
+        bound: u64,
+        make: &mut dyn FnMut(NodeId) -> A,
+    ) -> Result<SynchronizedRun<A::Output>, SimError> {
+        match &self.kind {
+            SyncKind::Direct => {
+                let report = run_sync(self.graph, make, self.limits.max_rounds)?;
+                let outputs = report.outputs();
+                Ok(SynchronizedRun {
+                    health: RunHealth::of(None, &outputs),
+                    outputs,
+                    metrics: report.metrics,
+                    ordering_violations: 0,
+                    trace: None,
+                    batched_ticks: 0,
+                    dropped_events: 0,
+                    fault_transitions: 0,
+                    peak_live_handles: 0,
+                    arena_bytes: 0,
+                    max_batch: 0,
+                })
+            }
+            SyncKind::Alpha => self.run_async(
+                |v| AlphaSynchronizer::new(self.graph, v, make(v), bound),
+                |nodes| SynchronizedOutputs {
+                    outputs: nodes.iter().map(|n| n.algorithm().output()).collect(),
+                    ordering_violations: 0,
+                },
+            ),
+            SyncKind::Beta { root } => {
+                let tree = SpanningTree::bfs(self.graph, *root);
+                self.run_async(
+                    |v| BetaSynchronizer::new(Arc::clone(&tree), v, make(v), bound),
+                    |nodes| SynchronizedOutputs {
+                        outputs: nodes.iter().map(|n| n.algorithm().output()).collect(),
+                        ordering_violations: 0,
+                    },
+                )
+            }
+            SyncKind::Det(cfg) => self
+                .run_async(|v| DetSynchronizer::new(v, make(v), Arc::clone(cfg)), collect_outputs),
+            SyncKind::DetAuto => {
+                let cfg = SynchronizerConfig::build(self.graph, bound);
+                self.run_async(
+                    |v| DetSynchronizer::new(v, make(v), Arc::clone(&cfg)),
+                    collect_outputs,
+                )
+            }
+        }
+    }
+
+    /// Runs the algorithm once under the session's synchronizer.
     ///
     /// # Errors
     ///
-    /// Returns a [`SessionError`] if no synchronizer was configured, the limits are
-    /// unusable, an explicit pulse bound exceeds `limits.max_rounds`, the
-    /// synchronizer cannot run on the graph, or the simulation fails.
+    /// Returns a [`SessionError`] if the limits are unusable, an explicit pulse
+    /// bound exceeds `limits.max_rounds`, the synchronizer cannot run on the
+    /// graph, or the simulation fails.
     pub fn run<A, F>(&self, mut make: F) -> Result<SynchronizedRun<A::Output>, SessionError>
     where
         A: EventDriven,
         F: FnMut(NodeId) -> A,
     {
-        let kind = self.validate()?.clone();
-        let bound = self.resolve_pulse_bound(&kind, &mut make)?;
-        let exec = kind.instantiate::<A>(self.graph, bound);
-        exec.execute(&self.env(), &mut make).map_err(SessionError::from)
+        self.validate()?;
+        let bound = self.resolve_pulse_bound(&mut make)?;
+        Ok(self.execute(bound, &mut make)?)
     }
 
-    /// Runs the synchronous ground truth, then the configured synchronizer, and
+    /// Runs the synchronous ground truth, then the session's synchronizer, and
     /// reports both with overhead factors.
     ///
     /// # Errors
     ///
-    /// Returns a [`SessionError`] if no synchronizer was configured, the limits are
-    /// unusable, an explicit pulse bound exceeds `limits.max_rounds`, the
-    /// synchronizer cannot run on the graph, or either simulation fails.
+    /// Returns a [`SessionError`] if the limits are unusable, an explicit pulse
+    /// bound exceeds `limits.max_rounds`, the synchronizer cannot run on the
+    /// graph, or either simulation fails.
     pub fn compare<A, F>(&self, mut make: F) -> Result<ComparisonReport<A::Output>, SessionError>
     where
         A: EventDriven,
         F: FnMut(NodeId) -> A,
     {
-        let kind = self.validate()?.clone();
+        self.validate()?;
         let sync = run_sync(self.graph, &mut make, self.limits.max_rounds)?;
         let bound = self.pulse_bound.unwrap_or(sync.rounds_to_quiescence).max(1);
-        let exec = kind.instantiate::<A>(self.graph, bound);
-        let run = exec.execute(&self.env(), &mut make)?;
+        let run = self.execute(bound, &mut make)?;
         Ok(ComparisonReport {
             sync_rounds: sync.rounds_to_quiescence,
             sync_messages: sync.messages,
@@ -543,12 +562,17 @@ mod tests {
     }
 
     #[test]
-    fn run_without_synchronizer_is_rejected() {
-        let graph = Graph::path(4);
-        let err = Session::on(&graph).run(|v| Flood::new(&graph, v)).unwrap_err();
-        assert_eq!(err, SessionError::MissingSynchronizer);
-        let err = Session::on(&graph).compare(|v| Flood::new(&graph, v)).unwrap_err();
-        assert_eq!(err, SessionError::MissingSynchronizer);
+    fn the_default_synchronizer_is_det_auto() {
+        let graph = Graph::grid(3, 3);
+        let session = Session::on(&graph).delay(DelayModel::jitter(4));
+        let default = session.run(|v| Flood::new(&graph, v)).expect("default run");
+        let explicit = session
+            .synchronizer(SyncKind::DetAuto)
+            .run(|v| Flood::new(&graph, v))
+            .expect("explicit DetAuto run");
+        assert!(default.outputs.iter().all(Option::is_some));
+        assert_eq!(default.outputs, explicit.outputs);
+        assert_eq!(default.metrics, explicit.metrics);
     }
 
     #[test]
@@ -590,7 +614,6 @@ mod tests {
 
     #[test]
     fn session_errors_format_helpfully() {
-        assert!(format!("{}", SessionError::MissingSynchronizer).contains("synchronizer"));
         assert!(format!("{}", SessionError::InvalidLimits { what: "max_events" })
             .contains("max_events"));
         let too_large = SessionError::PulseBoundTooLarge { bound: 1 << 40, max_rounds: 1_000_000 };

@@ -9,34 +9,31 @@
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::prelude::*;
-use det_synchronizer::sync::service::{ServiceRequest, SessionPool};
+use det_synchronizer::sync::service::SessionPool;
 
 fn main() {
     let grid = Graph::grid(8, 8);
     let torus = Graph::torus(6, 6);
-    let requests: Vec<ServiceRequest<'_>> = (0..8)
+    let requests: Vec<Session<'_>> = (0..8)
         .map(|i| {
             let graph = if i % 2 == 0 { &grid } else { &torus };
-            ServiceRequest::on(graph) // DetAuto by default
+            Session::on(graph) // DetAuto by default
                 .delay(DelayModel::jitter(3 + i)) // one adversary per request
         })
         .collect();
 
     let pool = SessionPool::new(2); // 2 worker threads (0 = inline)
     let results = pool.run_batch::<BfsAlgorithm, _>(&requests, |i, v| {
-        BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)])
+        BfsAlgorithm::new(requests[i].graph(), v, &[NodeId(0)])
     });
-    for (i, result) in results.iter().enumerate() {
+    for (i, (req, result)) in requests.iter().zip(&results).enumerate() {
         let run = result.as_ref().expect("pooled run");
-        assert_eq!(run.outputs.len(), requests[i].graph.node_count());
+        assert_eq!(run.outputs.len(), req.graph().node_count());
 
         // The headline guarantee: the pooled schedule is bit-identical to the
-        // same request run through a standalone `Session`.
-        let solo = Session::on(requests[i].graph)
-            .delay(requests[i].delay.clone())
-            .synchronizer(SyncKind::DetAuto)
-            .run(|v| BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)]))
-            .expect("standalone run");
+        // same request run standalone.
+        let solo =
+            req.run(|v| BfsAlgorithm::new(req.graph(), v, &[NodeId(0)])).expect("standalone run");
         assert_eq!(run.outputs, solo.outputs);
         assert_eq!(run.metrics, solo.metrics);
         println!(

@@ -11,9 +11,9 @@
 //! * a synchronous round-based executor for event-driven algorithms ([`netsim`]),
 //! * deterministic sparse covers and network decompositions ([`covers`]),
 //! * the paper's core contribution: a deterministic synchronizer with polylogarithmic
-//!   time and message overheads, together with the α/β baselines, all behind one
-//!   [`Synchronizer`](sync::executor::Synchronizer) trait and driven by the
-//!   [`Session`](sync::session::Session) builder ([`sync`]),
+//!   time and message overheads, together with the α/β baselines, all driven
+//!   by the one [`Session`](sync::session::Session) builder, whose
+//!   [`SyncKind`](sync::session::SyncKind) picks the synchronizer ([`sync`]),
 //! * the applications of Section 6: asynchronous deterministic BFS, leader election
 //!   and MST ([`algos`]).
 //!
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use ds_netsim::metrics::RunMetrics;
     pub use ds_netsim::{FaultPlan, SchedulerKind};
     pub use ds_sync::event_driven::EventDriven;
-    pub use ds_sync::executor::{RunHealth, SynchronizedRun, Synchronizer};
+    pub use ds_sync::executor::{RunHealth, SynchronizedRun};
     pub use ds_sync::session::{ComparisonReport, Session, SessionError, SyncKind};
     pub use ds_sync::synchronizer::{DetSynchronizer, SynchronizerConfig};
 }

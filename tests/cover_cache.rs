@@ -9,9 +9,7 @@
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::prelude::*;
-use det_synchronizer::sync::service::{
-    CoverCache, ServiceRequest, SessionPool, SynchronizerParams,
-};
+use det_synchronizer::sync::service::{CoverCache, SessionPool, SynchronizerParams};
 use std::sync::Arc;
 
 #[test]
@@ -124,22 +122,19 @@ fn capacity_one_pool_still_runs_every_request_correctly() {
     let g1 = Graph::grid(4, 4);
     let g2 = Graph::cycle(10);
     let requests = vec![
-        ServiceRequest::on(&g1).delay(DelayModel::jitter(3)),
-        ServiceRequest::on(&g2).delay(DelayModel::jitter(4)),
-        ServiceRequest::on(&g1).delay(DelayModel::jitter(5)),
-        ServiceRequest::on(&g2).delay(DelayModel::jitter(6)),
+        Session::on(&g1).delay(DelayModel::jitter(3)),
+        Session::on(&g2).delay(DelayModel::jitter(4)),
+        Session::on(&g1).delay(DelayModel::jitter(5)),
+        Session::on(&g2).delay(DelayModel::jitter(6)),
     ];
     let pool = SessionPool::with_cache(1, CoverCache::with_capacity(1));
     let results = pool.run_batch::<BfsAlgorithm, _>(&requests, |i, v| {
-        BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)])
+        BfsAlgorithm::new(requests[i].graph(), v, &[NodeId(0)])
     });
     for (i, (req, result)) in requests.iter().zip(&results).enumerate() {
         let pooled = result.as_ref().unwrap_or_else(|e| panic!("req {i}: {e}"));
-        let solo = Session::on(req.graph)
-            .delay(req.delay.clone())
-            .synchronizer(SyncKind::DetAuto)
-            .run(|v| BfsAlgorithm::new(req.graph, v, &[NodeId(0)]))
-            .expect("standalone");
+        let solo =
+            req.run(|v| BfsAlgorithm::new(req.graph(), v, &[NodeId(0)])).expect("standalone");
         assert_eq!(pooled.outputs, solo.outputs, "req {i}");
         assert_eq!(pooled.metrics, solo.metrics, "req {i}");
     }

@@ -231,7 +231,7 @@ fn tracing_is_zero_overhead_when_off() {
 
 #[test]
 fn every_sync_kind_produces_a_clean_trace_through_session() {
-    // Full stack: Session → executors → engines, every synchronizer × jitter
+    // Full stack: Session → protocols → engines, every synchronizer × jitter
     // seed × scheduler. The recorded traces must verify and agree across
     // schedulers, and requesting a trace must not change outputs or metrics.
     let graph = Graph::grid(5, 5);

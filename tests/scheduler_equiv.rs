@@ -296,8 +296,7 @@ fn delays_far_past_the_horizon_agree_on_every_engine() {
 fn every_sync_kind_is_scheduler_independent_on_bfs() {
     // Full stack: the synchronizers' executions (outputs *and* byte-identical
     // RunMetrics) must not depend on the scheduler choice. The `Sharded` kinds
-    // here go through `Session` → the executors →
-    // `run_async_sharded_faulted_with`, which engages worker threads when the
+    // here go through `Session::run` → `run_async_sharded_faulted_with`, which engages worker threads when the
     // host has spare cores — on multi-core CI this pins the cross-thread
     // hand-off end to end.
     let graph = Graph::grid(5, 5);

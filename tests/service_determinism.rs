@@ -1,10 +1,10 @@
-//! Pooled determinism: every run dispatched through a
-//! [`SessionPool`] is bit-identical to the same request run through a
-//! standalone [`Session`] — the service layer's headline guarantee.
+//! Pooled determinism: every [`Session`] dispatched through a
+//! [`SessionPool`] is bit-identical to the same session's own `run` — the
+//! service layer's headline guarantee.
 //!
 //! The matrix mixes graphs, delay adversaries, synchronizer kinds (direct, α,
 //! β, det with and without a shared config), schedulers (serial wheel and
-//! sharded) and fault plans, and checks every comparable
+//! sharded), fault plans and a traced request, and checks every comparable
 //! field of [`SynchronizedRun`]. The single deliberate exclusion is
 //! `arena_bytes`: a recycled payload arena may carry more *capacity* than a
 //! cold run ever allocated, and capacity is an engine internal that never
@@ -13,22 +13,11 @@
 use det_synchronizer::algos::bfs::{BfsAlgorithm, BfsOutput};
 use det_synchronizer::netsim::PulseCtx;
 use det_synchronizer::prelude::*;
-use det_synchronizer::sync::service::{ServiceRequest, SessionPool};
+use det_synchronizer::sync::service::SessionPool;
 
-/// Runs one request through a standalone `Session` — the reference execution.
-fn run_standalone(req: &ServiceRequest<'_>) -> SynchronizedRun<BfsOutput> {
-    let mut session = Session::on(req.graph)
-        .delay(req.delay.clone())
-        .limits(req.limits)
-        .scheduler(req.scheduler)
-        .synchronizer(req.kind.clone());
-    if let Some(bound) = req.pulse_bound {
-        session = session.pulse_bound(bound);
-    }
-    if let Some(plan) = &req.faults {
-        session = session.faults(plan.clone());
-    }
-    session.run(|v| BfsAlgorithm::new(req.graph, v, &[NodeId(0)])).expect("standalone run")
+/// Runs one request standalone — the reference execution.
+fn run_standalone(req: &Session<'_>) -> SynchronizedRun<BfsOutput> {
+    req.run(|v| BfsAlgorithm::new(req.graph(), v, &[NodeId(0)])).expect("standalone run")
 }
 
 /// Asserts a pooled result equals its standalone reference on every field a
@@ -59,35 +48,43 @@ fn mixed_matrix_is_bit_identical_across_worker_counts() {
     let churn_plan =
         FaultPlan::new().link_down(0, NodeId(3), NodeId(4)).link_up(4000, NodeId(3), NodeId(4));
 
-    let requests: Vec<ServiceRequest<'_>> = vec![
+    let requests: Vec<Session<'_>> = vec![
         // 0: the cacheable default — DetAuto, auto-resolved bound.
-        ServiceRequest::on(&grid).delay(DelayModel::jitter(3)),
+        Session::on(&grid).delay(DelayModel::jitter(3)),
         // 1: α with the bound resolved from the ground truth inside the pool.
-        ServiceRequest::on(&torus).delay(DelayModel::jitter(5)).synchronizer(SyncKind::Alpha),
+        Session::on(&torus).delay(DelayModel::jitter(5)).synchronizer(SyncKind::Alpha),
         // 2: β on an irregular topology, uniform delays.
-        ServiceRequest::on(&rr).synchronizer(SyncKind::Beta { root: NodeId(0) }),
+        Session::on(&rr).synchronizer(SyncKind::Beta { root: NodeId(0) }),
         // 3: det under a crash fault plan with an explicit bound.
-        ServiceRequest::on(&path).delay(DelayModel::jitter(7)).pulse_bound(10).faults(crash_plan),
+        Session::on(&path).delay(DelayModel::jitter(7)).pulse_bound(10).faults(crash_plan),
         // 4: an explicitly shared config (the Theorem 5.3 setting) — bypasses
         // the cache entirely.
-        ServiceRequest::on(&grid)
+        Session::on(&grid)
             .delay(DelayModel::slow_cut(2))
             .synchronizer(SyncKind::Det(shared_cfg))
             .pulse_bound(12),
         // 5: request 0 repeated verbatim — must reproduce it exactly.
-        ServiceRequest::on(&grid).delay(DelayModel::jitter(3)),
+        Session::on(&grid).delay(DelayModel::jitter(3)),
         // 6: the lock-step ground truth itself, pooled.
-        ServiceRequest::on(&torus).synchronizer(SyncKind::Direct),
+        Session::on(&torus).synchronizer(SyncKind::Direct),
         // 7: the sharded engine inside a pooled request, link churn live.
-        ServiceRequest::on(&rr)
+        Session::on(&rr)
             .delay(DelayModel::jitter(11))
             .scheduler(SchedulerKind::Sharded { shards: 2, workers: 2 })
             .pulse_bound(14)
             .faults(churn_plan),
+        // 8: a traced request, served from the cover cache like request 0.
+        Session::on(&grid).delay(DelayModel::jitter(3)).record_trace(true),
     ];
 
     let standalone: Vec<_> = requests.iter().map(run_standalone).collect();
-    let make = |i: usize, v: NodeId| BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)]);
+    let schedule_keys = |run: &SynchronizedRun<BfsOutput>| -> Vec<_> {
+        let trace = run.trace.as_ref().expect("request 8 records a trace");
+        trace.records.iter().map(|r| r.schedule_key()).collect()
+    };
+    let solo_keys = schedule_keys(&standalone[8]);
+    assert!(!solo_keys.is_empty());
+    let make = |i: usize, v: NodeId| BfsAlgorithm::new(requests[i].graph(), v, &[NodeId(0)]);
     for workers in [0usize, 1, 2, 4] {
         let pool = SessionPool::new(workers);
         let results = pool.run_batch::<BfsAlgorithm, _>(&requests, make);
@@ -100,6 +97,9 @@ fn mixed_matrix_is_bit_identical_across_worker_counts() {
         let (a, b) = (results[0].as_ref().unwrap(), results[5].as_ref().unwrap());
         assert_eq!(a.outputs, b.outputs, "repeat submission diverged");
         assert_eq!(a.metrics, b.metrics, "repeat submission diverged");
+        // The pooled trace is the standalone one, delivery for delivery.
+        let pooled_keys = schedule_keys(results[8].as_ref().unwrap());
+        assert_eq!(pooled_keys, solo_keys, "workers={workers}: traced request diverged");
     }
 }
 
@@ -110,11 +110,11 @@ fn resubmitting_a_batch_to_a_warm_pool_is_identical() {
     let grid = Graph::grid(5, 5);
     let cycle = Graph::cycle(14);
     let requests = vec![
-        ServiceRequest::on(&grid).delay(DelayModel::jitter(3)),
-        ServiceRequest::on(&cycle).delay(DelayModel::jitter(5)),
-        ServiceRequest::on(&grid).delay(DelayModel::jitter(8)),
+        Session::on(&grid).delay(DelayModel::jitter(3)),
+        Session::on(&cycle).delay(DelayModel::jitter(5)),
+        Session::on(&grid).delay(DelayModel::jitter(8)),
     ];
-    let make = |i: usize, v: NodeId| BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)]);
+    let make = |i: usize, v: NodeId| BfsAlgorithm::new(requests[i].graph(), v, &[NodeId(0)]);
     let pool = SessionPool::new(2);
     let first = pool.run_batch::<BfsAlgorithm, _>(&requests, make);
     // Both grid requests land on the same worker (dispatch is by submission
@@ -142,18 +142,18 @@ fn out_of_order_completion_reassembles_by_submission_index() {
     // submission order — and must still come back reassembled by index.
     let big = Graph::grid(10, 10);
     let tiny: Vec<Graph> = (0..6).map(|i| Graph::path(3 + i)).collect();
-    let mut requests = vec![ServiceRequest::on(&big).delay(DelayModel::jitter(2))];
+    let mut requests = vec![Session::on(&big).delay(DelayModel::jitter(2))];
     for g in &tiny {
-        requests.push(ServiceRequest::on(g).delay(DelayModel::jitter(4)));
+        requests.push(Session::on(g).delay(DelayModel::jitter(4)));
     }
     let standalone: Vec<_> = requests.iter().map(run_standalone).collect();
-    let make = |i: usize, v: NodeId| BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)]);
+    let make = |i: usize, v: NodeId| BfsAlgorithm::new(requests[i].graph(), v, &[NodeId(0)]);
     let results = SessionPool::new(3).run_batch::<BfsAlgorithm, _>(&requests, make);
     for (i, (pooled, solo)) in results.iter().zip(&standalone).enumerate() {
         let pooled = pooled.as_ref().unwrap_or_else(|e| panic!("req {i}: {e}"));
         // Output lengths differ per request (distinct graphs), so a single
         // misrouted slot would fail loudly here.
-        assert_eq!(pooled.outputs.len(), requests[i].graph.node_count(), "req {i} misrouted");
+        assert_eq!(pooled.outputs.len(), requests[i].graph().node_count(), "req {i} misrouted");
         assert_bit_identical(pooled, solo, &format!("req {i}"));
     }
 }
@@ -162,19 +162,19 @@ fn out_of_order_completion_reassembles_by_submission_index() {
 fn mixed_success_and_failure_slots_stay_independent() {
     let grid = Graph::grid(4, 4);
     let requests = vec![
-        ServiceRequest::on(&grid).delay(DelayModel::jitter(3)),
+        Session::on(&grid).delay(DelayModel::jitter(3)),
         // An unusable event budget: fails validation in its own slot.
-        ServiceRequest::on(&grid).limits(SimLimits { max_events: 0, ..SimLimits::default() }),
+        Session::on(&grid).limits(SimLimits { max_events: 0, ..SimLimits::default() }),
         // A starved event budget: fails inside the simulation.
-        ServiceRequest::on(&grid)
+        Session::on(&grid)
             .delay(DelayModel::jitter(3))
             .pulse_bound(8)
             .limits(SimLimits { max_events: 5, ..SimLimits::default() }),
-        ServiceRequest::on(&grid).delay(DelayModel::jitter(3)),
+        Session::on(&grid).delay(DelayModel::jitter(3)),
     ];
     let standalone = run_standalone(&requests[0]);
     let results = SessionPool::new(2).run_batch::<BfsAlgorithm, _>(&requests, |i, v| {
-        BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)])
+        BfsAlgorithm::new(requests[i].graph(), v, &[NodeId(0)])
     });
     assert_bit_identical(results[0].as_ref().expect("req 0"), &standalone, "req 0");
     assert!(
@@ -217,7 +217,7 @@ impl EventDriven for CursedBfs<'_> {
 /// bank and cache the failure left behind): the outer slots stay bit-identical
 /// to a standalone run of request 0.
 fn assert_only_the_middle_slot_fails<A, F>(
-    requests: &[ServiceRequest<'_>],
+    requests: &[Session<'_>],
     make: F,
     expected: &SessionError,
 ) where
@@ -241,7 +241,7 @@ fn assert_only_the_middle_slot_fails<A, F>(
 fn a_panicking_protocol_fails_its_own_slot_not_the_batch() {
     // With an explicit bound the panic hits inside the engine, slab checked out.
     let grid = Graph::grid(4, 4);
-    let requests = vec![ServiceRequest::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8); 3];
+    let requests = vec![Session::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8); 3];
     let make = |i: usize, v: NodeId| CursedBfs {
         bfs: BfsAlgorithm::new(&grid, v, &[NodeId(0)]),
         cursed: i == 1,
@@ -256,7 +256,7 @@ fn an_absurd_pulse_bound_fails_its_own_slot_not_the_process() {
     // this request aborted the whole process on a 26 TB allocation — beyond
     // what `catch_unwind` can turn into an error.
     let grid = Graph::grid(4, 4);
-    let ok = ServiceRequest::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8);
+    let ok = Session::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8);
     let requests = vec![ok.clone(), ok.clone().pulse_bound(1 << 40), ok];
     let make = |_: usize, v: NodeId| BfsAlgorithm::new(&grid, v, &[NodeId(0)]);
     let max_rounds = SimLimits::default().max_rounds;
@@ -273,25 +273,25 @@ fn a_synchronizer_that_cannot_run_on_its_graph_fails_its_own_slot() {
     let split = Graph::from_edges(4, [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))])
         .expect("two disjoint edges");
     let bigger_cfg = SynchronizerConfig::build(&Graph::grid(6, 6), 8);
-    let ok = ServiceRequest::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8);
+    let ok = Session::on(&grid).delay(DelayModel::jitter(3)).pulse_bound(8);
     let hostile = [
         (
-            ServiceRequest::on(&grid).synchronizer(SyncKind::Beta { root: NodeId(99) }),
+            Session::on(&grid).synchronizer(SyncKind::Beta { root: NodeId(99) }),
             "the beta root is not a node of the graph",
         ),
         (
-            ServiceRequest::on(&split).synchronizer(SyncKind::Beta { root: NodeId(0) }),
+            Session::on(&split).synchronizer(SyncKind::Beta { root: NodeId(0) }),
             "beta needs a connected graph",
         ),
-        (ServiceRequest::on(&split), "det needs a non-empty connected graph"),
+        (Session::on(&split), "det needs a non-empty connected graph"),
         (
-            ServiceRequest::on(&grid).synchronizer(SyncKind::Det(bigger_cfg)),
+            Session::on(&grid).synchronizer(SyncKind::Det(bigger_cfg)),
             "the det config was built for a graph with a different node count",
         ),
     ];
     for (bad, what) in hostile {
         let requests = vec![ok.clone(), bad, ok.clone()];
-        let make = |i: usize, v: NodeId| BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)]);
+        let make = |i: usize, v: NodeId| BfsAlgorithm::new(requests[i].graph(), v, &[NodeId(0)]);
         assert_only_the_middle_slot_fails(
             &requests,
             make,
