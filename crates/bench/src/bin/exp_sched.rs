@@ -10,7 +10,7 @@
 //! benchmark. No external deps: the timing loop is hand-rolled and rows go
 //! through the shared `ds-bench` table renderer.
 //!
-//! Two more sections follow:
+//! Three more sections follow:
 //!
 //! * `pool/*` — the per-barrier cost of handing K shard tasks to worker
 //!   threads and waiting for them back, comparing the persistent
@@ -20,13 +20,24 @@
 //! * `arena/*` — the baseline the event arena is judged against: the
 //!   per-event owned-enum walk (payloads inline in the wheel slots, drained one
 //!   event at a time in seq order).
+//! * `scale/*` — whole-run wall time per simulated event as `n` grows: a det
+//!   BFS from a corner of grid 16², 32² and 64² under uniform delays and an α
+//!   BFS on torus 16², 32² and 64² under jitter (cover built outside the
+//!   timer). The per-event data structures are the same at every size, so a
+//!   rise in ns/event with `n` is the working set leaving the caches.
 //!
 //! Usage: `exp_sched [--smoke]` (`--smoke` shrinks the op counts for CI).
 
+use ds_algos::bfs::BfsAlgorithm;
 use ds_bench::table::{print_table, Row};
+use ds_graph::{Graph, NodeId};
+use ds_netsim::delay::DelayModel;
 use ds_netsim::pool::WorkerPool;
 use ds_netsim::scheduler::{EventScheduler, HeapScheduler, TimingWheel};
 use ds_netsim::stage_queue::StageQueue;
+use ds_netsim::sync_engine::run_sync;
+use ds_sync::session::{Session, SyncKind};
+use ds_sync::synchronizer::SynchronizerConfig;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -314,6 +325,78 @@ fn arena_rows(events: u64) -> Vec<Row> {
     }]
 }
 
+/// Runs one BFS from node 0 under `session`: wall ns per delivered event, and
+/// the event count.
+fn bfs_ns_per_event(graph: &Graph, session: &Session<'_>) -> (f64, u64) {
+    let start = Instant::now();
+    let run = session.run(|v| BfsAlgorithm::new(graph, v, &[NodeId(0)])).expect("bfs run");
+    let events = run.metrics.events;
+    (start.elapsed().as_nanos() as f64 / events as f64, events)
+}
+
+/// `T(A)` of a BFS from node 0: the pulse bound `Session` would resolve,
+/// computed here so the synchronous run stays outside the timer.
+fn bfs_rounds(graph: &Graph) -> u64 {
+    let sync = run_sync(graph, |v| BfsAlgorithm::new(graph, v, &[NodeId(0)]), u64::MAX)
+        .expect("synchronous bfs");
+    sync.rounds_to_quiescence.max(1)
+}
+
+/// Whole-run ns/event per family and size. The `SAMPLES` rounds run every
+/// size once each, interleaved, so a slow spell of a shared host lands on
+/// all sizes of a round alike; `vs_32x32` is the median over rounds of a
+/// run's ns/event over the same round's 32² run of its family.
+fn scale_rows(sides: &[usize]) -> Vec<Row> {
+    let grids: Vec<Graph> = sides.iter().map(|&side| Graph::grid(side, side)).collect();
+    let tori: Vec<Graph> = sides.iter().map(|&side| Graph::torus(side, side)).collect();
+    let mut cases: Vec<(String, &Graph, Session<'_>)> = Vec::new();
+    for (graph, &side) in grids.iter().zip(sides) {
+        let bound = bfs_rounds(graph);
+        let cfg = SynchronizerConfig::build(graph, bound);
+        let session = Session::on(graph)
+            .delay(DelayModel::uniform())
+            .synchronizer(SyncKind::Det(cfg))
+            .pulse_bound(bound);
+        cases.push((format!("scale/det-grid/{}", side * side), graph, session));
+    }
+    for (graph, &side) in tori.iter().zip(sides) {
+        let session = Session::on(graph)
+            .delay(DelayModel::jitter(7))
+            .synchronizer(SyncKind::Alpha)
+            .pulse_bound(bfs_rounds(graph));
+        cases.push((format!("scale/alpha-torus/{}", side * side), graph, session));
+    }
+    let mut events = vec![0u64; cases.len()];
+    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); cases.len()];
+    for _ in 0..SAMPLES {
+        for (i, (_, graph, session)) in cases.iter().enumerate() {
+            let (ns, n_events) = bfs_ns_per_event(graph, session);
+            samples[i].push(ns);
+            events[i] = n_events;
+        }
+    }
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let per_family = sides.len();
+    let base = sides.iter().position(|&side| side == 32).expect("the 32x32 size is always run");
+    (0..cases.len())
+        .map(|i| {
+            let reference = &samples[i - i % per_family + base];
+            let ratios = samples[i].iter().zip(reference).map(|(ns, r)| ns / r).collect();
+            Row {
+                label: cases[i].0.clone(),
+                values: vec![
+                    ("events", events[i] as f64),
+                    ("ns/event", median(samples[i].clone())),
+                    ("vs_32x32", median(ratios)),
+                ],
+            }
+        })
+        .collect()
+}
+
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     let (events, ops, barriers) =
@@ -326,4 +409,9 @@ fn main() {
         &pool_rows(barriers),
     );
     print_table("event arena baseline (owned per-event walk)", &arena_rows(events));
+    let sides: &[usize] = if smoke { &[16, 32] } else { &[16, 32, 64] };
+    print_table(
+        "per-event cost vs n (whole BFS runs, median of 5 interleaved rounds)",
+        &scale_rows(sides),
+    );
 }

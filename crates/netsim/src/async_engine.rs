@@ -38,7 +38,7 @@
 
 use crate::arena::{EvRef, PayloadArena};
 use crate::delay::DelayModel;
-use crate::effects::{Core, Event, Home, LinkState, Storage};
+use crate::effects::{Core, Event, Home, LinkState, LinkTable, SpillTable, Storage};
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::protocol::Protocol;
@@ -147,13 +147,14 @@ pub struct AsyncReport<P> {
 /// arena are reshaped rather than reallocated.
 ///
 /// None of the retained state can influence a schedule: between runs the
-/// queues are empty, the arena holds no live handles (capacity and free-list
-/// shape are invisible — handles are opaque and never feed a scheduling
-/// decision), and [`EngineParts::adopt`] rewrites every field the next run
+/// queues are empty and every spill slot is free (which slot a link takes
+/// never affects its pop order), the arena holds no live handles (capacity and
+/// free-list shape are invisible — handles are opaque and never feed a
+/// scheduling decision), and [`EngineParts::adopt`] rewrites every field the next run
 /// reads (link endpoints, done flags, the peak-live watermark) to exactly its
 /// cold-start value.
 pub(crate) struct EngineParts<M> {
-    links: Vec<LinkState<u32>>,
+    links: LinkTable,
     arena: PayloadArena<M>,
     done_flags: Vec<bool>,
 }
@@ -162,7 +163,11 @@ pub(crate) struct EngineParts<M> {
 // message value.
 impl<M> Default for EngineParts<M> {
     fn default() -> Self {
-        EngineParts { links: Vec::new(), arena: PayloadArena::new(), done_flags: Vec::new() }
+        EngineParts {
+            links: LinkTable::default(),
+            arena: PayloadArena::new(),
+            done_flags: Vec::new(),
+        }
     }
 }
 
@@ -180,27 +185,16 @@ impl<M> EngineParts<M> {
     pub(crate) fn adopt(&mut self, graph: &Graph) {
         assert_eq!(self.arena.live(), 0, "recycled parts must hold no live arena handles");
         self.arena.reset_peak();
-        let m = graph.directed_edge_count();
-        self.links.truncate(m);
-        for (e, link) in self.links.iter_mut().enumerate() {
-            assert!(link.is_idle(), "recycled parts must hold no queued or in-flight messages");
-            let (from, to) = graph.directed_endpoints(DirectedEdgeId(e as u32));
-            link.from = from;
-            link.to = to;
-        }
-        for e in self.links.len()..m {
-            let (from, to) = graph.directed_endpoints(DirectedEdgeId(e as u32));
-            self.links.push(LinkState::new(from, to));
-        }
+        self.links.adopt(graph);
         self.done_flags.clear();
         self.done_flags.resize(graph.node_count(), false);
     }
 
     /// Whether the parts hold no transient state — the recycling hygiene
     /// invariant ([`crate::recycle::EngineSlab::is_clean`]): every link idle,
-    /// every arena handle returned.
+    /// every arena handle returned, no spill slot held.
     pub(crate) fn is_clean(&self) -> bool {
-        self.arena.live() == 0 && self.links.iter().all(LinkState::is_idle)
+        self.arena.live() == 0 && self.links.is_idle()
     }
 }
 
@@ -209,7 +203,7 @@ struct Serial<P: Protocol, S> {
     nodes: Vec<P>,
     done_flags: Vec<bool>,
     /// Link state per directed edge, indexed by [`DirectedEdgeId`].
-    links: Vec<LinkState<u32>>,
+    links: LinkTable,
     /// Every in-flight message payload, behind the `u32` handles the link
     /// queues and the scheduler's [`EvRef`]s carry.
     arena: PayloadArena<P::Message>,
@@ -220,8 +214,8 @@ impl<P: Protocol, S: EventScheduler<EvRef>> Storage for Serial<P, S> {
     type Node = P;
 
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn link(&mut self, link: DirectedEdgeId) -> &mut LinkState<u32> {
-        &mut self.links[link.index()]
+    fn link(&mut self, link: DirectedEdgeId) -> (&mut LinkState, &mut SpillTable) {
+        self.links.get(link.index())
     }
 
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
@@ -391,8 +385,8 @@ where
             let ev = if ev.is_ack() {
                 Event::Ack { link }
             } else {
-                let state = &st.links[link.index()];
-                Event::Deliver { link, from: state.from, to: state.to, handle: ev.payload }
+                let state = st.links.link(link.index());
+                Event::Deliver { link, from: state.from(), to: state.to(), handle: ev.payload }
             };
             core.fire(&mut st, seq, ev)?;
         }

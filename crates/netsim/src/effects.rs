@@ -28,6 +28,22 @@
 //! [`LinkState`] of a directed edge lives, which shard is home to a node (its
 //! protocol instance, done flag and the arena owning payloads addressed to
 //! it), and where a scheduled event goes.
+//!
+//! # Link layout
+//!
+//! A delivery touches two link records (its own on the ack, and each link its
+//! sends queue on), so the records are kept small enough for a table of them
+//! to stay cache-resident: a [`LinkState`] is 40 bytes — the endpoints as
+//! `u32`, the first waiting message's `(priority, seq, handle)` inline, two
+//! flags and a `u32` slot. Only when a second message queues behind the head
+//! does the link take a slot in its [`LinkTable`]'s [`SpillTable`], a pool of
+//! out-of-line [`StageQueue`]s; the slot goes back when the queue drains and
+//! keeps its buffers, so the per-delivery path allocates nothing once warm.
+//! Pop order is the minimum `(priority, seq)` over head and spill queue —
+//! exactly one unsplit queue's order, whichever side an entry landed on.
+//! [`Core::send`] finds the link of `(from, to)` in a flat CSR row of
+//! `(neighbor, link)` pairs built per run ([`LinkIndex`]) instead of the
+//! graph's nested adjacency vectors.
 
 use crate::arena::PayloadArena;
 use crate::async_engine::{AsyncReport, SimError, SimLimits};
@@ -40,61 +56,256 @@ use crate::trace::{DeliveryTrace, TraceState};
 use crate::TICKS_PER_UNIT;
 use ds_graph::{DirectedEdgeId, Graph, NodeId};
 
-/// Per-directed-edge link state, indexed flat by [`DirectedEdgeId`] (the
-/// sharded engine keeps one such table per shard). The queued entries are
-/// payload-arena handles, not messages.
+/// `LinkState::spill` of a link with no spill slot.
+const NO_SPILL: u32 = u32::MAX;
+
+/// Per-directed-edge link state, indexed flat by [`DirectedEdgeId`] in a
+/// [`LinkTable`] (the sharded engine keeps one table per shard). The queued
+/// entries are payload-arena handles, not messages.
+///
+/// 40 bytes: the head entry's `(priority, seq)` key (16), the endpoints, the
+/// head's handle and the spill slot (4 × 4), two flags. The queue behind the
+/// head lives out of line in the table's [`SpillTable`], so a table of these
+/// is what a delivery walks; `tests::link_state_is_40_bytes` pins the size.
 #[derive(Debug)]
-pub(crate) struct LinkState<M> {
+pub(crate) struct LinkState {
+    /// Key of the head entry; meaningful while `has_head`.
+    head_priority: u64,
+    head_seq: u64,
     /// Cached endpoints of the directed edge — the hot path reads them from the
     /// link record it touches anyway instead of chasing the graph's edge table.
-    pub(crate) from: NodeId,
-    pub(crate) to: NodeId,
+    from: u32,
+    to: u32,
+    /// Payload handle of the head entry; meaningful while `has_head`.
+    head_handle: u32,
+    /// The link's slot in its table's [`SpillTable`], or `NO_SPILL`. Held
+    /// exactly while the spilled queue is non-empty.
+    spill: u32,
+    /// Single-entry fast path: the first queued entry waits inline and only
+    /// further arrivals spill, so the common case — one message waiting per
+    /// link — never touches a `StageQueue` at all.
+    has_head: bool,
     /// Whether a message is currently in flight (awaiting acknowledgment).
     in_flight: bool,
-    /// Single-entry fast path: the first queued `(priority, seq, msg)` waits here
-    /// and only further arrivals spill into the bucket queue, so the common case —
-    /// one message waiting per link — never touches `StageQueue` at all.
-    head: Option<(u64, u64, M)>,
-    /// Spilled messages, lowest `(priority, seq)` first (Lemma 2.5: lowest stage
-    /// first, FIFO within a stage).
-    queue: StageQueue<M>,
 }
 
-impl<M> LinkState<M> {
-    pub(crate) fn new(from: NodeId, to: NodeId) -> Self {
-        LinkState { from, to, in_flight: false, head: None, queue: StageQueue::new() }
+impl LinkState {
+    fn new(from: NodeId, to: NodeId) -> Self {
+        let mut link = LinkState {
+            head_priority: 0,
+            head_seq: 0,
+            from: 0,
+            to: 0,
+            head_handle: 0,
+            spill: NO_SPILL,
+            has_head: false,
+            in_flight: false,
+        };
+        link.set_endpoints(from, to);
+        link
+    }
+
+    fn set_endpoints(&mut self, from: NodeId, to: NodeId) {
+        self.from = u32::try_from(from.index()).expect("node ids fit in u32");
+        self.to = u32::try_from(to.index()).expect("node ids fit in u32");
+    }
+
+    /// Source node of the link.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    pub(crate) fn from(&self) -> NodeId {
+        NodeId(self.from as usize)
+    }
+
+    /// Destination node of the link.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    pub(crate) fn to(&self) -> NodeId {
+        NodeId(self.to as usize)
     }
 
     /// Whether the link holds no transient state: nothing in flight, nothing
     /// queued. At quiescence every link is idle (a queued message always has
     /// an ack or drop pending to release it), which is what lets a finished
     /// run's link table be recycled into the next run ([`crate::recycle`]).
-    pub(crate) fn is_idle(&self) -> bool {
-        !self.in_flight && self.head.is_none() && self.queue.is_empty()
+    fn is_idle(&self) -> bool {
+        !self.in_flight && !self.has_head && self.spill == NO_SPILL
     }
 
-    fn push(&mut self, priority: u64, seq: u64, msg: M) {
-        if self.head.is_none() {
-            self.head = Some((priority, seq, msg));
+    /// Queues `handle` under `(priority, seq)`: inline if the head is free,
+    /// else in the link's spill queue (taking a slot on the first spill).
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn push(&mut self, spill: &mut SpillTable, priority: u64, seq: u64, handle: u32) {
+        if !self.has_head {
+            (self.head_priority, self.head_seq, self.head_handle) = (priority, seq, handle);
+            self.has_head = true;
+            return;
+        }
+        if self.spill == NO_SPILL {
+            self.spill = spill.acquire();
+        }
+        spill.queue(self.spill).push(priority, seq, handle);
+    }
+
+    /// Pops the waiting entry with the minimum `(priority, seq)` as
+    /// `(seq, handle)`. The head and the spill queue each hold their own
+    /// minimum; the smaller key wins, so the order equals one unsplit queue's
+    /// whichever side an entry landed on. A spill queue popped empty returns
+    /// its slot.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn pop(&mut self, spill: &mut SpillTable) -> Option<(u64, u32)> {
+        if self.spill == NO_SPILL {
+            if !self.has_head {
+                return None;
+            }
+            self.has_head = false;
+            return Some((self.head_seq, self.head_handle));
+        }
+        let queue = spill.queue(self.spill);
+        let head_first = self.has_head
+            && queue.min_key().is_none_or(|key| (self.head_priority, self.head_seq) < key);
+        let popped = if head_first {
+            self.has_head = false;
+            (self.head_seq, self.head_handle)
         } else {
-            self.queue.push(priority, seq, msg);
+            queue.pop().expect("a held spill slot is non-empty")
+        };
+        if queue.is_empty() {
+            spill.release(self.spill);
+            self.spill = NO_SPILL;
+        }
+        Some(popped)
+    }
+}
+
+/// Out-of-line queues of the links that have more than one message waiting.
+/// A link takes a slot when a second message queues behind its head and
+/// returns it when the queue drains; returned slots keep their `StageQueue`
+/// buffers for the next link, so once a run is warm a spill allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct SpillTable {
+    queues: Vec<StageQueue<u32>>,
+    /// Slots no link holds, reused last-returned first.
+    free: Vec<u32>,
+}
+
+impl SpillTable {
+    /// A free slot, growing the table only when every slot is held.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn acquire(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.queues.push(StageQueue::new());
+            (self.queues.len() - 1) as u32
+        })
+    }
+
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn queue(&mut self, slot: u32) -> &mut StageQueue<u32> {
+        &mut self.queues[slot as usize]
+    }
+
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn release(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+
+    /// Whether no link holds a slot.
+    fn is_clean(&self) -> bool {
+        self.free.len() == self.queues.len()
+    }
+}
+
+/// The link records of one engine (or one shard) and the spill table their
+/// queues overflow into.
+#[derive(Debug, Default)]
+pub(crate) struct LinkTable {
+    links: Vec<LinkState>,
+    spill: SpillTable,
+}
+
+impl LinkTable {
+    /// Appends an idle link `from → to`; its slot is the table's length before.
+    pub(crate) fn push_link(&mut self, from: NodeId, to: NodeId) {
+        self.links.push(LinkState::new(from, to));
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.links.len()
+    }
+
+    /// The record in `slot` and the spill table its queue lives in.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    pub(crate) fn get(&mut self, slot: usize) -> (&mut LinkState, &mut SpillTable) {
+        (&mut self.links[slot], &mut self.spill)
+    }
+
+    /// The record in `slot`, read-only.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    pub(crate) fn link(&self, slot: usize) -> &LinkState {
+        &self.links[slot]
+    }
+
+    /// Reshapes the table to `graph`'s directed edges, slot = edge id. Every
+    /// endpoint is rewritten; links must be idle (asserted).
+    pub(crate) fn adopt(&mut self, graph: &Graph) {
+        assert!(self.is_idle(), "recycled parts must hold no queued or in-flight messages");
+        let m = graph.directed_edge_count();
+        self.links.truncate(m);
+        for (e, link) in self.links.iter_mut().enumerate() {
+            let (from, to) = graph.directed_endpoints(DirectedEdgeId(e as u32));
+            link.set_endpoints(from, to);
+        }
+        for e in self.links.len()..m {
+            let (from, to) = graph.directed_endpoints(DirectedEdgeId(e as u32));
+            self.push_link(from, to);
         }
     }
 
-    /// Pops the waiting message with the minimum `(priority, seq)` as
-    /// `(seq, msg)`. The head entry and the bucket queue each yield their own
-    /// minimum; the smaller key wins, so the order equals the unsplit queue's.
-    fn pop(&mut self) -> Option<(u64, M)> {
-        match self.head.take() {
-            Some((hp, hs, hmsg)) => match self.queue.min_key() {
-                Some(qkey) if qkey < (hp, hs) => {
-                    self.head = Some((hp, hs, hmsg));
-                    self.queue.pop()
-                }
-                _ => Some((hs, hmsg)),
-            },
-            None => self.queue.pop(),
+    /// Whether every link is idle and no spill slot is held.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.spill.is_clean() && self.links.iter().all(LinkState::is_idle)
+    }
+}
+
+/// Flat `from → (neighbor, link)` lookup for [`Core::send`]: node `v`'s row is
+/// `entries[offsets[v]..offsets[v + 1]]`, in the graph's adjacency order. One
+/// contiguous array of 8-byte entries instead of the graph's two
+/// `Vec<Vec<_>>` rows per lookup; built once per run by the core.
+#[derive(Debug)]
+struct LinkIndex {
+    offsets: Vec<u32>,
+    entries: Vec<(u32, DirectedEdgeId)>,
+}
+
+impl LinkIndex {
+    fn new(graph: &Graph) -> Self {
+        let mut offsets = Vec::with_capacity(graph.node_count() + 1);
+        let mut entries = Vec::with_capacity(graph.directed_edge_count());
+        offsets.push(0);
+        for v in graph.nodes() {
+            entries.extend(graph.neighbor_links(v).map(|(w, link)| (w.index() as u32, link)));
+            offsets.push(entries.len() as u32);
         }
+        LinkIndex { offsets, entries }
+    }
+
+    /// The link `from → to`, or `None` if they are not adjacent.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn get(&self, from: NodeId, to: NodeId) -> Option<DirectedEdgeId> {
+        let v = from.index();
+        if v + 1 >= self.offsets.len() {
+            return None;
+        }
+        let row = &self.entries[self.offsets[v] as usize..self.offsets[v + 1] as usize];
+        row.iter().find(|&&(w, _)| w as usize == to.index()).map(|&(_, link)| link)
     }
 }
 
@@ -129,8 +340,9 @@ pub(crate) trait Storage {
     /// The protocol the engine runs.
     type Node: Protocol;
 
-    /// The link state of directed edge `link`.
-    fn link(&mut self, link: DirectedEdgeId) -> &mut LinkState<u32>;
+    /// The link record of directed edge `link` and the spill table of the
+    /// [`LinkTable`] holding it.
+    fn link(&mut self, link: DirectedEdgeId) -> (&mut LinkState, &mut SpillTable);
 
     /// The home of node `v`.
     fn home(&mut self, v: NodeId) -> Home<'_, Self::Node>;
@@ -143,6 +355,8 @@ pub(crate) trait Storage {
 /// Engine-global state of one asynchronous run plus the rules that mutate it.
 pub(crate) struct Core<'g, P: Protocol> {
     graph: &'g Graph,
+    /// `(from, to)` → link, for [`Core::send`].
+    index: LinkIndex,
     delay: DelayModel,
     /// The tick being processed. Engines set it before firing a tick's events.
     pub(crate) now: u64,
@@ -185,6 +399,7 @@ impl<'g, P: Protocol> Core<'g, P> {
     ) -> Self {
         Core {
             graph,
+            index: LinkIndex::new(graph),
             delay,
             now: 0,
             seq: 0,
@@ -270,13 +485,14 @@ impl<'g, P: Protocol> Core<'g, P> {
         from: NodeId,
         out: Outgoing<P::Message>,
     ) -> Result<(), SimError> {
-        let Some(link) = self.graph.edge_id(from, out.to) else {
+        let Some(link) = self.index.get(from, out.to) else {
             return Err(SimError::NotNeighbor { from, to: out.to });
         };
         self.metrics.record_message(out.class);
         let seq = self.next_seq();
         let handle = st.home(out.to).arena.alloc(out.msg);
-        st.link(link).push(out.priority, seq, handle);
+        let (state, spill) = st.link(link);
+        state.push(spill, out.priority, seq, handle);
         self.touched.push(link);
         Ok(())
     }
@@ -289,19 +505,21 @@ impl<'g, P: Protocol> Core<'g, P> {
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
     fn try_inject<S: Storage<Node = P>>(&mut self, st: &mut S, link: DirectedEdgeId) {
-        let state = st.link(link);
+        let (state, spill) = st.link(link);
         if state.in_flight {
             return;
         }
-        let (from, to) = (state.from, state.to);
+        let (from, to) = (state.from(), state.to());
         if self.blocks(link, from, to) {
-            while let Some((_, handle)) = st.link(link).pop() {
+            loop {
+                let (state, spill) = st.link(link);
+                let Some((_, handle)) = state.pop(spill) else { break };
                 st.home(to).arena.take(handle);
                 self.dropped += 1;
             }
             return;
         }
-        let Some((msg_seq, handle)) = state.pop() else { return };
+        let Some((msg_seq, handle)) = state.pop(spill) else { return };
         state.in_flight = true;
         let at = self.now + self.delay.delay_ticks_at(from, to, msg_seq, self.now);
         self.schedule(st, at, Event::Deliver { link, from, to, handle });
@@ -323,7 +541,7 @@ impl<'g, P: Protocol> Core<'g, P> {
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
     fn release<S: Storage<Node = P>>(&mut self, st: &mut S, link: DirectedEdgeId) {
-        st.link(link).in_flight = false;
+        st.link(link).0.in_flight = false;
         self.try_inject(st, link);
     }
 
@@ -467,5 +685,101 @@ impl<'g, P: Protocol> Core<'g, P> {
             fault_transitions: self.faults.as_ref().map_or(0, FaultState::transitions),
         };
         (report, self.trace.map(TraceState::finish))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn link_state_is_40_bytes() {
+        assert!(std::mem::size_of::<LinkState>() <= 40, "{}", std::mem::size_of::<LinkState>());
+    }
+
+    /// One link of a one-link table, mirrored into a plain `StageQueue`: every
+    /// pop must come out of both identically.
+    struct Probe {
+        table: LinkTable,
+        reference: StageQueue<u32>,
+        seq: u64,
+    }
+
+    impl Probe {
+        fn new() -> Self {
+            let mut table = LinkTable::default();
+            table.push_link(NodeId(0), NodeId(1));
+            Probe { table, reference: StageQueue::new(), seq: 0 }
+        }
+
+        fn push(&mut self, priority: u64) {
+            let handle = 100 + self.seq as u32;
+            let (link, spill) = self.table.get(0);
+            link.push(spill, priority, self.seq, handle);
+            self.reference.push(priority, self.seq, handle);
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(u64, u32)> {
+            let (link, spill) = self.table.get(0);
+            let got = link.pop(spill);
+            assert_eq!(got, self.reference.pop());
+            got
+        }
+
+        fn spilled(&self) -> bool {
+            self.table.link(0).spill != NO_SPILL
+        }
+    }
+
+    #[test]
+    fn a_link_pops_in_stage_queue_order_through_every_state() {
+        let mut p = Probe::new();
+        // Head only: the entry waits inline, no slot is taken.
+        p.push(5);
+        assert!(p.table.link(0).has_head && !p.spilled());
+        assert_eq!(p.pop(), Some((0, 100)));
+        assert!(p.table.is_idle());
+
+        // Spilled: a second entry takes a slot; popping the head leaves the
+        // head empty with the slot still held, and the next arrival lands in
+        // the head again while older entries wait in the slot.
+        p.push(5);
+        p.push(5);
+        p.push(7);
+        assert!(p.spilled());
+        assert_eq!(p.pop(), Some((1, 101)));
+        assert!(!p.table.link(0).has_head && p.spilled());
+        p.push(6);
+        assert!(p.table.link(0).has_head);
+
+        // A lower priority behind a spilled queue overtakes the head and
+        // every spilled entry.
+        p.push(3);
+        assert_eq!(p.pop(), Some((5, 105)));
+        assert_eq!(p.pop(), Some((2, 102)));
+
+        // Drained by a fault block: the engine pops until empty (the order
+        // still matches), and the emptied queue returns its slot.
+        p.push(4);
+        while p.pop().is_some() {}
+        assert!(p.reference.is_empty() && !p.spilled());
+        assert!(p.table.is_idle());
+    }
+
+    #[test]
+    fn a_returned_spill_slot_serves_the_next_link_without_growing() {
+        let mut table = LinkTable::default();
+        table.push_link(NodeId(0), NodeId(1));
+        table.push_link(NodeId(1), NodeId(0));
+        for (slot, seq) in [(0usize, 0u64), (1, 10)] {
+            let (link, spill) = table.get(slot);
+            link.push(spill, 1, seq, 0);
+            link.push(spill, 1, seq + 1, 1);
+            link.push(spill, 1, seq + 2, 2);
+            while link.pop(spill).is_some() {}
+        }
+        assert_eq!(table.spill.queues.len(), 1);
+        assert!(table.is_idle());
     }
 }

@@ -2,8 +2,8 @@
 //! pool and reuse it across runs instead of reallocating per run.
 //!
 //! A serial run's setup builds four non-trivial allocations — the timing
-//! wheel's slot array, the per-directed-edge link table (with its stage-queue
-//! buckets), the payload arena and the per-node done flags — all of which end
+//! wheel's slot array, the per-directed-edge link table (with its spill table
+//! of stage queues), the payload arena and the per-node done flags — all of which end
 //! every successful run *provably empty*: at
 //! quiescence no event is scheduled, no link holds queued or in-flight
 //! messages, and every arena handle has been returned (the engine asserts

@@ -9,9 +9,10 @@
 //! ("shards"). Every shard owns
 //!
 //! * the protocol instances of its nodes,
-//! * the outgoing links of its nodes — the per-link queues
-//!   ([`crate::stage_queue::StageQueue`] plus the single-entry head fast path)
-//!   of every directed edge whose *source* lies in the shard, and
+//! * the outgoing links of its nodes — the link records (the single-entry
+//!   head inline, further messages in the shard's own spill table of
+//!   [`crate::stage_queue::StageQueue`]s) of every directed edge whose
+//!   *source* lies in the shard, and
 //! * one bounded-horizon [`TimingWheel`] holding the events the shard
 //!   processes: deliveries addressed to its nodes, and acknowledgments for its
 //!   outgoing links.
@@ -100,7 +101,7 @@
 use crate::arena::PayloadArena;
 use crate::async_engine::{AsyncReport, SimError, SimLimits};
 use crate::delay::DelayModel;
-use crate::effects::{Core, Event, Home, LinkState, Storage};
+use crate::effects::{Core, Event, Home, LinkState, LinkTable, SpillTable, Storage};
 use crate::fault::{FaultPlan, FaultState};
 use crate::pool::{PanicPayload, WorkerPool};
 use crate::protocol::{Ctx, Outgoing, Protocol};
@@ -293,7 +294,7 @@ fn phase1<P: Protocol>(w: &mut ShardWork<P>) {
 struct Shards<P: Protocol> {
     layout: ShardLayout,
     wheels: Vec<TimingWheel<Event>>,
-    links: Vec<Vec<LinkState<u32>>>,
+    links: Vec<LinkTable>,
     /// `None` only while a shard is out on a pool worker (phase 1).
     works: Vec<Option<ShardWork<P>>>,
 }
@@ -308,9 +309,9 @@ impl<P: Protocol> Storage for Shards<P> {
     type Node = P;
 
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn link(&mut self, link: DirectedEdgeId) -> &mut LinkState<u32> {
+    fn link(&mut self, link: DirectedEdgeId) -> (&mut LinkState, &mut SpillTable) {
         let (s, slot) = self.layout.link_home(link);
-        &mut self.links[s][slot]
+        self.links[s].get(slot)
     }
 
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
@@ -474,10 +475,10 @@ where
     let k = layout.k;
     let horizon = delay.max_delay_ticks();
 
-    let mut links: Vec<Vec<LinkState<u32>>> = (0..k).map(|_| Vec::new()).collect();
+    let mut links: Vec<LinkTable> = (0..k).map(|_| LinkTable::default()).collect();
     for e in 0..graph.directed_edge_count() {
         let (from, to) = graph.directed_endpoints(DirectedEdgeId(e as u32));
-        links[layout.shard_of(from)].push(LinkState::new(from, to));
+        links[layout.shard_of(from)].push_link(from, to);
     }
     let works = (0..k)
         .map(|s| {

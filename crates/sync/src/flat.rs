@@ -1,10 +1,11 @@
 //! Flat, allocation-light containers for the synchronizers' per-node state.
 //!
-//! The synchronizer state is keyed by small dense integers — pulses bounded by the
-//! pulse bound `T(A)`, cluster ids, node ids of a handful of tree children. At those
+//! The synchronizer state that is keyed at all is keyed by pulses bounded by the
+//! pulse bound `T(A)` — a node's few virtual nodes and received batches. At those
 //! sizes, sorted vectors with binary search ([`FlatMap`]) and dense bit vectors
 //! ([`PulseSet`]) beat `BTreeMap`/`BTreeSet` by a wide margin on the simulation hot
-//! path, and keep the per-node memory contiguous.
+//! path, and keep the per-node memory contiguous. (Per-stage state is not keyed:
+//! it lives in dense rows addressed by precomputed positions, DESIGN.md §3.4.)
 
 use std::cell::Cell;
 
@@ -95,50 +96,6 @@ impl<K: Ord + Copy, V: Default> FlatMap<K, V> {
     /// .or_default()` idiom).
     pub fn get_mut_or_default(&mut self, key: K) -> &mut V {
         self.get_mut_or_insert_with(key, V::default)
-    }
-}
-
-/// A sorted vector of small `Ord + Copy` elements, used as a set.
-#[derive(Clone, Debug, Default)]
-pub struct FlatSet<T: Ord + Copy> {
-    items: Vec<T>,
-}
-
-impl<T: Ord + Copy> FlatSet<T> {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        FlatSet { items: Vec::new() }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Inserts `item`; returns `true` if it was not present.
-    pub fn insert(&mut self, item: T) -> bool {
-        match self.items.binary_search(&item) {
-            Ok(_) => false,
-            Err(i) => {
-                self.items.insert(i, item);
-                true
-            }
-        }
-    }
-
-    /// Whether `item` is present.
-    pub fn contains(&self, item: T) -> bool {
-        self.items.binary_search(&item).is_ok()
-    }
-
-    /// Iterates in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        self.items.iter().copied()
     }
 }
 
@@ -252,17 +209,6 @@ mod tests {
         assert_eq!(m.get((3, 1)), Some(&vec![7, 8]));
         let v = m.get_mut_or_insert_with((0, 0), || vec![42]);
         assert_eq!(v, &[42]);
-    }
-
-    #[test]
-    fn flat_set_deduplicates_and_sorts() {
-        let mut s: FlatSet<u64> = FlatSet::new();
-        assert!(s.insert(9));
-        assert!(s.insert(3));
-        assert!(!s.insert(9));
-        assert!(s.contains(3) && !s.contains(4));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 9]);
-        assert_eq!(s.len(), 2);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! algorithms). Both keep the correctness invariants; the measured overheads remain
 //! polylogarithmic (see DESIGN.md §4 and the `exp_*` binaries in `ds-bench`).
 
-use crate::flat::{FlatMap, FlatSet, PulseSet};
+use crate::flat::{FlatMap, PulseSet};
 use crate::pulse;
 use crate::registration::{ChildMark, RegAction, RegMsg, RegistrationInstance};
 use ds_covers::builder::build_synchronizer_cover;
@@ -96,14 +96,18 @@ struct StageInfo {
     prev: u64,
     prev_prev: u64,
     cover_idx: usize,
+    /// Where this stage's run starts in `SynchronizerConfig::slots`: one entry
+    /// per tracking pulse `q` in `prev_prev..stage`.
+    slot_base: u32,
 }
 
 /// Shared configuration of a synchronizer run: the pulse bound, the layered sparse
 /// cover, and precomputed stage tables.
 ///
 /// All per-stage index sets the synchronizer consults on its hot path
-/// (`stages_tracked`, `stages_with_prev`, `base_stages`)
-/// are precomputed here once and served as slices — total table size is
+/// (`stages_tracked`, `stages_with_prev`, `base_stages`) and the position of
+/// every stage in every `stages_tracked(q)` list (`tracked_slot`) are
+/// precomputed here once and served as slices — total table size is
 /// `O(T log T)` by Lemma 4.14.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SynchronizerConfig {
@@ -119,6 +123,9 @@ pub struct SynchronizerConfig {
     tracked: Vec<Vec<u64>>,
     /// `with_prev[s]`: non-base stages `p` with `prev(p) = s`, ascending.
     with_prev: Vec<Vec<u64>>,
+    /// `slots[stages[s].slot_base + (q - prev_prev(s))]`: the position of stage
+    /// `s` in `tracked[q]`.
+    slots: Vec<u16>,
 }
 
 impl SynchronizerConfig {
@@ -153,26 +160,34 @@ impl SynchronizerConfig {
     pub fn with_covers(covers: LayeredSparseCover, max_pulse: u64) -> Arc<Self> {
         assert!(max_pulse > 0, "the pulse bound must be positive");
         let mut stages = Vec::with_capacity(max_pulse as usize + 1);
-        stages.push(StageInfo { prev: 0, prev_prev: 0, cover_idx: 0 }); // unused slot 0
+        stages.push(StageInfo { prev: 0, prev_prev: 0, cover_idx: 0, slot_base: 0 }); // unused slot 0
         let mut base_levels = BTreeSet::new();
         let mut base_stage_list = Vec::new();
         let mut tracked = vec![Vec::new(); max_pulse as usize + 1];
         let mut with_prev = vec![Vec::new(); max_pulse as usize + 1];
+        let mut slots = Vec::new();
         for p in 1..=max_pulse {
             let radius = 1usize << pulse::cover_exponent(p).min(60);
             let cover_idx = (0..covers.layers())
                 .find(|&j| covers.level(j).radius >= radius)
                 .unwrap_or(covers.layers() - 1);
-            let info =
-                StageInfo { prev: pulse::prev(p), prev_prev: pulse::prev_prev(p), cover_idx };
+            let info = StageInfo {
+                prev: pulse::prev(p),
+                prev_prev: pulse::prev_prev(p),
+                cover_idx,
+                slot_base: u32::try_from(slots.len()).expect("slot table fits u32"),
+            };
             if info.prev_prev == 0 {
                 base_levels.insert(cover_idx);
                 base_stage_list.push(p);
             } else {
                 with_prev[info.prev as usize].push(p);
             }
+            // Stages are visited ascending, so `p` lands at the end of each list.
             for q in info.prev_prev..p {
-                tracked[q as usize].push(p);
+                let list: &mut Vec<u64> = &mut tracked[q as usize];
+                slots.push(u16::try_from(list.len()).expect("O(log T) stages per pulse"));
+                list.push(p);
             }
             stages.push(info);
         }
@@ -184,6 +199,7 @@ impl SynchronizerConfig {
             base_stage_list,
             tracked,
             with_prev,
+            slots,
         })
     }
 
@@ -206,9 +222,23 @@ impl SynchronizerConfig {
         &self.with_prev[s as usize]
     }
 
-    /// Stages tracked (safety-wise) by a virtual node of pulse `q`.
+    /// Stages tracked (safety-wise) by a virtual node of pulse `q`, ascending:
+    /// the layout of that virtual node's state row.
     fn stages_tracked(&self, q: u64) -> &[u64] {
         &self.tracked[q as usize]
+    }
+
+    /// The position of stage `s` in `stages_tracked(q)` — the offset of `s`'s
+    /// entry in the row of a pulse-`q` virtual node — or `None` if `q` does not
+    /// track `s` (`s` outside `1..=max_pulse`, or `q` outside
+    /// `prev(prev(s))..s`). Two array reads, no search.
+    // ds-lint: hot-path
+    fn tracked_slot(&self, q: u64, s: u64) -> Option<usize> {
+        let info = self.stages.get(s as usize).filter(|_| s > 0)?;
+        if q < info.prev_prev || q >= s {
+            return None;
+        }
+        Some(usize::from(self.slots[info.slot_base as usize + (q - info.prev_prev) as usize]))
     }
 
     /// The cover used by stage `p`.
@@ -217,52 +247,78 @@ impl SynchronizerConfig {
     }
 }
 
-/// Per-stage safety state at one virtual node.
-#[derive(Clone, Debug, Default)]
+/// Per-stage safety state of one virtual node: its entry for the stage in the
+/// node's `vstages` row (DESIGN.md §3.4).
+#[derive(Clone, Copy, Debug, Default)]
 struct VStage {
-    safe_children: FlatSet<NodeId>,
+    /// Remote execution-tree children that reported this stage safe. A count
+    /// suffices: a child reports a stage at most once (`reported_up`), only to
+    /// the parent its `Decision` chose, and that `Decision` travels the same
+    /// link at a lower priority, so it arrives first. Once the virtual node is
+    /// complete (every `Decision` in), "all children safe" is
+    /// `safe_children == children_remote`.
+    safe_children: u32,
+    gate_pending: u32,
     safe_self_child: bool,
     subtree_safe: bool,
     reported_up: bool,
-    gate_pending: usize,
     gate_started: bool,
+    /// The Go-Ahead for this stage has reached this virtual node.
+    goahead: bool,
 }
 
-/// Anchor bookkeeping for one stage anchored at this virtual node.
-#[derive(Clone, Debug)]
+/// Anchor bookkeeping for one stage anchored at a virtual node: its entry for
+/// the stage in the node's `anchors` row, live once `anchored` is set.
+#[derive(Clone, Copy, Debug, Default)]
 struct AnchorStage {
     /// Number of clusters the anchor registers in: all it is a member of, in the
     /// stage's cover.
-    clusters: usize,
-    registered: usize,
+    clusters: u32,
+    registered: u32,
+    freed: u32,
+    anchored: bool,
     deregistered: bool,
     dereg_requested: bool,
-    freed: usize,
     goahead_done: bool,
 }
 
-/// One virtual node `(v, pulse)`. All keyed sub-state is stored in flat sorted
-/// vectors — the key sets (tracked stages, execution-tree children) are small.
-#[derive(Clone, Debug)]
-struct VNode<M> {
+/// One recipient of a virtual node's algorithm messages (an entry of the node's
+/// `recipients` arena).
+#[derive(Clone, Copy, Debug)]
+struct Recipient {
+    node: u32,
+    /// Its `Decision` chose this virtual node as execution-tree parent.
+    child: bool,
+}
+
+/// One virtual node `(v, pulse)`. Its keyed sub-state lives in the node's
+/// arenas: per-stage state in the `vstages` and `anchors` rows starting at
+/// `row`, one entry per stage of `stages_tracked(pulse)` in that order, and its
+/// recipients (ascending, deduplicated) in `recipients[recip_at..][..recip_len]`.
+#[derive(Clone, Copy, Debug)]
+struct VNode {
+    row: u32,
+    recip_at: u32,
+    recip_len: u32,
+    unacked: u32,
+    undecided: u32,
+    /// Number of recipients whose `child` flag is set.
+    children_remote: u32,
     parent_remote: Option<NodeId>,
     self_parent: bool,
     sent_all: bool,
-    recipients: Vec<NodeId>,
-    unacked: usize,
-    undecided: usize,
-    children_remote: FlatSet<NodeId>,
     child_self: bool,
     complete: bool,
-    goaheads: FlatSet<u64>,
-    stages: FlatMap<u64, VStage>,
-    anchored: FlatMap<u64, AnchorStage>,
-    pending_sends: Vec<(NodeId, M)>,
 }
 
-impl<M> VNode<M> {
+impl VNode {
     fn has_children(&self) -> bool {
-        self.child_self || !self.children_remote.is_empty()
+        self.child_self || self.children_remote > 0
+    }
+
+    fn recipients(&self) -> std::ops::Range<usize> {
+        let at = self.recip_at as usize;
+        at..at + self.recip_len as usize
     }
 }
 
@@ -330,7 +386,16 @@ pub struct DetSynchronizer<A: EventDriven> {
     max_processed: Option<u64>,
     /// Stages for which this physical node has received a recipient-level Go-Ahead.
     goahead_recv: PulseSet,
-    vnodes: FlatMap<u64, VNode<A::Msg>>,
+    /// Virtual nodes by pulse (created in ascending pulse order, few per node).
+    vnodes: FlatMap<u64, VNode>,
+    /// Per-stage rows of all virtual nodes, back to back (`VNode::row`).
+    vstages: Vec<VStage>,
+    anchors: Vec<AnchorStage>,
+    /// Recipient runs of all virtual nodes, back to back (`VNode::recip_at`).
+    recipients: Vec<Recipient>,
+    /// An initiator's pulse-0 algorithm messages, held back until its phase-A
+    /// barriers complete.
+    init_sends: Vec<(NodeId, A::Msg)>,
     /// Per-(stage, cluster) state lives in dense rows (DESIGN.md §3.4): a stage's row
     /// has one entry per tree cluster of this node in the stage's cover, in the
     /// cover's local-index order (`SparseCover::tree_clusters_of`). `stage_row[s]` is
@@ -372,6 +437,10 @@ impl<A: EventDriven> DetSynchronizer<A> {
             max_processed: None,
             goahead_recv: PulseSet::with_bound(bound),
             vnodes: FlatMap::new(),
+            vstages: Vec::new(),
+            anchors: Vec::new(),
+            recipients: Vec::new(),
+            init_sends: Vec::new(),
             stage_row,
             reg_cells: Vec::new(),
             reg_marks: Vec::new(),
@@ -426,30 +495,42 @@ impl<A: EventDriven> DetSynchronizer<A> {
             self.init_barrier_pending
         );
         for (p, v) in self.vnodes.iter() {
+            let children: Vec<u32> = self.recipients[v.recipients()]
+                .iter()
+                .filter(|r| r.child)
+                .map(|r| r.node)
+                .collect();
+            let tracked = self.cfg.stages_tracked(p);
+            let row = v.row as usize..v.row as usize + tracked.len();
+            let goaheads: Vec<u64> = tracked
+                .iter()
+                .zip(&self.vstages[row.clone()])
+                .filter(|(_, vs)| vs.goahead)
+                .map(|(&st, _)| st)
+                .collect();
             let _ = writeln!(
                 s,
-                "  vnode p={p}: complete={} sent_all={} unacked={} undecided={} child_self={} children_remote={:?} parent_remote={:?} self_parent={} goaheads={:?}",
+                "  vnode p={p}: complete={} sent_all={} unacked={} undecided={} child_self={} children_remote={children:?} parent_remote={:?} self_parent={} goaheads={goaheads:?}",
                 v.complete, v.sent_all, v.unacked, v.undecided, v.child_self,
-                v.children_remote.iter().collect::<Vec<_>>(),
                 v.parent_remote, v.self_parent,
-                v.goaheads.iter().collect::<Vec<_>>()
             );
-            for (st, vs) in v.stages.iter() {
+            for ((st, vs), a) in
+                tracked.iter().zip(&self.vstages[row.clone()]).zip(&self.anchors[row])
+            {
                 let _ = writeln!(
                     s,
-                    "    stage {st}: subtree_safe={} reported_up={} gate_pending={} gate_started={} safe_self_child={} safe_children={:?}",
+                    "    stage {st}: subtree_safe={} reported_up={} gate_pending={} gate_started={} safe_self_child={} safe_children={}",
                     vs.subtree_safe, vs.reported_up, vs.gate_pending, vs.gate_started,
-                    vs.safe_self_child,
-                    vs.safe_children.iter().collect::<Vec<_>>()
+                    vs.safe_self_child, vs.safe_children
                 );
-            }
-            for (st, a) in v.anchored.iter() {
-                let _ = writeln!(
-                    s,
-                    "    anchored {st}: clusters={:?} registered={} deregistered={} dereg_requested={} freed={} goahead_done={}",
-                    a.clusters, a.registered, a.deregistered, a.dereg_requested, a.freed,
-                    a.goahead_done
-                );
+                if a.anchored {
+                    let _ = writeln!(
+                        s,
+                        "    anchored {st}: clusters={} registered={} deregistered={} dereg_requested={} freed={} goahead_done={}",
+                        a.clusters, a.registered, a.deregistered, a.dereg_requested, a.freed,
+                        a.goahead_done
+                    );
+                }
             }
         }
         for st in 1..=self.cfg.max_pulse {
@@ -476,6 +557,54 @@ impl<A: EventDriven> DetSynchronizer<A> {
         class: MessageClass,
     ) {
         ctx.send_with(to, msg, prio, class);
+    }
+
+    /// Creates the virtual node of pulse `p`, sending `outbox`: appends its state
+    /// rows (one default entry per stage it tracks) and its recipient run (the
+    /// outbox destinations, ascending, deduplicated).
+    fn create_vnode(
+        &mut self,
+        p: u64,
+        outbox: &[(NodeId, A::Msg)],
+        parent_remote: Option<NodeId>,
+        self_parent: bool,
+        sent_all: bool,
+    ) {
+        let mut nodes: Vec<u32> = outbox
+            .iter()
+            .map(|(to, _)| u32::try_from(to.index()).expect("node ids fit in u32"))
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let (recip_at, len) = (self.recipients.len(), nodes.len());
+        self.recipients.extend(nodes.into_iter().map(|node| Recipient { node, child: false }));
+        let row = self.vstages.len();
+        let width = self.cfg.stages_tracked(p).len();
+        self.vstages.resize(row + width, VStage::default());
+        self.anchors.resize(row + width, AnchorStage::default());
+        let vnode = VNode {
+            row: row as u32,
+            recip_at: recip_at as u32,
+            recip_len: len as u32,
+            unacked: outbox.len() as u32,
+            undecided: len as u32 + 1,
+            children_remote: 0,
+            parent_remote,
+            self_parent,
+            sent_all,
+            child_self: false,
+            complete: false,
+        };
+        self.vnodes.insert(p, vnode);
+    }
+
+    /// Index of stage `s`'s entry in the rows of the virtual node of pulse `q`,
+    /// with the virtual node, if both exist.
+    // ds-lint: hot-path
+    fn stage_at(&self, q: u64, s: u64) -> Option<(usize, VNode)> {
+        let slot = self.cfg.tracked_slot(q, s)?;
+        let v = *self.vnodes.get(q)?;
+        Some((v.row as usize + slot, v))
     }
 
     /// Clusters of `stage`'s cover this node is a member of (where anchors register).
@@ -558,16 +687,20 @@ impl<A: EventDriven> DetSynchronizer<A> {
         self.reg_actions = actions;
     }
 
+    // ds-lint: hot-path
     fn on_registration_confirmed(&mut self, stage: u64) {
         let anchor_pulse = self.cfg.stage(stage).prev_prev;
         let gate_stage = self.cfg.stage(stage).prev;
         let mut fully_registered = false;
-        if let Some(v) = self.vnodes.get_mut(anchor_pulse) {
-            if let Some(a) = v.anchored.get_mut(stage) {
+        if let Some((at, _)) = self.stage_at(anchor_pulse, stage) {
+            let a = &mut self.anchors[at];
+            if a.anchored {
                 a.registered += 1;
                 fully_registered = a.registered == a.clusters;
             }
-            let st = v.stages.get_mut_or_default(gate_stage);
+        }
+        if let Some((at, _)) = self.stage_at(anchor_pulse, gate_stage) {
+            let st = &mut self.vstages[at];
             if st.gate_pending > 0 {
                 st.gate_pending -= 1;
             }
@@ -580,11 +713,13 @@ impl<A: EventDriven> DetSynchronizer<A> {
         }
     }
 
+    // ds-lint: hot-path
     fn on_registration_free(&mut self, stage: u64) {
         let anchor_pulse = self.cfg.stage(stage).prev_prev;
         let mut done = false;
-        if let Some(v) = self.vnodes.get_mut(anchor_pulse) {
-            if let Some(a) = v.anchored.get_mut(stage) {
+        if let Some((at, _)) = self.stage_at(anchor_pulse, stage) {
+            let a = &mut self.anchors[at];
+            if a.anchored {
                 a.freed += 1;
                 if a.deregistered && a.freed == a.clusters && !a.goahead_done {
                     a.goahead_done = true;
@@ -599,6 +734,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     // ----- pulse processing -------------------------------------------------------
 
+    // ds-lint: hot-path
     fn try_process(&mut self, ctx: &mut SCtx<A>) {
         loop {
             let Some(p) = self.pending_triggers.min() else { return };
@@ -637,25 +773,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         }
 
         if created {
-            let mut recipients: Vec<NodeId> = outbox.iter().map(|(to, _)| *to).collect();
-            recipients.sort();
-            recipients.dedup();
-            let vnode = VNode {
-                parent_remote: chosen_remote,
-                self_parent: self_parent_available,
-                sent_all: true,
-                recipients: recipients.clone(),
-                unacked: outbox.len(),
-                undecided: recipients.len() + 1,
-                children_remote: FlatSet::new(),
-                child_self: false,
-                complete: false,
-                goaheads: FlatSet::new(),
-                stages: FlatMap::new(),
-                anchored: FlatMap::new(),
-                pending_sends: Vec::new(),
-            };
-            self.vnodes.insert(p, vnode);
+            self.create_vnode(p, &outbox, chosen_remote, self_parent_available, true);
             for (to, payload) in outbox {
                 self.send(ctx, to, SyncMsg::Alg { pulse: p, payload }, p, MessageClass::Algorithm);
             }
@@ -664,17 +782,21 @@ impl<A: EventDriven> DetSynchronizer<A> {
         }
 
         // Resolve the self-decision at the pulse-(p-1) virtual node.
-        let mut parent_goaheads: Vec<u64> = Vec::new();
         if let Some(parent) = self.vnodes.get_mut(p - 1) {
             parent.undecided = parent.undecided.saturating_sub(1);
-            if created && self_parent_available {
-                parent.child_self = true;
-                parent_goaheads = parent.goaheads.iter().filter(|&s| s > p).collect();
-            }
+            let inherit = created && self_parent_available;
+            parent.child_self |= inherit;
+            let row = parent.row as usize;
             self.work.push_back(Work::RecomputeComplete(p - 1));
-        }
-        for s in parent_goaheads {
-            self.work.push_back(Work::GoAhead(p, s));
+            if inherit {
+                // The new child inherits the parent's Go-Aheads for later stages.
+                let tracked = self.cfg.stages_tracked(p - 1);
+                for (&s, st) in tracked.iter().zip(&self.vstages[row..]) {
+                    if st.goahead && s > p {
+                        self.work.push_back(Work::GoAhead(p, s));
+                    }
+                }
+            }
         }
 
         self.processed.insert(p);
@@ -689,6 +811,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     // ----- safety machinery -------------------------------------------------------
 
+    // ds-lint: hot-path
     fn recompute_complete(&mut self, q: u64) {
         let Some(v) = self.vnodes.get_mut(q) else { return };
         let complete = v.sent_all && v.unacked == 0 && v.undecided == 0;
@@ -709,66 +832,45 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     // ds-lint: hot-path
     fn recompute_stage(&mut self, ctx: &mut SCtx<A>, q: u64, s: u64) {
-        if s == 0 || s > self.cfg.max_pulse {
-            return;
-        }
+        // Only the stages `q` tracks (`prev(prev(s)) ≤ q < s`) have safety state.
+        let Some((at, v)) = self.stage_at(q, s) else { return };
         let info_prev = self.cfg.stage(s).prev;
         let info_anchor = self.cfg.stage(s).prev_prev;
-        if q < info_anchor || q > s - 1 {
+        // Phase 1: determine whether the subtree just became s-safe.
+        let st = &mut self.vstages[at];
+        let safe = if q == s - 1 {
+            v.sent_all && v.unacked == 0
+        } else {
+            v.complete
+                && (!v.child_self || st.safe_self_child)
+                && st.safe_children == v.children_remote
+        };
+        if !safe || st.subtree_safe {
             return;
         }
-        // Phase 1: determine whether the subtree just became s-safe, under a scoped
-        // borrow of the virtual node.
-        let became_safe;
-        let has_children;
-        {
-            let Some(v) = self.vnodes.get_mut(q) else { return };
-            let safe = if q == s - 1 {
-                v.sent_all && v.unacked == 0
-            } else {
-                let st = v.stages.get_mut_or_default(s);
-                v.complete
-                    && (!v.child_self || st.safe_self_child)
-                    && v.children_remote.iter().all(|c| st.safe_children.contains(c))
-            };
-            let st = v.stages.get_mut_or_default(s);
-            if !safe || st.subtree_safe {
-                return;
-            }
-            st.subtree_safe = true;
-            became_safe = true;
-            has_children = v.has_children();
-        }
-        debug_assert!(became_safe);
+        st.subtree_safe = true;
 
         // Phase 2: if this virtual node is the anchor of stages whose registration is
         // triggered by s-safety (q == prev(s) > 0), start those registrations and gate
         // the upward report on their confirmation.
-        if q == info_prev && q > 0 && has_children && !self.cfg.stages_with_prev(s).is_empty() {
-            let already_started = {
+        if q == info_prev && q > 0 && v.has_children() && !self.cfg.stages_with_prev(s).is_empty() {
+            let already_started = st.gate_started;
+            if !already_started {
+                st.gate_started = true;
+                let mut gate_pending = 0;
                 let cfg = &*self.cfg;
-                let gate_stages = cfg.stages_with_prev(s);
-                let v = self.vnodes.get_mut(q).expect("vnode exists");
-                let st = v.stages.get_mut_or_default(s);
-                let started = st.gate_started;
-                if !started {
-                    st.gate_started = true;
-                    st.gate_pending = 0;
-                    for &p in gate_stages {
-                        let clusters = cfg.stage_cover(p).clusters_of(self.me).len();
-                        st.gate_pending += clusters;
-                        v.anchored.get_mut_or_insert_with(p, || AnchorStage {
-                            clusters,
-                            registered: 0,
-                            deregistered: false,
-                            dereg_requested: false,
-                            freed: 0,
-                            goahead_done: false,
-                        });
+                for &p in cfg.stages_with_prev(s) {
+                    let clusters = cfg.stage_cover(p).clusters_of(self.me).len() as u32;
+                    gate_pending += clusters;
+                    // `prev(prev(p)) = prev(s) = q < p`: `q` tracks every gated stage.
+                    let slot = cfg.tracked_slot(q, p).expect("q tracks the stages it anchors");
+                    let a = &mut self.anchors[v.row as usize + slot];
+                    if !a.anchored {
+                        *a = AnchorStage { clusters, anchored: true, ..AnchorStage::default() };
                     }
                 }
-                started
-            };
+                self.vstages[at].gate_pending = gate_pending;
+            }
             if !already_started {
                 let mut i = 0;
                 while let Some(&p) = self.cfg.stages_with_prev(s).get(i) {
@@ -781,10 +883,11 @@ impl<A: EventDriven> DetSynchronizer<A> {
         // Phase 3: if this virtual node is the anchor of stage s itself, s-safety is
         // the deregistration trigger (or, for base stages, the phase-B contribution).
         if q == info_anchor {
-            if info_anchor == 0 && self.cfg.stage(s).prev_prev == 0 {
+            if info_anchor == 0 {
                 self.work.push_back(Work::BarrierBCheck(s));
             }
-            if let Some(a) = self.vnodes.get_mut(q).and_then(|v| v.anchored.get_mut(s)) {
+            let a = &mut self.anchors[at];
+            if a.anchored {
                 a.dereg_requested = true;
             }
             self.maybe_flush_anchor(ctx, q, s);
@@ -798,17 +901,15 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     /// Sends the `Safe(s)` report of the virtual node of pulse `q` to its parent, if
     /// the subtree is safe and the registration gate has cleared.
+    // ds-lint: hot-path
     fn flush_safety_report(&mut self, ctx: &mut SCtx<A>, q: u64, s: u64) {
-        let (report_remote, report_self) = {
-            let Some(v) = self.vnodes.get_mut(q) else { return };
-            let st = v.stages.get_mut_or_default(s);
-            if !st.subtree_safe || st.reported_up || st.gate_pending > 0 {
-                return;
-            }
-            st.reported_up = true;
-            (v.parent_remote, v.self_parent)
-        };
-        if let Some(parent) = report_remote {
+        let Some((at, v)) = self.stage_at(q, s) else { return };
+        let st = &mut self.vstages[at];
+        if !st.subtree_safe || st.reported_up || st.gate_pending > 0 {
+            return;
+        }
+        st.reported_up = true;
+        if let Some(parent) = v.parent_remote {
             self.send(
                 ctx,
                 parent,
@@ -816,7 +917,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 s,
                 MessageClass::Control,
             );
-        } else if report_self {
+        } else if v.self_parent {
             self.work.push_back(Work::ReportSafeInternal { parent_pulse: q - 1, stage: s });
         }
     }
@@ -825,8 +926,9 @@ impl<A: EventDriven> DetSynchronizer<A> {
     /// and pending safety reports blocked on the gate. Re-driven from the work queue.
     // ds-lint: hot-path
     fn maybe_flush_anchor(&mut self, ctx: &mut SCtx<A>, q: u64, s: u64) {
-        let Some(a) = self.vnodes.get_mut(q).and_then(|v| v.anchored.get_mut(s)) else { return };
-        if a.dereg_requested && a.registered == a.clusters && !a.deregistered {
+        let Some((at, _)) = self.stage_at(q, s) else { return };
+        let a = &mut self.anchors[at];
+        if a.anchored && a.dereg_requested && a.registered == a.clusters && !a.deregistered {
             a.deregistered = true;
             self.reg_each_member_cluster(ctx, s, RegCall::Deregister);
         }
@@ -847,24 +949,27 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     // ds-lint: hot-path
     fn record_goahead(&mut self, ctx: &mut SCtx<A>, q: u64, s: u64) {
-        let Some(v) = self.vnodes.get_mut(q) else { return };
-        if v.goaheads.contains(s) {
+        // Every Go-Ahead names a stage its virtual node tracks: it starts at the
+        // stage's anchor (or pulse 0) and descends while `q < s`.
+        let Some((at, v)) = self.stage_at(q, s) else { return };
+        if self.vstages[at].goahead {
             return;
         }
-        v.goaheads.insert(s);
-        let v = &*v;
+        self.vstages[at].goahead = true;
+        let recipients = &self.recipients[v.recipients()];
         if s >= q + 2 {
-            for c in v.children_remote.iter() {
+            for r in recipients.iter().filter(|r| r.child) {
                 let msg = SyncMsg::GoAheadExec { stage: s, sender_pulse: q };
-                ctx.send_with(c, msg, s, MessageClass::Control);
+                ctx.send_with(NodeId(r.node as usize), msg, s, MessageClass::Control);
             }
             if v.child_self {
                 self.work.push_back(Work::GoAhead(q + 1, s));
             }
         }
         if q + 1 == s {
-            for &r in &v.recipients {
-                ctx.send_with(r, SyncMsg::GoAheadRecipient { stage: s }, s, MessageClass::Control);
+            for r in recipients {
+                let msg = SyncMsg::GoAheadRecipient { stage: s };
+                ctx.send_with(NodeId(r.node as usize), msg, s, MessageClass::Control);
             }
             self.goahead_recv.insert(s);
             self.work.push_back(Work::TryProcess);
@@ -950,7 +1055,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
             return;
         }
         v.sent_all = true;
-        let sends = std::mem::take(&mut v.pending_sends);
+        let sends = std::mem::take(&mut self.init_sends);
         for (to, payload) in sends {
             self.send(ctx, to, SyncMsg::Alg { pulse: 0, payload }, 0, MessageClass::Algorithm);
         }
@@ -981,7 +1086,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         }
         let pos = self.cfg.stage_cover(stage).tree_pos(self.me, k);
         if self.is_initiator && pos.is_member {
-            let my_safe = self.vnodes.get(0).and_then(|v| v.stages.get(stage));
+            let my_safe = self.stage_at(0, stage).map(|(at, _)| &self.vstages[at]);
             if !my_safe.is_some_and(|st| st.subtree_safe) {
                 return;
             }
@@ -1021,6 +1126,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     // ----- work queue ------------------------------------------------------------------
 
+    // ds-lint: hot-path
     fn drain_work(&mut self, ctx: &mut SCtx<A>) {
         let mut guard = 0u64;
         while let Some(item) = self.work.pop_front() {
@@ -1038,8 +1144,8 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 }
                 Work::GoAhead(q, s) => self.record_goahead(ctx, q, s),
                 Work::ReportSafeInternal { parent_pulse, stage } => {
-                    if let Some(v) = self.vnodes.get_mut(parent_pulse) {
-                        v.stages.get_mut_or_default(stage).safe_self_child = true;
+                    if let Some((at, _)) = self.stage_at(parent_pulse, stage) {
+                        self.vstages[at].safe_self_child = true;
                     }
                     self.work.push_back(Work::RecomputeStage(parent_pulse, stage));
                 }
@@ -1061,25 +1167,8 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
         let outbox = pctx.take_outbox();
         self.is_initiator = !outbox.is_empty();
         if self.is_initiator {
-            let mut recipients: Vec<NodeId> = outbox.iter().map(|(to, _)| *to).collect();
-            recipients.sort();
-            recipients.dedup();
-            let vnode = VNode {
-                parent_remote: None,
-                self_parent: false,
-                sent_all: false,
-                recipients: recipients.clone(),
-                unacked: outbox.len(),
-                undecided: recipients.len() + 1,
-                children_remote: FlatSet::new(),
-                child_self: false,
-                complete: false,
-                goaheads: FlatSet::new(),
-                stages: FlatMap::new(),
-                anchored: FlatMap::new(),
-                pending_sends: outbox,
-            };
-            self.vnodes.insert(0, vnode);
+            self.create_vnode(0, &outbox, None, false, false);
+            self.init_sends = outbox;
             self.processed.insert(0);
             self.max_processed = Some(0);
             self.pending_triggers.insert(1);
@@ -1114,10 +1203,23 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
                 if let Some(v) = self.vnodes.get_mut(pulse - 1) {
                     v.undecided = v.undecided.saturating_sub(1);
                     if created && chosen_parent {
-                        v.children_remote.insert(from);
-                        for s in v.goaheads.iter().filter(|&s| s > pulse) {
-                            let msg = SyncMsg::GoAheadExec { stage: s, sender_pulse: pulse - 1 };
-                            ctx.send_with(from, msg, s, MessageClass::Control);
+                        // The sender received this virtual node's messages, so it is
+                        // in the recipient run; a repeated choice is counted once.
+                        let run = &mut self.recipients[v.recipients()];
+                        let i = run
+                            .binary_search_by(|r| (r.node as usize).cmp(&from.index()))
+                            .expect("a Decision comes from a recipient");
+                        if !run[i].child {
+                            run[i].child = true;
+                            v.children_remote += 1;
+                        }
+                        let tracked = self.cfg.stages_tracked(pulse - 1);
+                        for (&s, st) in tracked.iter().zip(&self.vstages[v.row as usize..]) {
+                            if st.goahead && s > pulse {
+                                let msg =
+                                    SyncMsg::GoAheadExec { stage: s, sender_pulse: pulse - 1 };
+                                ctx.send_with(from, msg, s, MessageClass::Control);
+                            }
                         }
                     }
                 }
@@ -1125,8 +1227,8 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
             }
             SyncMsg::Safe { stage, sender_pulse } => {
                 let parent_pulse = sender_pulse - 1;
-                if let Some(v) = self.vnodes.get_mut(parent_pulse) {
-                    v.stages.get_mut_or_default(stage).safe_children.insert(from);
+                if let Some((at, _)) = self.stage_at(parent_pulse, stage) {
+                    self.vstages[at].safe_children += 1;
                 }
                 self.work.push_back(Work::RecomputeStage(parent_pulse, stage));
             }
@@ -1232,6 +1334,34 @@ mod tests {
 
         fn output(&self) -> Option<u64> {
             self.hops
+        }
+    }
+
+    #[test]
+    fn det_rows_stay_compact() {
+        use std::mem::size_of;
+        assert!(size_of::<VStage>() <= 16, "VStage is {} bytes", size_of::<VStage>());
+        assert!(
+            size_of::<AnchorStage>() <= 16,
+            "AnchorStage is {} bytes",
+            size_of::<AnchorStage>()
+        );
+        assert!(size_of::<Recipient>() <= 8, "Recipient is {} bytes", size_of::<Recipient>());
+        assert!(size_of::<VNode>() <= 48, "VNode is {} bytes", size_of::<VNode>());
+    }
+
+    #[test]
+    fn tracked_slot_is_the_position_in_stages_tracked() {
+        let graph = Graph::path(4);
+        for max_pulse in [1, 7, 64, 130] {
+            let cfg = SynchronizerConfig::build(&graph, max_pulse);
+            for q in 0..=max_pulse + 1 {
+                let tracked = if q <= max_pulse { cfg.stages_tracked(q) } else { &[] };
+                for s in 0..=max_pulse + 2 {
+                    let want = tracked.iter().position(|&t| t == s);
+                    assert_eq!(cfg.tracked_slot(q, s), want, "T={max_pulse} q={q} s={s}");
+                }
+            }
         }
     }
 
