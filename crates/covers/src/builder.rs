@@ -129,17 +129,39 @@ pub fn build_layered_sparse_cover(graph: &Graph, max_radius: usize) -> LayeredSp
     LayeredSparseCover::new(covers)
 }
 
+/// Exponent of the smallest cover radius a synchronizer stage uses: stage `p`
+/// runs on the `2^{ℓ(p) + STAGE_COVER_EXPONENT}`-cover (Theorem 5.3), where the
+/// pulse level `ℓ(p)` is at least 0.
+pub const STAGE_COVER_EXPONENT: u32 = 5;
+
 /// Builds the layered cover a synchronizer needs for an algorithm whose time
-/// complexity is at most `time_bound` on a graph of diameter at most `diameter_bound`:
-/// layers up to radius `2^6 · max(time_bound, 1)`, but never less than the diameter
-/// (so the top layer always has a cluster containing the whole graph).
+/// complexity is at most `time_bound` on a graph of diameter at most `diameter_bound`.
+///
+/// Layer `j` has radius `2^{STAGE_COVER_EXPONENT + j}`: no stage selects a smaller
+/// one. The top layer reaches radius `2^{STAGE_COVER_EXPONENT + 1} · max(time_bound, 1)`,
+/// and never less than `diameter_bound`. Building stops at the first layer that is
+/// a single cluster, and every layer above it shares that cover: a larger radius
+/// carves the same cluster, members and tree (DESIGN.md §3.3). Select layers by
+/// [`LayeredSparseCover::radius`], not by the shared cover's own radius.
 pub fn build_synchronizer_cover(
     graph: &Graph,
     time_bound: usize,
     diameter_bound: usize,
 ) -> LayeredSparseCover {
-    let needed = 64 * time_bound.max(1);
-    build_layered_sparse_cover(graph, needed.max(diameter_bound).max(1))
+    let needed = (2usize << STAGE_COVER_EXPONENT) * time_bound.max(1);
+    let top = needed.max(diameter_bound).next_power_of_two().trailing_zeros();
+    let mut scratch = CoverScratch::new(graph.node_count());
+    let mut covers = Vec::new();
+    for e in STAGE_COVER_EXPONENT..=top {
+        let cover = build_sparse_cover_with(graph, 1usize << e, &mut scratch);
+        let spans = cover.cluster_count() == 1;
+        covers.push(cover);
+        if spans {
+            break;
+        }
+    }
+    let layers = (top - STAGE_COVER_EXPONENT) as usize + 1;
+    LayeredSparseCover::shared(covers, STAGE_COVER_EXPONENT, layers)
 }
 
 #[cfg(test)]
@@ -208,7 +230,37 @@ mod tests {
         let graph = Graph::path(20);
         let diameter = ds_graph::metrics::diameter(&graph).unwrap();
         let layered = build_synchronizer_cover(&graph, 1, diameter);
-        assert!(layered.cover_for_radius(diameter).radius >= diameter);
+        assert!(layered.radius(layered.layers() - 1) >= diameter);
+        let top = layered.cover_for_radius(diameter);
+        assert_eq!(top.cluster_count(), 1);
+        assert_eq!(top.cluster(ClusterId(0)).member_count(), graph.node_count());
+    }
+
+    #[test]
+    fn synchronizer_cover_builds_only_selectable_layers_and_shares_the_rest() {
+        // cycle(256) has 3 clusters at r32, so the non-shared path runs too.
+        for graph in [Graph::cycle(256), Graph::grid(16, 16), Graph::grid(4, 100), Graph::path(300)]
+        {
+            let n = graph.node_count();
+            let diameter = ds_graph::metrics::diameter(&graph).unwrap();
+            let layered = build_synchronizer_cover(&graph, diameter, diameter);
+            let built: Vec<&SparseCover> = layered.iter().collect();
+            // Nothing below the smallest stage radius.
+            assert_eq!(layered.radius(0), 1 << STAGE_COVER_EXPONENT, "n={n}");
+            assert_eq!(built[0].radius, 1 << STAGE_COVER_EXPONENT, "n={n}");
+            // Only the last built layer may be one cluster, and it must be one
+            // whenever higher layers share it.
+            let singles = built.iter().filter(|c| c.cluster_count() == 1).count();
+            assert!(singles <= 1, "n={n}: {singles} one-cluster layers built");
+            if built.len() < layered.layers() {
+                assert_eq!(built.last().unwrap().cluster_count(), 1, "n={n}");
+            }
+            // Every layer, shared or not, is what a fresh build at its radius gives.
+            for j in 0..layered.layers() {
+                let fresh = build_sparse_cover(&graph, layered.radius(j));
+                assert_eq!(layered.level(j).clusters, fresh.clusters, "n={n} layer {j}");
+            }
+        }
     }
 
     #[test]

@@ -431,51 +431,84 @@ impl SparseCover {
     }
 }
 
-/// A layered sparse `d`-cover: sparse `2^j`-covers for all `j ∈ {0, …, ⌈log₂ d⌉}`.
+/// A layered sparse cover: layer `j` is a sparse `2^{base+j}`-cover, for every `j`
+/// in `0..layers()`.
+///
+/// Layers may share one cover. [`builder::build_synchronizer_cover`] stops at its
+/// first one-cluster layer, and every higher layer resolves to that cover: a
+/// larger radius would carve the same cluster, members and tree (DESIGN.md §3.3).
+/// A shared layer's [`SparseCover::radius`] is the radius it was built at, which
+/// can be below the layer's [`radius`](Self::radius); select layers by the latter.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LayeredSparseCover {
+    /// The distinct covers: `covers[j]` is a `2^{base+j}`-cover.
     covers: Vec<SparseCover>,
+    /// Radius exponent of layer 0.
+    base: u32,
+    /// Number of layers; layers `covers.len() - 1 ..` share the last cover.
+    layers: usize,
 }
 
 impl LayeredSparseCover {
-    /// Wraps a list of covers where `covers[j]` must be a `2^j`-cover.
+    /// Wraps a list of covers where `covers[j]` must be a `2^j`-cover; no layer
+    /// is shared.
     ///
     /// # Panics
     ///
     /// Panics if `covers[j].radius != 2^j` for some `j`.
     pub fn new(covers: Vec<SparseCover>) -> Self {
+        let layers = covers.len();
+        Self::shared(covers, 0, layers)
+    }
+
+    /// Layers `2^base ..= 2^{base+layers-1}` over the distinct `covers`, the
+    /// last of which also serves every layer above it.
+    pub(crate) fn shared(covers: Vec<SparseCover>, base: u32, layers: usize) -> Self {
+        assert!(covers.len() <= layers, "more covers than layers");
         for (j, c) in covers.iter().enumerate() {
-            assert_eq!(c.radius, 1usize << j, "covers[{j}] must be a 2^{j}-cover");
+            let e = base as usize + j;
+            assert_eq!(c.radius, 1usize << e, "covers[{j}] must be a 2^{e}-cover");
         }
-        LayeredSparseCover { covers }
+        LayeredSparseCover { covers, base, layers }
     }
 
-    /// The number of layers (largest covered radius is `2^(layers-1)`).
+    /// The number of layers (largest layer radius is `radius(layers - 1)`).
     pub fn layers(&self) -> usize {
-        self.covers.len()
+        self.layers
     }
 
-    /// The `2^j`-cover.
+    /// The radius layer `j` covers: `2^{base+j}`. A shared layer's cover was
+    /// built at a smaller radius but has the same clusters as a build at this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer does not exist.
+    pub fn radius(&self, j: usize) -> usize {
+        assert!(j < self.layers, "layer {j} of {}", self.layers);
+        1usize << (self.base as usize + j)
+    }
+
+    /// The cover of layer `j`.
     ///
     /// # Panics
     ///
     /// Panics if the layer does not exist.
     pub fn level(&self, j: usize) -> &SparseCover {
-        &self.covers[j]
+        assert!(j < self.layers, "layer {j} of {}", self.layers);
+        &self.covers[j.min(self.covers.len() - 1)]
     }
 
-    /// The smallest-level cover whose radius is at least `d`.
+    /// The cover of the lowest layer whose radius is at least `d`.
     ///
-    /// Falls back to the largest available cover if `d` exceeds every layer (which is
-    /// safe whenever that cover already spans the whole graph).
+    /// Falls back to the top layer if `d` exceeds every layer (which is safe
+    /// whenever that cover already spans the whole graph).
     pub fn cover_for_radius(&self, d: usize) -> &SparseCover {
-        self.covers
-            .iter()
-            .find(|c| c.radius >= d)
-            .unwrap_or_else(|| self.covers.last().expect("layered cover is non-empty"))
+        assert!(self.layers > 0, "layered cover is non-empty");
+        let j = (0..self.layers).find(|&j| self.radius(j) >= d).unwrap_or(self.layers - 1);
+        self.level(j)
     }
 
-    /// Iterates over all layers.
+    /// Iterates over the distinct covers, lowest radius first.
     pub fn iter(&self) -> impl Iterator<Item = &SparseCover> {
         self.covers.iter()
     }

@@ -51,7 +51,8 @@ pub fn cover_stats(graph: &Graph, cover: &SparseCover) -> CoverStats {
     }
 }
 
-/// Computes per-layer statistics of a layered cover.
+/// Computes statistics of every distinct cover of a layered cover (layers that
+/// share a cover are reported once).
 pub fn layered_stats(graph: &Graph, layered: &LayeredSparseCover) -> Vec<CoverStats> {
     layered.iter().map(|c| cover_stats(graph, c)).collect()
 }

@@ -5,6 +5,12 @@
 //! synchronizer groups its work into *stages*, one per pulse `p ≥ 1`; the stage of
 //! pulse `p` uses sparse covers of radius `2^{ℓ(p)+5}`, where `ℓ(p)` is the pulse's
 //! *level*, and is anchored at execution-tree ancestors of pulse `prev(prev(p))`.
+//! The `5` is [`STAGE_COVER_EXPONENT`], owned by the cover builder, so the
+//! smallest radius any stage selects (`2^5`, at `ℓ(p) = 0`) is the lowest layer
+//! [`build_synchronizer_cover`](ds_covers::builder::build_synchronizer_cover)
+//! builds.
+
+use ds_covers::builder::STAGE_COVER_EXPONENT;
 
 /// The level `ℓ(p)` of a pulse: the exponent of the largest power of two dividing
 /// `p`; by convention `ℓ(0)` is treated as "infinite" and is not used directly
@@ -40,12 +46,13 @@ pub fn prev_prev(p: u64) -> u64 {
 }
 
 /// The cover-radius exponent used by stage `p`: clusters of the `2^{ℓ(p)+5}`-cover.
+/// The `5` is [`STAGE_COVER_EXPONENT`], which the cover builder also starts from.
 ///
 /// # Panics
 ///
 /// Panics if `p == 0`.
 pub fn cover_exponent(p: u64) -> u32 {
-    level(p) + 5
+    level(p) + STAGE_COVER_EXPONENT
 }
 
 /// Whether stage `p` is a *base stage*, i.e. anchored at the initiators

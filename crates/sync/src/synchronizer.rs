@@ -133,12 +133,15 @@ impl SynchronizerConfig {
     /// internally (the "without being given a cover" setting; the construction is
     /// centralized, see DESIGN.md §3).
     ///
-    /// The cover only needs an *upper bound* on the graph diameter (the top layer
-    /// must reach radius ≥ diameter so one cluster spans the whole graph), so this
-    /// uses the two-BFS double-sweep bound of [`metrics::diameter_bounds`] instead
-    /// of the exact `O(n·m)` all-pairs diameter. Whenever `64·T(A)` dominates the
-    /// bound — every shipped workload, since `T(A) ≥ ecc(source) ≥ diameter/2` —
-    /// the produced cover is identical to the exact-diameter construction.
+    /// The cover only needs an *upper bound* on the graph diameter: the top
+    /// layer's radius must reach the diameter, so that some cluster of it spans
+    /// the whole graph. Only the layers from the smallest stage radius up to the
+    /// first one-cluster layer are built, and the layers above share that cover
+    /// (see [`build_synchronizer_cover`]). So this uses the two-BFS double-sweep
+    /// bound of [`metrics::diameter_bounds`] instead of the exact `O(n·m)`
+    /// all-pairs diameter. Whenever `64·T(A)` dominates the bound — every
+    /// shipped workload, since `T(A) ≥ ecc(source) ≥ diameter/2` — the produced
+    /// cover is identical to the exact-diameter construction.
     ///
     /// # Panics
     ///
@@ -152,7 +155,9 @@ impl SynchronizerConfig {
     }
 
     /// Builds a configuration from an existing layered sparse cover (the Theorem 5.3
-    /// "given a layered sparse `O(T(A))`-cover" setting).
+    /// "given a layered sparse `O(T(A))`-cover" setting). Stage `p` runs on the
+    /// lowest layer `j` with [`LayeredSparseCover::radius`]`(j) ≥ 2^{ℓ(p)+5}`, or
+    /// the top layer if none is that large.
     ///
     /// # Panics
     ///
@@ -168,8 +173,11 @@ impl SynchronizerConfig {
         let mut slots = Vec::new();
         for p in 1..=max_pulse {
             let radius = 1usize << pulse::cover_exponent(p).min(60);
+            // By the layer's radius: a shared layer's cover carries the radius
+            // it was built at, and selecting by that would collapse the layers
+            // above it into one (and with them the phase-A barriers).
             let cover_idx = (0..covers.layers())
-                .find(|&j| covers.level(j).radius >= radius)
+                .find(|&j| covers.radius(j) >= radius)
                 .unwrap_or(covers.layers() - 1);
             let info = StageInfo {
                 prev: pulse::prev(p),

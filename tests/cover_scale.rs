@@ -15,13 +15,19 @@
 //!   consume.
 //! * **Layered structure** — `build_layered_sparse_cover` produces one valid
 //!   `2^j`-cover per layer up to the requested radius.
+//! * **Shared synchronizer layers** — `build_synchronizer_cover` stops at its
+//!   first one-cluster layer; every layer above it must equal a fresh build at
+//!   the layer's radius (DESIGN.md §3.3), on 4096-node graphs where that layer
+//!   sits at r32 (random-regular, torus), r64 (grid) and up to r1024 (cycle).
 //!
 //! Ignored under debug builds (ball coverage touches `Σ_v |B(v, d)|` nodes,
 //! too slow unoptimized); the CI release perf job runs this file via
 //! `cargo test --release --test cover_scale`.
 
-use det_synchronizer::covers::builder::{build_layered_sparse_cover, build_sparse_cover};
-use det_synchronizer::graph::Graph;
+use det_synchronizer::covers::builder::{
+    build_layered_sparse_cover, build_sparse_cover, build_synchronizer_cover,
+};
+use det_synchronizer::graph::{metrics, Graph};
 
 fn tier_graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -69,4 +75,34 @@ fn layered_cover_layers_validate_on_a_tier_graph() {
         assert_eq!(cover.radius, 1 << j, "layer {j} has the wrong radius");
         cover.validate(&graph).unwrap_or_else(|e| panic!("layer {j}: {e}"));
     }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode scale test; debug builds are too slow")]
+fn synchronizer_cover_shares_its_one_cluster_layer_upward() {
+    // `T` is the grid's `det_grid_deep` bound and a BFS bound elsewhere.
+    for (label, graph, time_bound) in [
+        ("grid/4096", Graph::grid(64, 64), 127),
+        ("torus/4096", Graph::torus(64, 64), 64),
+        ("cycle/4096", Graph::cycle(4096), 2048),
+        ("grid/8x512", Graph::grid(8, 512), 518),
+        ("random-regular/4096", Graph::random_regular(4096, 4, 4096), 16),
+    ] {
+        let (_, upper) = metrics::diameter_bounds(&graph).unwrap();
+        let layered = build_synchronizer_cover(&graph, time_bound, upper);
+        for cover in layered.iter() {
+            cover.validate(&graph).unwrap_or_else(|e| panic!("{label} r{}: {e}", cover.radius));
+        }
+        let last = layered.iter().count() - 1;
+        for j in last + 1..layered.layers() {
+            let fresh = build_sparse_cover(&graph, layered.radius(j));
+            assert_eq!(layered.level(j).clusters, fresh.clusters, "{label} layer {j}");
+        }
+        assert_eq!(layered.level(last).cluster_count(), 1, "{label}: ends one-cluster");
+    }
+    // `det_grid_deep`'s cover: r32 (3 clusters) and r64 (1), instead of r1..r8192.
+    let layered = build_synchronizer_cover(&Graph::grid(64, 64), 127, 126);
+    assert_eq!(layered.layers(), 9, "r32 ..= r8192");
+    let clusters: Vec<usize> = layered.iter().map(|c| c.cluster_count()).collect();
+    assert_eq!(clusters, [3, 1], "2 covers built");
 }
