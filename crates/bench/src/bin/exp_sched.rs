@@ -1,25 +1,18 @@
-//! E10 — scheduler microbenchmarks: the asynchronous engine's hot data structures in
+//! E10 — scheduler microbenchmarks: the asynchronous engine's timing wheel in
 //! isolation — `TimingWheel` vs the `BinaryHeap` reference on `schedule` /
-//! `take_due`, and `StageQueue` vs a binary heap on `push` / `pop`.
+//! `take_due`.
 //!
 //! E1–E8 and `benchmark/` measure whole runs; constant-factor regressions in the
 //! scheduler hide inside them behind protocol and cache noise. This binary drives
-//! the structures directly with a deterministic engine-like workload (bursty
-//! schedules, bounded delays, batched drains, clustered link priorities), so a
-//! slowdown of the wheel or the bucket queue is visible without a whole-run
-//! benchmark. No external deps: the timing loop is hand-rolled and rows go
-//! through the shared `ds-bench` table renderer.
+//! the wheel directly with a deterministic engine-like workload (bursty
+//! schedules, bounded delays, batched drains), so a slowdown of the wheel is
+//! visible without a whole-run benchmark. No external deps: the timing loop is
+//! hand-rolled and rows go through the shared `ds-bench` table renderer.
 //!
-//! Three more sections follow:
+//! Two more sections follow:
 //!
-//! * `pool/*` — the per-barrier cost of handing K shard tasks to worker
-//!   threads and waiting for them back, comparing the persistent
-//!   [`WorkerPool`] rendezvous against spawning a fresh `thread::scope` per
-//!   barrier (the engine's previous strategy, kept here as the baseline the
-//!   pool must beat).
-//! * `arena/*` — the baseline the event arena is judged against: the
-//!   per-event owned-enum walk (payloads inline in the wheel slots, drained one
-//!   event at a time in seq order).
+//! * `pool/rendezvous/*` — the per-barrier cost of handing K shard tasks to the
+//!   persistent [`WorkerPool`]'s threads and waiting for them back.
 //! * `scale/*` — whole-run wall time per simulated event as `n` grows: a det
 //!   BFS from a corner of grid 16², 32² and 64² under uniform delays and an α
 //!   BFS on torus 16², 32² and 64² under jitter (cover built outside the
@@ -34,12 +27,9 @@ use ds_graph::{Graph, NodeId};
 use ds_netsim::delay::DelayModel;
 use ds_netsim::pool::WorkerPool;
 use ds_netsim::scheduler::{EventScheduler, HeapScheduler, TimingWheel};
-use ds_netsim::stage_queue::StageQueue;
 use ds_netsim::sync_engine::run_sync;
 use ds_sync::session::{Session, SyncKind};
 use ds_sync::synchronizer::SynchronizerConfig;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 const SAMPLES: usize = 5;
@@ -126,63 +116,6 @@ fn scheduler_rows(events: u64) -> Vec<Row> {
     rows
 }
 
-/// Link-queue workload: clustered priorities around a slowly advancing stage,
-/// interleaved pushes and pops — the shape the synchronizers produce.
-fn drive_stage_queue(ops: u64) {
-    let mut rng = Lcg(0xBEEF);
-    let mut q: StageQueue<u32> = StageQueue::new();
-    let mut seq = 0u64;
-    let mut stage = 50u64;
-    for op in 0..ops {
-        if op.is_multiple_of(64) {
-            stage += 1;
-        }
-        if q.is_empty() || rng.next(2) == 0 {
-            q.push(stage + rng.next(12), seq, (seq % 8191) as u32);
-            seq += 1;
-        } else {
-            q.pop();
-        }
-    }
-    while q.pop().is_some() {}
-}
-
-fn drive_reference_heap(ops: u64) {
-    let mut rng = Lcg(0xBEEF);
-    let mut q: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut stage = 50u64;
-    for op in 0..ops {
-        if op.is_multiple_of(64) {
-            stage += 1;
-        }
-        if q.is_empty() || rng.next(2) == 0 {
-            q.push(Reverse((stage + rng.next(12), seq, (seq % 8191) as u32)));
-            seq += 1;
-        } else {
-            q.pop();
-        }
-    }
-    while q.pop().is_some() {}
-}
-
-fn stage_queue_rows(ops: u64) -> Vec<Row> {
-    let bucket_ns = median_ns_per_op(ops, || drive_stage_queue(ops));
-    let heap_ns = median_ns_per_op(ops, || drive_reference_heap(ops));
-    [("stage-queue", bucket_ns), ("binary-heap", heap_ns)]
-        .into_iter()
-        .map(|(kind, ns)| Row {
-            label: format!("link/{kind}/push+pop"),
-            values: vec![
-                ("ops", ops as f64),
-                ("ns/op", ns),
-                ("Mops/s", 1e3 / ns),
-                ("vs_heap", heap_ns / ns),
-            ],
-        })
-        .collect()
-}
-
 /// Per-shard task for the dispatch benchmark: big enough to move by pointer
 /// (a heap buffer), with a touch of real work so a barrier is not a pure
 /// channel ping-pong.
@@ -218,111 +151,20 @@ fn drive_pool_rendezvous(barriers: u64, shards: usize, workers: usize) {
     );
 }
 
-/// The pre-pool baseline: a fresh `thread::scope` spawn/join per barrier.
-/// (This binary is outside ds-lint's scan set; production code must go
-/// through `ds_netsim::pool` instead.)
-fn drive_scope_spawn(barriers: u64, shards: usize, workers: usize) {
-    let mut tasks: Vec<Vec<u64>> = (0..shards).map(pool_task).collect();
-    for _ in 0..barriers {
-        std::thread::scope(|scope| {
-            for chunk in tasks.chunks_mut(shards.div_ceil(workers)) {
-                scope.spawn(|| chunk.iter_mut().for_each(|t| barrier_work(t)));
-            }
-        });
-    }
-}
-
 fn pool_rows(barriers: u64) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (shards, workers) in [(4usize, 2usize), (4, 4), (7, 2)] {
-        let spawn_ns = median_ns_per_op(barriers, || drive_scope_spawn(barriers, shards, workers));
-        let pool_ns =
-            median_ns_per_op(barriers, || drive_pool_rendezvous(barriers, shards, workers));
-        for (kind, ns) in [("rendezvous", pool_ns), ("scope-spawn", spawn_ns)] {
-            rows.push(Row {
-                label: format!("pool/{kind}/{shards}sh-{workers}w"),
-                values: vec![
-                    ("barriers", barriers as f64),
-                    ("ns/barrier", ns),
-                    ("vs_spawn", spawn_ns / ns),
-                ],
-            });
-        }
-    }
-    rows
-}
-
-/// Destination nodes the drain benchmark spreads its events over.
-const ARENA_DSTS: u64 = 512;
-
-/// In-flight population for the drain benchmark. Delays cluster on round
-/// multiples (protocols send in waves, so arrivals pile onto shared ticks),
-/// which with this population gives batches of a few hundred events per
-/// drained tick — the shape of a busy barrier.
-const ARENA_PENDING: u64 = 4096;
-
-/// Per-destination "node state" large enough that activation order shows up
-/// in cache behavior.
-type NodeState = [u64; 16];
-
-/// The pre-arena path: enum rows owning their payloads inline travel through
-/// the wheel slots (and their free lists) by value, and the drain walks them
-/// one event at a time in global seq order — destinations interleaved, node
-/// state revisited per event rather than per group.
-enum OwnedEvent {
-    Deliver {
-        dst: u32,
-        msg: [u64; 4],
-    },
-    #[allow(dead_code)]
-    Ack,
-}
-
-fn drive_owned_events(events: u64, nodes: &mut [NodeState]) -> u64 {
-    let mut wheel: TimingWheel<OwnedEvent> = TimingWheel::new(1000);
-    let mut due: Vec<(u64, OwnedEvent)> = Vec::new();
-    let mut rng = Lcg(0xA7E4A);
-    let mut seq = 0u64;
-    let mut pending = 0u64;
-    let mut acc = 0u64;
-    let mut now = 0u64;
-    while seq < events || pending > 0 {
-        if seq < events && pending < ARENA_PENDING {
-            for _ in 0..64 {
-                if seq == events {
-                    break;
-                }
-                let dst = rng.next(ARENA_DSTS) as u32;
-                let ev = OwnedEvent::Deliver { dst, msg: [seq, seq ^ 1, seq ^ 2, seq ^ 3] };
-                wheel.schedule(now + 100 * (1 + rng.next(10)), seq, ev);
-                seq += 1;
-                pending += 1;
-            }
-        } else {
-            now = wheel.take_due(&mut due).expect("pending > 0");
-            pending -= due.len() as u64;
-            for (_, ev) in due.drain(..) {
-                if let OwnedEvent::Deliver { dst, msg } = ev {
-                    let node = &mut nodes[dst as usize];
-                    node[(msg[0] % 16) as usize] =
-                        node[(msg[0] % 16) as usize].wrapping_add(msg[1]);
-                    acc = acc.wrapping_add(msg[0]);
-                }
-            }
-        }
-    }
-    acc
-}
-
-fn arena_rows(events: u64) -> Vec<Row> {
-    let mut nodes = vec![[0u64; 16]; ARENA_DSTS as usize];
-    let owned_ns = median_ns_per_op(events, || {
-        std::hint::black_box(drive_owned_events(events, &mut nodes));
-    });
-    vec![Row {
-        label: "arena/owned-aos/drain".to_string(),
-        values: vec![("events", events as f64), ("ns/event", owned_ns), ("Mops/s", 1e3 / owned_ns)],
-    }]
+    [(4usize, 2usize), (4, 4), (7, 2)]
+        .into_iter()
+        .map(|(shards, workers)| Row {
+            label: format!("pool/rendezvous/{shards}sh-{workers}w"),
+            values: vec![
+                ("barriers", barriers as f64),
+                (
+                    "ns/barrier",
+                    median_ns_per_op(barriers, || drive_pool_rendezvous(barriers, shards, workers)),
+                ),
+            ],
+        })
+        .collect()
 }
 
 /// Runs one BFS from node 0 under `session`: wall ns per delivered event, and
@@ -399,16 +241,9 @@ fn scale_rows(sides: &[usize]) -> Vec<Row> {
 
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let (events, ops, barriers) =
-        if smoke { (200_000, 400_000, 2_000) } else { (2_000_000, 4_000_000, 20_000) };
-    let mut rows = scheduler_rows(events);
-    rows.extend(stage_queue_rows(ops));
-    print_table("scheduler microbenchmarks (schedule/take_due, link push/pop)", &rows);
-    print_table(
-        "pool dispatch (per-barrier rendezvous vs fresh scope spawn)",
-        &pool_rows(barriers),
-    );
-    print_table("event arena baseline (owned per-event walk)", &arena_rows(events));
+    let (events, barriers) = if smoke { (200_000, 2_000) } else { (2_000_000, 20_000) };
+    print_table("scheduler microbenchmarks (schedule/take_due)", &scheduler_rows(events));
+    print_table("pool dispatch (per-barrier rendezvous)", &pool_rows(barriers));
     let sides: &[usize] = if smoke { &[16, 32] } else { &[16, 32, 64] };
     print_table(
         "per-event cost vs n (whole BFS runs, median of 5 interleaved rounds)",

@@ -264,6 +264,22 @@ mod tests {
     }
 
     #[test]
+    fn layer_for_radius_selects_by_layer_radius_on_shared_layers() {
+        // grid 16² is one cluster at r32, so every layer shares that cover and
+        // carries radius 32; selecting by it would put every radius on layer 0.
+        let layered = build_synchronizer_cover(&Graph::grid(16, 16), 30, 30);
+        assert_eq!(layered.iter().count(), 1);
+        assert!(layered.layers() > 1);
+        for j in 0..layered.layers() {
+            assert_eq!(layered.level(j).radius, 1 << STAGE_COVER_EXPONENT);
+            assert_eq!(layered.layer_for_radius(1 << (STAGE_COVER_EXPONENT as usize + j)), j);
+            assert_eq!(layered.layer_for_radius(layered.radius(j) - 1), j);
+        }
+        assert_eq!(layered.layer_for_radius(1), 0);
+        assert_eq!(layered.layer_for_radius(usize::MAX), layered.layers() - 1);
+    }
+
+    #[test]
     fn single_node_graph_has_trivial_cover() {
         let graph = Graph::new(1);
         let cover = build_sparse_cover(&graph, 1);

@@ -498,14 +498,20 @@ impl LayeredSparseCover {
         &self.covers[j.min(self.covers.len() - 1)]
     }
 
-    /// The cover of the lowest layer whose radius is at least `d`.
-    ///
-    /// Falls back to the top layer if `d` exceeds every layer (which is safe
-    /// whenever that cover already spans the whole graph).
-    pub fn cover_for_radius(&self, d: usize) -> &SparseCover {
+    /// The lowest layer whose [`radius`](Self::radius) is at least `d`, or the
+    /// top layer if `d` exceeds every layer (which is safe whenever that cover
+    /// already spans the whole graph). Selects by the layer's radius, never by
+    /// a shared cover's own: that is the radius the cover was built at, and
+    /// selecting by it would collapse the layers above it into one (and with
+    /// them the det synchronizer's phase-A barriers).
+    pub fn layer_for_radius(&self, d: usize) -> usize {
         assert!(self.layers > 0, "layered cover is non-empty");
-        let j = (0..self.layers).find(|&j| self.radius(j) >= d).unwrap_or(self.layers - 1);
-        self.level(j)
+        (0..self.layers).find(|&j| self.radius(j) >= d).unwrap_or(self.layers - 1)
+    }
+
+    /// The cover of [`layer_for_radius`](Self::layer_for_radius)`(d)`.
+    pub fn cover_for_radius(&self, d: usize) -> &SparseCover {
+        self.level(self.layer_for_radius(d))
     }
 
     /// Iterates over the distinct covers, lowest radius first.

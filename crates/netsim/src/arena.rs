@@ -7,7 +7,7 @@
 //! * [`PayloadArena`]: a free-list slab owning every in-flight message.
 //!   `alloc` hands out a `u32` handle (recycling freed slots, so steady state
 //!   never allocates), `take` moves the message back out. Everything else —
-//!   wheel slots, `StageQueue` buckets — stores the 4-byte handle instead of
+//!   wheel slots, link queues — stores the 4-byte handle instead of
 //!   the message. A live-handle counter makes leaks checkable: a finished run
 //!   must return `live()` to zero.
 //! * [`EvRef`]: the two packed `u32`s (link, payload handle) the serial

@@ -31,8 +31,8 @@
 //! straight from its outbox. The global event queue is a bounded-horizon
 //! **timing wheel** — `O(1)` per in-horizon event instead of the
 //! `O(log n)` of the reference binary heap (selectable via [`SchedulerKind`];
-//! both produce bit-identical schedules, see [`crate::scheduler`]) — and the
-//! per-link queues are per-stage FIFO buckets ([`crate::stage_queue`]).
+//! both produce bit-identical schedules, see [`crate::scheduler`]) — and a
+//! link's queue is one sorted `Vec` behind an inline head ([`crate::stage_queue`]).
 //! Grouping a tick's events by destination before activating them was tried
 //! and lost its A/B against this loop (DESIGN.md §10.2).
 

@@ -1,6 +1,5 @@
-//! Word-indexed occupancy-bitset helpers shared by the engine's dense
-//! structures ([`crate::scheduler::TimingWheel`]'s slot map and `StageQueue`'s
-//! bucket window), so the bit-twiddling lives in exactly one place.
+//! Word-indexed occupancy-bitset helpers for
+//! [`crate::scheduler::TimingWheel`]'s slot map.
 
 /// Sets bit `idx`.
 pub(crate) fn set(words: &mut [u64], idx: usize) {

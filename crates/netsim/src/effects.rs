@@ -691,17 +691,20 @@ impl<'g, P: Protocol> Core<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn link_state_is_40_bytes() {
         assert!(std::mem::size_of::<LinkState>() <= 40, "{}", std::mem::size_of::<LinkState>());
     }
 
-    /// One link of a one-link table, mirrored into a plain `StageQueue`: every
-    /// pop must come out of both identically.
+    /// One link of a one-link table, mirrored into a binary heap of
+    /// `Reverse((priority, seq, handle))`: every pop must come out of both
+    /// identically.
     struct Probe {
         table: LinkTable,
-        reference: StageQueue<u32>,
+        reference: BinaryHeap<Reverse<(u64, u64, u32)>>,
         seq: u64,
     }
 
@@ -709,21 +712,21 @@ mod tests {
         fn new() -> Self {
             let mut table = LinkTable::default();
             table.push_link(NodeId(0), NodeId(1));
-            Probe { table, reference: StageQueue::new(), seq: 0 }
+            Probe { table, reference: BinaryHeap::new(), seq: 0 }
         }
 
         fn push(&mut self, priority: u64) {
             let handle = 100 + self.seq as u32;
             let (link, spill) = self.table.get(0);
             link.push(spill, priority, self.seq, handle);
-            self.reference.push(priority, self.seq, handle);
+            self.reference.push(Reverse((priority, self.seq, handle)));
             self.seq += 1;
         }
 
         fn pop(&mut self) -> Option<(u64, u32)> {
             let (link, spill) = self.table.get(0);
             let got = link.pop(spill);
-            assert_eq!(got, self.reference.pop());
+            assert_eq!(got, self.reference.pop().map(|Reverse((_, seq, handle))| (seq, handle)));
             got
         }
 

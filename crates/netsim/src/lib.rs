@@ -42,7 +42,8 @@
 //! * [`recycle`] checks engine state (wheel, link table, arena) out
 //!   of a free pool and reuses it across runs — bit-identical to cold runs
 //!   under an asserted reset contract,
-//! * [`stage_queue`] holds the per-link queues as per-stage FIFO buckets,
+//! * [`stage_queue`] holds the queue behind a link's inline head: one `Vec`
+//!   sorted by `(priority, seq)`,
 //! * [`metrics`] collects time and message accounting for both engines,
 //! * [`trace`] records per-delivery causality on demand — the raw material the
 //!   `ds-verify` happens-before checker rebuilds its ordering relation from.

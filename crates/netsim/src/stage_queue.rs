@@ -1,57 +1,34 @@
-//! Per-link message queues as per-stage FIFO buckets.
+//! Per-link message queues: one `Vec` kept sorted by `(priority, seq)`.
 //!
-//! Messages waiting on a link are transmitted lowest priority first, FIFO within a
-//! priority (Lemma 2.5: lowest stage first). The priorities the synchronizers use
-//! are small stage/pulse indices that cluster around the link's current stage, so
-//! instead of a per-link binary heap the queue keeps one FIFO bucket per priority
-//! *relative to a moving base*, plus a dense occupancy bitset to find the minimum
-//! occupied priority in a few word operations:
+//! A link transmits its waiting messages lowest priority first, FIFO within a
+//! priority (Lemma 2.5: lowest stage first). The engines keep the first waiting
+//! message inline in its link record (`effects::LinkState`) and queue only
+//! the ones behind it here, as `u32` handles into a [`crate::arena::PayloadArena`].
+//! Those queues are short. Push counters on whole runs ("spilled": share of
+//! link pushes that found the inline head taken; depth and priority spread of
+//! the queue after a push):
 //!
-//! * `push` is `O(1)` (amortized: a push below the base shifts the bucket window,
-//!   which is linear in the window width but only happens when priorities regress),
-//! * `pop` is `O(width / 64)` for the bitset scan plus `O(1)` for the bucket pop,
-//! * within a bucket, insertion order is pop order — and since the engine's global
-//!   sequence numbers increase monotonically, that *is* `(priority, seq)` order,
-//!   exactly the order the previous per-link `BinaryHeap` produced.
+//! | run | spilled | max depth | max spread |
+//! |---|---|---|---|
+//! | det BFS grid 64², uniform | 1.5 % | 32 | 96 |
+//! | α BFS torus 64², jitter | 2.0 % | 1 | 1 |
+//! | det BFS grid 48², jitter, 2 shards | 1.9 % | 27 | 80 |
+//! | det BFS grid 8 × 512, uniform | 3.4 % | 50 | 512 |
+//! | det BFS random-regular 1024, outage | 16.7 % | 10 | 8 |
+//! | same, jitter and link churn | 54.6 % | 28 | 192 |
+//! | leader election cycle 512, outage | 0.4 % | 21 | 256 |
 //!
-//! Pathological priorities far from the base (more than `MAX_SPREAD` = 1024 apart,
-//! which no shipped protocol produces) fall back to a small sorted overflow vector
-//! so the bucket window stays dense and bounded.
-//!
-//! Since the event arena (DESIGN.md §10) the engines instantiate the queue with
-//! `M = u32` **payload handles** into a [`crate::arena::PayloadArena`] rather than
-//! owned message structs: a queued entry is one fixed-size `(seq, handle)` pair
-//! regardless of the protocol's message type, window shifts move plain integers,
-//! and defusing a
-//! queued message (fault drop, crash-stop drain) frees the handle instead of
-//! dropping a struct. The queue itself is payload-agnostic and unchanged.
-
-use crate::bitset;
-use std::collections::VecDeque;
-
-/// Maximum width of the dense bucket window; priorities further than this from the
-/// window base are kept in the sorted overflow vector instead.
-const MAX_SPREAD: u64 = 1024;
+//! So the queue is one vector sorted descending by `(priority, seq)`: `push` is
+//! a binary search plus an `O(k)` insert at depth `k`, and `pop` / `min_key`
+//! read the last entry.
 
 /// A FIFO-within-priority queue of `(priority, seq, msg)` entries popping the
 /// minimum `(priority, seq)` first. `seq` values must be strictly increasing
 /// across pushes (the engine's global sequence numbers are).
-///
-/// Public so the `exp_sched` microbenchmarks in `ds-bench` can measure it in
-/// isolation; the engine reaches it through its per-link state.
 #[derive(Debug)]
 pub struct StageQueue<M> {
-    /// Priority represented by bucket 0; meaningful only while `len > 0`.
-    base: u64,
-    /// FIFO bucket `b` holds entries of priority `base + b`.
-    buckets: Vec<VecDeque<(u64, M)>>,
-    /// Occupancy bitset over `buckets`: bit `b` set iff bucket `b` is non-empty.
-    occupied: Vec<u64>,
-    /// Entries whose priority is too far from `base` for the dense window, sorted
-    /// ascending by `(priority, seq)`.
-    overflow: Vec<(u64, u64, M)>,
-    /// Total queued entries (buckets + overflow).
-    len: usize,
+    /// Sorted descending by `(priority, seq)`: the minimum is last.
+    entries: Vec<(u64, u64, M)>,
 }
 
 impl<M> Default for StageQueue<M> {
@@ -63,146 +40,35 @@ impl<M> Default for StageQueue<M> {
 impl<M> StageQueue<M> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        StageQueue {
-            base: 0,
-            buckets: Vec::new(),
-            occupied: Vec::new(),
-            overflow: Vec::new(),
-            len: 0,
-        }
+        StageQueue { entries: Vec::new() }
     }
 
     /// Whether no entries are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
-    /// Grows the window so bucket `idx` exists.
-    fn ensure_bucket(&mut self, idx: usize) {
-        if idx >= self.buckets.len() {
-            self.buckets.resize_with(idx + 1, VecDeque::new);
-            let words = self.buckets.len().div_ceil(64);
-            if words > self.occupied.len() {
-                self.occupied.resize(words, 0);
-            }
-        }
-    }
-
-    /// Index of the first occupied bucket, if any.
-    fn min_bucket(&self) -> Option<usize> {
-        bitset::find_set_from(&self.occupied, 0)
-    }
-
-    /// Shifts the bucket window down so `new_base` becomes bucket 0. The window
-    /// after the shift is at most `MAX_SPREAD` wide (checked by the caller).
-    fn rebase_down(&mut self, new_base: u64) {
-        let shift = (self.base - new_base) as usize;
-        let old_len = self.buckets.len();
-        self.buckets.resize_with(old_len + shift, VecDeque::new);
-        self.buckets.rotate_right(shift);
-        let words = self.buckets.len().div_ceil(64);
-        self.occupied.resize(words, 0);
-        // Shift the bitset up by `shift` bits, highest word first.
-        let (whole, bits) = (shift / 64, (shift % 64) as u32);
-        for w in (0..self.occupied.len()).rev() {
-            let mut word = if w >= whole { self.occupied[w - whole] } else { 0 };
-            if bits > 0 {
-                word <<= bits;
-                if w > whole {
-                    word |= self.occupied[w - whole - 1] >> (64 - bits);
-                }
-            }
-            self.occupied[w] = word;
-        }
-        self.base = new_base;
-    }
-
-    /// Queues `msg` under `(priority, seq)`.
+    /// Queues `msg` under `(priority, seq)`. `seq` exceeds every queued seq, so
+    /// the entry goes in front of (pops after) those of equal priority.
     pub fn push(&mut self, priority: u64, seq: u64, msg: M) {
-        if self.len == self.overflow.len() {
-            // The bucket window is empty: restart it at this priority. (Any
-            // overflow entries keep their absolute priorities.)
-            self.base = priority;
-        }
-        if priority < self.base {
-            let span = self.buckets.len() as u64 + (self.base - priority);
-            if span <= MAX_SPREAD {
-                self.rebase_down(priority);
-            } else {
-                self.push_overflow(priority, seq, msg);
-                return;
-            }
-        } else if priority - self.base >= MAX_SPREAD {
-            self.push_overflow(priority, seq, msg);
-            return;
-        }
-        let idx = (priority - self.base) as usize;
-        self.ensure_bucket(idx);
-        if self.buckets[idx].is_empty() {
-            bitset::set(&mut self.occupied, idx);
-        }
-        debug_assert!(self.buckets[idx].back().is_none_or(|&(s, _)| s < seq));
-        self.buckets[idx].push_back((seq, msg));
-        self.len += 1;
-    }
-
-    fn push_overflow(&mut self, priority: u64, seq: u64, msg: M) {
-        // Seqs increase across pushes, so inserting by priority alone keeps the
-        // vector sorted by (priority, seq).
-        let pos = self.overflow.partition_point(|&(p, _, _)| p <= priority);
-        self.overflow.insert(pos, (priority, seq, msg));
-        self.len += 1;
+        let pos = self.entries.partition_point(|e| e.0 > priority);
+        debug_assert!(self.entries.get(pos).is_none_or(|e| e.0 < priority || e.1 < seq));
+        self.entries.insert(pos, (priority, seq, msg));
     }
 
     /// The minimum `(priority, seq)` key currently queued, without popping it.
     pub fn min_key(&self) -> Option<(u64, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        let bucket_min = self.min_bucket().map(|idx| {
-            let &(seq, _) = self.buckets[idx].front().expect("occupied bit set");
-            (self.base + idx as u64, seq)
-        });
-        let overflow_min = self.overflow.first().map(|&(p, seq, _)| (p, seq));
-        match (bucket_min, overflow_min) {
-            (Some(b), Some(o)) => Some(b.min(o)),
-            (b, o) => b.or(o),
-        }
+        self.entries.last().map(|e| (e.0, e.1))
     }
 
     /// Pops the minimum-`(priority, seq)` entry as `(seq, msg)`.
     pub fn pop(&mut self) -> Option<(u64, M)> {
-        if self.len == 0 {
-            return None;
-        }
-        let bucket_min = self.min_bucket().map(|idx| {
-            let &(seq, _) = self.buckets[idx].front().expect("occupied bit set");
-            (self.base + idx as u64, seq, idx)
-        });
-        let overflow_min = self.overflow.first().map(|&(p, seq, _)| (p, seq));
-        let from_bucket = match (bucket_min, overflow_min) {
-            (Some((bp, bs, _)), Some((op, os))) => (bp, bs) < (op, os),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => unreachable!("len > 0"),
-        };
-        self.len -= 1;
-        if from_bucket {
-            let idx = bucket_min.expect("from_bucket").2;
-            let entry = self.buckets[idx].pop_front().expect("occupied bit set");
-            if self.buckets[idx].is_empty() {
-                bitset::clear(&mut self.occupied, idx);
-            }
-            Some(entry)
-        } else {
-            let (_, seq, msg) = self.overflow.remove(0);
-            Some((seq, msg))
-        }
+        self.entries.pop().map(|(_, seq, msg)| (seq, msg))
     }
 }
 
@@ -232,45 +98,53 @@ mod tests {
     }
 
     #[test]
-    fn rebases_when_a_lower_priority_arrives() {
+    fn later_lower_priorities_pop_first_before_and_after_a_drain() {
         let mut q = StageQueue::new();
         q.push(100, 0, 'x');
         q.push(97, 1, 'y');
         q.push(99, 2, 'z');
         assert_eq!(drain(&mut q), vec![(1, 'y'), (2, 'z'), (0, 'x')]);
-        // After draining, the window restarts at the next pushed priority.
+        // A drained queue orders the next pushes afresh.
         q.push(3, 3, 'w');
         q.push(2, 4, 'v');
         assert_eq!(drain(&mut q), vec![(4, 'v'), (3, 'w')]);
     }
 
     #[test]
-    fn far_priorities_use_the_overflow_path() {
+    fn priorities_over_1024_apart_pop_in_priority_order() {
         let mut q = StageQueue::new();
         q.push(10, 0, 0u8);
-        q.push(10 + 2 * MAX_SPREAD, 1, 1); // far above the window
+        q.push(10 + 2 * 1024, 1, 1);
         q.push(11, 2, 2);
-        q.push(0, 3, 3); // below base, still within MAX_SPREAD: rebases
+        q.push(0, 3, 3);
         assert_eq!(drain(&mut q), vec![(3, 3), (0, 0), (2, 2), (1, 1)]);
     }
 
     #[test]
-    fn far_low_priority_after_wide_window_overflows() {
+    fn a_low_priority_pops_before_a_spread_near_1024() {
         let mut q = StageQueue::new();
-        q.push(MAX_SPREAD + 500, 0, 0u8);
-        q.push(2 * MAX_SPREAD, 1, 1); // widens the window close to MAX_SPREAD
-        q.push(3, 2, 2); // span would exceed MAX_SPREAD: overflow, still pops first
+        q.push(1024 + 500, 0, 0u8);
+        q.push(2 * 1024, 1, 1);
+        q.push(3, 2, 2);
         assert_eq!(drain(&mut q), vec![(2, 2), (0, 0), (1, 1)]);
     }
 
     #[test]
     fn matches_a_binary_heap_on_random_sequences() {
-        // Reference: a max-heap of Reverse((priority, seq)) — the engine's old
-        // per-link queue. The bucket queue must pop the exact same sequence.
+        // Reference: a max-heap of Reverse((priority, seq)). Before every pop
+        // the queue's `min_key` must equal the heap's top (`LinkState::pop`
+        // compares it against the link's inline head), and the pop the same seq.
         let mut state = 42u64;
         let mut rand = move |m: u64| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) % m
+        };
+        let check_pop = |q: &mut StageQueue<()>,
+                         reference: &mut BinaryHeap<Reverse<(u64, u64)>>| {
+            assert_eq!(q.min_key(), reference.peek().map(|r| r.0));
+            let want = reference.pop().map(|Reverse((_, seq))| seq);
+            assert_eq!(q.pop().map(|(seq, ())| seq), want);
+            assert_eq!(q.len(), reference.len());
         };
         for round in 0..50 {
             let mut q = StageQueue::new();
@@ -280,23 +154,34 @@ mod tests {
                 if reference.is_empty() || rand(3) > 0 {
                     // Mostly clustered priorities, occasionally extreme ones.
                     let priority = match rand(20) {
-                        0 => rand(10) * MAX_SPREAD,
+                        0 => rand(10) * 1024,
                         _ => 50 + round + rand(12),
                     };
                     q.push(priority, seq, ());
                     reference.push(Reverse((priority, seq)));
                     seq += 1;
                 } else {
-                    let Reverse((_, want_seq)) = reference.pop().expect("non-empty");
-                    let (got_seq, ()) = q.pop().expect("non-empty");
-                    assert_eq!(got_seq, want_seq);
+                    check_pop(&mut q, &mut reference);
                 }
             }
-            let mut rest = Vec::new();
-            while let Some(Reverse((_, s))) = reference.pop() {
-                rest.push(s);
+            // Bursts: push the depth past 64, then pop half of it back.
+            for _ in 0..3 {
+                for _ in 0..80 {
+                    let priority = 50 + round + rand(40);
+                    q.push(priority, seq, ());
+                    reference.push(Reverse((priority, seq)));
+                    seq += 1;
+                }
+                assert!(q.len() > 64);
+                for _ in 0..q.len() / 2 {
+                    check_pop(&mut q, &mut reference);
+                }
             }
-            assert_eq!(drain(&mut q).into_iter().map(|(s, ())| s).collect::<Vec<_>>(), rest);
+            while !reference.is_empty() {
+                check_pop(&mut q, &mut reference);
+            }
+            assert_eq!(q.min_key(), None);
+            assert!(q.pop().is_none());
         }
     }
 }

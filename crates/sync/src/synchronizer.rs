@@ -155,9 +155,9 @@ impl SynchronizerConfig {
     }
 
     /// Builds a configuration from an existing layered sparse cover (the Theorem 5.3
-    /// "given a layered sparse `O(T(A))`-cover" setting). Stage `p` runs on the
-    /// lowest layer `j` with [`LayeredSparseCover::radius`]`(j) ≥ 2^{ℓ(p)+5}`, or
-    /// the top layer if none is that large.
+    /// "given a layered sparse `O(T(A))`-cover" setting). Stage `p` runs on layer
+    /// [`LayeredSparseCover::layer_for_radius`]`(2^{ℓ(p)+5})`: the lowest layer
+    /// whose radius is that large, or the top layer if none is.
     ///
     /// # Panics
     ///
@@ -173,12 +173,7 @@ impl SynchronizerConfig {
         let mut slots = Vec::new();
         for p in 1..=max_pulse {
             let radius = 1usize << pulse::cover_exponent(p).min(60);
-            // By the layer's radius: a shared layer's cover carries the radius
-            // it was built at, and selecting by that would collapse the layers
-            // above it into one (and with them the phase-A barriers).
-            let cover_idx = (0..covers.layers())
-                .find(|&j| covers.radius(j) >= radius)
-                .unwrap_or(covers.layers() - 1);
+            let cover_idx = covers.layer_for_radius(radius);
             let info = StageInfo {
                 prev: pulse::prev(p),
                 prev_prev: pulse::prev_prev(p),
