@@ -138,8 +138,9 @@ impl SynchronizerConfig {
     /// the whole graph. Only the layers from the smallest stage radius up to the
     /// first one-cluster layer are built, and the layers above share that cover
     /// (see [`build_synchronizer_cover`]). So this uses the two-BFS double-sweep
-    /// bound of [`metrics::diameter_bounds`] instead of the exact `O(n·m)`
-    /// all-pairs diameter. Whenever `64·T(A)` dominates the bound — every
+    /// bound of [`metrics::diameter_bounds`], not the exact [`metrics::diameter`]:
+    /// two BFS cost less than an all-pairs search, even a bit-parallel one, and
+    /// the cover is the same. Whenever `64·T(A)` dominates the bound — every
     /// shipped workload, since `T(A) ≥ ecc(source) ≥ diameter/2` — the produced
     /// cover is identical to the exact-diameter construction.
     ///
