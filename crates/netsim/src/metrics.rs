@@ -1,6 +1,5 @@
 //! Time and message accounting shared by both engines.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Classification of a message for accounting purposes.
@@ -20,8 +19,9 @@ pub enum MessageClass {
 /// Aggregated counters for one run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunMetrics {
-    /// Messages sent, per class (transport acknowledgments excluded).
-    pub messages: BTreeMap<MessageClass, u64>,
+    /// Messages sent, indexed by `MessageClass as usize` (transport
+    /// acknowledgments excluded).
+    pub messages: [u64; 2],
     /// Link-level acknowledgments sent (asynchronous engine only).
     pub acks: u64,
     /// Normalized time (in units of `τ`) until every node has produced its output;
@@ -37,17 +37,22 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Total messages across all classes (excluding acknowledgments).
     pub fn total_messages(&self) -> u64 {
-        self.messages.values().sum()
+        self.messages.iter().sum()
     }
 
     /// Messages of the given class.
     pub fn class_messages(&self, class: MessageClass) -> u64 {
-        self.messages.get(&class).copied().unwrap_or(0)
+        self.messages[class as usize]
     }
 
     /// Records one sent message of the given class.
     pub fn record_message(&mut self, class: MessageClass) {
-        *self.messages.entry(class).or_insert(0) += 1;
+        self.messages[class as usize] += 1;
+    }
+
+    /// Records `count` sent messages of the given class.
+    pub fn record_messages(&mut self, class: MessageClass, count: u64) {
+        self.messages[class as usize] += count;
     }
 }
 
@@ -75,9 +80,10 @@ mod tests {
         m.record_message(MessageClass::Algorithm);
         m.record_message(MessageClass::Algorithm);
         m.record_message(MessageClass::Control);
-        assert_eq!(m.total_messages(), 3);
+        m.record_messages(MessageClass::Control, 4);
+        assert_eq!(m.total_messages(), 7);
         assert_eq!(m.class_messages(MessageClass::Algorithm), 2);
-        assert_eq!(m.class_messages(MessageClass::Control), 1);
+        assert_eq!(m.class_messages(MessageClass::Control), 5);
     }
 
     #[test]

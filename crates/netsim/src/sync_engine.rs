@@ -37,6 +37,13 @@ impl<A: EventDriven> SyncReport<A> {
 /// `make` constructs the per-node instance. The run stops when no messages are in
 /// flight, or fails with [`SimError::RoundLimitExceeded`] after `max_rounds`.
 ///
+/// The round loop is activity-driven: a round touches only the nodes it
+/// triggers — last round's recipients and senders, merged in ascending id — so
+/// it costs `O(active + msgs · log msgs)` instead of `O(n)` (DESIGN.md §3.3).
+/// The triggered set, its order and every batch are those of a loop that scans
+/// all `n` nodes per round; `tests/sync_engine_equiv.rs` keeps that loop as the
+/// reference.
+///
 /// # Errors
 ///
 /// * [`SimError::NotNeighbor`] if an algorithm sends to a non-neighbor.
@@ -52,91 +59,100 @@ where
 {
     let n = graph.node_count();
     let mut nodes: Vec<A> = graph.nodes().map(&mut make).collect();
-    let mut metrics = RunMetrics::default();
     let mut messages: u64 = 0;
 
-    // Messages to be delivered at the *next* pulse, per recipient; `delivered` is
-    // the previous round's inbox, double-buffered so no per-round allocation.
-    let mut inbox: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-    let mut delivered: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-    // Whether the node sent messages at the previous pulse (self-trigger).
-    let mut sent_prev: Vec<bool> = vec![false; n];
-    let mut sent_now: Vec<bool> = vec![false; n];
+    // This pulse's messages as `(to, from, msg)`, in send order: activations run
+    // in ascending id, so every recipient's messages are already in sender order.
+    let mut sends: Vec<(NodeId, NodeId, A::Msg)> = Vec::new();
+    // Last pulse's messages grouped by recipient, and where each recipient's run
+    // starts; `runs` is sorted by recipient.
+    let mut inbox: Vec<(NodeId, A::Msg)> = Vec::new();
+    let mut runs: Vec<(NodeId, usize)> = Vec::new();
+    // Nodes that sent at this pulse and at the previous one (self-triggers),
+    // both ascending.
+    let mut senders: Vec<NodeId> = Vec::new();
+    let mut sent_prev: Vec<NodeId> = Vec::new();
     // Recycled outbox buffer, threaded through every pulse evaluation.
-    let mut outbox_pool: Vec<(NodeId, A::Msg)> = Vec::new();
-    let mut pending: usize = 0;
-
-    let deliver = |from: NodeId,
-                   ctx: &mut PulseCtx<A::Msg>,
-                   inbox: &mut Vec<Vec<(NodeId, A::Msg)>>,
-                   sent_now: &mut Vec<bool>,
-                   pending: &mut usize,
-                   messages: &mut u64,
-                   metrics: &mut RunMetrics|
-     -> Result<(), SimError> {
-        for (to, msg) in ctx.drain_outbox() {
-            if !graph.has_edge(from, to) {
-                return Err(SimError::NotNeighbor { from, to });
-            }
-            *messages += 1;
-            *pending += 1;
-            metrics.record_message(MessageClass::Algorithm);
-            inbox[to.index()].push((from, msg));
-            sent_now[from.index()] = true;
-        }
-        Ok(())
-    };
+    let mut outbox: Vec<(NodeId, A::Msg)> = Vec::new();
 
     // Pulse 0: initiators inject their messages.
     for v in graph.nodes() {
-        let mut ctx = PulseCtx::with_buffer(v, std::mem::take(&mut outbox_pool));
+        let mut ctx = PulseCtx::with_buffer(v, std::mem::take(&mut outbox));
         nodes[v.index()].on_init(&mut ctx);
-        deliver(v, &mut ctx, &mut inbox, &mut sent_now, &mut pending, &mut messages, &mut metrics)?;
-        outbox_pool = ctx.into_buffer();
+        if post(graph, &mut ctx, &mut sends)? {
+            senders.push(v);
+        }
+        outbox = ctx.into_buffer();
     }
-    std::mem::swap(&mut sent_prev, &mut sent_now);
 
-    let mut rounds_to_output = all_done_round(&nodes, 0);
+    // Whether each node has an output, counted. Only an activated node can
+    // change its output, so the count is updated on activations alone.
+    let mut has_output: Vec<bool> = nodes.iter().map(|a| a.output().is_some()).collect();
+    let mut outputs = has_output.iter().filter(|&&d| d).count();
+    let mut rounds_to_output = (outputs == n).then_some(0);
     let mut round: u64 = 0;
 
-    while pending > 0 || sent_prev.iter().any(|&s| s) {
+    while !senders.is_empty() {
         round += 1;
         if round > max_rounds {
             return Err(SimError::RoundLimitExceeded { limit: max_rounds });
         }
+        messages += sends.len() as u64;
+        std::mem::swap(&mut senders, &mut sent_prev);
+        senders.clear();
 
-        std::mem::swap(&mut inbox, &mut delivered);
-        pending = 0;
-
-        for v in graph.nodes() {
-            let batch = &mut delivered[v.index()];
-            let triggered = !batch.is_empty() || sent_prev[v.index()];
-            sent_prev[v.index()] = false;
-            if !triggered {
-                continue;
+        // Group last pulse's sends by recipient; the stable sort keeps each
+        // run in send order.
+        sends.sort_by_key(|&(to, _, _)| to);
+        inbox.clear();
+        runs.clear();
+        for (to, from, msg) in sends.drain(..) {
+            if runs.last().map(|&(r, _)| r) != Some(to) {
+                runs.push((to, inbox.len()));
             }
-            canonical_batch(batch);
-            let mut ctx = PulseCtx::with_buffer(v, std::mem::take(&mut outbox_pool));
-            nodes[v.index()].on_pulse(batch, &mut ctx);
-            batch.clear();
-            deliver(
-                v,
-                &mut ctx,
-                &mut inbox,
-                &mut sent_now,
-                &mut pending,
-                &mut messages,
-                &mut metrics,
-            )?;
-            outbox_pool = ctx.into_buffer();
+            inbox.push((from, msg));
         }
-        std::mem::swap(&mut sent_prev, &mut sent_now);
 
-        if rounds_to_output.is_none() {
-            rounds_to_output = all_done_round(&nodes, round);
+        // Activate the recipients and last pulse's senders, merged ascending.
+        let (mut r, mut s) = (0, 0);
+        loop {
+            let next_run = runs.get(r).map(|&(to, _)| to);
+            let next_sender = sent_prev.get(s).copied();
+            let v = match (next_run, next_sender) {
+                (Some(a), Some(b)) => a.min(b),
+                (Some(a), None) => a,
+                (None, Some(b)) => b,
+                (None, None) => break,
+            };
+            let batch = if next_run == Some(v) {
+                let start = runs[r].1;
+                r += 1;
+                let end = runs.get(r).map_or(inbox.len(), |&(_, e)| e);
+                &mut inbox[start..end]
+            } else {
+                &mut []
+            };
+            if next_sender == Some(v) {
+                s += 1;
+            }
+            let node = &mut nodes[v.index()];
+            if activate(graph, v, node, batch, &mut outbox, &mut sends)? {
+                senders.push(v);
+            }
+            if rounds_to_output.is_none() {
+                let now = node.output().is_some();
+                let had = std::mem::replace(&mut has_output[v.index()], now);
+                outputs = outputs + usize::from(now) - usize::from(had);
+            }
+        }
+
+        if rounds_to_output.is_none() && outputs == n {
+            rounds_to_output = Some(round);
         }
     }
 
+    let mut metrics = RunMetrics::default();
+    metrics.record_messages(MessageClass::Algorithm, messages);
     metrics.time_to_output = rounds_to_output.map(|r| r as f64);
     metrics.time_to_quiescence = round as f64;
     metrics.events = messages;
@@ -144,12 +160,42 @@ where
     Ok(SyncReport { rounds_to_output, rounds_to_quiescence: round, messages, metrics, nodes })
 }
 
-fn all_done_round<A: EventDriven>(nodes: &[A], round: u64) -> Option<u64> {
-    if nodes.iter().all(|n| n.output().is_some()) {
-        Some(round)
-    } else {
-        None
+/// Runs one triggered node's pulse on its batch and queues its sends; returns
+/// whether it sent anything.
+// ds-lint: hot-path
+fn activate<A: EventDriven>(
+    graph: &Graph,
+    v: NodeId,
+    node: &mut A,
+    batch: &mut [(NodeId, A::Msg)],
+    outbox: &mut Vec<(NodeId, A::Msg)>,
+    sends: &mut Vec<(NodeId, NodeId, A::Msg)>,
+) -> Result<bool, SimError> {
+    canonical_batch(batch);
+    let mut ctx = PulseCtx::with_buffer(v, std::mem::take(outbox));
+    node.on_pulse(batch, &mut ctx);
+    let sent = post(graph, &mut ctx, sends);
+    *outbox = ctx.into_buffer();
+    sent
+}
+
+/// Moves a pulse's outbox onto `sends`, checking each link; returns whether
+/// the node sent anything.
+// ds-lint: hot-path
+fn post<M>(
+    graph: &Graph,
+    ctx: &mut PulseCtx<M>,
+    sends: &mut Vec<(NodeId, NodeId, M)>,
+) -> Result<bool, SimError> {
+    let from = ctx.me();
+    let before = sends.len();
+    for (to, msg) in ctx.drain_outbox() {
+        if !graph.has_edge(from, to) {
+            return Err(SimError::NotNeighbor { from, to });
+        }
+        sends.push((to, from, msg));
     }
+    Ok(sends.len() > before)
 }
 
 #[cfg(test)]
