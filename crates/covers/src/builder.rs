@@ -14,16 +14,14 @@
 //! (the crate-private `scratch` module): the `d`-expansion explores only
 //! `B(cluster, d)`, and the
 //! cluster tree comes from a BFS tree of the center truncated at the deepest
-//! member — never a full-graph traversal. The construction was pinned
-//! bit-identical against the pre-dense-id (`BTreeMap`) builder for one release;
-//! that reference is retired and the contract is now held by Definition 2.1
-//! property checks (`validate()` + sparsity bounds). DESIGN.md §3.3 documents
-//! the complexity.
+//! member — never a full-graph traversal. Each tree node becomes one entry of
+//! the cover's position table. `tests/cover_scale.rs` pins the result against a
+//! rebuild from full-graph searches; DESIGN.md §3.3 documents the complexity.
 
 use crate::decomposition::{build_decomposition_with, DecompCluster};
 use crate::scratch::{BfsScratch, MarkSet};
-use crate::{Cluster, ClusterId, LayeredSparseCover, SparseCover};
-use ds_graph::{Graph, NodeId};
+use crate::{ClusterId, LayeredSparseCover, SparseCover, TreeEntry};
+use ds_graph::Graph;
 
 /// Scratch buffers shared by every ball, cluster and layer of one build.
 struct CoverScratch {
@@ -59,30 +57,30 @@ fn build_sparse_cover_with(graph: &Graph, d: usize, scratch: &mut CoverScratch) 
     assert!(d >= 1, "cover radius must be at least 1");
     assert!(graph.node_count() > 0, "cover requires a non-empty graph");
     let decomposition = build_decomposition_with(graph, 2 * d, &mut scratch.ball);
-    let mut clusters = Vec::new();
-
+    let mut entries = Vec::new();
+    let mut clusters = 0;
     for (_color, dc) in decomposition.clusters() {
-        let id = ClusterId(clusters.len());
-        clusters.push(realize_cluster(graph, d, dc, scratch, id));
+        realize_cluster(graph, d, dc, scratch, ClusterId(clusters), &mut entries);
+        clusters += 1;
     }
-
-    SparseCover::new(d, clusters, graph.node_count())
+    SparseCover::new(d, graph.node_count(), clusters, &entries)
 }
 
 /// Turns one carved decomposition cluster into a cover cluster: `d`-expansion of
-/// the carved members plus the rooted cluster tree.
+/// the carved members plus the rooted cluster tree, appended to `entries` as one
+/// entry per tree node.
 fn realize_cluster(
     graph: &Graph,
     d: usize,
     dc: &DecompCluster,
     scratch: &mut CoverScratch,
     id: ClusterId,
-) -> Cluster {
-    // Expand the carved cluster by its d-neighborhood (bounded multi-source BFS).
+    entries: &mut Vec<TreeEntry>,
+) {
+    // Expand the carved cluster by its d-neighborhood (bounded multi-source BFS);
+    // the ball's visited set is the member set.
     scratch.ball.start(&dc.members);
     while scratch.ball.depth_reached() < d as u32 && scratch.ball.expand_level(graph).is_some() {}
-    let mut members: Vec<NodeId> = scratch.ball.order().to_vec();
-    members.sort_unstable();
 
     // Cluster tree: union of BFS-tree paths from every member to the center.
     // Every member is within `weak_radius + d` of the center, so the BFS tree
@@ -93,8 +91,9 @@ fn realize_cluster(
     while scratch.tree.depth_reached() < tree_depth && scratch.tree.expand_level(graph).is_some() {}
     scratch.in_tree.clear();
     scratch.in_tree.insert(dc.center);
-    let mut pairs: Vec<(NodeId, Option<NodeId>)> = vec![(dc.center, None)];
-    for &member in &members {
+    let is_member = scratch.ball.visited(dc.center);
+    entries.push(TreeEntry { cluster: id, node: dc.center, parent: None, is_member });
+    for &member in scratch.ball.order() {
         let mut v = member;
         while !scratch.in_tree.contains(v) {
             scratch.in_tree.insert(v);
@@ -103,12 +102,11 @@ fn realize_cluster(
                 "members are connected to the center in the carved component"
             );
             let p = scratch.tree.parent(v);
-            pairs.push((v, Some(p)));
+            let is_member = scratch.ball.visited(v);
+            entries.push(TreeEntry { cluster: id, node: v, parent: Some(p), is_member });
             v = p;
         }
     }
-
-    Cluster::from_parents(id, dc.center, members, pairs)
 }
 
 /// Builds a layered sparse cover: sparse `2^j`-covers for `j ∈ {0, …, ⌈log₂ max_radius⌉}`.
@@ -143,13 +141,20 @@ pub const STAGE_COVER_EXPONENT: u32 = 5;
 /// a single cluster, and every layer above it shares that cover: a larger radius
 /// carves the same cluster, members and tree (DESIGN.md §3.3). Select layers by
 /// [`LayeredSparseCover::radius`], not by the shared cover's own radius.
+///
+/// The top radius is capped at `2^{usize::BITS - 1}` where `64 · time_bound` or
+/// `diameter_bound` would overflow a `usize`: the top layer only has to be one
+/// cluster that spans the graph, and stages select radii up to `2^60` at most.
 pub fn build_synchronizer_cover(
     graph: &Graph,
     time_bound: usize,
     diameter_bound: usize,
 ) -> LayeredSparseCover {
-    let needed = (2usize << STAGE_COVER_EXPONENT) * time_bound.max(1);
-    let top = needed.max(diameter_bound).next_power_of_two().trailing_zeros();
+    let needed = (2usize << STAGE_COVER_EXPONENT).saturating_mul(time_bound.max(1));
+    let top = needed
+        .max(diameter_bound)
+        .checked_next_power_of_two()
+        .map_or(usize::BITS - 1, usize::trailing_zeros);
     let mut scratch = CoverScratch::new(graph.node_count());
     let mut covers = Vec::new();
     for e in STAGE_COVER_EXPONENT..=top {
@@ -167,6 +172,7 @@ pub fn build_synchronizer_cover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ds_graph::NodeId;
 
     #[test]
     fn cover_satisfies_definition_on_varied_graphs() {
@@ -212,7 +218,8 @@ mod tests {
         let graph = Graph::grid(4, 4);
         let d = ds_graph::metrics::diameter(&graph).unwrap();
         let cover = build_sparse_cover(&graph, d);
-        assert!(cover.clusters.iter().any(|c| c.member_count() == graph.node_count()));
+        let universal = ClusterId(0);
+        assert!(graph.nodes().all(|v| cover.clusters_of(v).contains(&universal)));
     }
 
     #[test]
@@ -233,7 +240,34 @@ mod tests {
         assert!(layered.radius(layered.layers() - 1) >= diameter);
         let top = layered.cover_for_radius(diameter);
         assert_eq!(top.cluster_count(), 1);
-        assert_eq!(top.cluster(ClusterId(0)).member_count(), graph.node_count());
+        assert!(graph.nodes().all(|v| top.clusters_of(v) == [ClusterId(0)]));
+    }
+
+    #[test]
+    fn synchronizer_cover_caps_the_top_radius_instead_of_wrapping() {
+        // 64 · 2^58 = 2^64 and 64 · (2^58 + 1) overflow a `usize`; both, and
+        // `usize::MAX`, cap the top radius at 2^63. Path(4) is one cluster at
+        // r32, so only that layer is built.
+        let graph = Graph::path(4);
+        for time_bound in [1usize << 58, (1 << 58) + 1, usize::MAX] {
+            let layered = build_synchronizer_cover(&graph, time_bound, 3);
+            let top = usize::BITS - 1 - STAGE_COVER_EXPONENT;
+            assert_eq!(layered.layers(), top as usize + 1, "T={time_bound}");
+            assert_eq!(layered.radius(layered.layers() - 1), 1 << (usize::BITS - 1));
+            assert_eq!(layered.iter().count(), 1, "T={time_bound}");
+            assert_eq!(layered.level(layered.layers() - 1).cluster_count(), 1);
+        }
+    }
+
+    /// Asserts that two covers have the same clusters, node by node (their
+    /// radii may differ).
+    fn assert_same_table(a: &SparseCover, b: &SparseCover, label: &str) {
+        assert_eq!(a.cluster_count(), b.cluster_count(), "{label}");
+        assert_eq!(a.node_count(), b.node_count(), "{label}");
+        for v in (0..a.node_count()).map(NodeId) {
+            assert!(a.tree_pos_of(v).eq(b.tree_pos_of(v)), "{label}: tree positions of {v}");
+            assert_eq!(a.clusters_of(v), b.clusters_of(v), "{label}: clusters of {v}");
+        }
     }
 
     #[test]
@@ -258,7 +292,7 @@ mod tests {
             // Every layer, shared or not, is what a fresh build at its radius gives.
             for j in 0..layered.layers() {
                 let fresh = build_sparse_cover(&graph, layered.radius(j));
-                assert_eq!(layered.level(j).clusters, fresh.clusters, "n={n} layer {j}");
+                assert_same_table(layered.level(j), &fresh, &format!("n={n} layer {j}"));
             }
         }
     }
@@ -306,7 +340,11 @@ mod tests {
                 let cover = build_sparse_cover(&graph, d);
                 cover.validate(&graph).unwrap_or_else(|e| panic!("d={d}: {e}"));
                 assert!(cover.max_membership() <= log_n + 1, "d={d}: membership too large");
-                assert!(cover.clusters.iter().all(|c| c.member_count() > 0), "d={d}");
+                let mut has_member = vec![false; cover.cluster_count()];
+                for v in graph.nodes() {
+                    cover.clusters_of(v).iter().for_each(|c| has_member[c.index()] = true);
+                }
+                assert!(has_member.iter().all(|&m| m), "d={d}: empty cluster");
             }
             let layered = build_layered_sparse_cover(&graph, 8);
             assert_eq!(layered.layers(), 4, "radii 1, 2, 4, 8");

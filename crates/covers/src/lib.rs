@@ -16,11 +16,12 @@
 //! weak-diameter decomposition by ball carving — see [`decomposition`]. DESIGN.md §3
 //! documents this substitution.
 //!
-//! All structures are stored densely: clusters keep their tree as sorted node
-//! arrays with CSR-style children lists, and the construction pipeline runs on
-//! epoch-stamped scratch buffers with bounded-radius BFS (see DESIGN.md §3.3 for
-//! the complexity argument) — there are no ordered maps anywhere on the build
-//! path.
+//! A cover has one storage format, the per-node *position table* of
+//! [`SparseCover`]: each node's tree clusters, with its parent, children and
+//! membership in each (DESIGN.md §3.4). The builder emits one entry per tree node,
+//! [`SparseCover`] sorts them into the table, and the pipeline runs on
+//! epoch-stamped scratch buffers with bounded-radius BFS (DESIGN.md §3.3) — there
+//! are no ordered maps anywhere on the build path.
 //!
 //! Modules:
 //!
@@ -31,11 +32,9 @@
 //! * [`stats`] — quality statistics (membership, stretch, edge load) used by the
 //!   cover-quality experiment (E6).
 //!
-//! The pre-dense-id (`BTreeMap`-based) builder survived one release as the
-//! `legacy` module, the executable reference the rewrite was pinned
-//! bit-identical against; it is gone now, and the construction's contract is
-//! held by property checks instead ([`SparseCover::validate`] plus the
-//! sparsity bounds, in the builder unit tests and `tests/cover_scale.rs`).
+//! The construction's contract is held by [`SparseCover::validate`], the
+//! sparsity bounds, and a pin in `tests/cover_scale.rs` that rebuilds every
+//! cluster from its definition with full-graph searches.
 
 #![forbid(unsafe_code)]
 
@@ -56,153 +55,6 @@ impl ClusterId {
     /// Returns the underlying dense index.
     pub fn index(self) -> usize {
         self.0
-    }
-}
-
-/// One cluster of a cover: a set of *member* (terminal) nodes plus a rooted tree that
-/// spans them, possibly through non-member (Steiner) nodes — the paper's cluster tree.
-///
-/// The tree is stored densely: tree nodes live in one sorted array, with parents,
-/// depths and CSR-style children lists in parallel arrays. All lookups resolve a
-/// node through one binary search over the (typically small) tree-node array.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Cluster {
-    /// Identifier of the cluster within its cover.
-    pub id: ClusterId,
-    /// Root of the cluster tree.
-    pub root: NodeId,
-    /// Member (terminal) nodes, sorted ascending: the nodes the cluster covers.
-    pub members: Vec<NodeId>,
-    /// All tree nodes (members ∪ Steiner nodes ∪ root), sorted ascending.
-    tree: Vec<NodeId>,
-    /// Parent of `tree[i]` in the cluster tree (`None` for the root).
-    parent: Vec<Option<NodeId>>,
-    /// Depth (in tree edges) of `tree[i]` below the root.
-    depth: Vec<u32>,
-    /// Children of `tree[i]`: `child_list[child_offsets[i]..child_offsets[i+1]]`,
-    /// each slice sorted ascending.
-    child_offsets: Vec<u32>,
-    child_list: Vec<NodeId>,
-}
-
-impl Cluster {
-    /// Builds a cluster from `(node, parent)` pairs (in any order; the root's entry
-    /// has parent `None`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pairs do not describe a tree rooted at `root` containing all
-    /// `members` (this is an internal construction error, not user input).
-    pub fn from_parents(
-        id: ClusterId,
-        root: NodeId,
-        mut members: Vec<NodeId>,
-        mut pairs: Vec<(NodeId, Option<NodeId>)>,
-    ) -> Self {
-        // Membership lookups binary-search this list, so enforce the sort here
-        // rather than trusting the caller.
-        members.sort_unstable();
-        pairs.sort_unstable_by_key(|&(v, _)| v);
-        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "duplicate tree node");
-        let tree: Vec<NodeId> = pairs.iter().map(|&(v, _)| v).collect();
-        let parent: Vec<Option<NodeId>> = pairs.iter().map(|&(_, p)| p).collect();
-        let slot = |v: NodeId| tree.binary_search(&v);
-        assert_eq!(
-            slot(root).ok().map(|i| parent[i].is_none()),
-            Some(true),
-            "root must be in the tree with no parent"
-        );
-
-        // CSR children lists: count per parent, then fill; iterating tree nodes in
-        // ascending order keeps every child slice sorted.
-        let mut counts = vec![0u32; tree.len()];
-        for &p in parent.iter().flatten() {
-            counts[slot(p).expect("parent is a tree node")] += 1;
-        }
-        let mut child_offsets = vec![0u32; tree.len() + 1];
-        for i in 0..tree.len() {
-            child_offsets[i + 1] = child_offsets[i] + counts[i];
-        }
-        let mut cursor: Vec<u32> = child_offsets[..tree.len()].to_vec();
-        let mut child_list = vec![NodeId(0); child_offsets[tree.len()] as usize];
-        for (i, &p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                let s = slot(p).expect("parent is a tree node");
-                child_list[cursor[s] as usize] = tree[i];
-                cursor[s] += 1;
-            }
-        }
-
-        // Depths by an iterative traversal from the root.
-        let mut depth = vec![u32::MAX; tree.len()];
-        let mut stack = vec![(slot(root).expect("root is a tree node"), 0u32)];
-        let mut reached = 0usize;
-        while let Some((i, d)) = stack.pop() {
-            depth[i] = d;
-            reached += 1;
-            for &c in &child_list[child_offsets[i] as usize..child_offsets[i + 1] as usize] {
-                stack.push((slot(c).expect("child is a tree node"), d + 1));
-            }
-        }
-        assert_eq!(reached, tree.len(), "cluster tree must be connected");
-        for &m in &members {
-            assert!(slot(m).is_ok(), "member {m} must be a tree node");
-        }
-        Cluster { id, root, members, tree, parent, depth, child_offsets, child_list }
-    }
-
-    /// Dense slot of a tree node, if present.
-    fn slot(&self, v: NodeId) -> Option<usize> {
-        self.tree.binary_search(&v).ok()
-    }
-
-    /// All nodes of the cluster tree (members and Steiner nodes), ascending.
-    pub fn tree_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.tree.iter().copied()
-    }
-
-    /// All `(node, parent)` pairs of the cluster tree, ascending by node.
-    pub fn tree_parents(&self) -> impl Iterator<Item = (NodeId, Option<NodeId>)> + '_ {
-        self.tree.iter().copied().zip(self.parent.iter().copied())
-    }
-
-    /// Whether `v` participates in the cluster tree (as member or Steiner node).
-    pub fn contains_tree_node(&self, v: NodeId) -> bool {
-        self.slot(v).is_some()
-    }
-
-    /// Whether `v` is a member (terminal) of the cluster.
-    pub fn contains_member(&self, v: NodeId) -> bool {
-        self.members.binary_search(&v).is_ok()
-    }
-
-    /// Parent of `v` in the cluster tree (`None` for the root).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a tree node.
-    pub fn parent_of(&self, v: NodeId) -> Option<NodeId> {
-        self.parent[self.slot(v).expect("not a tree node")]
-    }
-
-    /// Children of `v` in the cluster tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a tree node.
-    pub fn children_of(&self, v: NodeId) -> &[NodeId] {
-        let i = self.slot(v).expect("not a tree node");
-        &self.child_list[self.child_offsets[i] as usize..self.child_offsets[i + 1] as usize]
-    }
-
-    /// Depth of the deepest tree node.
-    pub fn height(&self) -> usize {
-        self.depth.iter().copied().max().unwrap_or(0) as usize
-    }
-
-    /// Number of member nodes.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
     }
 }
 
@@ -235,15 +87,33 @@ struct TreeSlot {
 
 const NO_PARENT: u32 = u32::MAX;
 
+/// One node of one cluster tree, as the builder emits it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TreeEntry {
+    pub(crate) cluster: ClusterId,
+    pub(crate) node: NodeId,
+    /// Parent in the cluster tree, `None` at the root.
+    pub(crate) parent: Option<NodeId>,
+    /// Whether the node is a member of the cluster, not just a Steiner node.
+    pub(crate) is_member: bool,
+}
+
 /// A sparse `d`-cover (Definition 2.1): clusters with cluster trees such that every
 /// `d`-ball is contained in some cluster.
+///
+/// The clusters exist only as the per-node position table: a cluster is its
+/// id, its members are the nodes whose [`clusters_of`](Self::clusters_of) list
+/// it, and its tree is the [`tree_pos`](Self::tree_pos) entries that carry it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SparseCover {
     /// The covering radius `d`.
     pub radius: usize,
-    /// The clusters.
-    pub clusters: Vec<Cluster>,
-    membership: Vec<Vec<ClusterId>>,
+    clusters: usize,
+    max_height: usize,
+    /// Membership, CSR by node: the clusters `v` is a member of are
+    /// `member_ids[member_offsets[v]..member_offsets[v + 1]]`, ascending.
+    member_offsets: Vec<u32>,
+    member_ids: Vec<ClusterId>,
     /// The per-node cluster-tree position table, CSR by node: the tree clusters of
     /// node `v` are `tree_ids[tree_offsets[v]..tree_offsets[v + 1]]` (ascending
     /// cluster id), `tree_slots` runs parallel to `tree_ids`, and each node's
@@ -255,62 +125,122 @@ pub struct SparseCover {
 }
 
 impl SparseCover {
-    /// Assembles a cover from clusters, for a graph with `n` nodes.
+    /// Builds the cover of `clusters` clusters, for a graph with `n` nodes, from one
+    /// entry per tree node. Entries come cluster by cluster in ascending id.
     ///
-    /// Builds the membership lists and the position table by walking every
-    /// cluster's dense tree arrays twice (count, then fill) — no per-node searches.
-    pub fn new(radius: usize, clusters: Vec<Cluster>, n: usize) -> Self {
+    /// A counting sort by node puts the entries in the table's `(node, cluster)`
+    /// row order; each parent's slot is one binary search in the parent's row;
+    /// children are counted, then filled in ascending node order (so every
+    /// children list is sorted); and one DFS per root yields the height.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entries do not describe one rooted tree per cluster: a node
+    /// twice in one tree, a parent outside the tree, a cluster with no root or
+    /// two, or a tree that is not connected (this is an internal construction
+    /// error, not user input).
+    pub(crate) fn new(radius: usize, n: usize, clusters: usize, entries: &[TreeEntry]) -> Self {
         assert!(n < NO_PARENT as usize, "node indices must fit the table's u32 slots");
-        let mut membership = vec![Vec::new(); n];
-        // Count pass: tree clusters and tree children per node.
         let mut tree_offsets = vec![0u32; n + 1];
-        let mut child_cursor = vec![0u32; n + 1];
-        for c in &clusters {
-            for &v in &c.members {
-                membership[v.index()].push(c.id);
-            }
-            for (i, &v) in c.tree.iter().enumerate() {
-                tree_offsets[v.index() + 1] += 1;
-                child_cursor[v.index() + 1] += c.child_offsets[i + 1] - c.child_offsets[i];
-            }
+        for e in entries {
+            tree_offsets[e.node.index() + 1] += 1;
         }
         for v in 0..n {
             tree_offsets[v + 1] += tree_offsets[v];
-            child_cursor[v + 1] += child_cursor[v];
         }
-        // Fill pass, clusters in ascending id order so every node's row is sorted.
-        // `members ⊆ tree` and both are sorted, so membership is a merge walk.
-        let total = tree_offsets[n] as usize;
-        let mut slot_cursor = tree_offsets[..n].to_vec();
+        let total = entries.len();
+        let mut cursor = tree_offsets[..n].to_vec();
         let mut tree_ids = vec![ClusterId(0); total];
         let blank =
             TreeSlot { parent: NO_PARENT, children_start: 0, children_end: 0, is_member: false };
         let mut tree_slots = vec![blank; total];
-        let mut tree_children = vec![NodeId(0); child_cursor[n] as usize];
-        for c in &clusters {
-            let mut members = c.members.iter().peekable();
-            for (i, &v) in c.tree.iter().enumerate() {
-                let children =
-                    &c.child_list[c.child_offsets[i] as usize..c.child_offsets[i + 1] as usize];
-                let start = child_cursor[v.index()];
-                let end = start + children.len() as u32;
-                tree_children[start as usize..end as usize].copy_from_slice(children);
-                child_cursor[v.index()] = end;
-                let at = slot_cursor[v.index()] as usize;
-                slot_cursor[v.index()] += 1;
-                tree_ids[at] = c.id;
-                tree_slots[at] = TreeSlot {
-                    parent: c.parent[i].map_or(NO_PARENT, |p| p.index() as u32),
-                    children_start: start,
-                    children_end: end,
-                    is_member: members.next_if_eq(&&v).is_some(),
-                };
+        for e in entries {
+            let at = cursor[e.node.index()] as usize;
+            cursor[e.node.index()] += 1;
+            tree_ids[at] = e.cluster;
+            tree_slots[at].parent = e.parent.map_or(NO_PARENT, |p| p.index() as u32);
+            tree_slots[at].is_member = e.is_member;
+        }
+        let row = |v: usize| tree_offsets[v] as usize..tree_offsets[v + 1] as usize;
+
+        // Parent slots and children counts (in `children_end`), roots and membership.
+        const NO_SLOT: u32 = u32::MAX;
+        let mut parent_slot = vec![NO_SLOT; total];
+        let mut root_slot = vec![NO_SLOT; clusters];
+        let mut member_offsets = Vec::with_capacity(n + 1);
+        let mut member_ids = Vec::new();
+        member_offsets.push(0);
+        for v in 0..n {
+            let ids = &tree_ids[row(v)];
+            let ascending = ids.windows(2).all(|w| w[0] < w[1]);
+            assert!(ascending, "node {v} twice in one tree, or entries out of cluster order");
+            for at in row(v) {
+                let c = tree_ids[at];
+                let p = tree_slots[at].parent;
+                if p == NO_PARENT {
+                    assert_eq!(root_slot[c.index()], NO_SLOT, "cluster {c:?} has two roots");
+                    root_slot[c.index()] = at as u32;
+                } else {
+                    let k = tree_ids[row(p as usize)].binary_search(&c);
+                    let ps = tree_offsets[p as usize] as usize
+                        + k.unwrap_or_else(|_| panic!("parent {p} of {v} is not in tree {c:?}"));
+                    parent_slot[at] = ps as u32;
+                    tree_slots[ps].children_end += 1;
+                }
+                if tree_slots[at].is_member {
+                    member_ids.push(c);
+                }
+            }
+            member_offsets.push(member_ids.len() as u32);
+        }
+        assert!(root_slot.iter().all(|&r| r != NO_SLOT), "every cluster has a root");
+
+        // Children lists back to back in table order, filled in ascending node
+        // order; `child_slots` mirrors them with the children's table slots.
+        let mut start = 0;
+        for slot in &mut tree_slots {
+            let count = slot.children_end;
+            slot.children_start = start;
+            slot.children_end = start;
+            start += count;
+        }
+        let mut tree_children = vec![NodeId(0); start as usize];
+        let mut child_slots = vec![0u32; start as usize];
+        for v in 0..n {
+            for at in row(v) {
+                let ps = parent_slot[at];
+                if ps != NO_SLOT {
+                    let end = &mut tree_slots[ps as usize].children_end;
+                    tree_children[*end as usize] = NodeId(v);
+                    child_slots[*end as usize] = at as u32;
+                    *end += 1;
+                }
             }
         }
+
+        // One DFS per root: every slot has at most one parent slot, so the trees
+        // are connected (and acyclic) exactly when the DFS reaches every entry.
+        let mut max_height = 0;
+        let mut reached = 0;
+        let mut stack = Vec::new();
+        for &root in &root_slot {
+            stack.push((root, 0u32));
+            while let Some((at, depth)) = stack.pop() {
+                reached += 1;
+                max_height = max_height.max(depth as usize);
+                let slot = &tree_slots[at as usize];
+                let kids = &child_slots[slot.children_start as usize..slot.children_end as usize];
+                stack.extend(kids.iter().map(|&c| (c, depth + 1)));
+            }
+        }
+        assert_eq!(reached, total, "every cluster tree must be connected");
+
         SparseCover {
             radius,
             clusters,
-            membership,
+            max_height,
+            member_offsets,
+            member_ids,
             tree_offsets,
             tree_ids,
             tree_slots,
@@ -320,26 +250,18 @@ impl SparseCover {
 
     /// Number of nodes of the graph the cover was built for.
     pub fn node_count(&self) -> usize {
-        self.membership.len()
+        self.tree_offsets.len() - 1
     }
 
     /// Number of clusters.
     pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
+        self.clusters
     }
 
-    /// The cluster with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn cluster(&self, id: ClusterId) -> &Cluster {
-        &self.clusters[id.index()]
-    }
-
-    /// Clusters in which `v` is a member.
+    /// Clusters in which `v` is a member, ascending.
     pub fn clusters_of(&self, v: NodeId) -> &[ClusterId] {
-        &self.membership[v.index()]
+        &self.member_ids
+            [self.member_offsets[v.index()] as usize..self.member_offsets[v.index() + 1] as usize]
     }
 
     /// Clusters in whose tree `v` participates (as member or Steiner node),
@@ -379,14 +301,21 @@ impl SparseCover {
         (0..self.tree_clusters_of(v).len()).map(move |k| self.tree_pos(v, k))
     }
 
+    /// Every tree edge of every cluster as `(cluster, child, parent)`, by child.
+    pub(crate) fn tree_edges(&self) -> impl Iterator<Item = (ClusterId, NodeId, NodeId)> + '_ {
+        (0..self.node_count()).map(NodeId).flat_map(move |v| {
+            self.tree_pos_of(v).filter_map(move |pos| pos.parent.map(|p| (pos.cluster, v, p)))
+        })
+    }
+
     /// Largest number of clusters any node is a member of.
     pub fn max_membership(&self) -> usize {
-        self.membership.iter().map(Vec::len).max().unwrap_or(0)
+        self.member_offsets.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0)
     }
 
     /// Largest cluster-tree height.
     pub fn max_height(&self) -> usize {
-        self.clusters.iter().map(Cluster::height).max().unwrap_or(0)
+        self.max_height
     }
 
     /// Validates the Definition 2.1 properties against `graph`.
@@ -399,18 +328,11 @@ impl SparseCover {
     ///
     /// Returns a [`CoverError`] describing the first violated property.
     pub fn validate(&self, graph: &Graph) -> Result<(), CoverError> {
-        // (a) every tree edge is a graph edge and every tree is rooted and connected
-        // (checked during construction); here we re-check edges exist.
-        for c in &self.clusters {
-            for (v, p) in c.tree_parents() {
-                if let Some(p) = p {
-                    if !graph.has_edge(v, p) {
-                        return Err(CoverError::TreeEdgeMissing { cluster: c.id, u: p, v });
-                    }
-                }
-            }
-            if !c.contains_tree_node(c.root) {
-                return Err(CoverError::RootMissing { cluster: c.id });
+        // (a) every tree edge is a graph edge (construction already checked that
+        // every tree is rooted and connected).
+        for (cluster, v, u) in self.tree_edges() {
+            if !graph.has_edge(v, u) {
+                return Err(CoverError::TreeEdgeMissing { cluster, u, v });
             }
         }
         // (b) ball coverage: for every node v there is a cluster containing v and all
@@ -419,9 +341,8 @@ impl SparseCover {
         for v in graph.nodes() {
             bfs.start(std::slice::from_ref(&v));
             while bfs.depth_reached() < self.radius as u32 && bfs.expand_level(graph).is_some() {}
-            let covered = self.clusters_of(v).iter().any(|&cid| {
-                let c = self.cluster(cid);
-                bfs.order().iter().all(|&u| c.contains_member(u))
+            let covered = self.clusters_of(v).iter().any(|cid| {
+                bfs.order().iter().all(|&u| self.clusters_of(u).binary_search(cid).is_ok())
             });
             if !covered {
                 return Err(CoverError::BallNotCovered { node: v, radius: self.radius });
@@ -525,8 +446,6 @@ impl LayeredSparseCover {
 pub enum CoverError {
     /// A cluster-tree edge does not exist in the graph.
     TreeEdgeMissing { cluster: ClusterId, u: NodeId, v: NodeId },
-    /// A cluster's root is not part of its own tree.
-    RootMissing { cluster: ClusterId },
     /// Some node's `d`-ball is not fully contained in any one of its clusters.
     BallNotCovered { node: NodeId, radius: usize },
 }
@@ -536,9 +455,6 @@ impl fmt::Display for CoverError {
         match self {
             CoverError::TreeEdgeMissing { cluster, u, v } => {
                 write!(f, "cluster {cluster:?} uses tree edge ({u}, {v}) missing from the graph")
-            }
-            CoverError::RootMissing { cluster } => {
-                write!(f, "cluster {cluster:?} does not contain its own root")
             }
             CoverError::BallNotCovered { node, radius } => {
                 write!(f, "the {radius}-ball of node {node} is not contained in any cluster")
@@ -553,70 +469,76 @@ impl std::error::Error for CoverError {}
 mod tests {
     use super::*;
 
-    fn star_cluster() -> Cluster {
-        // Root 0 with children 1, 2; member set {0, 1, 2}.
-        let pairs =
-            vec![(NodeId(1), Some(NodeId(0))), (NodeId(0), None), (NodeId(2), Some(NodeId(0)))];
-        Cluster::from_parents(ClusterId(0), NodeId(0), vec![NodeId(0), NodeId(1), NodeId(2)], pairs)
+    fn entry(node: usize, parent: Option<usize>) -> TreeEntry {
+        TreeEntry {
+            cluster: ClusterId(0),
+            node: NodeId(node),
+            parent: parent.map(NodeId),
+            is_member: true,
+        }
+    }
+
+    /// Root 0 with children 1, 2; member set {0, 1, 2}; in no particular node order.
+    fn star_entries() -> Vec<TreeEntry> {
+        vec![entry(1, Some(0)), entry(0, None), entry(2, Some(0))]
     }
 
     #[test]
-    fn cluster_from_parents_builds_children_and_depths() {
-        let c = star_cluster();
-        assert_eq!(c.children_of(NodeId(0)), &[NodeId(1), NodeId(2)]);
-        assert_eq!(c.parent_of(NodeId(1)), Some(NodeId(0)));
-        assert_eq!(c.height(), 1);
-        assert!(c.contains_member(NodeId(2)));
-        assert!(!c.contains_member(NodeId(3)));
-        assert_eq!(c.tree_nodes().collect::<Vec<_>>(), vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(
-            c.tree_parents().collect::<Vec<_>>(),
-            vec![(NodeId(0), None), (NodeId(1), Some(NodeId(0))), (NodeId(2), Some(NodeId(0)))]
-        );
-    }
-
-    #[test]
-    fn sparse_cover_membership_lookup() {
-        let cover = SparseCover::new(1, vec![star_cluster()], 4);
+    fn table_from_entries_has_children_membership_and_height() {
+        let cover = SparseCover::new(1, 4, 1, &star_entries());
         assert_eq!(cover.node_count(), 4);
+        assert_eq!(cover.cluster_count(), 1);
+        let root = cover.tree_pos(NodeId(0), 0);
+        assert_eq!((root.parent, root.children), (None, &[NodeId(1), NodeId(2)][..]));
+        let leaf = cover.tree_pos(NodeId(1), 0);
+        assert_eq!((leaf.parent, leaf.children, leaf.is_member), (Some(NodeId(0)), &[][..], true));
         assert_eq!(cover.clusters_of(NodeId(1)), &[ClusterId(0)]);
         assert!(cover.clusters_of(NodeId(3)).is_empty());
+        assert_eq!(cover.tree_pos_of(NodeId(3)).len(), 0);
         assert_eq!(cover.max_membership(), 1);
         assert_eq!(cover.max_height(), 1);
-    }
-
-    /// The position table must agree, entry by entry, with the per-cluster lookups it
-    /// replaces on the message paths.
-    fn assert_table_matches_cluster_lookups(cover: &SparseCover, n: usize) {
-        for v in (0..n).map(NodeId) {
-            let expected: Vec<ClusterId> =
-                cover.clusters.iter().filter(|c| c.contains_tree_node(v)).map(|c| c.id).collect();
-            assert_eq!(cover.tree_clusters_of(v), expected, "tree clusters of {v}");
-            assert_eq!(cover.tree_pos_of(v).len(), expected.len());
-            for (k, &cid) in expected.iter().enumerate() {
-                let cluster = cover.cluster(cid);
-                let pos = cover.tree_pos(v, k);
-                assert_eq!(
-                    (pos.cluster, pos.parent, pos.children, pos.is_member),
-                    (cid, cluster.parent_of(v), cluster.children_of(v), cluster.contains_member(v)),
-                    "position #{k} of {v}"
-                );
-                assert_eq!(cover.tree_index_of(v, cid), Some(k));
-            }
-            assert_eq!(cover.tree_index_of(v, ClusterId(cover.cluster_count())), None);
-        }
+        let edges: Vec<_> = cover.tree_edges().collect();
+        let c = ClusterId(0);
+        assert_eq!(edges, [(c, NodeId(1), NodeId(0)), (c, NodeId(2), NodeId(0))]);
     }
 
     #[test]
-    fn position_table_matches_cluster_lookups() {
-        for (graph, d) in [
-            (Graph::grid(16, 16), 4),
-            (Graph::torus(12, 12), 2),
-            (Graph::random_regular(256, 4, 5), 3),
-        ] {
-            let cover = builder::build_sparse_cover(&graph, d);
-            assert_table_matches_cluster_lookups(&cover, graph.node_count());
-        }
+    #[should_panic(expected = "twice in one tree")]
+    fn construction_rejects_a_node_twice_in_one_tree() {
+        let mut entries = star_entries();
+        entries.push(entry(2, Some(1)));
+        SparseCover::new(1, 4, 1, &entries);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in tree")]
+    fn construction_rejects_a_parent_outside_the_tree() {
+        let mut entries = star_entries();
+        entries.push(entry(3, Some(4)));
+        SparseCover::new(1, 5, 1, &entries);
+    }
+
+    #[test]
+    #[should_panic(expected = "two roots")]
+    fn construction_rejects_a_second_root() {
+        let mut entries = star_entries();
+        entries.push(entry(3, None));
+        SparseCover::new(1, 4, 1, &entries);
+    }
+
+    #[test]
+    #[should_panic(expected = "every cluster has a root")]
+    fn construction_rejects_a_rootless_cluster() {
+        SparseCover::new(1, 4, 2, &star_entries());
+    }
+
+    #[test]
+    #[should_panic(expected = "connected")]
+    fn construction_rejects_a_disconnected_tree() {
+        // 3 and 4 point at each other: no second root, but the root never reaches them.
+        let mut entries = star_entries();
+        entries.extend([entry(3, Some(4)), entry(4, Some(3))]);
+        SparseCover::new(1, 5, 1, &entries);
     }
 
     #[test]
@@ -624,7 +546,7 @@ mod tests {
         // The star cluster covers nodes 0..=2 of a 4-node star, so node 3 is in no
         // cluster at all and its 1-ball is not covered.
         let g = Graph::star(4);
-        let cover = SparseCover::new(1, vec![star_cluster()], 4);
+        let cover = SparseCover::new(1, 4, 1, &star_entries());
         let err = cover.validate(&g).unwrap_err();
         assert!(matches!(err, CoverError::BallNotCovered { .. }));
     }
@@ -633,7 +555,7 @@ mod tests {
     fn validate_detects_missing_tree_edge() {
         // Tree edge (0, 2) does not exist on a path graph 0-1-2.
         let g = Graph::path(3);
-        let cover = SparseCover::new(0, vec![star_cluster()], 3);
+        let cover = SparseCover::new(0, 3, 1, &star_entries());
         let err = cover.validate(&g).unwrap_err();
         assert_eq!(
             err,

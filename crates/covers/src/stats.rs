@@ -31,13 +31,9 @@ pub fn cover_stats(graph: &Graph, cover: &SparseCover) -> CoverStats {
 
     // Edge load, accumulated flat over the dense undirected-edge index.
     let mut edge_load = vec![0u32; graph.edge_count()];
-    for cluster in &cover.clusters {
-        for (v, p) in cluster.tree_parents() {
-            if let Some(p) = p {
-                let e = graph.edge_between(v, p).expect("tree edges are graph edges");
-                edge_load[e.index()] += 1;
-            }
-        }
+    for (_, v, p) in cover.tree_edges() {
+        let e = graph.edge_between(v, p).expect("tree edges are graph edges");
+        edge_load[e.index()] += 1;
     }
 
     CoverStats {

@@ -1,15 +1,16 @@
-//! Release-mode cover-construction scale tests: the dense-id pipeline on the E9
-//! tier graphs (4096 nodes, the size where the old `BTreeMap` builder started to
-//! dominate setup time).
+//! Cover-construction tests on the E9 tier graphs (4096 nodes, the size where
+//! the old `BTreeMap` builder started to dominate setup time), plus the
+//! reference pin of the cover's position table:
 //!
-//! The pre-dense-id `legacy` builder — kept for one release as the executable
-//! reference of a bit-identical equivalence pin — is deleted; what the pipeline
-//! owes its callers at scale is the *properties*, checked directly:
-//!
+//! * **Reference construction** — every cluster rebuilt from its definition with
+//!   the public API and full-graph searches (carving, `d`-expansion, union of
+//!   member → centre BFS-tree paths) gives the same tree positions, memberships,
+//!   cluster count and height as the builder, node by node: on small graphs of
+//!   eight families in every build, and on grid 64², `grid(8, 512)` and
+//!   random-regular 4,096 in release.
 //! * **Definition 2.1 validity** — `SparseCover::validate` (tree edges exist,
-//!   trees rooted and connected, every `d`-ball covered by one cluster) holds on
-//!   4096-node grid / torus / random-regular graphs; the in-crate cover tests
-//!   stop at ~60 nodes.
+//!   every `d`-ball covered by one cluster) holds on 4096-node grid / torus /
+//!   random-regular graphs; the in-crate cover tests stop at ~60 nodes.
 //! * **Sparsity and depth bounds** — `O(log n)` membership and `O(d log n)`
 //!   cluster-tree height, the quantities the synchronizer's overhead theorems
 //!   consume.
@@ -26,16 +27,166 @@
 //!   from the exact diameter (DESIGN.md §3.3) on the tier graphs, grid 48² and
 //!   the six `service_mix` graphs.
 //!
-//! Ignored under debug builds (ball coverage touches `Σ_v |B(v, d)|` nodes,
-//! too slow unoptimized); the CI release perf job runs this file via
-//! `cargo test --release --test cover_scale`.
+//! All but the small reference pin are ignored under debug builds (ball
+//! coverage touches `Σ_v |B(v, d)|` nodes, too slow unoptimized); the CI
+//! release perf job runs this file via `cargo test --release --test cover_scale`.
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::covers::builder::{
     build_layered_sparse_cover, build_sparse_cover, build_synchronizer_cover,
 };
+use det_synchronizer::covers::decomposition::build_decomposition;
+use det_synchronizer::covers::{ClusterId, LayeredSparseCover, SparseCover};
 use det_synchronizer::graph::{metrics, Graph, NodeId};
 use det_synchronizer::prelude::{Session, SyncKind, SynchronizerConfig};
+
+/// One tree position of a node: `(cluster, parent, children, is_member)`.
+type Position = (ClusterId, Option<NodeId>, Vec<NodeId>, bool);
+
+/// A `d`-cover rebuilt from its definition with the public API and full-graph
+/// searches only: the carving of `build_decomposition(graph, 2d)`, members within
+/// `d` of the carved members, and the tree as the union of member → centre paths
+/// in the centre's full BFS tree.
+struct ReferenceCover {
+    /// Per node, its tree positions in ascending cluster id.
+    positions: Vec<Vec<Position>>,
+    /// Per node, the clusters it is a member of, ascending.
+    memberships: Vec<Vec<ClusterId>>,
+    clusters: usize,
+    max_height: usize,
+}
+
+fn reference_cover(graph: &Graph, d: usize) -> ReferenceCover {
+    let n = graph.node_count();
+    let mut positions = vec![Vec::new(); n];
+    let mut memberships = vec![Vec::new(); n];
+    let mut max_height = 0;
+    let decomposition = build_decomposition(graph, 2 * d);
+    let mut clusters = 0;
+    for (_, carved) in decomposition.clusters() {
+        let id = ClusterId(clusters);
+        clusters += 1;
+        let near = metrics::multi_source_distances(graph, &carved.members);
+        let is_member: Vec<bool> = near.iter().map(|x| x.is_some_and(|x| x <= d)).collect();
+        let bfs = metrics::bfs_tree(graph, carved.center);
+        let depth = metrics::bfs_distances(graph, carved.center);
+        let mut in_tree = vec![false; n];
+        in_tree[carved.center.index()] = true;
+        for v in graph.nodes().filter(|v| is_member[v.index()]) {
+            let mut u = v;
+            while !in_tree[u.index()] {
+                in_tree[u.index()] = true;
+                u = bfs[u.index()].expect("members reach the centre");
+            }
+        }
+        let mut children = vec![Vec::new(); n];
+        for v in graph.nodes().filter(|v| in_tree[v.index()]) {
+            if let Some(p) = bfs[v.index()] {
+                children[p.index()].push(v);
+            }
+        }
+        for v in graph.nodes() {
+            if in_tree[v.index()] {
+                let kids = std::mem::take(&mut children[v.index()]);
+                positions[v.index()].push((id, bfs[v.index()], kids, is_member[v.index()]));
+                max_height = max_height.max(depth[v.index()].expect("tree nodes are reached"));
+            }
+            if is_member[v.index()] {
+                memberships[v.index()].push(id);
+            }
+        }
+    }
+    ReferenceCover { positions, memberships, clusters, max_height }
+}
+
+/// Asserts that `cover` is the reference `d`-cover, node by node.
+fn assert_matches_reference(graph: &Graph, cover: &SparseCover, d: usize, label: &str) {
+    let reference = reference_cover(graph, d);
+    assert_eq!(cover.node_count(), graph.node_count(), "{label}: node count");
+    assert_eq!(cover.cluster_count(), reference.clusters, "{label}: cluster count");
+    assert_eq!(cover.max_height(), reference.max_height, "{label}: max height");
+    for v in graph.nodes() {
+        let positions: Vec<Position> = cover
+            .tree_pos_of(v)
+            .map(|p| (p.cluster, p.parent, p.children.to_vec(), p.is_member))
+            .collect();
+        assert_eq!(positions, reference.positions[v.index()], "{label}: tree positions of {v}");
+        assert_eq!(cover.clusters_of(v), reference.memberships[v.index()], "{label}: {v}");
+        for (k, &(cluster, ..)) in positions.iter().enumerate() {
+            assert_eq!(cover.tree_index_of(v, cluster), Some(k), "{label}: index at {v}");
+        }
+        let absent = ClusterId(cover.cluster_count());
+        assert_eq!(cover.tree_index_of(v, absent), None, "{label}: {v}");
+    }
+}
+
+/// Asserts that two covers have the same clusters, node by node (their radii
+/// may differ).
+fn assert_same_table(a: &SparseCover, b: &SparseCover, label: &str) {
+    assert_eq!(a.cluster_count(), b.cluster_count(), "{label}");
+    assert_eq!(a.node_count(), b.node_count(), "{label}");
+    for v in (0..a.node_count()).map(NodeId) {
+        assert!(a.tree_pos_of(v).eq(b.tree_pos_of(v)), "{label}: tree positions of {v}");
+        assert_eq!(a.clusters_of(v), b.clusters_of(v), "{label}: clusters of {v}");
+    }
+}
+
+/// Asserts that every layer of a synchronizer cover, shared or not, is the
+/// reference cover at the layer's radius.
+fn assert_layers_match_reference(graph: &Graph, layered: &LayeredSparseCover, label: &str) {
+    for j in 0..layered.layers() {
+        let radius = layered.radius(j);
+        assert_matches_reference(graph, layered.level(j), radius, &format!("{label} layer {j}"));
+    }
+}
+
+#[test]
+fn covers_match_a_reference_built_from_full_graph_searches() {
+    for (label, graph) in [
+        ("path/40", Graph::path(40)),
+        ("cycle/48", Graph::cycle(48)),
+        ("grid/10x10", Graph::grid(10, 10)),
+        ("torus/8x8", Graph::torus(8, 8)),
+        ("grid/4x30", Graph::grid(4, 30)),
+        ("random-regular/128", Graph::random_regular(128, 4, 3)),
+        ("random-connected/60", Graph::random_connected(60, 0.08, 7)),
+        ("clustered-ring/5x4", Graph::clustered_ring(5, 4)),
+    ] {
+        for d in [1, 2, 4, 8] {
+            let cover = build_sparse_cover(&graph, d);
+            assert_matches_reference(&graph, &cover, d, &format!("{label} d={d}"));
+        }
+    }
+    // cycle(256) has 3 clusters at r32, so a non-shared layer runs too.
+    for (label, graph, time_bound) in [
+        ("cycle/256", Graph::cycle(256), 128),
+        ("path/300", Graph::path(300), 299),
+        ("grid/16x16", Graph::grid(16, 16), 30),
+        ("grid/4x100", Graph::grid(4, 100), 102),
+    ] {
+        let (_, upper) = metrics::diameter_bounds(&graph).unwrap();
+        let layered = build_synchronizer_cover(&graph, time_bound, upper);
+        assert_layers_match_reference(&graph, &layered, label);
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode scale test; debug builds are too slow")]
+fn covers_match_the_reference_at_scale() {
+    for (label, graph, time_bound) in [
+        ("grid/4096", Graph::grid(64, 64), 127),
+        ("grid/8x512", Graph::grid(8, 512), 518),
+        ("random-regular/4096", Graph::random_regular(4096, 4, 4096), 16),
+    ] {
+        for d in [1, 2, 4, 8] {
+            let cover = build_sparse_cover(&graph, d);
+            assert_matches_reference(&graph, &cover, d, &format!("{label} d={d}"));
+        }
+        let (_, upper) = metrics::diameter_bounds(&graph).unwrap();
+        let layered = build_synchronizer_cover(&graph, time_bound, upper);
+        assert_layers_match_reference(&graph, &layered, label);
+    }
+}
 
 fn tier_graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -63,10 +214,11 @@ fn covers_validate_on_4096_node_tier_graphs() {
                 "{label} d={d}: tree height {} exceeds the O(d log n) bound",
                 cover.max_height()
             );
-            assert!(
-                cover.clusters.iter().all(|c| c.member_count() > 0),
-                "{label} d={d}: empty cluster"
-            );
+            let mut has_member = vec![false; cover.cluster_count()];
+            for v in graph.nodes() {
+                cover.clusters_of(v).iter().for_each(|c| has_member[c.index()] = true);
+            }
+            assert!(has_member.iter().all(|&m| m), "{label} d={d}: empty cluster");
         }
     }
 }
@@ -104,7 +256,7 @@ fn synchronizer_cover_shares_its_one_cluster_layer_upward() {
         let last = layered.iter().count() - 1;
         for j in last + 1..layered.layers() {
             let fresh = build_sparse_cover(&graph, layered.radius(j));
-            assert_eq!(layered.level(j).clusters, fresh.clusters, "{label} layer {j}");
+            assert_same_table(layered.level(j), &fresh, &format!("{label} layer {j}"));
         }
         assert_eq!(layered.level(last).cluster_count(), 1, "{label}: ends one-cluster");
     }
