@@ -18,6 +18,13 @@
 //!   BFS on torus 16², 32² and 64² under jitter (cover built outside the
 //!   timer). The per-event data structures are the same at every size, so a
 //!   rise in ns/event with `n` is the working set leaving the caches.
+//!   Its second table runs a det BFS from node 0 on the sharded engine
+//!   (`Sharded{2,2}`: two shards, two forced pool workers) against the wheel:
+//!   grid 64² (`--smoke`: 32²) under uniform delays, whose pulse waves are dense ticks that
+//!   reach the pool (`pool_disp` counts them), and grid 48² (`--smoke`: 24²)
+//!   under jitter ≥ ½ τ (`det_grid_sharded`'s shape), whose ticks are sparse and run the
+//!   serial path. `vs_wheel` is the median over rounds of the sharded run's
+//!   wall time over the same round's wheel run.
 //!
 //! Usage: `exp_sched [--smoke]` (`--smoke` shrinks the op counts for CI).
 
@@ -26,10 +33,13 @@ use ds_bench::table::{print_table, Row};
 use ds_graph::{Graph, NodeId};
 use ds_netsim::delay::DelayModel;
 use ds_netsim::pool::WorkerPool;
-use ds_netsim::scheduler::{EventScheduler, HeapScheduler, TimingWheel};
+use ds_netsim::scheduler::{EventScheduler, HeapScheduler, SchedulerKind, TimingWheel};
+use ds_netsim::sharded::{run_async_sharded_faulted_with, ShardedOptions, ThreadMode};
 use ds_netsim::sync_engine::run_sync;
+use ds_netsim::{run_async_faulted, SimLimits};
 use ds_sync::session::{Session, SyncKind};
-use ds_sync::synchronizer::SynchronizerConfig;
+use ds_sync::synchronizer::{DetSynchronizer, SynchronizerConfig};
+use std::sync::Arc;
 use std::time::Instant;
 
 const SAMPLES: usize = 5;
@@ -217,10 +227,6 @@ fn scale_rows(sides: &[usize]) -> Vec<Row> {
             events[i] = n_events;
         }
     }
-    let median = |mut xs: Vec<f64>| {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
-    };
     let per_family = sides.len();
     let base = sides.iter().position(|&side| side == 32).expect("the 32x32 size is always run");
     (0..cases.len())
@@ -239,6 +245,76 @@ fn scale_rows(sides: &[usize]) -> Vec<Row> {
         .collect()
 }
 
+/// One det BFS from node 0 on the wheel (`sharded: false`) or on
+/// `Sharded{2,2}` with forced workers: wall seconds, events, pool dispatches.
+fn det_bfs_run(
+    graph: &Graph,
+    cfg: &Arc<SynchronizerConfig>,
+    delay: &DelayModel,
+    sharded: bool,
+) -> (f64, u64, u64) {
+    let make = |v| DetSynchronizer::new(v, BfsAlgorithm::new(graph, v, &[NodeId(0)]), cfg.clone());
+    let limits = SimLimits::default();
+    let start = Instant::now();
+    let report = if sharded {
+        let opts = ShardedOptions { shards: 2, workers: 2, threads: ThreadMode::ForceOn };
+        run_async_sharded_faulted_with(graph, delay.clone(), None, make, limits, opts)
+    } else {
+        run_async_faulted(graph, delay.clone(), None, make, limits, SchedulerKind::TimingWheel)
+    }
+    .expect("det bfs run");
+    (start.elapsed().as_secs_f64(), report.metrics.events, report.pool_dispatches)
+}
+
+/// The sharded engine against the wheel on a dense-tick and a sparse-tick
+/// det BFS; the `SAMPLES` rounds alternate wheel and sharded runs.
+fn sharded_rows(smoke: bool) -> Vec<Row> {
+    let (dense_side, sparse_side) = if smoke { (32, 24) } else { (64, 48) };
+    let dense = Graph::grid(dense_side, dense_side);
+    let sparse = Graph::grid(sparse_side, sparse_side);
+    let cases = [
+        (
+            format!("scale/sharded-2x2/uniform/{}", dense.node_count()),
+            &dense,
+            DelayModel::uniform(),
+        ),
+        (
+            format!("scale/sharded-2x2/jitter-half/{}", sparse.node_count()),
+            &sparse,
+            DelayModel::jitter_at_least(7, 0.5),
+        ),
+    ];
+    cases
+        .into_iter()
+        .map(|(label, graph, delay)| {
+            let cfg = SynchronizerConfig::build(graph, bfs_rounds(graph));
+            let (mut ns, mut ratios) = (Vec::new(), Vec::new());
+            let (mut events, mut dispatches) = (0, 0);
+            for _ in 0..SAMPLES {
+                let (wheel_s, _, _) = det_bfs_run(graph, &cfg, &delay, false);
+                let (sharded_s, n_events, n_dispatches) = det_bfs_run(graph, &cfg, &delay, true);
+                ns.push(sharded_s * 1e9 / n_events as f64);
+                ratios.push(sharded_s / wheel_s);
+                (events, dispatches) = (n_events, n_dispatches);
+            }
+            Row {
+                label,
+                values: vec![
+                    ("events", events as f64),
+                    ("ns/event", median(ns)),
+                    ("vs_wheel", median(ratios)),
+                    ("pool_disp", dispatches as f64),
+                ],
+            }
+        })
+        .collect()
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     let (events, barriers) = if smoke { (200_000, 2_000) } else { (2_000_000, 20_000) };
@@ -248,5 +324,9 @@ fn main() {
     print_table(
         "per-event cost vs n (whole BFS runs, median of 5 interleaved rounds)",
         &scale_rows(sides),
+    );
+    print_table(
+        "sharded vs wheel (whole det BFS runs, median of 5 interleaved rounds)",
+        &sharded_rows(smoke),
     );
 }

@@ -56,7 +56,7 @@ pub fn build_sparse_cover(graph: &Graph, d: usize) -> SparseCover {
 fn build_sparse_cover_with(graph: &Graph, d: usize, scratch: &mut CoverScratch) -> SparseCover {
     assert!(d >= 1, "cover radius must be at least 1");
     assert!(graph.node_count() > 0, "cover requires a non-empty graph");
-    let decomposition = build_decomposition_with(graph, 2 * d, &mut scratch.ball);
+    let decomposition = build_decomposition_with(graph, d.saturating_mul(2), &mut scratch.ball);
     let mut entries = Vec::new();
     let mut clusters = 0;
     for (_color, dc) in decomposition.clusters() {
@@ -159,9 +159,12 @@ pub fn build_synchronizer_cover(
     let mut covers = Vec::new();
     for e in STAGE_COVER_EXPONENT..=top {
         let cover = build_sparse_cover_with(graph, 1usize << e, &mut scratch);
-        let spans = cover.cluster_count() == 1;
+        // One cluster spans every layer above; so does a radius of at least
+        // n, which carves whole connected components at every larger radius
+        // too (a disconnected graph never gets a one-cluster layer).
+        let last = cover.cluster_count() == 1 || 1usize << e >= graph.node_count();
         covers.push(cover);
-        if spans {
+        if last {
             break;
         }
     }
@@ -256,6 +259,30 @@ mod tests {
             assert_eq!(layered.radius(layered.layers() - 1), 1 << (usize::BITS - 1));
             assert_eq!(layered.iter().count(), 1, "T={time_bound}");
             assert_eq!(layered.level(layered.layers() - 1).cluster_count(), 1);
+        }
+    }
+
+    #[test]
+    fn cover_radii_past_2_to_the_62_saturate_instead_of_overflowing() {
+        // 2d and the carving's ring radii overflowed here: a debug build
+        // panicked and a release build wrapped to a 4-cluster cover.
+        let graph = Graph::path(4);
+        for d in [1usize << 62, 1 << 63, usize::MAX] {
+            assert_eq!(build_sparse_cover(&graph, d).cluster_count(), 1, "d={d}");
+        }
+    }
+
+    #[test]
+    fn disconnected_graphs_stop_the_ladder_at_radius_n() {
+        // Two path(4) components never get a one-cluster layer; every layer
+        // carves the two components, and the ladder stops at r32 ≥ n.
+        let edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)];
+        let graph =
+            Graph::from_edges(8, edges.map(|(u, v)| (NodeId(u), NodeId(v)))).expect("two paths");
+        let layered = build_synchronizer_cover(&graph, 1 << 56, 3);
+        assert_eq!(layered.iter().count(), 1, "only r32 is built");
+        for j in 0..layered.layers() {
+            assert_eq!(layered.level(j).cluster_count(), 2, "layer {j}");
         }
     }
 

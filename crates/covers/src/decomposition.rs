@@ -153,7 +153,7 @@ pub(crate) fn build_decomposition_with(
             let within = |cum: &[usize], r: usize| cum[r.min(cum.len() - 1)];
             let mut j = 0usize;
             loop {
-                let outer_radius = (j + 1) * step;
+                let outer_radius = (j + 1).saturating_mul(step);
                 while (cum.len() - 1) < outer_radius {
                     match bfs.expand_level(graph) {
                         Some((s, e)) => {
@@ -164,15 +164,17 @@ pub(crate) fn build_decomposition_with(
                         None => break,
                     }
                 }
-                let inner = within(&cum, j * step).max(1);
+                let inner = within(&cum, j.saturating_mul(step)).max(1);
                 let outer = within(&cum, outer_radius);
                 if outer <= 2 * inner {
                     break;
                 }
                 j += 1;
             }
-            let inner_radius = j * step;
-            let outer_radius = (j + 1) * step;
+            // Saturating: a radius past `usize::MAX` reaches the whole
+            // component all the same.
+            let inner_radius = j.saturating_mul(step);
+            let outer_radius = (j + 1).saturating_mul(step);
 
             let mut members: Vec<NodeId> = Vec::new();
             let mut weak_radius = 0usize;

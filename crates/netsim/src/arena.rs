@@ -13,10 +13,11 @@
 //! * [`EvRef`]: the two packed `u32`s (link, payload handle) the serial
 //!   engine's scheduler stores per event.
 //!
-//! Handles are engine-local: the sharded engine keeps one arena per shard and
-//! never ships a handle across a shard boundary — a payload is allocated into
-//! the *destination* shard's arena when it is sent (coordinator-side, between
-//! barriers) and taken back out by that shard.
+//! Both asynchronous engines keep one arena. The sharded engine's dense ticks
+//! `lend` a delivery's payload to the worker that runs its activation and
+//! `reclaim` the slot when the delivery's effects replay, so the arena sees
+//! the serial engine's exact sequence of frees and allocations (same
+//! handles, same peak, same bytes).
 
 /// Reserved handle meaning "no payload" (acknowledgment events carry none).
 pub const NONE: u32 = u32::MAX;
@@ -52,11 +53,14 @@ impl EvRef {
     }
 }
 
-/// One slot of the payload arena: either a live message or a link in the
-/// free list.
+/// One slot of the payload arena: a live message, a live handle whose
+/// message is out on loan, or a link in the free list.
 #[derive(Debug)]
 enum Slot<M> {
     Occupied(M),
+    /// The message was [lent](PayloadArena::lend) out; the handle stays live
+    /// until [`PayloadArena::reclaim`].
+    Lent,
     /// Next free slot index, or [`NONE`] for the list tail.
     Free(u32),
 }
@@ -126,6 +130,33 @@ impl<M> PayloadArena<M> {
         self.free_head = handle;
         self.live -= 1;
         msg
+    }
+
+    /// Moves the message behind `handle` out but keeps the handle live: the
+    /// slot is neither reused nor counted free until [`PayloadArena::reclaim`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle` does not hold a message.
+    pub(crate) fn lend(&mut self, handle: u32) -> M {
+        match std::mem::replace(&mut self.slots[handle as usize], Slot::Lent) {
+            Slot::Occupied(msg) => msg,
+            _ => panic!("lending a stale or lent arena handle {handle}"),
+        }
+    }
+
+    /// Frees a [lent](PayloadArena::lend) handle's slot — the second half of
+    /// a [`PayloadArena::take`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle` is not out on loan.
+    pub(crate) fn reclaim(&mut self, handle: u32) {
+        let slot = &mut self.slots[handle as usize];
+        assert!(matches!(slot, Slot::Lent), "reclaiming arena handle {handle}, which is not lent");
+        *slot = Slot::Free(self.free_head);
+        self.free_head = handle;
+        self.live -= 1;
     }
 
     /// Currently outstanding handles.
@@ -210,6 +241,33 @@ mod tests {
         let h = a.alloc(1);
         a.take(h);
         let _ = a.take(h);
+    }
+
+    #[test]
+    fn lend_then_reclaim_frees_exactly_like_take() {
+        // The same alloc/free sequence, once with take and once with
+        // lend + reclaim at the take's position: identical handles and peak.
+        let mut by_take: PayloadArena<u64> = PayloadArena::new();
+        let mut by_loan: PayloadArena<u64> = PayloadArena::new();
+        let (a, b) = (by_take.alloc(1), by_take.alloc(2));
+        assert_eq!((by_loan.alloc(1), by_loan.alloc(2)), (a, b));
+        let lent = by_loan.lend(a);
+        assert_eq!(lent, 1);
+        assert_eq!(by_loan.live(), 2, "a lent handle stays live");
+        assert_eq!(by_loan.alloc(3), 2, "a lent slot is not reused");
+        by_take.alloc(3);
+        assert_eq!(by_take.take(a), 1);
+        by_loan.reclaim(a);
+        assert_eq!(by_loan.alloc(4), by_take.alloc(4));
+        assert_eq!((by_loan.live(), by_loan.peak_live()), (by_take.live(), by_take.peak_live()));
+    }
+
+    #[test]
+    #[should_panic(expected = "not lent")]
+    fn reclaiming_an_occupied_handle_panics() {
+        let mut a: PayloadArena<u8> = PayloadArena::new();
+        let h = a.alloc(1);
+        a.reclaim(h);
     }
 
     #[test]

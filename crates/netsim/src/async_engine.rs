@@ -16,13 +16,14 @@
 //!   every injected message, with link acknowledgments reported separately.
 //!
 //! Those rules — what a send, an injection, a delivery, an acknowledgment and
-//! a fault drop *do* — live in the effects core (`effects.rs`), shared with
-//! the sharded engine. This module is the serial **loop** around it and the
-//! serial data layout: one scheduler, one link table indexed flat by
-//! [`DirectedEdgeId`], one recycled [`PayloadArena`] (wheel slots and link
-//! queues move 4-byte handles, never the messages) and one outbox buffer
-//! recycled across activations, so there are no map lookups or per-event
-//! allocations on the hot path.
+//! a fault drop *do* — live in the effects core (`effects.rs`). This module
+//! is the **loop** around it, which both engines run (`run_ticks`; the
+//! sharded engine only hands it a dense-tick path), on the one data layout:
+//! one scheduler, one link table indexed flat by directed-edge id, one
+//! recycled [`PayloadArena`] (wheel slots and link queues move 4-byte
+//! handles, never the messages) and one outbox buffer recycled across
+//! activations, so there are no map lookups or per-event allocations on the
+//! hot path.
 //!
 //! Each iteration takes every due event of the earliest pending tick from the
 //! scheduler (ascending `seq`; events scheduled while processing the tick land
@@ -38,14 +39,14 @@
 
 use crate::arena::{EvRef, PayloadArena};
 use crate::delay::DelayModel;
-use crate::effects::{Core, Event, Home, LinkState, LinkTable, SpillTable, Storage};
+use crate::effects::{Core, Home, Layout, LinkTable, Nodes};
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::protocol::Protocol;
 use crate::scheduler::{EventScheduler, HeapScheduler, TimingWheel};
 use crate::trace::DeliveryTrace;
 use crate::SchedulerKind;
-use ds_graph::{DirectedEdgeId, Graph, NodeId};
+use ds_graph::{Graph, NodeId};
 use std::fmt;
 
 /// Errors reported by the simulation engines.
@@ -107,17 +108,15 @@ pub struct AsyncReport<P> {
     /// execution, and so may differ between schedulers whose runs are
     /// otherwise bit-identical.
     pub overflow_events: u64,
-    /// High-water mark of simultaneously live payload-arena handles (summed
-    /// over the per-shard arenas for the sharded engine). An engine internal
-    /// like [`overflow_events`](AsyncReport::overflow_events): the arena's
-    /// footprint, not the simulated execution.
+    /// High-water mark of simultaneously live payload-arena handles. An
+    /// engine internal like [`overflow_events`](AsyncReport::overflow_events):
+    /// the arena's footprint, not the simulated execution.
     pub peak_live_handles: u64,
     /// Bytes backing the payload arena's slot storage at the end of the run
-    /// (capacity, summed over shards). An engine internal.
+    /// (capacity). An engine internal.
     pub arena_bytes: u64,
     /// Size of the largest one-tick due batch the engine processed. An engine
-    /// internal (the sharded engine reports the largest per-shard batch of
-    /// one tick).
+    /// internal.
     pub max_batch: u64,
     /// Always 0. The sharded engine's batched windows of several ticks per
     /// barrier were removed (DESIGN.md §6.3); the field stays because
@@ -198,45 +197,82 @@ impl<M> EngineParts<M> {
     }
 }
 
-/// The serial engine's data layout: one of everything.
-struct Serial<P: Protocol, S> {
+/// The serial engine's node placement: one flat vector, indexed by node id.
+struct Flat<P> {
     nodes: Vec<P>,
-    done_flags: Vec<bool>,
-    /// Link state per directed edge, indexed by [`DirectedEdgeId`].
-    links: LinkTable,
-    /// Every in-flight message payload, behind the `u32` handles the link
-    /// queues and the scheduler's [`EvRef`]s carry.
-    arena: PayloadArena<P::Message>,
-    sched: S,
+    done: Vec<bool>,
 }
 
-impl<P: Protocol, S: EventScheduler<EvRef>> Storage for Serial<P, S> {
+impl<P: Protocol> Nodes for Flat<P> {
     type Node = P;
 
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn link(&mut self, link: DirectedEdgeId) -> (&mut LinkState, &mut SpillTable) {
-        self.links.get(link.index())
-    }
-
-    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     fn home(&mut self, v: NodeId) -> Home<'_, P> {
-        Home {
-            shard: 0,
-            node: &mut self.nodes[v.index()],
-            done: &mut self.done_flags[v.index()],
-            arena: &mut self.arena,
+        Home { shard: 0, node: &mut self.nodes[v.index()], done: &mut self.done[v.index()] }
+    }
+}
+
+/// The event loop both engines run: the start wave, then one iteration per
+/// occupied tick, which applies the tick's fault transitions and fires its
+/// due events in ascending `seq` through [`Core::fire`]. `dense` sees every
+/// tick's due list first and may process it itself (the sharded engine's
+/// pooled path, which must leave `due` empty and return `true`); returning
+/// `false` leaves the tick to the loop.
+///
+/// # Errors
+///
+/// As [`Core::fire`], and whatever `dense` returns.
+pub(crate) fn run_ticks<'g, N, S, D>(
+    core: &mut Core<'g, N::Node>,
+    st: &mut Layout<N, S>,
+    mut dense: D,
+) -> Result<(), SimError>
+where
+    N: Nodes,
+    S: EventScheduler<EvRef>,
+    D: FnMut(
+        &mut Core<'g, N::Node>,
+        &mut Layout<N, S>,
+        &mut Vec<(u64, EvRef)>,
+    ) -> Result<bool, SimError>,
+{
+    core.start(st)?;
+    let mut due: Vec<(u64, EvRef)> = Vec::new();
+    while let Some(t) = st.sched.take_due(&mut due) {
+        core.now = t;
+        core.advance_faults(t);
+        core.max_batch = core.max_batch.max(due.len() as u64);
+        if !dense(core, st, &mut due)? {
+            for (seq, ev) in due.drain(..) {
+                core.fire(st, seq, ev)?;
+            }
         }
     }
+    // Quiescence means no event is scheduled and no link queue is non-empty
+    // (a queued message always has an ack or drop pending to release it), so
+    // every arena handle must have been taken back. The recycled entry point
+    // promotes this into a hard assertion on every run
+    // ([`crate::recycle::run_async_recycled`]).
+    debug_assert_eq!(st.arena.live(), 0, "a finished run must return every arena handle");
+    Ok(())
+}
 
-    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn schedule(&mut self, at: u64, seq: u64, ev: Event) {
-        let ev = match ev {
-            Event::Deliver { link, handle, .. } => EvRef::deliver(link.0, handle),
-            Event::Ack { link } => EvRef::ack(link.0),
-            Event::Dropped { .. } => unreachable!("the core schedules only deliveries and acks"),
-        };
-        self.sched.schedule(at, seq, ev);
-    }
+/// Closes a run: [`Core::finish`] plus the scheduler's and the arena's
+/// counters.
+pub(crate) fn finish<P: Protocol, S: EventScheduler<EvRef>>(
+    core: Core<'_, P>,
+    nodes: Vec<P>,
+    sched: &S,
+    arena: &PayloadArena<P::Message>,
+) -> (AsyncReport<P>, Option<DeliveryTrace>) {
+    let (report, trace) = core.finish(nodes);
+    let report = AsyncReport {
+        overflow_events: sched.overflow_scheduled(),
+        peak_live_handles: arena.peak_live() as u64,
+        arena_bytes: arena.bytes() as u64,
+        ..report
+    };
+    (report, trace)
 }
 
 /// Runs an asynchronous protocol on `graph` under the delay adversary `delay`
@@ -249,10 +285,11 @@ impl<P: Protocol, S: EventScheduler<EvRef>> Storage for Serial<P, S> {
 /// `make` constructs the per-node protocol instance.
 ///
 /// [`SchedulerKind::Sharded`] runs the sharded engine *sequentially* here (one
-/// coordinator, no worker threads), because this signature does not require
-/// `P: Send`. The execution is bit-identical either way; to actually spawn
-/// worker threads use [`crate::sharded::run_async_sharded_faulted_with`] (or
-/// drive it through `Session::scheduler`, whose protocols are `Send`).
+/// coordinator, no worker threads: the serial loop over the sharded node
+/// placement), because this signature does not require `P: Send`. The
+/// execution is bit-identical either way; to actually spawn worker threads
+/// use [`crate::sharded::run_async_sharded_faulted_with`] (or drive it
+/// through `Session::scheduler`, whose protocols are `Send`).
 ///
 /// # Errors
 ///
@@ -364,52 +401,23 @@ where
 {
     debug_assert_eq!(parts.links.len(), graph.directed_edge_count(), "adopt() must run first");
     debug_assert_eq!(parts.done_flags.len(), graph.node_count(), "adopt() must run first");
-    let mut st = Serial {
-        nodes: graph.nodes().map(make).collect(),
-        done_flags: std::mem::take(&mut parts.done_flags),
+    let mut st = Layout {
+        nodes: Flat {
+            nodes: graph.nodes().map(make).collect(),
+            done: std::mem::take(&mut parts.done_flags),
+        },
         links: std::mem::take(&mut parts.links),
         arena: std::mem::take(&mut parts.arena),
         sched,
     };
     let faults = faults.map(|plan| FaultState::new(graph, plan));
     let mut core = Core::new(graph, delay, limits, traced.then_some(1), faults);
-    core.start(&mut st)?;
-
-    let mut due: Vec<(u64, EvRef)> = Vec::new();
-    while let Some(t) = st.sched.take_due(&mut due) {
-        core.now = t;
-        core.advance_faults(t);
-        core.max_batch = core.max_batch.max(due.len() as u64);
-        for (seq, ev) in due.drain(..) {
-            let link = DirectedEdgeId(ev.link);
-            let ev = if ev.is_ack() {
-                Event::Ack { link }
-            } else {
-                let state = st.links.link(link.index());
-                Event::Deliver { link, from: state.from(), to: state.to(), handle: ev.payload }
-            };
-            core.fire(&mut st, seq, ev)?;
-        }
-    }
-
-    // Quiescence means no event is scheduled and no link queue is non-empty
-    // (a queued message always has an ack or drop pending to release it), so
-    // every arena handle must have been taken back. The recycled entry point
-    // promotes this into a hard assertion on every run
-    // ([`crate::recycle::run_async_recycled`]).
-    debug_assert_eq!(st.arena.live(), 0, "a finished run must return every arena handle");
-
-    let (report, trace) = core.finish(st.nodes);
-    let report = AsyncReport {
-        overflow_events: st.sched.overflow_scheduled(),
-        peak_live_handles: st.arena.peak_live() as u64,
-        arena_bytes: st.arena.bytes() as u64,
-        ..report
-    };
+    run_ticks(&mut core, &mut st, |_, _, _| Ok(false))?;
+    let (report, trace) = finish(core, st.nodes.nodes, &st.sched, &st.arena);
     // Hand the recyclable halves back for the next run.
     parts.links = st.links;
     parts.arena = st.arena;
-    parts.done_flags = st.done_flags;
+    parts.done_flags = st.nodes.done;
     Ok((report, trace, st.sched))
 }
 

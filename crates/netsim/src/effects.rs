@@ -1,13 +1,14 @@
 //! The effects core: the one place an event fires.
 //!
 //! Both asynchronous engines — the serial loop in [`crate::async_engine`] and
-//! the sharded barrier/merge loop in [`crate::sharded`] — decide *when* and
-//! *where* an event is processed; what processing it **does** is defined here
-//! and nowhere else: pushing a sent message onto its link, injecting the
-//! lowest-stage queued message into an idle link, the effects of a delivery
-//! (trace record, event budget, sends, the acknowledgment), releasing a link
-//! on an acknowledgment or a fault drop, the done bookkeeping, the time-0
-//! start wave and the final [`AsyncReport`].
+//! the sharded engine in [`crate::sharded`], which runs that same loop and
+//! only splits a dense tick's activations over worker threads — decide *when*
+//! and *where* an activation runs; what processing an event **does** is
+//! defined here and nowhere else: pushing a sent message onto its link,
+//! injecting the lowest-stage queued message into an idle link, the effects
+//! of a delivery (trace record, event budget, sends, the acknowledgment),
+//! releasing a link on an acknowledgment or a fault drop, the done
+//! bookkeeping, the time-0 start wave and the final [`AsyncReport`].
 //!
 //! That makes cross-engine bit-identity true by construction. The global
 //! `seq` stream feeds the delay adversary, so a schedule is exactly the order
@@ -23,11 +24,11 @@
 //! Acknowledgments firing, fault drops and drain-drops on a dead link draw
 //! nothing.
 //!
-//! The core is generic (monomorphized, no `dyn`) over [`Storage`], which
-//! answers the three questions the engines genuinely differ on: where the
-//! [`LinkState`] of a directed edge lives, which shard is home to a node (its
-//! protocol instance, done flag and the arena owning payloads addressed to
-//! it), and where a scheduled event goes.
+//! The core runs on one data layout, [`Layout`]: one event scheduler, one
+//! [`LinkTable`] indexed by [`DirectedEdgeId`], one [`PayloadArena`]. The
+//! engines differ only in where a node's protocol instance lives — one flat
+//! vector, or the shard that ships it to a worker — which the core reaches
+//! through [`Nodes`] (monomorphized, no `dyn`).
 //!
 //! # Link layout
 //!
@@ -45,12 +46,13 @@
 //! `(neighbor, link)` pairs built per run ([`LinkIndex`]) instead of the
 //! graph's nested adjacency vectors.
 
-use crate::arena::PayloadArena;
+use crate::arena::{EvRef, PayloadArena};
 use crate::async_engine::{AsyncReport, SimError, SimLimits};
 use crate::delay::DelayModel;
 use crate::fault::FaultState;
 use crate::metrics::RunMetrics;
 use crate::protocol::{Ctx, Outgoing, Protocol};
+use crate::scheduler::EventScheduler;
 use crate::stage_queue::StageQueue;
 use crate::trace::{DeliveryTrace, TraceState};
 use crate::TICKS_PER_UNIT;
@@ -60,8 +62,7 @@ use ds_graph::{DirectedEdgeId, Graph, NodeId};
 const NO_SPILL: u32 = u32::MAX;
 
 /// Per-directed-edge link state, indexed flat by [`DirectedEdgeId`] in a
-/// [`LinkTable`] (the sharded engine keeps one table per shard). The queued
-/// entries are payload-arena handles, not messages.
+/// [`LinkTable`]. The queued entries are payload-arena handles, not messages.
 ///
 /// 40 bytes: the head entry's `(priority, seq)` key (16), the endpoints, the
 /// head's handle and the spill slot (4 × 4), two flags. The queue behind the
@@ -220,8 +221,8 @@ impl SpillTable {
     }
 }
 
-/// The link records of one engine (or one shard) and the spill table their
-/// queues overflow into.
+/// The link records of one engine and the spill table their queues overflow
+/// into.
 #[derive(Debug, Default)]
 pub(crate) struct LinkTable {
     links: Vec<LinkState>,
@@ -309,47 +310,33 @@ impl LinkIndex {
     }
 }
 
-/// An event as the core sees it. Deliveries carry their endpoints inline so
-/// an engine can route and activate them without consulting the link table
-/// (the sharded engine's destination shard does not own it).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Event {
-    /// The message behind `handle` (in the arena of `to`'s home) arrives.
-    Deliver { link: DirectedEdgeId, from: NodeId, to: NodeId, handle: u32 },
-    /// The acknowledgment of `link`'s in-flight message arrives.
-    Ack { link: DirectedEdgeId },
-    /// A delivery the fault adversary ate before it could fire. Never
-    /// scheduled: the sharded engine rewrites a fault-blocked `Deliver` to
-    /// this at drain time, so phase 1 skips the activation and the merge
-    /// still drops it at its exact `(tick, seq)` slot.
-    Dropped { link: DirectedEdgeId, to: NodeId, handle: u32 },
-}
-
 /// Everything that lives with node `v`, wherever the engine keeps it.
-pub(crate) struct Home<'a, P: Protocol> {
+pub(crate) struct Home<'a, P> {
     /// The shard owning `v` (0 on the serial engine); recorded in traces.
     pub(crate) shard: u32,
     pub(crate) node: &'a mut P,
     pub(crate) done: &'a mut bool,
-    /// The arena owning every payload addressed to `v`.
-    pub(crate) arena: &'a mut PayloadArena<P::Message>,
 }
 
-/// What an engine's data layout must answer for the core to run on it.
-pub(crate) trait Storage {
+/// Where an engine keeps its protocol instances: the one thing the serial
+/// and the sharded engine lay out differently.
+pub(crate) trait Nodes {
     /// The protocol the engine runs.
     type Node: Protocol;
 
-    /// The link record of directed edge `link` and the spill table of the
-    /// [`LinkTable`] holding it.
-    fn link(&mut self, link: DirectedEdgeId) -> (&mut LinkState, &mut SpillTable);
-
     /// The home of node `v`.
     fn home(&mut self, v: NodeId) -> Home<'_, Self::Node>;
+}
 
-    /// Files `ev` (a `Deliver` or an `Ack`) to fire at tick `at` with global
-    /// sequence number `seq`, scheduled from the tick the core is processing.
-    fn schedule(&mut self, at: u64, seq: u64, ev: Event);
+/// The engine's data layout: the node instances, one scheduler of
+/// [`EvRef`]s, one link table indexed by [`DirectedEdgeId`] and one arena
+/// holding every in-flight payload behind the `u32` handles the scheduler and
+/// the link queues carry.
+pub(crate) struct Layout<N: Nodes, S> {
+    pub(crate) nodes: N,
+    pub(crate) links: LinkTable,
+    pub(crate) arena: PayloadArena<<N::Node as Protocol>::Message>,
+    pub(crate) sched: S,
 }
 
 /// Engine-global state of one asynchronous run plus the rules that mutate it.
@@ -372,9 +359,8 @@ pub(crate) struct Core<'g, P: Protocol> {
     /// bit-identical with tracing on or off.
     trace: Option<TraceState>,
     /// The compiled fault adversary. `None` (the default) makes every check a
-    /// dead branch. The sharded engine reads it to defuse blocked deliveries
-    /// at drain time.
-    pub(crate) faults: Option<FaultState>,
+    /// dead branch.
+    faults: Option<FaultState>,
     /// Messages dropped by the fault adversary ([`AsyncReport::dropped_events`]).
     dropped: u64,
     /// Size of the largest one-tick due batch ([`AsyncReport::max_batch`]);
@@ -432,9 +418,11 @@ impl<'g, P: Protocol> Core<'g, P> {
         }
     }
 
+    /// Whether the fault adversary blocks `from → to` over `link` at the
+    /// current tick. Constant within a tick: transitions apply before it.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
-    fn blocks(&self, link: DirectedEdgeId, from: NodeId, to: NodeId) -> bool {
+    pub(crate) fn blocks(&self, link: DirectedEdgeId, from: NodeId, to: NodeId) -> bool {
         self.faults.as_ref().is_some_and(|f| f.blocks(link, from, to))
     }
 
@@ -457,21 +445,24 @@ impl<'g, P: Protocol> Core<'g, P> {
         }
     }
 
-    /// Draws the seq of a scheduled event and files it with the engine.
+    /// Draws the seq of a scheduled event and files it with the scheduler.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
-    fn schedule<S: Storage<Node = P>>(&mut self, st: &mut S, at: u64, ev: Event) {
+    fn schedule<N, S>(&mut self, st: &mut Layout<N, S>, at: u64, ev: EvRef)
+    where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
         let seq = self.next_seq();
         if let Some(tr) = self.trace.as_mut() {
             tr.on_scheduled(seq);
         }
-        st.schedule(at, seq, ev);
+        st.sched.schedule(at, seq, ev);
     }
 
     /// Queues one message `from` sent on its link, drawing its message seq.
-    /// The payload moves into the arena of the *destination's* home — the one
-    /// that will eventually take it back out — and only its handle queues on
-    /// the link. The link is injected by the next [`Core::end_delivery`] (or
+    /// The payload moves into the arena and only its handle queues on the
+    /// link. The link is injected by the next [`Core::end_delivery`] (or
     /// the start wave), after every send of the activation has queued.
     ///
     /// # Errors
@@ -479,19 +470,23 @@ impl<'g, P: Protocol> Core<'g, P> {
     /// [`SimError::NotNeighbor`] if `out.to` is not adjacent to `from`.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
-    pub(crate) fn send<S: Storage<Node = P>>(
+    pub(crate) fn send<N, S>(
         &mut self,
-        st: &mut S,
+        st: &mut Layout<N, S>,
         from: NodeId,
         out: Outgoing<P::Message>,
-    ) -> Result<(), SimError> {
+    ) -> Result<(), SimError>
+    where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
         let Some(link) = self.index.get(from, out.to) else {
             return Err(SimError::NotNeighbor { from, to: out.to });
         };
         self.metrics.record_message(out.class);
         let seq = self.next_seq();
-        let handle = st.home(out.to).arena.alloc(out.msg);
-        let (state, spill) = st.link(link);
+        let handle = st.arena.alloc(out.msg);
+        let (state, spill) = st.links.get(link.index());
         state.push(spill, out.priority, seq, handle);
         self.touched.push(link);
         Ok(())
@@ -504,17 +499,19 @@ impl<'g, P: Protocol> Core<'g, P> {
     /// drained handle is freed.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
-    fn try_inject<S: Storage<Node = P>>(&mut self, st: &mut S, link: DirectedEdgeId) {
-        let (state, spill) = st.link(link);
+    fn try_inject<N, S>(&mut self, st: &mut Layout<N, S>, link: DirectedEdgeId)
+    where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
+        let (state, spill) = st.links.get(link.index());
         if state.in_flight {
             return;
         }
         let (from, to) = (state.from(), state.to());
         if self.blocks(link, from, to) {
-            loop {
-                let (state, spill) = st.link(link);
-                let Some((_, handle)) = state.pop(spill) else { break };
-                st.home(to).arena.take(handle);
+            while let Some((_, handle)) = state.pop(spill) {
+                st.arena.take(handle);
                 self.dropped += 1;
             }
             return;
@@ -522,13 +519,17 @@ impl<'g, P: Protocol> Core<'g, P> {
         let Some((msg_seq, handle)) = state.pop(spill) else { return };
         state.in_flight = true;
         let at = self.now + self.delay.delay_ticks_at(from, to, msg_seq, self.now);
-        self.schedule(st, at, Event::Deliver { link, from, to, handle });
+        self.schedule(st, at, EvRef::deliver(link.0, handle));
     }
 
     /// Injects every link the current activation's sends touched, in order.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
-    fn flush<S: Storage<Node = P>>(&mut self, st: &mut S) {
+    fn flush<N, S>(&mut self, st: &mut Layout<N, S>)
+    where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
         let mut touched = std::mem::take(&mut self.touched);
         for link in touched.drain(..) {
             self.try_inject(st, link);
@@ -540,8 +541,12 @@ impl<'g, P: Protocol> Core<'g, P> {
     /// lets the next queued message go.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
-    fn release<S: Storage<Node = P>>(&mut self, st: &mut S, link: DirectedEdgeId) {
-        st.link(link).0.in_flight = false;
+    fn release<N, S>(&mut self, st: &mut Layout<N, S>, link: DirectedEdgeId)
+    where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
+        st.links.get(link.index()).0.in_flight = false;
         self.try_inject(st, link);
     }
 
@@ -578,64 +583,72 @@ impl<'g, P: Protocol> Core<'g, P> {
     /// one keys its delay, one is the ack event's own.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
-    pub(crate) fn end_delivery<S: Storage<Node = P>>(
+    pub(crate) fn end_delivery<N, S>(
         &mut self,
-        st: &mut S,
+        st: &mut Layout<N, S>,
         link: DirectedEdgeId,
         from: NodeId,
         to: NodeId,
-    ) {
+    ) where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
         self.flush(st);
         self.metrics.acks += 1;
         let ack_seq = self.next_seq();
         let at = self.now + self.delay.delay_ticks_at(to, from, ack_seq, self.now);
-        self.schedule(st, at, Event::Ack { link });
+        self.schedule(st, at, EvRef::ack(link.0));
     }
 
-    /// Fires one event in full, at `self.now`: an ack or a drop releases its
-    /// link; a delivery is dropped if the fault adversary blocks it right
-    /// now, and otherwise activates its destination and replays the effects.
+    /// Fires one event in full, at `self.now`: an ack releases its link; a
+    /// delivery is dropped (payload freed, link released) if the fault
+    /// adversary blocks it right now, and otherwise activates its
+    /// destination and replays the effects.
     ///
     /// # Errors
     ///
     /// As [`Core::begin_delivery`] and [`Core::send`]. The offending
     /// delivery's activation has run; no later event's has.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    pub(crate) fn fire<S: Storage<Node = P>>(
+    pub(crate) fn fire<N, S>(
         &mut self,
-        st: &mut S,
+        st: &mut Layout<N, S>,
         seq: u64,
-        ev: Event,
-    ) -> Result<(), SimError> {
-        match ev {
-            Event::Ack { link } => {
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.on_ack(seq);
-                }
-                self.release(st, link);
+        ev: EvRef,
+    ) -> Result<(), SimError>
+    where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
+        let link = DirectedEdgeId(ev.link);
+        if ev.is_ack() {
+            if let Some(tr) = self.trace.as_mut() {
+                tr.on_ack(seq);
             }
-            Event::Deliver { link, from, to, handle } if !self.blocks(link, from, to) => {
-                let mut ctx = Ctx::with_buffer(to, std::mem::take(&mut self.outbox));
-                let home = st.home(to);
-                let msg = home.arena.take(handle);
-                home.node.on_message(from, msg, &mut ctx);
-                self.update_done(home.done, home.node);
-                self.begin_delivery(seq, home.shard, from, to)?;
-                for out in ctx.drain_outbox() {
-                    self.send(st, to, out)?;
-                }
-                self.outbox = ctx.into_buffer();
-                self.end_delivery(st, link, from, to);
-            }
+            self.release(st, link);
+            return Ok(());
+        }
+        let state = st.links.link(link.index());
+        let (from, to) = (state.from(), state.to());
+        let msg = st.arena.take(ev.payload);
+        if self.blocks(link, from, to) {
             // The adversary ate the delivery: no activation, no ack, no trace
             // record, no sequence draws — only the payload and the link are
             // freed.
-            Event::Deliver { link, to, handle, .. } | Event::Dropped { link, to, handle } => {
-                st.home(to).arena.take(handle);
-                self.dropped += 1;
-                self.release(st, link);
-            }
+            self.dropped += 1;
+            self.release(st, link);
+            return Ok(());
         }
+        let mut ctx = Ctx::with_buffer(to, std::mem::take(&mut self.outbox));
+        let home = st.nodes.home(to);
+        home.node.on_message(from, msg, &mut ctx);
+        self.update_done(home.done, home.node);
+        self.begin_delivery(seq, home.shard, from, to)?;
+        for out in ctx.drain_outbox() {
+            self.send(st, to, out)?;
+        }
+        self.outbox = ctx.into_buffer();
+        self.end_delivery(st, link, from, to);
         Ok(())
     }
 
@@ -647,11 +660,15 @@ impl<'g, P: Protocol> Core<'g, P> {
     /// # Errors
     ///
     /// As [`Core::send`].
-    pub(crate) fn start<S: Storage<Node = P>>(&mut self, st: &mut S) -> Result<(), SimError> {
+    pub(crate) fn start<N, S>(&mut self, st: &mut Layout<N, S>) -> Result<(), SimError>
+    where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
         self.advance_faults(0);
         for v in self.graph.nodes() {
             let mut ctx = Ctx::with_buffer(v, std::mem::take(&mut self.outbox));
-            let home = st.home(v);
+            let home = st.nodes.home(v);
             if !self.faults.as_ref().is_some_and(|f| f.is_crashed(v)) {
                 home.node.on_start(&mut ctx);
             }

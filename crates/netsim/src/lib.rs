@@ -25,17 +25,18 @@
 //!   (one un-acknowledged message per link) and the lowest-stage-first scheduling of
 //!   Lemma 2.5 / Corollary 2.3 — the rules themselves (what a send, an
 //!   injection, a delivery, an acknowledgment and a fault drop do) live once,
-//!   in the private `effects` core both asynchronous engines call,
+//!   in the private `effects` core, and the loop around it is shared with
+//!   the sharded engine,
 //! * [`fault`] makes the topology dynamic: a deterministic, tick-stamped
 //!   [`FaultPlan`] of link churn and crash-stop node failures that every engine
 //!   consults at dispatch and delivery time,
 //! * [`scheduler`] holds the engine's event schedulers — the bounded-horizon
 //!   timing wheel the model's one-time-unit delay bound makes possible, and the
 //!   binary-heap reference it is tested against ([`SchedulerKind`] selects),
-//! * [`sharded`] runs the asynchronous engine over node shards — shard-local
-//!   delivery in parallel worker threads, a serial cross-shard merge in global
-//!   sequence order at each tick barrier — with schedules bit-identical to the
-//!   single-threaded wheel,
+//! * [`sharded`] runs the asynchronous engine's loop over node shards — a
+//!   dense tick's activations in parallel worker threads, their effects
+//!   replayed serially in global sequence order — with schedules
+//!   bit-identical to the single-threaded wheel,
 //! * [`pool`] holds the persistent, work-conserving worker pool the sharded
 //!   engine spreads its shards over (the only module in the workspace allowed
 //!   to create threads),

@@ -1,8 +1,11 @@
-//! Persistent worker pool: the sharded engine's parallel phase 1 and the
-//! request batches of `ds-sync`'s `SessionPool`. `N` long-lived threads,
-//! created once per run (a per-tick `thread::scope` spawn put a floor under
-//! every parallel tick), take tasks from one shared queue, so `K` tasks
-//! spread over `W ≤ K` workers.
+//! Persistent worker pool: the sharded engine's phase 1 (a dense tick's
+//! activations, one task per shard with deliveries due) and the request
+//! batches of `ds-sync`'s `SessionPool`. `N` long-lived threads, created
+//! once per run (a per-tick `thread::scope` spawn put a floor under every
+//! parallel tick), take tasks from one shared queue, so `K` tasks spread
+//! over `W ≤ K` workers. A task owns what its work needs by value — a
+//! shard's nodes and inbox, never a view into the engine's wheel, link
+//! table or arena, which stay with the coordinator.
 //!
 //! The protocol is ship-and-collect: the coordinator queues tasks with
 //! [`WorkerPool::dispatch`]; the first idle worker takes the oldest one and

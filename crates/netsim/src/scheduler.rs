@@ -32,8 +32,9 @@ use std::collections::BinaryHeap;
 
 /// Which event scheduler [`crate::async_engine::run_async_faulted`] drives the
 /// simulation with. All kinds produce bit-identical schedules; the wheel is
-/// faster than the heap, and the sharded engine adds parallelism on top of
-/// per-shard wheels (see [`crate::sharded`]).
+/// faster than the heap, and the sharded engine runs the wheel engine with a
+/// dense tick's activations split over worker threads (see
+/// [`crate::sharded`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Bounded-horizon timing wheel: `O(1)` per event (the default).
@@ -41,14 +42,13 @@ pub enum SchedulerKind {
     TimingWheel,
     /// Global binary heap: `O(log n)` per event. The reference implementation.
     BinaryHeap,
-    /// Sharded engine: the node set is partitioned into `shards` contiguous
-    /// dense-id ranges, each with its own timing wheel and link queues; each
-    /// occupied tick runs shard-local protocol activations — in parallel over
-    /// a persistent worker pool when worker threads are available — followed
-    /// by a serial cross-shard merge in global `seq` order, so the schedule
-    /// is bit-identical to
-    /// [`SchedulerKind::TimingWheel`] (see [`crate::sharded`] and
-    /// [`crate::pool`]).
+    /// Sharded engine: the timing-wheel engine with the node set partitioned
+    /// into `shards` contiguous dense-id ranges. A tick with at least 128 due
+    /// events runs its protocol activations per shard over a persistent
+    /// worker pool (when worker threads are available), then replays their
+    /// effects serially in global `seq` order, so the schedule is
+    /// bit-identical to [`SchedulerKind::TimingWheel`] (see
+    /// [`crate::sharded`] and [`crate::pool`]).
     Sharded {
         /// Number of shards (clamped to `1..=node_count` at run time).
         shards: usize,
@@ -194,34 +194,13 @@ impl<T> TimingWheel<T> {
     }
 
     /// Absolute tick of the earliest pending event (wheel slots or overflow), or
-    /// `None` if the wheel is empty. The sharded engine's coordinator peeks every
-    /// shard wheel through this to pick the global next tick.
-    pub fn next_tick(&self) -> Option<u64> {
+    /// `None` if the wheel is empty.
+    fn next_tick(&self) -> Option<u64> {
         let wheel_next = (self.pending > 0).then(|| self.next_occupied_time());
         match (wheel_next, self.overflow.peek().map(|e| e.at)) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// Advances the wheel's clock to absolute tick `t` without draining anything.
-    ///
-    /// The sharded engine calls this on every shard wheel that has no events at
-    /// the tick being processed: keeping the clocks in lock-step keeps the
-    /// in-horizon test of [`EventScheduler::schedule`] — and hence slot placement
-    /// and overflow accounting — identical to a single global wheel's.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if an event at or before `t` is still pending,
-    /// or if `t` is in the past.
-    pub fn advance_to(&mut self, t: u64) {
-        debug_assert!(t >= self.now, "the clock only moves forward");
-        debug_assert!(
-            self.next_tick().is_none_or(|next| next > t),
-            "cannot advance past a pending event"
-        );
-        self.now = t;
     }
 
     /// Resets an *empty* wheel to absolute tick 0, keeping every allocation
@@ -475,29 +454,34 @@ mod tests {
         let mut w = TimingWheel::new(10);
         w.schedule(800, 0, 0u32);
         w.schedule(400, 1, 1);
-        assert_eq!((w.overflow_scheduled(), w.len(), w.next_tick()), (2, 2, Some(400)));
+        assert_eq!((w.overflow_scheduled(), w.len()), (2, 2));
         let mut due = Vec::new();
         assert_eq!(w.take_due(&mut due), Some(400));
         assert_eq!(due, vec![(1, 1)]);
-        assert_eq!((w.len(), w.next_tick()), (1, Some(800)));
+        assert_eq!(w.len(), 1);
         assert_eq!(drain_all(&mut w), vec![(800, vec![(0, 0)])]);
-        assert_eq!((w.len(), w.next_tick()), (0, None));
+        assert!(w.is_empty());
     }
 
     #[test]
     fn overflow_parks_and_slot_inserts_merge_at_one_tick_in_seq_order() {
-        // One tick fed by an origin-0 park, a park after a clock advance and
-        // two slot inserts drains as one ascending-seq batch. Runs under Miri
-        // (`scheduler::` filter).
+        // One tick fed by an origin-0 park, a park after the clock moved on
+        // and two slot inserts drains as one ascending-seq batch. Runs under
+        // Miri (`scheduler::` filter).
         let mut w = TimingWheel::new(10);
+        let mut due = Vec::new();
         w.schedule(800, 0, 10u32);
-        w.advance_to(200);
-        w.schedule(800, 1, 11);
-        w.advance_to(795);
-        w.schedule(800, 2, 12); // slot
-        w.schedule(800, 3, 13); // slot
-        assert_eq!((w.overflow_scheduled(), w.len()), (2, 4));
-        assert_eq!(drain_all(&mut w), vec![(800, vec![(0, 10), (1, 11), (2, 12), (3, 13)])]);
+        w.schedule(200, 1, 0);
+        assert_eq!(w.take_due(&mut due), Some(200));
+        w.schedule(800, 2, 11);
+        w.schedule(795, 3, 0);
+        assert_eq!(w.take_due(&mut due), Some(795));
+        w.schedule(800, 4, 12); // slot
+        w.schedule(800, 5, 13); // slot
+                                // Parked: both tick-800 entries before the slot inserts, and the two
+                                // clock-moving events (200 and 795 lie past the horizon too).
+        assert_eq!((w.overflow_scheduled(), w.len()), (4, 4));
+        assert_eq!(drain_all(&mut w), vec![(800, vec![(0, 10), (2, 11), (4, 12), (5, 13)])]);
     }
 
     /// The 10%-overflow bench workload (delays in [1000, 5000) against a
@@ -534,7 +518,7 @@ mod tests {
         let first = outage_shaped_run(&mut wheel);
         let parked = wheel.overflow_scheduled();
         wheel.reset();
-        assert_eq!((wheel.overflow_scheduled(), wheel.next_tick()), (0, None));
+        assert_eq!((wheel.overflow_scheduled(), wheel.len()), (0, 0));
         assert_eq!(outage_shaped_run(&mut wheel), first);
         assert_eq!(wheel.overflow_scheduled(), parked);
     }

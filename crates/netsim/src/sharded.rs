@@ -1,119 +1,104 @@
-//! Parallel sharded asynchronous engine: shard-local delivery over a
-//! persistent worker pool, serial cross-shard merge at one barrier per
-//! occupied tick — schedules **bit-identical** to the single-threaded timing
-//! wheel.
+//! The sharded asynchronous engine: the serial engine's loop and layout,
+//! with a dense tick's protocol activations split over a persistent worker
+//! pool — schedules **bit-identical** to the single-threaded timing wheel.
 //!
-//! # Shard layout
+//! # What is sharded
 //!
 //! The dense node-id space `0..n` is partitioned into `K` contiguous ranges
-//! ("shards"). Every shard owns
+//! ("shards"). A shard owns only its nodes' protocol instances and done
+//! flags, plus the buffers its phase 1 fills (`ShardWork`); that unit moves
+//! to a pool worker by value and back, so the crate stays free of `unsafe`.
+//! Everything else is the serial engine's, one of each: the
+//! [`TimingWheel`], the link table indexed by directed-edge id, the payload
+//! arena, and the loop (`async_engine::run_ticks`).
 //!
-//! * the protocol instances of its nodes,
-//! * the outgoing links of its nodes — the link records (the single-entry
-//!   head inline, further messages in the shard's own spill table of
-//!   [`crate::stage_queue::StageQueue`]s) of every directed edge whose
-//!   *source* lies in the shard, and
-//! * one bounded-horizon [`TimingWheel`] holding the events the shard
-//!   processes: deliveries addressed to its nodes, and acknowledgments for its
-//!   outgoing links.
+//! # Sparse and dense ticks
+//!
+//! A tick with fewer than `PARALLEL_TICK_THRESHOLD` (128) due events, and
+//! every tick of a run without a pool, fires each event through the effects
+//! core's `Core::fire` exactly as the serial loop does — the only difference
+//! is where `fire` finds the destination's protocol instance. A dense tick
+//! with a pool runs in three steps:
+//!
+//! 1. **Bucketing (coordinator).** Every delivery of the tick that the fault
+//!    adversary does not block has its payload *lent* out of the arena
+//!    (`PayloadArena::lend`: the handle stays live) and is appended to its
+//!    destination shard's inbox. Inboxes are in ascending global `seq`.
+//! 2. **Phase 1 (pool).** Every shard with a non-empty inbox is shipped to
+//!    the pool, which runs its activations in inbox order, capturing each
+//!    activation's outbox verbatim. No sequence numbers are drawn and no
+//!    link, wheel or arena is touched; shards share nothing.
+//! 3. **Replay (coordinator).** The tick's due list is walked in global
+//!    `seq` order — the serial processing order. An acknowledgment or a
+//!    blocked delivery fires through `Core::fire`. A delivery activated in
+//!    phase 1 reclaims its arena slot and replays its effects through the
+//!    effects core (`begin_delivery`, one `send` per captured message,
+//!    `end_delivery`), reading its outbox through one cursor per shard into
+//!    that shard's captured outboxes.
 //!
 //! # The shard/merge contract
 //!
-//! The serial engine processes each tick's events in ascending global sequence
-//! number (`seq`). Within one tick, the work of an event splits into two parts
-//! with very different dependency structure:
+//! Within one tick, an event's protocol activation reads and writes only the
+//! destination node's state and draws no sequence numbers, while its engine
+//! effects (sends, injections, acknowledgments) define the `seq` stream that
+//! feeds the delay adversary. Deliveries of one tick are causally
+//! independent across destination nodes — every delay is at least one tick,
+//! acknowledgments never touch node state, and a node's own deliveries reach
+//! it in ascending `seq` within its shard's inbox — so running the
+//! activations first, per shard, and replaying their effects afterwards in
+//! global `seq` order draws every sequence number through the serial
+//! engine's code in the serial order. The arena sees the serial order of
+//! frees and allocations too (a lent slot is reclaimed at the delivery's
+//! replay, where the serial engine takes it). The schedule — every delivery,
+//! every delay, every metric and every engine counter but
+//! [`AsyncReport::pool_dispatches`] — is therefore bit-identical to
+//! [`crate::SchedulerKind::TimingWheel`]'s for any shard count and any thread
+//! interleaving (`tests/scheduler_equiv.rs`, `tests/determinism.rs` and
+//! `tests/golden_schedule.rs` pin this; trace records keep the destination's
+//! shard, so `ds-verify`'s happens-before checker tests the contract).
 //!
-//! 1. the **protocol activation** (`Protocol::on_message`) reads and writes
-//!    only the destination node's state and draws no sequence numbers, and
-//! 2. the **engine effects** — outbox dispatch (which assigns message `seq`s),
-//!    link-queue pushes and pops, delivery injection (whose adversarial delay
-//!    consumes `seq`s) and acknowledgment scheduling — mutate link and
-//!    scheduler state shared across nodes and *define* the `seq` stream that
-//!    feeds the delay adversary.
-//!
-//! Deliveries of one tick are causally independent across distinct destination
-//! nodes: no same-tick event can observe another's effects, because every
-//! delay is at least one tick, acknowledgments never touch node state, and a
-//! node's own deliveries reach it in ascending `seq` order within its shard's
-//! event list. Each occupied tick therefore runs as one barrier:
-//!
-//! * **Phase 1 — shard-local delivery (parallel).** Every shard drains its due
-//!   events and runs the activations of its deliveries, in shard-local `seq`
-//!   order, capturing each activation's outbox verbatim. No sequence numbers
-//!   are drawn, no link or wheel is touched; shards share nothing, so worker
-//!   threads run them concurrently.
-//! * **Phase 2 — cross-shard merge (serial, at the tick barrier).** The
-//!   coordinator merges the shards' event lists by **global `seq`** — a total
-//!   order fixed when the events were scheduled, independent of thread
-//!   interleaving — and replays each event's engine effects by calling the
-//!   same effects core (`effects.rs`) the serial engine calls: sends in
-//!   capture order, lowest-stage-first injection, acknowledgment scheduling.
-//!   Messages and acknowledgments that cross shards along cut links are handed
-//!   to the destination shard's wheel here, which is what makes the next
-//!   tick's phase 1 shard-local again.
-//!
-//! Because phase 2 draws sequence numbers through the very code the serial
-//! engine draws them through, in the serial order, and phase 1 performs no
-//! operation that could observe the difference, the resulting schedule — every
-//! delivery, every delay, every metric — is bit-identical to
-//! [`crate::SchedulerKind::TimingWheel`]'s, for any shard count and any thread
-//! interleaving (`tests/scheduler_equiv.rs` and `tests/determinism.rs` pin
-//! this across the scenario matrix; `tests/golden_schedule.rs` pins both
-//! engines against digests recorded before they shared a core). The one
-//! observable difference is *intra-tick activation order across different
-//! nodes*: a protocol that shares mutable state between node instances (not a
-//! distributed algorithm, but e.g. a test harness logging through a mutex) may
-//! record interleavings in a different order; per-node observation sequences
-//! are identical. On an error (`SimError`), the run aborts at the same event
-//! as the serial engine. The serial engine stops *activating* there too; here
-//! phase 1 has already run every activation of the tick before the merge
-//! notices — the API returns no nodes on error, so this is only observable
-//! through the escape hatches above (state shared across node instances, or
-//! an activation that panics past the serial abort point).
-//!
-//! Every wheel's clock equals the barrier's tick during the merge (wheels
-//! without events at the tick are advanced to it), so a merge-time schedule
-//! classifies in-horizon versus overflow exactly as the one global wheel of
-//! the serial engine does. PR 7's batched windows of several ticks per
-//! barrier were removed after an A/B showed no end-to-end gain (DESIGN.md
-//! §6.3).
+//! The one observable difference is the *intra-tick activation order across
+//! different nodes* on dense ticks: a protocol that shares mutable state
+//! between node instances (not a distributed algorithm, but e.g. a test
+//! harness logging through a mutex) may record interleavings in shard order;
+//! per-node observation sequences are identical. On an error (`SimError`)
+//! the run aborts at the same event as the serial engine, but on a dense
+//! tick phase 1 has already run every activation of the tick — the API
+//! returns no nodes on error, so this is only observable through the escape
+//! hatches above.
 //!
 //! # Threads and cost
 //!
 //! Worker threads are `W` **long-lived** threads in a [`crate::pool`]
-//! `WorkerPool`, created once per run; at each barrier the first idle worker
-//! takes the next queued shard. Which worker runs a shard depends on thread
-//! timing, but a shard's work unit is owned by one worker at a time and the
-//! merge orders by `seq`, so the schedule does not. The two knobs decouple:
-//! pick `shards` for partition granularity and `workers` for the host's core count
-//! ([`ShardedOptions::workers`]; `0` means one worker per shard). The pool is
-//! engaged per barrier, and only when the tick carries enough events to
-//! amortize the two channel hops per non-empty shard; sparser barriers are
-//! processed inline by the coordinator. [`ThreadMode::Auto`] also disables
-//! workers entirely on single-core hosts, where sharding still helps by
-//! shrinking the per-phase working set (nodes of one shard, then links), but
-//! time-slicing threads would only add overhead. Phase 2 is inherently serial
-//! — it is the price of a sequence-exact adversary — so speedup follows
-//! Amdahl's law in the activation share of the workload; DESIGN.md §6
-//! tabulates the costs, and [`AsyncReport::pool_dispatches`] makes the
-//! hand-off rate observable per run.
+//! `WorkerPool`, created once per run; at each dense tick the first idle
+//! worker takes the next queued shard. Which worker runs a shard depends on
+//! thread timing, but a shard's work unit is owned by one worker at a time
+//! and the replay orders by `seq`, so the schedule does not. Pick `shards`
+//! for partition granularity and `workers` for the host's core count
+//! ([`ShardedOptions::workers`]; `0` means one worker per shard).
+//! [`ThreadMode::Auto`] disables workers on single-core hosts. The replay is
+//! serial — the price of a sequence-exact adversary — so speedup follows
+//! Amdahl's law in the activation share of dense ticks; sparse ticks cost
+//! what the serial engine costs plus a shard lookup per activation.
+//! DESIGN.md §6 tabulates the costs, and [`AsyncReport::pool_dispatches`]
+//! makes the hand-off rate observable per run.
 
-use crate::arena::PayloadArena;
-use crate::async_engine::{AsyncReport, SimError, SimLimits};
+use crate::arena::{EvRef, PayloadArena};
+use crate::async_engine::{finish, run_ticks, AsyncReport, SimError, SimLimits};
 use crate::delay::DelayModel;
-use crate::effects::{Core, Event, Home, LinkState, LinkTable, SpillTable, Storage};
+use crate::effects::{Core, Home, Layout, LinkTable, Nodes};
 use crate::fault::{FaultPlan, FaultState};
 use crate::pool::{PanicPayload, WorkerPool};
 use crate::protocol::{Ctx, Outgoing, Protocol};
-use crate::scheduler::{EventScheduler, TimingWheel};
+use crate::scheduler::TimingWheel;
 use crate::trace::DeliveryTrace;
 use ds_graph::{DirectedEdgeId, Graph, NodeId};
 use std::collections::VecDeque;
 
-/// Minimum number of due events in a tick before phase 1 is shipped to the
-/// worker pool; sparser ticks are processed inline by the coordinator,
-/// because the hand-off (two channel operations per non-empty shard) would
-/// exceed the activation work it parallelizes.
+/// Minimum number of due events in a tick before its activations are
+/// shipped to the worker pool; sparser ticks run the serial path, because
+/// the hand-off (two channel operations per non-empty shard) would exceed
+/// the activation work it parallelizes.
 const PARALLEL_TICK_THRESHOLD: usize = 128;
 
 /// When the sharded engine engages pool worker threads.
@@ -129,8 +114,7 @@ pub enum ThreadMode {
     /// equivalence tests to exercise the cross-thread path — including
     /// multi-worker rendezvous — even on single-core hosts; no core cap).
     ForceOn,
-    /// Never spawn workers: the coordinator runs every phase itself. Still
-    /// uses the per-shard data layout (and its cache benefits).
+    /// Never spawn workers: every tick runs the serial path.
     Off,
 }
 
@@ -158,102 +142,56 @@ impl ShardedOptions {
 }
 
 // ---------------------------------------------------------------------------
-// Shard layout
+// Shards
 // ---------------------------------------------------------------------------
 
-/// Contiguous partition of the dense node-id space plus the link→shard table.
+/// Contiguous partition of the dense node-id space.
 struct ShardLayout {
     /// Number of shards.
     k: usize,
-    /// `big` shards of size `base + 1` come first, then shards of size `base`.
-    base: usize,
-    big: usize,
-    /// First global node id of each shard (length `k + 1`).
+    /// First global node id of each shard (length `k + 1`); the first
+    /// `n % k` shards hold one node more than the rest.
     bounds: Vec<usize>,
-    /// Directed edge id → `(source shard << 32) | local slot` in that shard's
-    /// link table.
-    link_home: Vec<u64>,
+    /// Shard of each node: one load instead of a division per activation.
+    owner: Vec<u32>,
 }
 
 impl ShardLayout {
-    fn new(graph: &Graph, shards: usize) -> Self {
-        let n = graph.node_count();
+    fn new(n: usize, shards: usize) -> Self {
         let k = shards.clamp(1, n.max(1));
         let (base, rem) = (n / k, n % k);
         let mut bounds = Vec::with_capacity(k + 1);
-        let mut start = 0;
-        for i in 0..k {
-            bounds.push(start);
-            start += base + usize::from(i < rem);
+        let mut owner = Vec::with_capacity(n);
+        for s in 0..k {
+            bounds.push(owner.len());
+            owner.resize(owner.len() + base + usize::from(s < rem), s as u32);
         }
         bounds.push(n);
-        let mut layout = ShardLayout { k, base, big: rem, bounds, link_home: Vec::new() };
-        let mut slots = vec![0u64; k];
-        let homes = (0..graph.directed_edge_count())
-            .map(|e| {
-                let (from, _) = graph.directed_endpoints(DirectedEdgeId(e as u32));
-                let s = layout.shard_of(from);
-                let slot = slots[s];
-                slots[s] += 1;
-                ((s as u64) << 32) | slot
-            })
-            .collect();
-        layout.link_home = homes;
-        layout
+        ShardLayout { k, bounds, owner }
     }
 
-    /// Shard owning node `v` (its protocol instance and outgoing links).
+    /// Shard owning node `v`.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
     fn shard_of(&self, v: NodeId) -> usize {
-        let i = v.index();
-        let cut = self.big * (self.base + 1);
-        if i < cut {
-            i / (self.base + 1)
-        } else {
-            self.big + (i - cut) / self.base.max(1)
-        }
-    }
-
-    /// `(shard, local slot)` of a directed edge's link state.
-    fn link_home(&self, link: DirectedEdgeId) -> (usize, usize) {
-        let packed = self.link_home[link.index()];
-        ((packed >> 32) as usize, (packed & u32::MAX as u64) as usize)
+        self.owner[v.index()] as usize
     }
 }
 
-// ---------------------------------------------------------------------------
-// Events and per-shard state
-// ---------------------------------------------------------------------------
-
-/// Phase-1 output for one event, consumed by the merge in ascending `seq` —
-/// the serial processing order within the tick.
-#[derive(Clone, Copy, Debug)]
-struct Ready {
-    seq: u64,
-    ev: Event,
-    /// For a `Deliver` (whose activation ran in phase 1): how many captured
-    /// messages it left at the front of the shard's captured-outbox queue.
-    outbox: u32,
-}
-
-/// The shard state a worker thread needs: nodes, due events, phase-1 outputs.
-/// Wheels and link tables stay with the coordinator (only phases run by it
-/// touch them), so this is what crosses threads.
+/// One shard: what a pool worker needs for phase 1, moved to it by value.
 pub(crate) struct ShardWork<P: Protocol> {
     /// First global node id of the shard.
     lo: usize,
     nodes: Vec<P>,
     done: Vec<bool>,
-    /// Events due at the current tick, ascending shard-local `seq`.
-    due: Vec<(u64, Event)>,
-    /// Phase-1 outputs, ascending `seq`.
-    ready: Vec<Ready>,
-    /// Payloads of every in-flight message addressed to this shard's nodes,
-    /// behind the `u32` handles the events and link queues carry. Travels
-    /// with the shard to its worker, so phase 1 takes payloads out without
-    /// touching any other shard's state — **handles never cross shards**.
-    payloads: PayloadArena<P::Message>,
-    /// Captured outbox messages of this tick's activations, in event order;
-    /// the merge pops from the front as it replays the events.
+    /// This dense tick's deliveries to the shard's nodes as `(from, to,
+    /// payload)`, ascending global `seq`; phase 1 drains it.
+    inbox: Vec<(NodeId, NodeId, P::Message)>,
+    /// Outbox length of each of this tick's activations, in inbox order.
+    outbox_lens: VecDeque<u32>,
+    /// Captured outbox messages of this tick's activations, in inbox order.
+    /// With `outbox_lens` it is the shard's replay cursor: the replay pops
+    /// both from the front.
     captured: VecDeque<Outgoing<P::Message>>,
     /// Recycled activation outbox buffer.
     outbox_buf: Vec<Outgoing<P::Message>>,
@@ -262,84 +200,55 @@ pub(crate) struct ShardWork<P: Protocol> {
     newly_done: usize,
 }
 
-/// Phase 1 for one shard: run this tick's activations, capture their
-/// outboxes. Runs on a pool worker when the tick is dense enough, inline on
-/// the coordinator otherwise — same code, same effects either way. This is
-/// the one place an activation runs outside the effects core (the core lives
-/// on the coordinator; workers share nothing), so it carries its own
-/// done-check.
+/// Phase 1 for one shard, on a pool worker: run the inbox's activations,
+/// capture their outboxes. This is the one place an activation runs outside
+/// the effects core (the core lives on the coordinator; workers share
+/// nothing), so it carries its own done-check.
 // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
 fn phase1<P: Protocol>(w: &mut ShardWork<P>) {
-    for (seq, ev) in w.due.drain(..) {
-        let mut outbox = 0;
-        if let Event::Deliver { from, to, handle, .. } = ev {
-            let local = to.index() - w.lo;
-            let mut ctx = Ctx::with_buffer(to, std::mem::take(&mut w.outbox_buf));
-            let msg = w.payloads.take(handle);
-            w.nodes[local].on_message(from, msg, &mut ctx);
-            outbox = ctx.queued() as u32;
-            w.captured.extend(ctx.drain_outbox());
-            w.outbox_buf = ctx.into_buffer();
-            if !w.done[local] && w.nodes[local].is_done() {
-                w.done[local] = true;
-                w.newly_done += 1;
-            }
+    for (from, to, msg) in w.inbox.drain(..) {
+        let local = to.index() - w.lo;
+        let mut ctx = Ctx::with_buffer(to, std::mem::take(&mut w.outbox_buf));
+        w.nodes[local].on_message(from, msg, &mut ctx);
+        w.outbox_lens.push_back(ctx.queued() as u32);
+        w.captured.extend(ctx.drain_outbox());
+        w.outbox_buf = ctx.into_buffer();
+        if !w.done[local] && w.nodes[local].is_done() {
+            w.done[local] = true;
+            w.newly_done += 1;
         }
-        w.ready.push(Ready { seq, ev, outbox });
     }
 }
 
-/// The sharded engine's data layout: per shard one wheel, one link table
-/// (outgoing links of its nodes) and one [`ShardWork`].
+/// The sharded engine's node placement: every shard's [`ShardWork`].
 struct Shards<P: Protocol> {
     layout: ShardLayout,
-    wheels: Vec<TimingWheel<Event>>,
-    links: Vec<LinkTable>,
     /// `None` only while a shard is out on a pool worker (phase 1).
     works: Vec<Option<ShardWork<P>>>,
 }
 
 impl<P: Protocol> Shards<P> {
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
     fn work(&mut self, s: usize) -> &mut ShardWork<P> {
         self.works[s].as_mut().expect("shard at home")
     }
 }
 
-impl<P: Protocol> Storage for Shards<P> {
+impl<P: Protocol> Nodes for Shards<P> {
     type Node = P;
-
-    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn link(&mut self, link: DirectedEdgeId) -> (&mut LinkState, &mut SpillTable) {
-        let (s, slot) = self.layout.link_home(link);
-        self.links[s].get(slot)
-    }
 
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     fn home(&mut self, v: NodeId) -> Home<'_, P> {
         let s = self.layout.shard_of(v);
-        let w = self.works[s].as_mut().expect("shard at home");
+        let w = self.work(s);
         let local = v.index() - w.lo;
-        Home {
-            shard: s as u32,
-            node: &mut w.nodes[local],
-            done: &mut w.done[local],
-            arena: &mut w.payloads,
-        }
-    }
-
-    /// Deliveries go to the destination's shard, acknowledgments to the
-    /// link's source shard — the cross-shard hand-off that makes the next
-    /// barrier's phase 1 shard-local again.
-    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-    fn schedule(&mut self, at: u64, seq: u64, ev: Event) {
-        let s = match ev {
-            Event::Deliver { to, .. } => self.layout.shard_of(to),
-            Event::Ack { link } => self.layout.link_home(link).0,
-            Event::Dropped { .. } => unreachable!("the core schedules only deliveries and acks"),
-        };
-        self.wheels[s].schedule(at, seq, ev);
+        Home { shard: s as u32, node: &mut w.nodes[local], done: &mut w.done[local] }
     }
 }
+
+/// The sharded engine's layout: the serial one over sharded node placement.
+type ShardedLayout<P> = Layout<Shards<P>, TimingWheel<EvRef>>;
 
 // ---------------------------------------------------------------------------
 // Entry points
@@ -451,8 +360,9 @@ where
 // The engine
 // ---------------------------------------------------------------------------
 
-/// The sharded engine loop. Without a pool it needs no `Send` bound, which is
-/// how [`run_async_faulted`](crate::async_engine::run_async_faulted) runs
+/// The sharded engine: [`run_ticks`] over [`ShardedLayout`], with the pool's
+/// dense-tick path. Without a pool it needs no `Send` bound, which is how
+/// [`run_async_faulted`](crate::async_engine::run_async_faulted) runs
 /// [`crate::SchedulerKind::Sharded`] sequentially.
 // Every entry point funnels here with its full knob set; bundling the knobs
 // into a struct would only move the argument list one call deeper.
@@ -471,15 +381,8 @@ where
     P: Protocol,
     F: FnMut(NodeId) -> P,
 {
-    let layout = ShardLayout::new(graph, shards);
+    let layout = ShardLayout::new(graph.node_count(), shards);
     let k = layout.k;
-    let horizon = delay.max_delay_ticks();
-
-    let mut links: Vec<LinkTable> = (0..k).map(|_| LinkTable::default()).collect();
-    for e in 0..graph.directed_edge_count() {
-        let (from, to) = graph.directed_endpoints(DirectedEdgeId(e as u32));
-        links[layout.shard_of(from)].push_link(from, to);
-    }
     let works = (0..k)
         .map(|s| {
             let (lo, hi) = (layout.bounds[s], layout.bounds[s + 1]);
@@ -487,151 +390,120 @@ where
                 lo,
                 nodes: (lo..hi).map(|i| make(NodeId(i))).collect(),
                 done: vec![false; hi - lo],
-                due: Vec::new(),
-                ready: Vec::new(),
-                payloads: PayloadArena::new(),
+                inbox: Vec::new(),
+                outbox_lens: VecDeque::new(),
                 captured: VecDeque::new(),
                 outbox_buf: Vec::new(),
                 newly_done: 0,
             })
         })
         .collect();
-    let mut st = Shards {
-        layout,
-        wheels: (0..k).map(|_| TimingWheel::new(horizon)).collect(),
+    let mut links = LinkTable::default();
+    links.adopt(graph);
+    let mut st = Layout {
+        nodes: Shards { layout, works },
         links,
-        works,
+        arena: PayloadArena::new(),
+        sched: TimingWheel::new(delay.max_delay_ticks()),
     };
     let faults = faults.map(|plan| FaultState::new(graph, plan));
-    let trace_shards = traced.then_some(k as u32);
-    let mut core = Core::new(graph, delay, limits, trace_shards, faults);
-    // Barriers whose phase 1 was shipped to the worker pool.
+    let mut core = Core::new(graph, delay, limits, traced.then_some(k as u32), faults);
+    // Dense ticks whose activations were shipped to the worker pool.
     let mut pool_dispatches = 0u64;
+    run_ticks(&mut core, &mut st, |core, st, due| match pool.as_deref_mut() {
+        Some(pool) if due.len() >= PARALLEL_TICK_THRESHOLD => {
+            pool_dispatches += 1;
+            bucket(core, st, due);
+            let newly_done = dispatch(&mut st.nodes, pool);
+            core.count_done(newly_done, core.now);
+            replay(core, st, due)?;
+            Ok(true)
+        }
+        _ => Ok(false),
+    })?;
 
-    // Time 0, in global node order — the serial engine's init order, so the
-    // initial seq draws match exactly.
-    core.start(&mut st)?;
+    let nodes = st.nodes.works.into_iter().flat_map(|w| w.expect("shard at home").nodes).collect();
+    let (report, trace) = finish(core, nodes, &st.sched, &st.arena);
+    Ok((AsyncReport { pool_dispatches, ..report }, trace))
+}
 
-    // One barrier per occupied tick: find the globally earliest pending tick,
-    // drain every shard's events of it, run phase 1 (shard-local
-    // activations), then the serial phase-2 merge in global `seq` order.
-    let mut pos = vec![0usize; k];
-    while let Some(t) = st.wheels.iter().filter_map(TimingWheel::next_tick).min() {
-        // Apply fault transitions due by t. The flags are constant within a
-        // tick, so defusing fault-blocked deliveries to `Dropped` at drain
-        // time equals the serial engine's at-fire check.
-        core.advance_faults(t);
-        core.now = t;
-        let mut total_due = 0usize;
-        for (wheel, work) in st.wheels.iter_mut().zip(&mut st.works) {
-            if wheel.next_tick() != Some(t) {
-                // Idle wheels keep lock-step with the busy ones, so overflow
-                // classification matches one global wheel's.
-                wheel.advance_to(t);
+/// Dense-tick step 1: lends every deliverable payload of the tick out of the
+/// arena into its destination shard's inbox, in `seq` order. Acknowledgments
+/// and fault-blocked deliveries stay behind for the replay's `Core::fire`
+/// (fault flags are constant within a tick, so the replay sees the same
+/// verdict).
+// ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+fn bucket<P: Protocol>(core: &Core<'_, P>, st: &mut ShardedLayout<P>, due: &[(u64, EvRef)]) {
+    for &(_, ev) in due {
+        if ev.is_ack() {
+            continue;
+        }
+        let state = st.links.link(ev.link as usize);
+        let (from, to) = (state.from(), state.to());
+        if core.blocks(DirectedEdgeId(ev.link), from, to) {
+            continue;
+        }
+        let msg = st.arena.lend(ev.payload);
+        let s = st.nodes.layout.shard_of(to);
+        st.nodes.work(s).inbox.push((from, to, msg));
+    }
+}
+
+/// Dense-tick step 2: ships every shard with a non-empty inbox to the pool,
+/// collects them all, and returns how many nodes became done. A caught panic
+/// is re-raised only after every outstanding shard answered, so no worker is
+/// left sending into a dropped channel.
+fn dispatch<P: Protocol>(shards: &mut Shards<P>, pool: &mut WorkerPool<ShardWork<P>>) -> usize {
+    let mut outstanding = 0usize;
+    for (s, slot) in shards.works.iter_mut().enumerate() {
+        if !slot.as_ref().expect("shard at home").inbox.is_empty() {
+            pool.dispatch(s, slot.take().expect("shard at home"));
+            outstanding += 1;
+        }
+    }
+    let mut panicked: Option<PanicPayload> = None;
+    for _ in 0..outstanding {
+        let (idx, work, panic) = pool.collect();
+        shards.works[idx] = Some(work);
+        panicked = panicked.or(panic);
+    }
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
+    (0..shards.layout.k).map(|s| std::mem::take(&mut shards.work(s).newly_done)).sum()
+}
+
+/// Dense-tick step 3: walks the tick's due list in global `seq` order. A
+/// delivery activated in phase 1 reclaims its arena slot (where the serial
+/// engine takes it) and replays its effects from its shard's cursor; every
+/// other event fires in full.
+// ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+fn replay<P: Protocol>(
+    core: &mut Core<'_, P>,
+    st: &mut ShardedLayout<P>,
+    due: &mut Vec<(u64, EvRef)>,
+) -> Result<(), SimError> {
+    for (seq, ev) in due.drain(..) {
+        let link = DirectedEdgeId(ev.link);
+        if !ev.is_ack() {
+            let state = st.links.link(link.index());
+            let (from, to) = (state.from(), state.to());
+            if !core.blocks(link, from, to) {
+                st.arena.reclaim(ev.payload);
+                let s = st.nodes.layout.shard_of(to);
+                core.begin_delivery(seq, s as u32, from, to)?;
+                let sends = st.nodes.work(s).outbox_lens.pop_front();
+                for _ in 0..sends.expect("phase 1 ran every inbox delivery") {
+                    let out = st.nodes.work(s).captured.pop_front();
+                    core.send(st, to, out.expect("the capture buffer holds each outbox"))?;
+                }
+                core.end_delivery(st, link, from, to);
                 continue;
             }
-            let w = work.as_mut().expect("shard at home");
-            wheel.take_due(&mut w.due);
-            if let Some(f) = core.faults.as_ref() {
-                for (_, ev) in &mut w.due {
-                    if let Event::Deliver { link, from, to, handle } = *ev {
-                        if f.blocks(link, from, to) {
-                            *ev = Event::Dropped { link, to, handle };
-                        }
-                    }
-                }
-            }
-            total_due += w.due.len();
-            core.max_batch = core.max_batch.max(w.due.len() as u64);
         }
-
-        // Phase 1.
-        match pool.as_deref_mut() {
-            Some(pool) if total_due >= PARALLEL_TICK_THRESHOLD => {
-                pool_dispatches += 1;
-                let mut outstanding = 0usize;
-                for (s, slot) in st.works.iter_mut().enumerate() {
-                    if !slot.as_ref().expect("shard at home").due.is_empty() {
-                        let work = slot.take().expect("shard at home");
-                        pool.dispatch(s, work);
-                        outstanding += 1;
-                    }
-                }
-                let mut panicked: Option<PanicPayload> = None;
-                for _ in 0..outstanding {
-                    let (idx, work, panic) = pool.collect();
-                    st.works[idx] = Some(work);
-                    panicked = panicked.or(panic);
-                }
-                // Resume only after every outstanding shard answered, so no
-                // worker is left sending into a dropped channel mid-barrier.
-                if let Some(payload) = panicked {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-            _ => {
-                for s in 0..k {
-                    phase1(st.work(s));
-                }
-            }
-        }
-        let newly_done = (0..k).map(|s| std::mem::take(&mut st.work(s).newly_done)).sum();
-        core.count_done(newly_done, t);
-
-        // Phase 2: merge of the shards' ready lists by global `seq` — the
-        // serial processing order (each ready list is already ascending in
-        // it). Deliveries were activated in phase 1, so only their effects
-        // replay; acks and drops fire in full.
-        pos.fill(0);
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for (s, (work, &p)) in st.works.iter().zip(&pos).enumerate() {
-                if let Some(item) = work.as_ref().expect("shard at home").ready.get(p) {
-                    if best.is_none_or(|(seq, _)| item.seq < seq) {
-                        best = Some((item.seq, s));
-                    }
-                }
-            }
-            let Some((_, s)) = best else { break };
-            let item = st.work(s).ready[pos[s]];
-            pos[s] += 1;
-            match item.ev {
-                Event::Deliver { link, from, to, .. } => {
-                    core.begin_delivery(item.seq, s as u32, from, to)?;
-                    for _ in 0..item.outbox {
-                        let out = st.work(s).captured.pop_front();
-                        core.send(&mut st, to, out.expect("the capture buffer holds each outbox"))?;
-                    }
-                    core.end_delivery(&mut st, link, from, to);
-                }
-                ev => core.fire(&mut st, item.seq, ev)?,
-            }
-        }
-        for s in 0..k {
-            let w = st.work(s);
-            w.ready.clear();
-            debug_assert!(w.captured.is_empty(), "merge consumed every captured message");
-        }
+        core.fire(st, seq, ev)?;
     }
-
-    let (mut peak_live_handles, mut arena_bytes) = (0u64, 0u64);
-    let mut nodes = Vec::with_capacity(graph.node_count());
-    for w in st.works {
-        let w = w.expect("shard at home");
-        debug_assert_eq!(w.payloads.live(), 0, "a finished run must return every arena handle");
-        peak_live_handles += w.payloads.peak_live() as u64;
-        arena_bytes += w.payloads.bytes() as u64;
-        nodes.extend(w.nodes);
-    }
-    let (report, trace) = core.finish(nodes);
-    let report = AsyncReport {
-        overflow_events: st.wheels.iter().map(|w| w.overflow_scheduled()).sum(),
-        peak_live_handles,
-        arena_bytes,
-        pool_dispatches,
-        ..report
-    };
-    Ok((report, trace))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -976,7 +848,7 @@ mod tests {
             // engine record for record; only the shard assignment differs,
             // and it must match the layout's owner of each destination.
             assert_eq!(trace.shards, shards as u32);
-            let layout = ShardLayout::new(&graph, shards);
+            let layout = ShardLayout::new(graph.node_count(), shards);
             assert_eq!(trace.records.len(), serial_trace.records.len());
             for (sharded_rec, serial_rec) in trace.records.iter().zip(&serial_trace.records) {
                 assert_eq!(sharded_rec.schedule_key(), serial_rec.schedule_key());
@@ -1051,30 +923,19 @@ mod tests {
     }
 
     #[test]
-    fn shard_layout_partitions_nodes_and_links_consistently() {
-        let graph = Graph::random_connected(23, 0.2, 3);
+    fn shard_layout_partitions_nodes_contiguously() {
         for k in [1, 2, 4, 7, 23] {
-            let layout = ShardLayout::new(&graph, k);
+            let layout = ShardLayout::new(23, k);
             assert_eq!(layout.k, k);
             assert_eq!(layout.bounds[0], 0);
             assert_eq!(*layout.bounds.last().unwrap(), 23);
             // Every node maps into the shard whose contiguous range holds it.
-            for v in graph.nodes() {
+            for v in (0..23).map(NodeId) {
                 let s = layout.shard_of(v);
                 assert!(layout.bounds[s] <= v.index() && v.index() < layout.bounds[s + 1]);
             }
-            // Link slots are dense per shard, in edge-id order.
-            let mut counts = vec![0usize; k];
-            for e in 0..graph.directed_edge_count() {
-                let id = DirectedEdgeId(e as u32);
-                let (from, _) = graph.directed_endpoints(id);
-                let (s, slot) = layout.link_home(id);
-                assert_eq!(s, layout.shard_of(from));
-                assert_eq!(slot, counts[s]);
-                counts[s] += 1;
-            }
         }
         // Oversized shard counts clamp to n.
-        assert_eq!(ShardLayout::new(&graph, 500).k, 23);
+        assert_eq!(ShardLayout::new(23, 500).k, 23);
     }
 }

@@ -34,8 +34,8 @@ pub struct DeliveryRecord {
     pub seq: u64,
     /// Absolute tick the delivery fired at.
     pub tick: u64,
-    /// Shard whose phase 1 ran the activation — the destination node's shard.
-    /// Always 0 on the serial engines (one implicit shard).
+    /// The destination node's shard, whose phase 1 runs the activation on a
+    /// dense tick. Always 0 on the serial engines (one implicit shard).
     pub shard: u32,
     /// Sending node.
     pub src: NodeId,

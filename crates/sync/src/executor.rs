@@ -48,7 +48,7 @@ impl Session<'_> {
             // session's slab bank. Bit-identical to the cold paths below — the
             // recycling reset contract is asserted by the engine itself — and
             // scoped to exactly the configuration the slabs fit (the sharded
-            // engine owns per-shard state, and traced runs are rare one-off
+            // engine owns per-shard node state, and traced runs are rare one-off
             // verification runs). An error run drops its slab instead of checking
             // it back in: the bank only ever pools provably clean state.
             (SchedulerKind::TimingWheel, false, Some(bank)) => {

@@ -302,9 +302,9 @@ impl<'g> Session<'g> {
     /// [`SchedulerKind::BinaryHeap`] reference produces a bit-identical run and
     /// exists for equivalence testing and scheduler benchmarking.
     /// [`SchedulerKind::Sharded`] partitions the nodes into contiguous shards
-    /// and runs each barrier's deliveries shard-locally — spread over a
-    /// persistent worker pool when the host has spare cores — with a serial
-    /// cross-shard merge in global sequence order, so its runs are also
+    /// and runs a dense tick's activations shard by shard — spread over a
+    /// persistent worker pool when the host has spare cores — then replays
+    /// their effects serially in global sequence order, so its runs are also
     /// bit-identical to the wheel's (`ds-netsim::sharded` documents the
     /// shard/merge contract). `workers` decouples the thread count from the
     /// shard count: `0` means one worker per shard, and a good explicit value

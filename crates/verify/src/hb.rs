@@ -3,7 +3,7 @@
 //!
 //! The shard/merge contract (DESIGN.md §6) argues that the sharded engine's
 //! schedule is bit-identical to the serial wheel's because (a) the serial
-//! merge draws every sequence number in ascending global `seq` order, and
+//! replay draws every sequence number in ascending global `seq` order, and
 //! (b) deliveries within one tick are causally independent across shards, so
 //! running their activations in parallel cannot be observed. This module
 //! *verifies* both halves on a [`DeliveryTrace`] recorded by an instrumented

@@ -25,7 +25,7 @@ use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
 use det_synchronizer::netsim::{
     run_async_faulted, run_async_sharded_faulted_with, AsyncReport, MessageClass, ShardedOptions,
-    SimLimits, ThreadMode,
+    SimLimits, ThreadMode, TICKS_PER_UNIT,
 };
 use det_synchronizer::prelude::*;
 use std::cell::RefCell;
@@ -288,6 +288,82 @@ fn delays_far_past_the_horizon_agree_on_every_engine() {
             let options = ShardedOptions { threads, ..ShardedOptions::new(shards) };
             let got = run_send_sharded(&graph, &delay, options);
             assert_eq!(wheel, got, "sharded diverged from the wheel ({options:?})");
+        }
+    }
+}
+
+/// Every [`AsyncReport`] field but `pool_dispatches`: the per-node arrival
+/// streams, the metrics, and the engine internals (overflow parks, arena
+/// watermark and bytes, largest due batch) that a layout of its own would
+/// move.
+type FullView = (SendView, [u64; 6]);
+
+fn full_view(report: AsyncReport<SendRecorder<'_>>) -> FullView {
+    let internals = [
+        report.peak_live_handles,
+        report.arena_bytes,
+        report.max_batch,
+        report.batched_ticks,
+        report.dropped_events,
+        report.fault_transitions,
+    ];
+    (send_view(report), internals)
+}
+
+#[test]
+fn sharded_reports_equal_the_wheel_in_every_field_but_pool_dispatches() {
+    // The sharded engine runs on the serial layout, so its report matches
+    // the wheel's field for field — sequential or pooled, with dense ticks
+    // (uniform delays on a grid reach the pool), overflow parks (outage)
+    // and fault drops on crowded ticks (churn).
+    let random = Graph::random_connected(24, 0.15, 5);
+    let grid = Graph::grid(16, 16);
+    let churn = FaultPlan::random_churn(&grid, 42, 8, 2, 6 * TICKS_PER_UNIT);
+    let mut adversaries = DelayModel::standard_suite(13);
+    adversaries.push(DelayModel::outage(13, 5, 2));
+    // `(graph, delay, faults, dense)`: `dense` cases must reach the pool.
+    let mut cases: Vec<(&Graph, DelayModel, Option<&FaultPlan>, bool)> =
+        adversaries.into_iter().map(|delay| (&random, delay, None, false)).collect();
+    cases.push((&grid, DelayModel::uniform(), None, true));
+    cases.push((&grid, DelayModel::uniform(), Some(&churn), true));
+    cases.push((&grid, DelayModel::outage(13, 5, 2), None, false));
+    let limits = SimLimits::default();
+    for (graph, delay, faults, dense) in cases {
+        let init = |v| SendRecorder::new(graph, v);
+        let wheel = run_async_faulted(
+            graph,
+            delay.clone(),
+            faults,
+            init,
+            limits,
+            SchedulerKind::TimingWheel,
+        )
+        .expect("wheel run");
+        let wheel = full_view(wheel);
+        for kind in SHARDED {
+            let SchedulerKind::Sharded { shards, workers } = kind else { unreachable!() };
+            for threads in [ThreadMode::Off, ThreadMode::ForceOn] {
+                let options = ShardedOptions { shards, workers, threads };
+                let report = run_async_sharded_faulted_with(
+                    graph,
+                    delay.clone(),
+                    faults,
+                    init,
+                    limits,
+                    options,
+                )
+                .expect("sharded run");
+                let pooled = report.pool_dispatches > 0;
+                assert_eq!(
+                    wheel,
+                    full_view(report),
+                    "report diverged ({options:?}, {delay:?}, faults: {})",
+                    faults.is_some()
+                );
+                if dense && threads == ThreadMode::ForceOn && shards > 1 {
+                    assert!(pooled, "{options:?}, {delay:?}: the grid's waves must reach the pool");
+                }
+            }
         }
     }
 }
