@@ -8,6 +8,28 @@
 //!
 //! The spanning tree is provided as initialization data (computing it is the
 //! β synchronizer's initialization phase, which Appendix A accounts separately).
+//!
+//! # The two-pulse window
+//!
+//! A node `v` whose current pulse is `c` only ever receives algorithm messages of
+//! pulse `c` or `c + 1`, and control messages of pulse `c` alone:
+//!
+//! * a node sends its pulse-`p` messages at its pulse `p`, which it generates only
+//!   after the broadcast for `p − 1` — sent once every node, `v` included, reported
+//!   ready for `p − 1` at its pulse `p − 1`; so `c ≥ p − 1`;
+//! * `v` generates `c + 1` only on the broadcast for `c`, sent once the whole tree is
+//!   ready for `c`: every pulse-`c` message was acknowledged, hence delivered, and
+//!   every `Ready` of pulse `c` was received; so `c ≤ p`;
+//! * `Ack`, `Ready` and `NextPulse` of pulse `p` each reach a node that cannot leave
+//!   `p` before receiving it — its own message awaits the `Ack`, its report awaits
+//!   its children's `Ready`, and its advance awaits the `NextPulse` — and that
+//!   already reached `p`, so `p = c` exactly.
+//!
+//! Lost deliveries (crashes, link churn) only withhold messages, so the argument holds
+//! under any fault plan. The inboxes are therefore two slots indexed by pulse parity,
+//! slot `p mod 2` is emptied when `c` moves past `p` (making it pulse `p + 2`'s), and
+//! every access goes through `BetaSynchronizer::inbox`, which asserts the window at
+//! run time; the control handlers assert `p = c`.
 
 use ds_graph::{metrics, Graph, NodeId};
 use ds_netsim::event_driven::{canonical_batch, EventDriven, PulseCtx};
@@ -61,8 +83,9 @@ pub enum BetaMsg<M> {
     NextPulse { pulse: u64 },
 }
 
-/// Per-node β synchronizer wrapping an event-driven algorithm. Per-pulse inboxes
-/// are stored flat, indexed by the (dense) pulse number.
+/// Per-node β synchronizer wrapping an event-driven algorithm. The per-pulse inboxes
+/// are a two-slot window indexed by pulse parity (module docs), so no state grows
+/// with `max_pulse`.
 #[derive(Debug)]
 pub struct BetaSynchronizer<A: EventDriven> {
     me: NodeId,
@@ -72,7 +95,8 @@ pub struct BetaSynchronizer<A: EventDriven> {
     current: u64,
     unacked: usize,
     children_ready: usize,
-    received: Vec<Vec<(NodeId, A::Msg)>>,
+    /// Algorithm messages of pulses `current` and `current + 1`, at `pulse % 2`.
+    received: [Vec<(NodeId, A::Msg)>; 2],
     sent_at_current: bool,
     reported: bool,
 }
@@ -88,7 +112,7 @@ impl<A: EventDriven> BetaSynchronizer<A> {
             current: 0,
             unacked: 0,
             children_ready: 0,
-            received: (0..=max_pulse as usize).map(|_| Vec::new()).collect(),
+            received: [Vec::new(), Vec::new()],
             sent_at_current: false,
             reported: false,
         }
@@ -97,6 +121,32 @@ impl<A: EventDriven> BetaSynchronizer<A> {
     /// The wrapped algorithm (for extracting outputs).
     pub fn algorithm(&self) -> &A {
         &self.alg
+    }
+
+    /// The inbox of pulse `pulse`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pulse` is not `current` or `current + 1` (the window argument in
+    /// the module docs).
+    // ds-lint: hot-path
+    fn inbox(&mut self, pulse: u64) -> &mut Vec<(NodeId, A::Msg)> {
+        let c = self.current;
+        assert!(
+            pulse.wrapping_sub(c) <= 1,
+            "β: pulse {pulse} is outside the two-pulse window {{{c}, {}}}",
+            c + 1
+        );
+        &mut self.received[(pulse & 1) as usize]
+    }
+
+    /// Checks that a control message of pulse `pulse` arrived at pulse `current`.
+    fn assert_current(&self, kind: &str, pulse: u64) {
+        assert!(
+            pulse == self.current,
+            "β: {kind} of pulse {pulse} arrived at pulse {}",
+            self.current
+        );
     }
 
     fn dispatch(
@@ -149,8 +199,8 @@ impl<A: EventDriven> BetaSynchronizer<A> {
         if p >= self.max_pulse {
             return;
         }
+        let mut batch = std::mem::take(self.inbox(p));
         self.current = p + 1;
-        let mut batch = std::mem::take(&mut self.received[p as usize]);
         let triggered = !batch.is_empty() || self.sent_at_current;
         let outbox = if triggered {
             canonical_batch(&mut batch);
@@ -160,6 +210,9 @@ impl<A: EventDriven> BetaSynchronizer<A> {
         } else {
             Vec::new()
         };
+        // Keep the inbox's buffer for pulse p + 2.
+        batch.clear();
+        *self.inbox(p + 2) = batch;
         self.dispatch(p + 1, outbox, ctx);
     }
 }
@@ -174,36 +227,125 @@ impl<A: EventDriven> Protocol for BetaSynchronizer<A> {
         self.dispatch(0, outbox, ctx);
     }
 
+    // ds-lint: hot-path
     fn on_message(&mut self, from: NodeId, msg: Self::Message, ctx: &mut Ctx<Self::Message>) {
         match msg {
             BetaMsg::Alg { pulse, payload } => {
-                self.received[pulse as usize].push((from, payload));
+                self.inbox(pulse).push((from, payload));
                 ctx.send_with(from, BetaMsg::Ack { pulse }, pulse, MessageClass::Control);
             }
-            BetaMsg::Ack { pulse: _ } => {
+            BetaMsg::Ack { pulse } => {
+                self.assert_current("Ack", pulse);
                 self.unacked = self.unacked.saturating_sub(1);
                 self.try_report(ctx);
             }
-            BetaMsg::Ready { pulse: _ } => {
+            BetaMsg::Ready { pulse } => {
+                self.assert_current("Ready", pulse);
                 self.children_ready += 1;
                 self.try_report(ctx);
             }
-            BetaMsg::NextPulse { pulse: _ } => {
-                // Forward the broadcast and advance.
-                for &c in &self.tree.children[self.me.index()] {
-                    ctx.send_with(
-                        c,
-                        BetaMsg::NextPulse { pulse: self.current },
-                        self.current,
-                        MessageClass::Control,
-                    );
-                }
-                self.advance(ctx);
+            BetaMsg::NextPulse { pulse } => {
+                self.assert_current("NextPulse", pulse);
+                // Forward the broadcast and advance, as the root did.
+                self.broadcast_next(ctx);
             }
         }
     }
 
     fn is_done(&self) -> bool {
         self.alg.output().is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Sends one message to its parent at every pulse and never outputs.
+    struct Chatter;
+
+    impl EventDriven for Chatter {
+        type Msg = u64;
+        type Output = ();
+
+        fn on_init(&mut self, ctx: &mut PulseCtx<u64>) {
+            ctx.send(NodeId(0), 0);
+        }
+
+        fn on_pulse(&mut self, received: &[(NodeId, u64)], ctx: &mut PulseCtx<u64>) {
+            ctx.send(NodeId(0), received.first().map_or(0, |(_, k)| k + 1));
+        }
+
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    /// Node 1 of `path(2)`, a leaf under the root 0.
+    fn leaf(max_pulse: u64) -> BetaSynchronizer<Chatter> {
+        let tree = SpanningTree::bfs(&Graph::path(2), NodeId(0));
+        BetaSynchronizer::new(tree, NodeId(1), Chatter, max_pulse)
+    }
+
+    /// Plays the root against the leaf for `pulses` pulses, delivering each
+    /// pulse-`p + 1` message before the broadcast that lets the leaf leave `p`,
+    /// so the window's upper slot is used every pulse. Returns the leaf's
+    /// algorithm messages as `(pulse, payload)`.
+    fn drive(sync: &mut BetaSynchronizer<Chatter>, pulses: u64) -> Vec<(u64, u64)> {
+        let root = NodeId(0);
+        let mut ctx = Ctx::new(NodeId(1));
+        sync.on_start(&mut ctx);
+        sync.on_message(root, BetaMsg::Alg { pulse: 0, payload: 0 }, &mut ctx);
+        for p in 0..pulses {
+            sync.on_message(root, BetaMsg::Ack { pulse: p }, &mut ctx);
+            sync.on_message(root, BetaMsg::Alg { pulse: p + 1, payload: p + 1 }, &mut ctx);
+            sync.on_message(root, BetaMsg::NextPulse { pulse: p }, &mut ctx);
+            assert_eq!(sync.current, p + 1);
+        }
+        ctx.drain_outbox()
+            .filter_map(|o| match o.msg {
+                BetaMsg::Alg { pulse, payload } => Some((pulse, payload)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the two-pulse window")]
+    fn a_message_two_pulses_ahead_breaks_the_window() {
+        let mut sync = leaf(16);
+        let mut ctx = Ctx::new(NodeId(1));
+        sync.on_start(&mut ctx);
+        sync.on_message(NodeId(0), BetaMsg::Alg { pulse: 2, payload: 0 }, &mut ctx);
+    }
+
+    #[test]
+    #[should_panic(expected = "NextPulse of pulse 1 arrived at pulse 0")]
+    fn a_broadcast_for_another_pulse_is_rejected() {
+        let mut sync = leaf(16);
+        let mut ctx = Ctx::new(NodeId(1));
+        sync.on_start(&mut ctx);
+        sync.on_message(NodeId(0), BetaMsg::NextPulse { pulse: 1 }, &mut ctx);
+    }
+
+    #[test]
+    fn per_node_state_is_pinned() {
+        // `me`, the tree, `max_pulse`, `current` and two counters (48 bytes),
+        // the two inboxes (48) and two flags; nothing grows with `max_pulse`.
+        assert_eq!(std::mem::size_of::<BetaSynchronizer<Chatter>>(), 104);
+    }
+
+    #[test]
+    fn a_huge_pulse_bound_allocates_nothing_in_proportion() {
+        let mut small = leaf(16);
+        let mut huge = leaf(1 << 40);
+        let expected: Vec<_> = (0..=12).map(|p| (p, p)).collect();
+        assert_eq!(drive(&mut small, 12), expected);
+        assert_eq!(drive(&mut huge, 12), expected);
+        // The only heap the synchronizer owns besides the shared tree is the
+        // two inboxes' buffers.
+        let inboxes = |s: &BetaSynchronizer<Chatter>| s.received.each_ref().map(Vec::capacity);
+        assert_eq!(inboxes(&small), inboxes(&huge));
+        assert!(inboxes(&huge).iter().all(|&c| c <= 4));
     }
 }

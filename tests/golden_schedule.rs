@@ -12,7 +12,8 @@
 //! running this file against the commit above, **not** by the current code,
 //! and must never be regenerated to make a failing change pass. A schedule
 //! change that is intended has to say so and re-record them from a commit
-//! whose schedules are independently justified.
+//! whose schedules are independently justified. The four α/β outage and
+//! churn rows were recorded the same way, at a later commit named above them.
 //!
 //! Each scenario runs on every engine configuration and must reproduce
 //!
@@ -159,6 +160,23 @@ fn det_bfs<'g>(
     move |v| DetSynchronizer::new(v, BfsAlgorithm::new(graph, v, &[NodeId(0)]), cfg.clone())
 }
 
+fn alpha_bfs<'g>(
+    graph: &'g Graph,
+    max_pulse: u64,
+) -> impl Fn(NodeId) -> AlphaSynchronizer<'g, BfsAlgorithm<'g>> {
+    move |v| AlphaSynchronizer::new(graph, v, BfsAlgorithm::new(graph, v, &[NodeId(0)]), max_pulse)
+}
+
+fn beta_bfs<'g>(
+    graph: &'g Graph,
+    max_pulse: u64,
+) -> impl Fn(NodeId) -> BetaSynchronizer<BfsAlgorithm<'g>> {
+    let tree = SpanningTree::bfs(graph, NodeId(0));
+    move |v| {
+        BetaSynchronizer::new(tree.clone(), v, BfsAlgorithm::new(graph, v, &[NodeId(0)]), max_pulse)
+    }
+}
+
 #[test]
 fn det_bfs_on_a_deep_grid_under_uniform_delays() {
     // Corner-rooted BFS on 16×16 needs 30 pulses: a deep schedule (T ≥ 14),
@@ -184,7 +202,7 @@ fn alpha_bfs_on_a_torus_under_jitter() {
         &graph,
         &DelayModel::jitter(7),
         None,
-        |v| AlphaSynchronizer::new(&graph, v, BfsAlgorithm::new(&graph, v, &[NodeId(0)]), 14),
+        alpha_bfs(&graph, 14),
         &Golden { schedule: 0x3601_5a5b_9403_0681, counters: 0xaa74_8fd8_6b84_9d01 },
     );
 }
@@ -194,13 +212,12 @@ fn beta_bfs_on_a_random_regular_graph_under_floored_jitter() {
     // The 500-tick delay floor spreads each wave over half a time unit of
     // sparse ticks: many thin barriers on the sharded engine.
     let graph = Graph::random_regular(64, 4, 5);
-    let tree = SpanningTree::bfs(&graph, NodeId(0));
     check(
         "beta/regular64x4/jitter_at_least",
         &graph,
         &DelayModel::jitter_at_least(19, 0.5),
         None,
-        |v| BetaSynchronizer::new(tree.clone(), v, BfsAlgorithm::new(&graph, v, &[NodeId(0)]), 12),
+        beta_bfs(&graph, 12),
         &Golden { schedule: 0x0230_0d5b_895b_6416, counters: 0x92fc_853d_fd4d_67ff },
     );
 }
@@ -259,6 +276,71 @@ fn det_bfs_under_link_churn_and_crashes_on_dense_ticks() {
     );
     assert!(wheel.dropped_events > 0, "the fault plan must actually eat deliveries");
     assert!(wheel.max_batch > 32, "drops must land on crowded ticks");
+}
+
+// The four rows below were recorded at commit `19c140b`, the last commit whose
+// α and β kept one state slot per pulse `0 ..= max_pulse`: they pin the
+// baselines' two-pulse window (each module's docs) where it is subtlest — on
+// deliveries parked far past the horizon, and on runs that lose deliveries.
+
+#[test]
+fn alpha_bfs_under_outages_through_the_overflow_tiers() {
+    let graph = Graph::grid(8, 8);
+    let wheel = check(
+        "alpha/grid8x8/outage",
+        &graph,
+        &DelayModel::outage(11, 4, 2),
+        None,
+        alpha_bfs(&graph, 16),
+        &Golden { schedule: 0x261d_b7d4_537d_bda3, counters: 0xf1ec_d4c5_f23e_f0f4 },
+    );
+    assert_eq!(wheel.metrics.events, 4_130, "recorded with the digests");
+    assert!(wheel.overflow_events > 0, "outage delays must park events past the horizon");
+}
+
+#[test]
+fn beta_bfs_under_outages_through_the_overflow_tiers() {
+    let graph = Graph::grid(8, 8);
+    let wheel = check(
+        "beta/grid8x8/outage",
+        &graph,
+        &DelayModel::outage(11, 4, 2),
+        None,
+        beta_bfs(&graph, 16),
+        &Golden { schedule: 0x4ef3_d0c0_e741_898a, counters: 0x9bce_4f42_ed18_0fba },
+    );
+    assert_eq!(wheel.metrics.events, 2_464, "recorded with the digests");
+    assert!(wheel.overflow_events > 0, "outage delays must park events past the horizon");
+}
+
+#[test]
+fn alpha_bfs_under_link_churn_and_crashes() {
+    let graph = Graph::grid(8, 8);
+    let wheel = check(
+        "alpha/grid8x8/churn+crash/jitter5",
+        &graph,
+        &DelayModel::jitter(5),
+        Some(&churn_and_crash(&graph)),
+        alpha_bfs(&graph, 16),
+        &Golden { schedule: 0x89ec_d295_0556_bed0, counters: 0xd1b2_b5b8_668a_910e },
+    );
+    assert_eq!(wheel.metrics.events, 912, "recorded with the digests");
+    assert!(wheel.dropped_events > 0, "the fault plan must actually eat deliveries");
+}
+
+#[test]
+fn beta_bfs_under_link_churn_and_crashes() {
+    let graph = Graph::grid(8, 8);
+    let wheel = check(
+        "beta/grid8x8/churn+crash/jitter5",
+        &graph,
+        &DelayModel::jitter(5),
+        Some(&churn_and_crash(&graph)),
+        beta_bfs(&graph, 16),
+        &Golden { schedule: 0xd353_bad7_5e59_e086, counters: 0x5c15_446d_a6f6_615e },
+    );
+    assert_eq!(wheel.metrics.events, 64, "recorded with the digests");
+    assert!(wheel.dropped_events > 0, "the fault plan must actually eat deliveries");
 }
 
 /// One family's 7 recorded scenario counts (see the module docs); per-kind
