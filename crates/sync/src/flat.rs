@@ -1,11 +1,13 @@
 //! Flat, allocation-light containers for the synchronizers' per-node state.
 //!
 //! The synchronizer state that is keyed at all is keyed by pulses bounded by the
-//! pulse bound `T(A)` — a node's few virtual nodes and received batches. At those
-//! sizes, sorted vectors with binary search ([`FlatMap`]) and dense bit vectors
-//! ([`PulseSet`]) beat `BTreeMap`/`BTreeSet` by a wide margin on the simulation hot
-//! path, and keep the per-node memory contiguous. (Per-stage state is not keyed:
-//! it lives in dense rows addressed by precomputed positions, DESIGN.md §3.4.)
+//! pulse bound `T(A)` — a node's few virtual nodes and received batches, and
+//! the sets of pulses it is triggered at, has processed or may start. Sorted
+//! vectors with binary search ([`FlatMap`]) and bit sets packed 64 pulses to a
+//! word ([`PulseSet`]: `T/8` bytes each) beat `BTreeMap`/`BTreeSet` by a wide
+//! margin on the simulation hot path, and keep the per-node memory contiguous.
+//! (Per-stage state is not keyed: it lives in dense rows addressed by
+//! precomputed positions, DESIGN.md §3.4.)
 
 use std::cell::Cell;
 
@@ -89,6 +91,11 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
         self.entries.iter().map(|(k, _)| *k)
     }
+
+    /// Bytes of the entry buffer (its capacity, not its length).
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(K, V)>()
+    }
 }
 
 impl<K: Ord + Copy, V: Default> FlatMap<K, V> {
@@ -99,13 +106,15 @@ impl<K: Ord + Copy, V: Default> FlatMap<K, V> {
     }
 }
 
-/// A dense set of pulses `0 ..= bound`, with an `O(1)` amortized minimum query.
+/// A set of pulses `0 ..= bound`, one bit per pulse, with an `O(1)` amortized
+/// minimum query.
 ///
-/// Backed by a bit vector sized to the synchronizer's pulse bound; `min()` scans
-/// from a monotone hint that only ever moves right past removed pulses.
+/// Backed by `u64` words sized to the synchronizer's pulse bound; `min()` scans
+/// words from a monotone hint that only ever moves right past removed pulses,
+/// skipping 64 absent pulses per word.
 #[derive(Clone, Debug, Default)]
 pub struct PulseSet {
-    bits: Vec<bool>,
+    words: Vec<u64>,
     count: usize,
     /// Lower bound on the smallest set pulse (a hint; never overshoots).
     first_hint: Cell<usize>,
@@ -114,7 +123,8 @@ pub struct PulseSet {
 impl PulseSet {
     /// Creates an empty set able to hold pulses `0 ..= bound` without resizing.
     pub fn with_bound(bound: u64) -> Self {
-        PulseSet { bits: vec![false; bound as usize + 1], count: 0, first_hint: Cell::new(0) }
+        let words = (bound as usize / 64) + 1;
+        PulseSet { words: vec![0; words], count: 0, first_hint: Cell::new(0) }
     }
 
     /// Number of pulses in the set.
@@ -129,36 +139,34 @@ impl PulseSet {
 
     /// Inserts pulse `p`; returns `true` if it was not present. Grows if needed.
     pub fn insert(&mut self, p: u64) -> bool {
-        let i = p as usize;
-        if i >= self.bits.len() {
-            self.bits.resize(i + 1, false);
+        let (w, bit) = (p as usize / 64, 1u64 << (p % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
         }
-        if self.bits[i] {
+        if self.words[w] & bit != 0 {
             return false;
         }
-        self.bits[i] = true;
+        self.words[w] |= bit;
         self.count += 1;
-        if i < self.first_hint.get() {
-            self.first_hint.set(i);
+        if (p as usize) < self.first_hint.get() {
+            self.first_hint.set(p as usize);
         }
         true
     }
 
     /// Removes pulse `p`; returns `true` if it was present.
     pub fn remove(&mut self, p: u64) -> bool {
-        let i = p as usize;
-        if i >= self.bits.len() || !self.bits[i] {
+        if !self.contains(p) {
             return false;
         }
-        self.bits[i] = false;
+        self.words[p as usize / 64] &= !(1u64 << (p % 64));
         self.count -= 1;
         true
     }
 
     /// Whether pulse `p` is in the set.
     pub fn contains(&self, p: u64) -> bool {
-        let i = p as usize;
-        i < self.bits.len() && self.bits[i]
+        self.words.get(p as usize / 64).is_some_and(|w| w & (1u64 << (p % 64)) != 0)
     }
 
     /// The smallest pulse in the set.
@@ -166,18 +174,36 @@ impl PulseSet {
         if self.count == 0 {
             return None;
         }
-        let mut i = self.first_hint.get();
-        while i < self.bits.len() && !self.bits[i] {
-            i += 1;
+        let hint = self.first_hint.get();
+        let mut w = hint / 64;
+        // Bits below the hint are known clear; mask them off the first word.
+        let mut word = self.words[w] & (!0u64 << (hint % 64));
+        while word == 0 {
+            w += 1;
+            word = self.words[w];
         }
+        let i = w * 64 + word.trailing_zeros() as usize;
         self.first_hint.set(i);
-        debug_assert!(i < self.bits.len(), "count is positive so a bit must be set");
         Some(i as u64)
     }
 
     /// Iterates over the set pulses in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.bits.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i as u64)
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    (w * 64 + bit) as u64
+                })
+            })
+        })
+    }
+
+    /// Bytes of the bit words (their capacity, not their length).
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -230,5 +256,56 @@ mod tests {
         // Out-of-bound inserts grow the backing store.
         s.insert(64);
         assert!(s.contains(64));
+    }
+
+    #[test]
+    fn pulse_set_packs_sixty_four_pulses_per_word() {
+        assert_eq!(PulseSet::with_bound(63).heap_bytes(), 8);
+        assert_eq!(PulseSet::with_bound(64).heap_bytes(), 16);
+        assert_eq!(PulseSet::with_bound(2_049).heap_bytes(), 33 * 8);
+    }
+
+    #[test]
+    fn pulse_set_matches_a_btree_set_oracle() {
+        use std::collections::BTreeSet;
+        let mut set = PulseSet::with_bound(100);
+        let mut oracle = BTreeSet::new();
+        let check = |set: &PulseSet, oracle: &BTreeSet<u64>, what: &str| {
+            assert_eq!(set.min(), oracle.first().copied(), "{what}: min");
+            assert_eq!(set.len(), oracle.len(), "{what}: len");
+            assert_eq!(set.is_empty(), oracle.is_empty(), "{what}: is_empty");
+            assert!(set.iter().eq(oracle.iter().copied()), "{what}: iter");
+        };
+        // Word edges, then past the bound (the set grows), then removals that
+        // walk the minimum up across words.
+        for p in [63, 64, 0, 127, 128, 100, 101, 250, 64] {
+            assert_eq!(set.insert(p), oracle.insert(p), "insert {p}");
+            check(&set, &oracle, &format!("after insert {p}"));
+        }
+        for p in [0, 0, 63, 200, 64, 100] {
+            assert_eq!(set.remove(p), oracle.remove(&p), "remove {p}");
+            check(&set, &oracle, &format!("after remove {p}"));
+        }
+        // A seeded random walk: inserts up to three times the bound, removals
+        // of random pulses and of the current minimum.
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        for step in 0..4_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let p = (x >> 33) % 300;
+            match (x >> 20) % 4 {
+                0 | 1 => assert_eq!(set.insert(p), oracle.insert(p), "step {step}"),
+                2 => assert_eq!(set.remove(p), oracle.remove(&p), "step {step}"),
+                _ => {
+                    let min = set.min();
+                    assert_eq!(min, oracle.pop_first(), "step {step}");
+                    if let Some(m) = min {
+                        assert!(set.remove(m));
+                    }
+                }
+            }
+            assert_eq!(set.contains(p), oracle.contains(&p), "step {step}: contains {p}");
+            assert_eq!(set.min(), oracle.first().copied(), "step {step}: min");
+        }
+        check(&set, &oracle, "after the walk");
     }
 }

@@ -117,8 +117,6 @@ pub struct SynchronizerConfig {
     pub covers: LayeredSparseCover,
     stages: Vec<StageInfo>,
     base_cover_levels: Vec<usize>,
-    /// Base stages (anchored at pulse 0), ascending.
-    base_stage_list: Vec<u64>,
     /// `tracked[q]`: stages `s` with `prev(prev(s)) ≤ q < s`, ascending.
     tracked: Vec<Vec<u64>>,
     /// `with_prev[s]`: non-base stages `p` with `prev(p) = s`, ascending.
@@ -168,7 +166,6 @@ impl SynchronizerConfig {
         let mut stages = Vec::with_capacity(max_pulse as usize + 1);
         stages.push(StageInfo { prev: 0, prev_prev: 0, cover_idx: 0, slot_base: 0 }); // unused slot 0
         let mut base_levels = BTreeSet::new();
-        let mut base_stage_list = Vec::new();
         let mut tracked = vec![Vec::new(); max_pulse as usize + 1];
         let mut with_prev = vec![Vec::new(); max_pulse as usize + 1];
         let mut slots = Vec::new();
@@ -183,7 +180,6 @@ impl SynchronizerConfig {
             };
             if info.prev_prev == 0 {
                 base_levels.insert(cover_idx);
-                base_stage_list.push(p);
             } else {
                 with_prev[info.prev as usize].push(p);
             }
@@ -200,7 +196,6 @@ impl SynchronizerConfig {
             covers,
             stages,
             base_cover_levels: base_levels.into_iter().collect(),
-            base_stage_list,
             tracked,
             with_prev,
             slots,
@@ -216,9 +211,11 @@ impl SynchronizerConfig {
         self.stage(p).cover_idx
     }
 
-    /// Base stages (anchored at pulse 0) up to the pulse bound.
+    /// Base stages (anchored at pulse 0) up to the pulse bound, ascending: the
+    /// stages `s` with `prev(prev(s)) = 0`, which are exactly the stages a
+    /// pulse-0 virtual node tracks.
     fn base_stages(&self) -> &[u64] {
-        &self.base_stage_list
+        self.stages_tracked(0)
     }
 
     /// Stages `p` with `prev(p) == s` (their registration is triggered by `s`-safety).
@@ -363,15 +360,87 @@ enum RegCall {
 /// `stage_row` / `barrier_a_row` entry of a row that does not exist (yet).
 const NO_ROW: u32 = u32::MAX;
 
+/// What a [`Work::Stages`] item does for each stage `s` it names, at the
+/// virtual node of pulse `q`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum StageOp {
+    /// Re-evaluate the virtual node's `s`-safety and what hangs on it.
+    Recompute,
+    /// Record the Go-Ahead for `s` and pass it on.
+    GoAhead,
+    /// The virtual node's self-child (pulse `q + 1`) reported `s`-safety.
+    SafeFromSelfChild,
+    /// Re-check this node's phase-B barriers of base stage `s` (`q = 0`).
+    BarrierB,
+}
+
 /// Internal work items, processed by [`DetSynchronizer::drain_work`].
+///
+/// Per-stage work is one *range* item per run of stages: `Stages` names a
+/// set of stages of `stages_tracked(q)` by a mask, so a loop that queues one
+/// operation per tracked (or base) stage queues one item. `drain_work` pops
+/// a range, puts its remainder back at the *front*, then runs the head:
+/// whatever the head pushes lands behind the remainder, exactly where the
+/// unrolled items sat, so the processing order — and with it every send and
+/// the schedule — is the unrolled queue's (DESIGN.md §3.4). For the same
+/// reason a push merges into the queue's back item when it only extends that
+/// item's run (same operation and pulse, a later stage). A range's stages are
+/// fixed when it is pushed, never read from state when it is popped.
 #[derive(Clone, Debug)]
 enum Work {
     RecomputeComplete(u64),
-    RecomputeStage(u64, u64),
-    GoAhead(u64, u64),
-    ReportSafeInternal { parent_pulse: u64, stage: u64 },
+    /// `op` at the pulse-`q` virtual node for each stage
+    /// `stages_tracked(q)[base + i]` with bit `i` of `mask` set, ascending.
+    Stages {
+        op: StageOp,
+        q: u64,
+        base: u32,
+        mask: u64,
+    },
     TryProcess,
-    BarrierBCheck(u64),
+}
+
+/// Queues `op` on stage `stages_tracked(q)[slot]`, merged into the back item if
+/// that item is a run of the same `op` and `q` that this stage extends (same
+/// 64-slot word, every set bit below `slot`): the merged item runs its stages
+/// in ascending order, so this stage still runs last.
+// ds-lint: hot-path
+fn push_slot(work: &mut VecDeque<Work>, op: StageOp, q: u64, slot: usize) {
+    let base = (slot - slot % 64) as u32;
+    let bit = 1u64 << (slot % 64);
+    if let Some(Work::Stages { op: o, q: bq, base: bb, mask }) = work.back_mut() {
+        if *o == op && *bq == q && *bb == base && bit > *mask {
+            *mask |= bit;
+            return;
+        }
+    }
+    work.push_back(Work::Stages { op, q, base, mask: bit });
+}
+
+/// Queues `op` on all `width` stages of `stages_tracked(q)`, in order: one item
+/// per 64 stages (one item at every bound the repo runs; 46 stages are tracked
+/// at `T = 2^16`). The run starts at slot 0, so it never extends the back item.
+fn push_run(work: &mut VecDeque<Work>, op: StageOp, q: u64, width: usize) {
+    for base in (0..width).step_by(64) {
+        let mask = u64::MAX >> (64 - (width - base).min(64));
+        work.push_back(Work::Stages { op, q, base: base as u32, mask });
+    }
+}
+
+/// Pops the next unrolled item: a `Stages` range yields its lowest stage as a
+/// one-bit item, and the rest of the range goes back to the *front*, so
+/// whatever that stage's operation pushes lands behind it.
+// ds-lint: hot-path
+fn pop_work(work: &mut VecDeque<Work>) -> Option<Work> {
+    let item = work.pop_front()?;
+    if let Work::Stages { op, q, base, mask } = item {
+        let rest = mask & (mask - 1);
+        if rest != 0 {
+            work.push_front(Work::Stages { op, q, base, mask: rest });
+        }
+        return Some(Work::Stages { op, q, base, mask: mask ^ rest });
+    }
+    Some(item)
 }
 
 /// The synchronizer protocol run by every node: wraps one instance of the event-driven
@@ -467,6 +536,43 @@ impl<A: EventDriven> DetSynchronizer<A> {
     /// execution; exposed for the test suite).
     pub fn ordering_violations(&self) -> u64 {
         self.ordering_violations
+    }
+
+    /// Bytes this node's synchronizer state holds: `size_of::<Self>()` plus the
+    /// capacity of every buffer it owns (not its length). The wrapped
+    /// algorithm's own heap and the shared configuration are not counted.
+    #[doc(hidden)]
+    pub fn state_bytes(&self) -> usize {
+        self.state_bytes_by_field().iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// [`state_bytes`](Self::state_bytes) split by field; `"inline"` is
+    /// `size_of::<Self>()`, every other entry a field's heap buffers.
+    #[doc(hidden)]
+    pub fn state_bytes_by_field(&self) -> [(&'static str, usize); 17] {
+        fn heap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let batches: usize = self.received.iter().map(|(_, batch)| heap(batch)).sum();
+        [
+            ("inline", std::mem::size_of::<Self>()),
+            ("received", self.received.heap_bytes() + batches),
+            ("pending_triggers", self.pending_triggers.heap_bytes()),
+            ("processed", self.processed.heap_bytes()),
+            ("goahead_recv", self.goahead_recv.heap_bytes()),
+            ("vnodes", self.vnodes.heap_bytes()),
+            ("vstages", heap(&self.vstages)),
+            ("anchors", heap(&self.anchors)),
+            ("recipients", heap(&self.recipients)),
+            ("init_sends", heap(&self.init_sends)),
+            ("stage_row", heap(&self.stage_row)),
+            ("reg_cells", heap(&self.reg_cells)),
+            ("reg_marks", heap(&self.reg_marks)),
+            ("reg_actions", heap(&self.reg_actions)),
+            ("barrier_a_row", heap(&self.barrier_a_row)),
+            ("barriers", heap(&self.barriers)),
+            ("work", self.work.capacity() * std::mem::size_of::<Work>()),
+        ]
     }
 
     /// Diagnostic dump of the node's stall-relevant state (for debugging deadlocks).
@@ -709,11 +815,11 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 st.gate_pending -= 1;
             }
         }
-        self.work.push_back(Work::RecomputeStage(anchor_pulse, gate_stage));
+        self.push_stage(StageOp::Recompute, anchor_pulse, gate_stage);
         if fully_registered {
             // A deregistration may have been requested while registrations were in
             // flight; re-evaluate the anchor's own stage safety to trigger it.
-            self.work.push_back(Work::RecomputeStage(anchor_pulse, stage));
+            self.push_stage(StageOp::Recompute, anchor_pulse, stage);
         }
     }
 
@@ -732,7 +838,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
             }
         }
         if done {
-            self.work.push_back(Work::GoAhead(anchor_pulse, stage));
+            self.push_stage(StageOp::GoAhead, anchor_pulse, stage);
         }
     }
 
@@ -793,11 +899,13 @@ impl<A: EventDriven> DetSynchronizer<A> {
             let row = parent.row as usize;
             self.work.push_back(Work::RecomputeComplete(p - 1));
             if inherit {
-                // The new child inherits the parent's Go-Aheads for later stages.
-                let tracked = self.cfg.stages_tracked(p - 1);
-                for (&s, st) in tracked.iter().zip(&self.vstages[row..]) {
+                // The new child inherits the parent's Go-Aheads for later stages
+                // (`prev(prev(s)) ≤ p − 1 < p < s`: pulse `p` tracks each of them).
+                let cfg = &*self.cfg;
+                for (&s, st) in cfg.stages_tracked(p - 1).iter().zip(&self.vstages[row..]) {
                     if st.goahead && s > p {
-                        self.work.push_back(Work::GoAhead(p, s));
+                        let slot = cfg.tracked_slot(p, s).expect("p tracks the later stages");
+                        push_slot(&mut self.work, StageOp::GoAhead, p, slot);
                     }
                 }
             }
@@ -807,9 +915,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         self.max_processed = Some(self.max_processed.map_or(p, |m| m.max(p)));
         if created {
             // Newly created virtual nodes may already be safe for near stages.
-            for &s in self.cfg.stages_tracked(p) {
-                self.work.push_back(Work::RecomputeStage(p, s));
-            }
+            self.push_all_stages(StageOp::Recompute, p);
         }
     }
 
@@ -821,16 +927,11 @@ impl<A: EventDriven> DetSynchronizer<A> {
         let complete = v.sent_all && v.unacked == 0 && v.undecided == 0;
         if complete && !v.complete {
             v.complete = true;
-            for &s in self.cfg.stages_tracked(q) {
-                self.work.push_back(Work::RecomputeStage(q, s));
-            }
+            self.push_all_stages(StageOp::Recompute, q);
         } else if !complete {
-            // An ack may still flip pulse-(s-1) safety even before completeness.
-            for &s in self.cfg.stages_tracked(q) {
-                if q == s - 1 {
-                    self.work.push_back(Work::RecomputeStage(q, s));
-                }
-            }
+            // An ack may still flip stage-(q + 1) safety — the only tracked stage
+            // `s` with `q == s − 1` — even before completeness.
+            self.push_stage(StageOp::Recompute, q, q + 1);
         }
     }
 
@@ -888,7 +989,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         // the deregistration trigger (or, for base stages, the phase-B contribution).
         if q == info_anchor {
             if info_anchor == 0 {
-                self.work.push_back(Work::BarrierBCheck(s));
+                self.push_stage(StageOp::BarrierB, 0, s);
             }
             let a = &mut self.anchors[at];
             if a.anchored {
@@ -922,7 +1023,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 MessageClass::Control,
             );
         } else if v.self_parent {
-            self.work.push_back(Work::ReportSafeInternal { parent_pulse: q - 1, stage: s });
+            self.push_stage(StageOp::SafeFromSelfChild, q - 1, s);
         }
     }
 
@@ -966,8 +1067,9 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 let msg = SyncMsg::GoAheadExec { stage: s, sender_pulse: q };
                 ctx.send_with(NodeId(r.node as usize), msg, s, MessageClass::Control);
             }
-            if v.child_self {
-                self.work.push_back(Work::GoAhead(q + 1, s));
+            // `prev(prev(s)) ≤ q < q + 1 < s`: the self-child tracks `s`.
+            if let Some(slot) = self.cfg.tracked_slot(q + 1, s).filter(|_| v.child_self) {
+                push_slot(&mut self.work, StageOp::GoAhead, q + 1, slot);
             }
         }
         if q + 1 == s {
@@ -984,6 +1086,11 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     fn setup_barriers(&mut self, ctx: &mut SCtx<A>) {
         let cfg = &*self.cfg;
+        // Both phases' rows are reserved exactly: the arena never grows again.
+        let rows_a = cfg.base_cover_levels.iter().map(|&idx| cfg.covers.level(idx));
+        let rows_b = cfg.base_stages().iter().map(|&stage| cfg.stage_cover(stage));
+        let rows = rows_a.chain(rows_b).map(|cover| cover.tree_clusters_of(self.me).len()).sum();
+        self.barriers.reserve_exact(rows);
         // Phase A: one barrier per (base cover level, cluster tree containing me).
         for &idx in &cfg.base_cover_levels {
             let cover = cfg.covers.level(idx);
@@ -1007,9 +1114,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
             i += 1;
         }
         // Kick off phase B where this node has nothing to wait for.
-        for &stage in self.cfg.base_stages() {
-            self.work.push_back(Work::BarrierBCheck(stage));
-        }
+        self.push_all_stages(StageOp::BarrierB, 0);
         if self.is_initiator && self.init_barrier_pending == 0 {
             self.release_initiator_sends(ctx);
         }
@@ -1064,9 +1169,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
             self.send(ctx, to, SyncMsg::Alg { pulse: 0, payload }, 0, MessageClass::Algorithm);
         }
         self.work.push_back(Work::RecomputeComplete(0));
-        for &s in self.cfg.stages_tracked(0) {
-            self.work.push_back(Work::RecomputeStage(0, s));
-        }
+        self.push_all_stages(StageOp::Recompute, 0);
     }
 
     /// Re-evaluates all of this node's phase-B contributions for base stage `stage`
@@ -1123,17 +1226,32 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 .zip(&self.barriers[row..])
                 .all(|(pos, state)| !pos.is_member || state.done);
             if all_done {
-                self.work.push_back(Work::GoAhead(0, stage));
+                self.push_stage(StageOp::GoAhead, 0, stage);
             }
         }
     }
 
     // ----- work queue ------------------------------------------------------------------
 
+    /// Queues `op` on stage `s` at the pulse-`q` virtual node. A stage `q` does
+    /// not track has no state there and its item would do nothing, so it is
+    /// not queued.
+    // ds-lint: hot-path
+    fn push_stage(&mut self, op: StageOp, q: u64, s: u64) {
+        if let Some(slot) = self.cfg.tracked_slot(q, s) {
+            push_slot(&mut self.work, op, q, slot);
+        }
+    }
+
+    /// Queues `op` on every stage the pulse-`q` virtual node tracks, in order.
+    fn push_all_stages(&mut self, op: StageOp, q: u64) {
+        push_run(&mut self.work, op, q, self.cfg.stages_tracked(q).len());
+    }
+
     // ds-lint: hot-path
     fn drain_work(&mut self, ctx: &mut SCtx<A>) {
         let mut guard = 0u64;
-        while let Some(item) = self.work.pop_front() {
+        while let Some(item) = pop_work(&mut self.work) {
             guard += 1;
             assert!(
                 guard < 10_000_000,
@@ -1141,21 +1259,35 @@ impl<A: EventDriven> DetSynchronizer<A> {
             );
             match item {
                 Work::RecomputeComplete(q) => self.recompute_complete(q),
-                Work::RecomputeStage(q, s) => {
-                    self.maybe_flush_anchor(ctx, q, s);
-                    self.recompute_stage(ctx, q, s);
-                    self.flush_safety_report(ctx, q, s);
-                }
-                Work::GoAhead(q, s) => self.record_goahead(ctx, q, s),
-                Work::ReportSafeInternal { parent_pulse, stage } => {
-                    if let Some((at, _)) = self.stage_at(parent_pulse, stage) {
-                        self.vstages[at].safe_self_child = true;
-                    }
-                    self.work.push_back(Work::RecomputeStage(parent_pulse, stage));
+                // ds-lint: hot-path
+                Work::Stages { op, q, base, mask } => {
+                    // One stage: `pop_work` put the rest of the range back.
+                    let s =
+                        self.cfg.stages_tracked(q)[base as usize + mask.trailing_zeros() as usize];
+                    self.run_stage_op(ctx, op, q, s);
                 }
                 Work::TryProcess => self.try_process(ctx),
-                Work::BarrierBCheck(stage) => self.barrier_b_check(ctx, stage),
             }
+        }
+    }
+
+    /// Runs `op` on stage `s` at the pulse-`q` virtual node.
+    // ds-lint: hot-path
+    fn run_stage_op(&mut self, ctx: &mut SCtx<A>, op: StageOp, q: u64, s: u64) {
+        match op {
+            StageOp::Recompute => {
+                self.maybe_flush_anchor(ctx, q, s);
+                self.recompute_stage(ctx, q, s);
+                self.flush_safety_report(ctx, q, s);
+            }
+            StageOp::GoAhead => self.record_goahead(ctx, q, s),
+            StageOp::SafeFromSelfChild => {
+                if let Some((at, _)) = self.stage_at(q, s) {
+                    self.vstages[at].safe_self_child = true;
+                }
+                self.push_stage(StageOp::Recompute, q, s);
+            }
+            StageOp::BarrierB => self.barrier_b_check(ctx, s),
         }
     }
 }
@@ -1234,10 +1366,10 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
                 if let Some((at, _)) = self.stage_at(parent_pulse, stage) {
                     self.vstages[at].safe_children += 1;
                 }
-                self.work.push_back(Work::RecomputeStage(parent_pulse, stage));
+                self.push_stage(StageOp::Recompute, parent_pulse, stage);
             }
             SyncMsg::GoAheadExec { stage, sender_pulse } => {
-                self.work.push_back(Work::GoAhead(sender_pulse + 1, stage));
+                self.push_stage(StageOp::GoAhead, sender_pulse + 1, stage);
             }
             SyncMsg::GoAheadRecipient { stage } => {
                 self.goahead_recv.insert(stage);
@@ -1303,6 +1435,7 @@ mod tests {
     use super::*;
     use ds_netsim::async_engine::{run_async_faulted, SimLimits};
     use ds_netsim::delay::DelayModel;
+    use ds_netsim::sync_engine::run_sync;
     use ds_netsim::SchedulerKind;
 
     #[derive(Debug)]
@@ -1352,6 +1485,137 @@ mod tests {
         );
         assert!(size_of::<Recipient>() <= 8, "Recipient is {} bytes", size_of::<Recipient>());
         assert!(size_of::<VNode>() <= 48, "VNode is {} bytes", size_of::<VNode>());
+    }
+
+    #[test]
+    fn per_node_state_is_pinned() {
+        // `me`, the shared config and the algorithm (56 bytes, 40 of them
+        // `Flood`), two maps and ten row/arena vectors (288), three pulse sets
+        // (120), the work queue (32) and five scalars (40). The buffers behind
+        // them are `state_bytes`' business; `tests/perf_smoke.rs` budgets them.
+        assert_eq!(std::mem::size_of::<DetSynchronizer<Flood<'static>>>(), 536);
+        assert_eq!(std::mem::size_of::<Work>(), 24);
+    }
+
+    /// Runs `make` under a det synchronizer with pulse bound `bound` and
+    /// returns every node's work-queue capacity: the queue starts unallocated
+    /// and only ever grows, by doubling from 4, so its final capacity bounds
+    /// the most items it ever held.
+    fn work_queue_capacities<A: EventDriven>(
+        graph: &Graph,
+        bound: u64,
+        make: impl Fn(NodeId) -> A,
+    ) -> Vec<usize> {
+        let cfg = SynchronizerConfig::build(graph, bound);
+        let report = run_async_faulted(
+            graph,
+            DelayModel::jitter(9),
+            None,
+            |v| DetSynchronizer::new(v, make(v), cfg.clone()),
+            SimLimits::default(),
+            SchedulerKind::TimingWheel,
+        )
+        .expect("run");
+        assert!(
+            report.nodes.iter().all(|n| n.algorithm().output().is_some()),
+            "every node outputs"
+        );
+        assert_eq!(collect_outputs(&report.nodes).ordering_violations, 0);
+        report.nodes.iter().map(|n| n.work.capacity()).collect()
+    }
+
+    /// Range items keep a node's work queue at a few items: one per run of
+    /// stages, not one per tracked or base stage, whatever the pulse bound.
+    ///
+    /// Most items held, BFS (this module's `Flood`, from node 0) / digest flood
+    /// (K = 12), at T(A) and 16·T(A): 2 / 3 and 2 / 9, against 13 / 11 and
+    /// 25 / 41 with one item per stage. The digest flood at 16·T(A) is the one
+    /// case above 8: every node is its own execution-tree parent there, so a
+    /// run of up to 21 tracked stages turning safe at once interleaves self-child
+    /// reports with Go-Aheads and registration re-checks, and runs that
+    /// interleave cannot merge without reordering the queue.
+    #[test]
+    fn work_queue_high_water_mark_stays_small() {
+        let graph = Graph::grid(16, 16);
+        let bfs = |v| Flood { me: v, neighbors: graph.neighbors(v), hops: None };
+        let digest = |v| ds_verify::DigestFlood::new(&graph, v, 12);
+        let t_bfs = run_sync(&graph, bfs, 1_000).expect("sync").rounds_to_quiescence;
+        let t_digest = run_sync(&graph, digest, 1_000).expect("sync").rounds_to_quiescence;
+        for (mult, bfs_limit, digest_limit) in [(1, 8, 8), (16, 8, 16)] {
+            let bfs_caps = work_queue_capacities(&graph, mult * t_bfs, bfs);
+            let digest_caps = work_queue_capacities(&graph, mult * t_digest, digest);
+            for (what, caps, limit) in
+                [("bfs", bfs_caps, bfs_limit), ("digest", digest_caps, digest_limit)]
+            {
+                let peak = caps.iter().copied().max().expect("nodes");
+                assert!(
+                    peak <= limit,
+                    "{what} at {mult}·T(A): a work queue reached capacity {peak} (limit {limit})"
+                );
+            }
+        }
+    }
+
+    /// The range queue pops exactly the items an unrolled queue (one item per
+    /// stage, plain FIFO) would, under any interleaving of single pushes,
+    /// whole runs, other items and pops: the order argument of DESIGN.md §3.4,
+    /// checked against its oracle. Pushing a range's remainder at the back
+    /// instead of the front fails here; no schedule in the integration suites
+    /// has told the two apart.
+    #[test]
+    fn range_items_pop_in_unrolled_fifo_order() {
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Unrolled {
+            Stage(StageOp, u64, usize),
+            Complete(u64),
+            Try,
+        }
+        fn unroll(item: Work) -> Unrolled {
+            match item {
+                Work::Stages { op, q, base, mask } => {
+                    assert_eq!(mask.count_ones(), 1, "pop_work yields one stage");
+                    Unrolled::Stage(op, q, base as usize + mask.trailing_zeros() as usize)
+                }
+                Work::RecomputeComplete(q) => Unrolled::Complete(q),
+                Work::TryProcess => Unrolled::Try,
+            }
+        }
+        let ops = [StageOp::Recompute, StageOp::GoAhead, StageOp::SafeFromSelfChild];
+        let mut work = VecDeque::new();
+        let mut oracle = VecDeque::new();
+        let mut most = 0;
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for step in 0..20_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let (op, q, n) = (ops[(x >> 40) as usize % 3], (x >> 44) % 3, (x >> 48) as usize % 70);
+            match (x >> 33) % 10 {
+                0..=3 => {
+                    assert_eq!(pop_work(&mut work).map(unroll), oracle.pop_front(), "step {step}")
+                }
+                4..=6 => {
+                    push_slot(&mut work, op, q, n);
+                    oracle.push_back(Unrolled::Stage(op, q, n));
+                }
+                7 => {
+                    push_run(&mut work, op, q, n + 1);
+                    oracle.extend((0..=n).map(|slot| Unrolled::Stage(op, q, slot)));
+                }
+                8 => {
+                    work.push_back(Work::RecomputeComplete(q));
+                    oracle.push_back(Unrolled::Complete(q));
+                }
+                _ => {
+                    work.push_back(Work::TryProcess);
+                    oracle.push_back(Unrolled::Try);
+                }
+            }
+            most = most.max(work.len());
+        }
+        while let Some(item) = oracle.pop_front() {
+            assert_eq!(pop_work(&mut work).map(unroll), Some(item));
+        }
+        assert!(work.is_empty());
+        assert!(most >= 8, "the walk must keep several items queued behind a range");
     }
 
     #[test]

@@ -20,12 +20,18 @@
 //! 3. **Sanitizer CI** — ThreadSanitizer over the threaded sharded tests and
 //!    Miri over the core `ds-netsim` data structures, wired in the `analysis`
 //!    workflow job (see `.github/workflows/ci.yml`), outside the tier-1 path.
+//!
+//! It also holds [`digest`], a test algorithm whose output depends on every
+//! message a node receives, for integration tests that must see a
+//! synchronizer deliver a message twice or not at all.
 
 #![forbid(unsafe_code)]
 
+pub mod digest;
 pub mod hb;
 pub mod lint;
 pub mod source;
 
+pub use digest::DigestFlood;
 pub use hb::{check_equivalence, check_trace, HbReport, HbViolation};
 pub use lint::{lint_files, lint_source, self_test, Finding, Rule};

@@ -13,7 +13,9 @@
 //! and must never be regenerated to make a failing change pass. A schedule
 //! change that is intended has to say so and re-record them from a commit
 //! whose schedules are independently justified. The four α/β outage and
-//! churn rows were recorded the same way, at a later commit named above them.
+//! churn rows, the det BFS rows from sources other than node 0 and the
+//! digest-flood rows were recorded the same way, each at a later commit
+//! named above them.
 //!
 //! Each scenario runs on every engine configuration and must reproduce
 //!
@@ -32,6 +34,7 @@
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::netsim::protocol::Protocol;
+use det_synchronizer::netsim::sync_engine::run_sync;
 use det_synchronizer::netsim::{
     run_async_faulted_traced, run_async_recycled, run_async_sharded_faulted_traced_with,
     AsyncReport, DeliveryTrace, EngineSlab, MessageClass, ShardedOptions, ThreadMode,
@@ -41,6 +44,7 @@ use det_synchronizer::prelude::*;
 use det_synchronizer::sync::alpha::AlphaSynchronizer;
 use det_synchronizer::sync::beta::{BetaSynchronizer, SpanningTree};
 use det_synchronizer::sync::service::{ServiceRequest, SessionPool};
+use ds_verify::DigestFlood;
 
 /// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
 struct Fnv(u64);
@@ -413,4 +417,172 @@ fn recorded_event_counts_hold_on_both_engines_and_through_the_pool() {
             assert_eq!(events, batch_events, "{family}: batch of 8 over {workers} workers");
         }
     }
+}
+
+// The rows below were recorded at commit `9e65c25`, before the det
+// synchronizer's work queue took range items and its pulse sets went
+// bit-packed; both changes keep every schedule, so these rows must not move.
+
+/// Det BFS from `source` (every golden row above starts at node 0).
+fn det_bfs_from<'g>(
+    graph: &'g Graph,
+    source: NodeId,
+    max_pulse: u64,
+) -> impl Fn(NodeId) -> DetSynchronizer<BfsAlgorithm<'g>> {
+    let cfg = SynchronizerConfig::build(graph, max_pulse);
+    move |v| DetSynchronizer::new(v, BfsAlgorithm::new(graph, v, &[source]), cfg.clone())
+}
+
+/// Checks a BFS row's outputs against the synchronous ground truth.
+fn assert_bfs_outputs(
+    graph: &Graph,
+    source: NodeId,
+    report: &AsyncReport<DetSynchronizer<BfsAlgorithm<'_>>>,
+) {
+    let dist = det_synchronizer::graph::metrics::bfs_distances(graph, source);
+    for (v, node) in report.nodes.iter().enumerate() {
+        let out = node.algorithm().output().expect("every node outputs");
+        assert_eq!(Some(out.distance), dist[v].map(|d| d as u64), "node {v}");
+    }
+}
+
+#[test]
+fn det_bfs_from_the_far_corner_of_a_grid() {
+    let graph = Graph::grid(32, 32);
+    let source = NodeId(1_023);
+    let wheel = check(
+        "det/grid32x32/from1023/jitter3",
+        &graph,
+        &DelayModel::jitter(3),
+        None,
+        det_bfs_from(&graph, source, 62),
+        &Golden { schedule: 0x958f_ccc3_3b52_c8a2, counters: 0xe310_2b3c_6e72_349a },
+    );
+    assert_eq!(wheel.metrics.events, 138_642, "recorded with the digests");
+    assert_bfs_outputs(&graph, source, &wheel);
+}
+
+#[test]
+fn det_bfs_from_an_interior_grid_node() {
+    // Row 10, column 21: off every axis of symmetry, 42 hops from its farthest corner.
+    let graph = Graph::grid(32, 32);
+    let source = NodeId(10 * 32 + 21);
+    let wheel = check(
+        "det/grid32x32/from341/uniform",
+        &graph,
+        &DelayModel::uniform(),
+        None,
+        det_bfs_from(&graph, source, 42),
+        &Golden { schedule: 0x0dd2_f23b_69ab_1e81, counters: 0xae7e_781c_38a9_4dea },
+    );
+    assert_eq!(wheel.metrics.events, 126_344, "recorded with the digests");
+    assert_bfs_outputs(&graph, source, &wheel);
+}
+
+#[test]
+fn det_bfs_from_a_torus_node() {
+    let graph = Graph::torus(32, 32);
+    let source = NodeId(500);
+    let wheel = check(
+        "det/torus32x32/from500/jitter5",
+        &graph,
+        &DelayModel::jitter(5),
+        None,
+        det_bfs_from(&graph, source, 32),
+        &Golden { schedule: 0xaf2c_4135_f934_21a8, counters: 0x751a_498a_0d3d_ce21 },
+    );
+    assert_eq!(wheel.metrics.events, 94_925, "recorded with the digests");
+    assert_bfs_outputs(&graph, source, &wheel);
+}
+
+/// Pulses of the digest-flood rows: deep enough for non-base det stages.
+const DIGEST_PULSES: u64 = 16;
+
+/// One digest-flood row: the delay model, its digests and the wheel's event count.
+type DigestRow = (DelayModel, Golden, u64);
+
+/// Runs the digest flood under each row's delay model and checks the digests,
+/// the event count and the outputs against the synchronous ground truth: the
+/// algorithm's output depends on every message, so a message delivered twice,
+/// lost or handed to the wrong pulse changes an output.
+fn check_digest_rows<P, F>(
+    kind: &str,
+    graph: &Graph,
+    rows: [DigestRow; 3],
+    make: F,
+    output: impl Fn(&P) -> Option<u64>,
+) where
+    P: Protocol + Send,
+    P::Message: Send,
+    F: Fn(NodeId) -> P,
+{
+    let truth = run_sync(graph, |v| DigestFlood::new(graph, v, DIGEST_PULSES), 1_000)
+        .expect("synchronous digest flood")
+        .outputs();
+    for (delay, golden, events) in rows {
+        let name = format!("{kind}/digest/{delay:?}");
+        let wheel = check(&name, graph, &delay, None, &make, &golden);
+        assert_eq!(wheel.metrics.events, events, "{name}: recorded with the digests");
+        let outputs: Vec<_> = wheel.nodes.iter().map(&output).collect();
+        assert_eq!(outputs, truth, "{name}: outputs diverged from the synchronous run");
+    }
+}
+
+fn digest_rows(recorded: [(u64, u64, u64); 3]) -> [DigestRow; 3] {
+    let delays = [DelayModel::uniform(), DelayModel::jitter(13), DelayModel::outage(11, 4, 2)];
+    let mut rows = recorded.into_iter();
+    delays.map(|delay| {
+        let (schedule, counters, events) = rows.next().expect("three rows");
+        (delay, Golden { schedule, counters }, events)
+    })
+}
+
+#[test]
+fn det_digest_flood_under_every_delay_family() {
+    let graph = Graph::grid(6, 6);
+    let cfg = SynchronizerConfig::build(&graph, DIGEST_PULSES);
+    let make = |v| DetSynchronizer::new(v, DigestFlood::new(&graph, v, DIGEST_PULSES), cfg.clone());
+    #[rustfmt::skip]
+    let rows = digest_rows([
+        (0x4e46_2b3c_abe8_5804, 0x53f2_0ce9_e1e8_05bc, 9_570),
+        (0x0c69_1b46_878f_d9d2, 0x09d9_1ea4_87ba_04e4, 9_570),
+        (0x9bf9_04fa_375d_8d61, 0x7cf3_6f0b_6be7_0a0d, 9_570),
+    ]);
+    check_digest_rows("det", &graph, rows, make, |n| n.algorithm().output());
+}
+
+#[test]
+fn alpha_digest_flood_under_every_delay_family() {
+    let graph = Graph::grid(6, 6);
+    let make = |v| {
+        AlphaSynchronizer::new(&graph, v, DigestFlood::new(&graph, v, DIGEST_PULSES), DIGEST_PULSES)
+    };
+    #[rustfmt::skip]
+    let rows = digest_rows([
+        (0x528c_f49f_88ad_0d1f, 0x5cf7_57c3_6de5_6703, 5_880),
+        (0x40e3_dc91_b9aa_c04a, 0xe5c7_141c_fe96_f5e8, 5_880),
+        (0x4d9a_ea24_3f32_181c, 0xf8fe_1869_3fef_8a41, 5_880),
+    ]);
+    check_digest_rows("alpha", &graph, rows, make, |n| n.algorithm().output());
+}
+
+#[test]
+fn beta_digest_flood_under_every_delay_family() {
+    let graph = Graph::grid(6, 6);
+    let tree = SpanningTree::bfs(&graph, NodeId(0));
+    let make = |v| {
+        BetaSynchronizer::new(
+            tree.clone(),
+            v,
+            DigestFlood::new(&graph, v, DIGEST_PULSES),
+            DIGEST_PULSES,
+        )
+    };
+    #[rustfmt::skip]
+    let rows = digest_rows([
+        (0x47b6_8a18_b0f2_e1bc, 0x0d13_ddd1_736d_80f6, 5_030),
+        (0x1cea_5dcc_7ecf_7d89, 0x1566_b980_9069_6e06, 5_030),
+        (0x28f0_88b3_3b5b_84ef, 0x6590_2ab8_e3d8_9b0b, 5_030),
+    ]);
+    check_digest_rows("beta", &graph, rows, make, |n| n.algorithm().output());
 }

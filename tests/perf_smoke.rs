@@ -1,5 +1,6 @@
 //! Release-mode scale smoke test: a synchronized BFS on a 64×64 grid (4096 nodes,
 //! the E9 headline scenario) must complete — correctly — within an explicit event
+//! budget, the det synchronizer's per-node state must stay within a memory
 //! budget, and the synchronous engine's BFS on a 65,536-node grid and a
 //! 4,096-node cycle must hit its closed forms. Ignored under debug builds, where
 //! the unoptimized engines are too slow for a smoke test; CI runs
@@ -7,6 +8,7 @@
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::graph::metrics;
+use det_synchronizer::netsim::run_async_faulted;
 use det_synchronizer::netsim::sync_engine::run_sync;
 use det_synchronizer::prelude::*;
 
@@ -74,6 +76,43 @@ fn sharded_128x128_grid_reproduces_the_recorded_event_count() {
         .run(|v| BfsAlgorithm::new(&graph, v, &[NodeId(0)]))
         .expect("128x128 sharded synchronized BFS");
     assert_eq!(run.metrics.events, 7_900_379);
+}
+
+/// Bytes of det synchronizer state (`DetSynchronizer::state_bytes`, buffer
+/// capacities included) summed over all nodes after a BFS from node 0 under
+/// uniform delays at the pulse bound `T(A)` — `det_grid_deep`'s request.
+fn det_bfs_state_bytes(graph: &Graph) -> usize {
+    let bfs = |v| BfsAlgorithm::new(graph, v, &[NodeId(0)]);
+    let t = run_sync(graph, bfs, 100_000).expect("synchronous BFS").rounds_to_quiescence;
+    let cfg = SynchronizerConfig::build(graph, t.max(1));
+    let report = run_async_faulted(
+        graph,
+        DelayModel::uniform(),
+        None,
+        |v| DetSynchronizer::new(v, bfs(v), cfg.clone()),
+        SimLimits { max_events: 4_000_000, max_rounds: 10_000 },
+        SchedulerKind::TimingWheel,
+    )
+    .expect("det BFS");
+    assert!(report.nodes.iter().all(|n| n.algorithm().output().is_some()), "every node outputs");
+    report.nodes.iter().map(DetSynchronizer::state_bytes).sum()
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode smoke test; debug engines are too slow")]
+fn det_state_stays_within_its_memory_budget() {
+    // Budgets are the measured sums + 5 %: 14,349,824 B on grid 64² (T = 127)
+    // and 8,299,680 B on cycle 1,024 (T = 513), against 18,950,176 B and
+    // 10,502,304 B with a byte per pulse per pulse set and a 32-item work
+    // queue per node. The state is deterministic; a failure here means a
+    // field grew, not noise.
+    for (name, graph, budget) in [
+        ("grid 64²", Graph::grid(64, 64), 15_067_316),
+        ("cycle 1,024", Graph::cycle(1_024), 8_714_664),
+    ] {
+        let bytes = det_bfs_state_bytes(&graph);
+        assert!(bytes <= budget, "{name}: det state is {bytes} B, over its {budget} B budget");
+    }
 }
 
 /// Synchronous BFS from `source` against its closed forms: every node but the

@@ -10,6 +10,7 @@ use det_synchronizer::covers::builder::build_sparse_cover;
 use det_synchronizer::graph::metrics;
 use det_synchronizer::graph::weights::EdgeWeights;
 use det_synchronizer::prelude::*;
+use ds_verify::DigestFlood;
 use std::sync::Arc;
 
 fn workloads() -> Vec<(&'static str, Graph)> {
@@ -68,6 +69,19 @@ fn all_synchronizers_agree_on_bfs_across_the_workload_suite() {
     for (name, graph) in workloads() {
         assert_matrix_matches(name, &graph, DelayModel::slow_cut(3), |v| {
             BfsAlgorithm::new(&graph, v, &[NodeId(0), NodeId(5)])
+        });
+    }
+}
+
+/// The digest flood's outputs depend on every message each node received, at
+/// which pulse and how often, so a synchronizer that re-delivers, drops or
+/// mixes up a pulse's messages diverges here even where BFS and flooding,
+/// which stop listening once they decide, stay correct.
+#[test]
+fn all_synchronizers_agree_on_the_digest_flood() {
+    for (name, graph) in workloads() {
+        assert_matrix_matches(name, &graph, DelayModel::jitter(23), |v| {
+            DigestFlood::new(&graph, v, 12)
         });
     }
 }
