@@ -80,13 +80,15 @@ fn realize_cluster(
     // Expand the carved cluster by its d-neighborhood (bounded multi-source BFS);
     // the ball's visited set is the member set.
     scratch.ball.start(&dc.members);
-    while scratch.ball.depth_reached() < d as u32 && scratch.ball.expand_level(graph).is_some() {}
+    let ball_depth = u32::try_from(d).unwrap_or(u32::MAX);
+    while scratch.ball.depth_reached() < ball_depth && scratch.ball.expand_level(graph).is_some() {}
 
     // Cluster tree: union of BFS-tree paths from every member to the center.
     // Every member is within `weak_radius + d` of the center, so the BFS tree
     // only needs that depth; a bounded BFS assigns the same parents as the
-    // full-graph one (first discoverer wins, same traversal order).
-    let tree_depth = (dc.weak_radius + d) as u32;
+    // full-graph one (first discoverer wins, same traversal order). Radii
+    // near `usize::MAX` saturate: no graph is that deep.
+    let tree_depth = u32::try_from(dc.weak_radius.saturating_add(d)).unwrap_or(u32::MAX);
     scratch.tree.start(std::slice::from_ref(&dc.center));
     while scratch.tree.depth_reached() < tree_depth && scratch.tree.expand_level(graph).is_some() {}
     scratch.in_tree.clear();

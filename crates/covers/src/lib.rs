@@ -338,9 +338,10 @@ impl SparseCover {
         // (b) ball coverage: for every node v there is a cluster containing v and all
         // of B(v, d).
         let mut bfs = BfsScratch::new(graph.node_count());
+        let depth = u32::try_from(self.radius).unwrap_or(u32::MAX);
         for v in graph.nodes() {
             bfs.start(std::slice::from_ref(&v));
-            while bfs.depth_reached() < self.radius as u32 && bfs.expand_level(graph).is_some() {}
+            while bfs.depth_reached() < depth && bfs.expand_level(graph).is_some() {}
             let covered = self.clusters_of(v).iter().any(|cid| {
                 bfs.order().iter().all(|&u| self.clusters_of(u).binary_search(cid).is_ok())
             });

@@ -115,9 +115,17 @@ pub struct AsyncReport<P> {
     /// Bytes backing the payload arena's slot storage at the end of the run
     /// (capacity). An engine internal.
     pub arena_bytes: u64,
-    /// Size of the largest one-tick due batch the engine processed. An engine
-    /// internal.
+    /// Size of the largest one-tick due batch the engine processed: the
+    /// tick's deliveries plus the acknowledgments filed as events (see
+    /// [`acks_scheduled`](AsyncReport::acks_scheduled)). An engine internal.
     pub max_batch: u64,
+    /// Acknowledgments filed as scheduler events. Every delivery draws an
+    /// acknowledgment (`metrics.acks`), but the engine files one only if a
+    /// message waits behind it on its link before it fires; the rest stay
+    /// parked on the link and cost no event (DESIGN.md §10.2). An engine
+    /// internal: it counts the acks that found a message queued when they
+    /// fired.
+    pub acks_scheduled: u64,
     /// Always 0. The sharded engine's batched windows of several ticks per
     /// barrier were removed (DESIGN.md §6.3); the field stays because
     /// external readers (`benchmark/`) name it.
@@ -214,10 +222,12 @@ impl<P: Protocol> Nodes for Flat<P> {
 
 /// The event loop both engines run: the start wave, then one iteration per
 /// occupied tick, which applies the tick's fault transitions and fires its
-/// due events in ascending `seq` through [`Core::fire`]. `dense` sees every
-/// tick's due list first and may process it itself (the sharded engine's
-/// pooled path, which must leave `due` empty and return `true`); returning
-/// `false` leaves the tick to the loop.
+/// due events in ascending `seq` through [`Core::fire`], merged with the
+/// acknowledgments filed late at that tick ([`Core::fire_late`]). `dense`
+/// sees every tick's due list first and may process it itself (the sharded
+/// engine's pooled path, which must leave `due` empty and return `true`);
+/// returning `false` leaves the tick to the loop. The acks still parked at
+/// the end are released ([`Core::release_parked`]).
 ///
 /// # Errors
 ///
@@ -244,12 +254,16 @@ where
         core.max_batch = core.max_batch.max(due.len() as u64);
         if !dense(core, st, &mut due)? {
             for (seq, ev) in due.drain(..) {
+                core.fire_late(st, seq);
                 core.fire(st, seq, ev)?;
             }
         }
+        core.fire_late(st, u64::MAX);
     }
+    core.release_parked(st);
     // Quiescence means no event is scheduled and no link queue is non-empty
-    // (a queued message always has an ack or drop pending to release it), so
+    // (a queued message always has a filed ack or a drop pending to release
+    // it), so
     // every arena handle must have been taken back. The recycled entry point
     // promotes this into a hard assertion on every run
     // ([`crate::recycle::run_async_recycled`]).

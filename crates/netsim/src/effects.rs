@@ -24,6 +24,25 @@
 //! Acknowledgments firing, fault drops and drain-drops on a dead link draw
 //! nothing.
 //!
+//! # Parked acknowledgments
+//!
+//! An ack that fires on an empty link queue draws nothing and only clears
+//! the link's `in_flight` flag, and on most schedules almost every ack is
+//! such an ack. So an ack becomes a scheduler event only if a message waits
+//! behind it: [`Core::end_delivery`] draws both of its seqs as always, but
+//! on a link with an empty queue it parks the ack's `(tick, seq)` in the
+//! link record instead of filing it. The first [`Core::send`] onto the link
+//! settles it against the delivery being processed: an ack earlier in
+//! `(tick, seq)` order has fired already and the link is free; a later one is
+//! filed at its original `(tick, seq)` — a later tick through
+//! [`EventScheduler::schedule_late`], the current tick into the core's
+//! `late` list, which the engine loop merges by seq ([`Core::fire_late`]).
+//! `in_flight` is read only by `try_inject`, and only after such a send, so
+//! resolving the flag lazily reproduces every draw; at the end of the run
+//! [`Core::release_parked`] frees the links still parked and moves the clock
+//! and the fault plan to the last parked tick (DESIGN.md §10.2 has the
+//! argument). [`AsyncReport::acks_scheduled`] counts the filed acks.
+//!
 //! The core runs on one data layout, [`Layout`]: one event scheduler, one
 //! [`LinkTable`] indexed by [`DirectedEdgeId`], one [`PayloadArena`]. The
 //! engines differ only in where a node's protocol instance lives — one flat
@@ -35,8 +54,9 @@
 //! A delivery touches two link records (its own on the ack, and each link its
 //! sends queue on), so the records are kept small enough for a table of them
 //! to stay cache-resident: a [`LinkState`] is 40 bytes — the endpoints as
-//! `u32`, the first waiting message's `(priority, seq, handle)` inline, two
-//! flags and a `u32` slot. Only when a second message queues behind the head
+//! `u32`, the first waiting message's `(priority, seq, handle)` inline (the
+//! key holds a parked ack while the queue is empty), three flags and a `u32`
+//! slot. Only when a second message queues behind the head
 //! does the link take a slot in its [`LinkTable`]'s [`SpillTable`], a pool of
 //! out-of-line [`StageQueue`]s; the slot goes back when the queue drains and
 //! keeps its buffers, so the per-delivery path allocates nothing once warm.
@@ -65,12 +85,13 @@ const NO_SPILL: u32 = u32::MAX;
 /// [`LinkTable`]. The queued entries are payload-arena handles, not messages.
 ///
 /// 40 bytes: the head entry's `(priority, seq)` key (16), the endpoints, the
-/// head's handle and the spill slot (4 × 4), two flags. The queue behind the
+/// head's handle and the spill slot (4 × 4), three flags. The queue behind the
 /// head lives out of line in the table's [`SpillTable`], so a table of these
 /// is what a delivery walks; `tests::link_state_is_40_bytes` pins the size.
 #[derive(Debug)]
 pub(crate) struct LinkState {
-    /// Key of the head entry; meaningful while `has_head`.
+    /// Key of the head entry while `has_head`; while `ack_parked` (the queue
+    /// is then empty) the parked acknowledgment's `(tick, seq)` instead.
     head_priority: u64,
     head_seq: u64,
     /// Cached endpoints of the directed edge — the hot path reads them from the
@@ -88,6 +109,11 @@ pub(crate) struct LinkState {
     has_head: bool,
     /// Whether a message is currently in flight (awaiting acknowledgment).
     in_flight: bool,
+    /// The in-flight message was delivered and its acknowledgment is parked
+    /// in the head key rather than filed as an event: nothing waited behind
+    /// it ([`Core::end_delivery`]). `in_flight` stays set until the first
+    /// send on the link settles the ack ([`Core::send`]).
+    ack_parked: bool,
 }
 
 impl LinkState {
@@ -101,6 +127,7 @@ impl LinkState {
             spill: NO_SPILL,
             has_head: false,
             in_flight: false,
+            ack_parked: false,
         };
         link.set_endpoints(from, to);
         link
@@ -130,7 +157,35 @@ impl LinkState {
     /// an ack or drop pending to release it), which is what lets a finished
     /// run's link table be recycled into the next run ([`crate::recycle`]).
     fn is_idle(&self) -> bool {
-        !self.in_flight && !self.has_head && self.spill == NO_SPILL
+        !self.in_flight && !self.ack_parked && !self.is_queued()
+    }
+
+    /// Whether a message waits on the link.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn is_queued(&self) -> bool {
+        self.has_head || self.spill != NO_SPILL
+    }
+
+    /// Parks the acknowledgment of the delivered in-flight message at
+    /// `(at, seq)`, in the head key of the (empty) queue.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn park_ack(&mut self, at: u64, seq: u64) {
+        debug_assert!(self.in_flight && !self.is_queued(), "only an idle queue parks its ack");
+        (self.head_priority, self.head_seq) = (at, seq);
+        self.ack_parked = true;
+    }
+
+    /// Takes the parked acknowledgment's `(tick, seq)`, if there is one.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn take_parked_ack(&mut self) -> Option<(u64, u64)> {
+        if !self.ack_parked {
+            return None;
+        }
+        self.ack_parked = false;
+        Some((self.head_priority, self.head_seq))
     }
 
     /// Queues `handle` under `(priority, seq)`: inline if the head is free,
@@ -138,6 +193,7 @@ impl LinkState {
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
     fn push(&mut self, spill: &mut SpillTable, priority: u64, seq: u64, handle: u32) {
+        debug_assert!(!self.ack_parked, "a parked ack is settled before the head is reused");
         if !self.has_head {
             (self.head_priority, self.head_seq, self.head_handle) = (priority, seq, handle);
             self.has_head = true;
@@ -269,6 +325,20 @@ impl LinkTable {
         }
     }
 
+    /// Releases every link whose acknowledgment is still parked at the end
+    /// of a run — each would have fired on an empty queue after the last
+    /// event — and returns the latest such acknowledgment's tick.
+    pub(crate) fn release_parked(&mut self) -> Option<u64> {
+        let mut last = None;
+        for link in &mut self.links {
+            if let Some((at, _)) = link.take_parked_ack() {
+                link.in_flight = false;
+                last = last.max(Some(at));
+            }
+        }
+        last
+    }
+
     /// Whether every link is idle and no spill slot is held.
     pub(crate) fn is_idle(&self) -> bool {
         self.spill.is_clean() && self.links.iter().all(LinkState::is_idle)
@@ -348,6 +418,15 @@ pub(crate) struct Core<'g, P: Protocol> {
     /// The tick being processed. Engines set it before firing a tick's events.
     pub(crate) now: u64,
     seq: u64,
+    /// Seq of the delivery whose effects are being processed: with `now`,
+    /// the point in `(tick, seq)` order a parked ack is compared against.
+    cur_seq: u64,
+    /// Acknowledgments filed late at the current tick, descending `seq`:
+    /// the engine loop fires them between the tick's due events
+    /// ([`Core::fire_late`]).
+    late: Vec<(u64, EvRef)>,
+    /// Acknowledgments filed as events ([`AsyncReport::acks_scheduled`]).
+    acks_scheduled: u64,
     /// Deliveries processed so far, checked against `max_events`.
     deliveries: u64,
     max_events: u64,
@@ -389,6 +468,9 @@ impl<'g, P: Protocol> Core<'g, P> {
             delay,
             now: 0,
             seq: 0,
+            cur_seq: 0,
+            late: Vec::new(),
+            acks_scheduled: 0,
             deliveries: 0,
             max_events: limits.max_events,
             metrics: RunMetrics::default(),
@@ -445,6 +527,17 @@ impl<'g, P: Protocol> Core<'g, P> {
         }
     }
 
+    /// Draws the seq of an event and registers it with the trace.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn draw_event(&mut self) -> u64 {
+        let seq = self.next_seq();
+        if let Some(tr) = self.trace.as_mut() {
+            tr.on_scheduled(seq);
+        }
+        seq
+    }
+
     /// Draws the seq of a scheduled event and files it with the scheduler.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
@@ -453,10 +546,7 @@ impl<'g, P: Protocol> Core<'g, P> {
         N: Nodes<Node = P>,
         S: EventScheduler<EvRef>,
     {
-        let seq = self.next_seq();
-        if let Some(tr) = self.trace.as_mut() {
-            tr.on_scheduled(seq);
-        }
+        let seq = self.draw_event();
         st.sched.schedule(at, seq, ev);
     }
 
@@ -487,9 +577,47 @@ impl<'g, P: Protocol> Core<'g, P> {
         let seq = self.next_seq();
         let handle = st.arena.alloc(out.msg);
         let (state, spill) = st.links.get(link.index());
+        let parked = state.take_parked_ack();
         state.push(spill, out.priority, seq, handle);
         self.touched.push(link);
+        if let Some((at, ack_seq)) = parked {
+            self.settle_ack(st, link, at, ack_seq);
+        }
         Ok(())
+    }
+
+    /// Settles the acknowledgment parked on `link` at `(at, ack_seq)` now
+    /// that a message waits behind it. If the ack precedes the delivery being
+    /// processed in `(tick, seq)` order, it has fired already — on an empty
+    /// queue, where it only freed the link — so the link is free. Otherwise
+    /// it is filed at its original `(tick, seq)`: a later tick through the
+    /// scheduler, this tick into `late`. Either way no seq is drawn, so the
+    /// schedule is the one an eagerly filed ack produces (DESIGN.md §10.2).
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    fn settle_ack<N, S>(
+        &mut self,
+        st: &mut Layout<N, S>,
+        link: DirectedEdgeId,
+        at: u64,
+        ack_seq: u64,
+    ) where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
+        if (at, ack_seq) < (self.now, self.cur_seq) {
+            st.links.get(link.index()).0.in_flight = false;
+            if let Some(tr) = self.trace.as_mut() {
+                tr.on_passed(ack_seq);
+            }
+            return;
+        }
+        self.acks_scheduled += 1;
+        if at == self.now {
+            let pos = self.late.partition_point(|&(s, _)| s > ack_seq);
+            self.late.insert(pos, (ack_seq, EvRef::ack(link.0)));
+        } else {
+            st.sched.schedule_late(at, ack_seq, EvRef::ack(link.0));
+        }
     }
 
     /// If `link` is idle and has a queued message, pops the lowest-stage one
@@ -570,6 +698,7 @@ impl<'g, P: Protocol> Core<'g, P> {
         if let Some(tr) = self.trace.as_mut() {
             tr.on_delivery(seq, self.now, shard, from, to);
         }
+        self.cur_seq = seq;
         self.deliveries += 1;
         if self.deliveries > self.max_events {
             return Err(SimError::EventLimitExceeded { limit: self.max_events });
@@ -580,7 +709,9 @@ impl<'g, P: Protocol> Core<'g, P> {
 
     /// Second half of a delivery's effects: inject the links its sends
     /// touched, then acknowledge back to the sender. The ack draws two seqs —
-    /// one keys its delay, one is the ack event's own.
+    /// one keys its delay, one is the ack event's own — but becomes an event
+    /// only if a message already waits behind it; otherwise it is parked on
+    /// the link until a send settles it ([`Core::send`]).
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
     pub(crate) fn end_delivery<N, S>(
@@ -597,7 +728,59 @@ impl<'g, P: Protocol> Core<'g, P> {
         self.metrics.acks += 1;
         let ack_seq = self.next_seq();
         let at = self.now + self.delay.delay_ticks_at(to, from, ack_seq, self.now);
-        self.schedule(st, at, EvRef::ack(link.0));
+        let seq = self.draw_event();
+        let (state, _) = st.links.get(link.index());
+        if state.is_queued() {
+            self.acks_scheduled += 1;
+            st.sched.schedule(at, seq, EvRef::ack(link.0));
+        } else {
+            state.park_ack(at, seq);
+        }
+    }
+
+    /// Fires the acknowledgments filed late at the current tick whose seq is
+    /// below `before`, in seq order. The engine loop calls it before each due
+    /// event and with `u64::MAX` after the tick, which merges them into the
+    /// tick's `seq` order.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    pub(crate) fn fire_late<N, S>(&mut self, st: &mut Layout<N, S>, before: u64)
+    where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
+        while let Some(&(seq, ev)) = self.late.last().filter(|&&(seq, _)| seq < before) {
+            self.late.pop();
+            self.fire_ack(st, seq, DirectedEdgeId(ev.link));
+        }
+    }
+
+    /// Fires the acknowledgment `seq` of `link`: the link is released.
+    // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
+    #[inline]
+    fn fire_ack<N, S>(&mut self, st: &mut Layout<N, S>, seq: u64, link: DirectedEdgeId)
+    where
+        N: Nodes<Node = P>,
+        S: EventScheduler<EvRef>,
+    {
+        if let Some(tr) = self.trace.as_mut() {
+            tr.on_ack(seq);
+        }
+        self.release(st, link);
+    }
+
+    /// Closes the event loop: every link whose ack is still parked is
+    /// released — that ack would have fired after the last event, on an empty
+    /// queue — and the clock and the fault plan advance to the latest such
+    /// ack's tick, where the eager run's last event would have been.
+    pub(crate) fn release_parked<N, S>(&mut self, st: &mut Layout<N, S>)
+    where
+        N: Nodes<Node = P>,
+    {
+        if let Some(last) = st.links.release_parked() {
+            self.now = self.now.max(last);
+            self.advance_faults(self.now);
+        }
     }
 
     /// Fires one event in full, at `self.now`: an ack releases its link; a
@@ -622,10 +805,7 @@ impl<'g, P: Protocol> Core<'g, P> {
     {
         let link = DirectedEdgeId(ev.link);
         if ev.is_ack() {
-            if let Some(tr) = self.trace.as_mut() {
-                tr.on_ack(seq);
-            }
-            self.release(st, link);
+            self.fire_ack(st, seq, link);
             return Ok(());
         }
         let state = st.links.link(link.index());
@@ -685,7 +865,8 @@ impl<'g, P: Protocol> Core<'g, P> {
     /// Closes the run. The report's scheduler and arena internals
     /// (`overflow_events`, `peak_live_handles`, `arena_bytes`,
     /// `pool_dispatches`) are zero: they describe the engine's layout, so the
-    /// engine fills them in. `batched_ticks` stays 0 for every engine.
+    /// engine fills them in. `batched_ticks` stays 0 for every engine. Call
+    /// [`Core::release_parked`] first: `now` is then the quiescence tick.
     pub(crate) fn finish(mut self, nodes: Vec<P>) -> (AsyncReport<P>, Option<DeliveryTrace>) {
         self.metrics.time_to_output = self.time_all_done.map(|t| t as f64 / TICKS_PER_UNIT as f64);
         self.metrics.time_to_quiescence = self.now as f64 / TICKS_PER_UNIT as f64;
@@ -696,6 +877,7 @@ impl<'g, P: Protocol> Core<'g, P> {
             peak_live_handles: 0,
             arena_bytes: 0,
             max_batch: self.max_batch,
+            acks_scheduled: self.acks_scheduled,
             batched_ticks: 0,
             pool_dispatches: 0,
             dropped_events: self.dropped,
@@ -801,5 +983,138 @@ mod tests {
         }
         assert_eq!(table.spill.queues.len(), 1);
         assert!(table.is_idle());
+    }
+
+    /// Sends tagged messages by script: `start` at time 0, and on receiving
+    /// a tag `on`, every `(on, to, tag)` of `react`.
+    #[derive(Debug, Default)]
+    struct Script {
+        start: Vec<(usize, u8)>,
+        react: Vec<(u8, usize, u8)>,
+    }
+
+    impl Protocol for Script {
+        type Message = u8;
+
+        fn on_start(&mut self, ctx: &mut Ctx<u8>) {
+            for &(to, tag) in &self.start {
+                ctx.send(NodeId(to), tag);
+            }
+        }
+
+        fn on_message(&mut self, _from: NodeId, msg: u8, ctx: &mut Ctx<u8>) {
+            for &(on, to, tag) in &self.react {
+                if on == msg {
+                    ctx.send(NodeId(to), tag);
+                }
+            }
+        }
+
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    /// A traced wheel run of one `Script` per node; returns the report and
+    /// the deliveries as `(tick, src, dst)`, plus the trace.
+    fn scripted(
+        graph: &Graph,
+        delay: DelayModel,
+        faults: Option<&crate::FaultPlan>,
+        scripts: impl Fn(usize) -> Script,
+    ) -> (AsyncReport<Script>, Vec<(u64, usize, usize)>, DeliveryTrace) {
+        let (report, trace) = crate::run_async_faulted_traced(
+            graph,
+            delay,
+            faults,
+            |v| scripts(v.index()),
+            SimLimits::default(),
+            crate::SchedulerKind::TimingWheel,
+        )
+        .expect("scripted run");
+        let hops = trace.records.iter().map(|r| (r.tick, r.src.index(), r.dst.index())).collect();
+        (report, hops, trace)
+    }
+
+    #[test]
+    fn a_send_after_its_links_ack_passed_injects_at_once() {
+        // Path 0-1-2, links at node 0 slow (τ), 1-2 fast (1 tick). A's ack
+        // on 1→2 is due at tick 2 and parks; C is sent on 1→2 at tick 2000,
+        // long after, and injects at once: no ack is ever an event. The last
+        // eager event would be Y's ack at tick 3000, so the run quiesces
+        // there and applies the link flip at 2999, not the one at 3001.
+        let graph = Graph::path(3);
+        let plan = crate::FaultPlan::new().link_down(2999, NodeId(1), NodeId(2)).link_up(
+            3001,
+            NodeId(1),
+            NodeId(2),
+        );
+        let script = |v| match v {
+            0 => Script { react: vec![(b'X', 1, b'Y')], ..Script::default() },
+            1 => Script { start: vec![(2, b'A'), (0, b'X')], react: vec![(b'Y', 2, b'C')] },
+            _ => Script::default(),
+        };
+        let (report, hops, _) = scripted(&graph, DelayModel::slow_cut(1), Some(&plan), script);
+        assert_eq!(hops, vec![(1, 1, 2), (1000, 1, 0), (2000, 0, 1), (2001, 1, 2)]);
+        assert_eq!((report.metrics.acks, report.acks_scheduled), (4, 0));
+        assert_eq!(report.metrics.time_to_quiescence, 3.0);
+        assert_eq!(report.fault_transitions, 1);
+        // Every parked ack is released at the end: the slab is clean.
+        let mut slab = crate::EngineSlab::new();
+        let recycled = crate::run_async_recycled(
+            &graph,
+            DelayModel::slow_cut(1),
+            Some(&plan),
+            |v| script(v.index()),
+            SimLimits::default(),
+            &mut slab,
+        )
+        .expect("recycled run");
+        assert_eq!(recycled.metrics, report.metrics);
+        assert!(slab.is_clean());
+    }
+
+    #[test]
+    fn a_send_before_its_links_ack_files_the_ack_at_a_later_tick() {
+        // Path 0-1-2-3, links at nodes 0 and 1 slow, 2-3 fast. A reaches
+        // node 0 at 1000 and its ack on 1→0, due at 2000, parks; Q wakes
+        // node 1 at 1001, whose B on 1→0 files that ack at tick 2000. B
+        // leaves when it fires and arrives at 3000; its own ack (4000) is the
+        // last eager event.
+        let graph = Graph::path(4);
+        let script = |v| match v {
+            1 => Script { start: vec![(0, b'A')], react: vec![(b'Q', 0, b'B')] },
+            2 => Script { react: vec![(b'P', 1, b'Q')], ..Script::default() },
+            3 => Script { start: vec![(2, b'P')], ..Script::default() },
+            _ => Script::default(),
+        };
+        let (report, hops, trace) = scripted(&graph, DelayModel::slow_cut(2), None, script);
+        assert_eq!(hops, vec![(1, 3, 2), (1000, 1, 0), (1001, 2, 1), (3000, 1, 0)]);
+        assert_eq!((report.metrics.acks, report.acks_scheduled), (4, 1));
+        assert_eq!(report.metrics.time_to_quiescence, 4.0);
+        // B was injected by the filed ack, which inherits A's delivery.
+        assert_eq!(trace.records[3].cause, Some(trace.records[1].seq));
+    }
+
+    #[test]
+    fn a_send_before_its_links_ack_files_the_ack_into_the_current_tick() {
+        // Path 0-1 under uniform delays. A reaches node 1 at 1000, whose
+        // reply R reaches node 0 at 2000 — the tick A's parked ack is due,
+        // with R's seq drawn first. B, sent on 0→1 by R's activation, files
+        // that ack into the rest of tick 2000; it fires after R, and B
+        // leaves at 2000, arriving at 3000.
+        let graph = Graph::path(2);
+        let script = |v| match v {
+            0 => Script { start: vec![(1, b'A')], react: vec![(b'R', 1, b'B')] },
+            _ => Script { react: vec![(b'A', 0, b'R')], ..Script::default() },
+        };
+        let (report, hops, trace) = scripted(&graph, DelayModel::uniform(), None, script);
+        assert_eq!(hops, vec![(1000, 0, 1), (2000, 1, 0), (3000, 0, 1)]);
+        assert_eq!((report.metrics.acks, report.acks_scheduled), (3, 1));
+        assert_eq!(report.max_batch, 1, "a late ack is not part of the tick's due batch");
+        // B's cause is A, the delivery whose ack unblocked it — not R, the
+        // delivery whose activation sent it.
+        assert_eq!(trace.records[2].cause, Some(trace.records[0].seq));
+        assert_eq!(report.metrics.time_to_quiescence, 4.0);
     }
 }

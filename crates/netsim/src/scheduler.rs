@@ -14,13 +14,18 @@
 //!
 //! * events are totally ordered by `(at, seq)` with a globally increasing `seq`,
 //! * `EventScheduler::take_due` drains *all* events of the earliest pending tick
-//!   in ascending `seq` order. Within a wheel slot, insertion order *is* `seq`
+//!   in ascending `seq` order. Within a wheel slot, `schedule` appends in `seq`
 //!   order, because `seq` increases monotonically over the run and no event can be
 //!   scheduled at the tick currently being drained (delays are at least one tick),
 //! * entries whose delay exceeds the horizon (the composite
 //!   [`crate::delay::DelayModel::Outage`] adversary produces them; the single-`τ`
 //!   models never do) wait in one overflow binary heap next to the wheel and are
-//!   drained **before** the slot of the same tick (`seq` order: see `take_due`).
+//!   drained together with the slot of the same tick, in `seq` order,
+//! * an event whose `seq` was drawn earlier than the last scheduled one — a
+//!   link acknowledgment the engine parked and files only once a message waits
+//!   behind it (DESIGN.md §10.2) — goes through
+//!   [`EventScheduler::schedule_late`]: the wheel inserts it into its slot by
+//!   binary search on `seq`, so every slot stays sorted.
 //!
 //! The engine picks the implementation through [`SchedulerKind`]; the heap is kept
 //! as the executable specification the wheel is tested against (see
@@ -87,6 +92,12 @@ pub trait EventScheduler<T> {
     /// least one tick), with `seq` strictly increasing across calls.
     fn schedule(&mut self, at: u64, seq: u64, payload: T);
 
+    /// Schedules `payload` at `(at, seq)` where `seq` may be *smaller* than
+    /// seqs already scheduled (it was drawn earlier and the event filed only
+    /// now). `at` must still lie in the strict future of the last drained
+    /// tick; `take_due` keeps returning each tick in ascending `seq`.
+    fn schedule_late(&mut self, at: u64, seq: u64, payload: T);
+
     /// Moves *every* event of the earliest pending tick into `due` (ascending
     /// `seq`) and returns that tick, or `None` if no events are pending.
     fn take_due(&mut self, due: &mut Vec<(u64, T)>) -> Option<u64>;
@@ -134,15 +145,17 @@ impl<T> Ord for MinEntry<T> {
 
 /// Bounded-horizon timing wheel with `horizon + 1` rotating slots.
 ///
-/// Slot `at % (horizon + 1)` holds the events of absolute tick `at`; because all
-/// pending events lie in `(now, now + horizon]`, distinct pending ticks never
-/// share a slot. A dense occupancy bitset finds the next non-empty slot in a few
-/// word operations, drained slot buffers are recycled through a free list (so
-/// steady-state scheduling never allocates), and beyond-horizon events wait in
-/// one overflow heap that is consulted next to the wheel.
+/// Slot `at % (horizon + 1)` holds the events of absolute tick `at`, sorted by
+/// `seq`; because all pending events lie in `(now, now + horizon]`, distinct
+/// pending ticks never share a slot. A dense occupancy bitset finds the next
+/// non-empty slot in a few word operations, drained slot buffers are recycled
+/// through a free list (so steady-state scheduling never allocates), and
+/// beyond-horizon events wait in one overflow heap that is consulted next to
+/// the wheel.
 #[derive(Debug)]
 pub struct TimingWheel<T> {
-    /// One buffer of `(seq, payload)` per slot; insertion order is `seq` order.
+    /// One buffer of `(seq, payload)` per slot, ascending `seq`: `schedule`
+    /// appends (its seq is the newest), `schedule_late` inserts in order.
     slots: Vec<Vec<(u64, T)>>,
     /// Occupancy bitset: bit `i` set iff `slots[i]` is non-empty.
     occupied: Vec<u64>,
@@ -221,6 +234,59 @@ impl<T> TimingWheel<T> {
         self.overflow_scheduled = 0;
     }
 
+    /// The slot of in-horizon tick `at`, marked occupied (and given a
+    /// recycled buffer if it had none).
+    // ds-lint: hot-path
+    #[inline]
+    fn slot_for(&mut self, at: u64) -> &mut Vec<(u64, T)> {
+        let idx = (at % self.slots.len() as u64) as usize;
+        if self.slots[idx].is_empty() {
+            if self.slots[idx].capacity() == 0 {
+                if let Some(buf) = self.free.pop() {
+                    self.slots[idx] = buf;
+                }
+            }
+            bitset::set(&mut self.occupied, idx);
+        }
+        self.pending += 1;
+        &mut self.slots[idx]
+    }
+
+    /// Appends the slot of tick `t`, the earliest pending tick, to `due`.
+    // ds-lint: hot-path
+    #[inline]
+    fn take_slot(&mut self, t: u64, due: &mut Vec<(u64, T)>) {
+        // A non-empty slot at `idx` can only hold tick `t`: slots span
+        // `(now, now + horizon]` and `t` is the earliest pending tick.
+        let idx = (t % self.slots.len() as u64) as usize;
+        if !self.slots[idx].is_empty() {
+            let mut buf = std::mem::take(&mut self.slots[idx]);
+            bitset::clear(&mut self.occupied, idx);
+            self.pending -= buf.len();
+            due.append(&mut buf);
+            self.free.push(buf);
+        }
+    }
+
+    /// `take_slot` for a tick that also has overflow entries: pops them
+    /// first, then merges the slot in by seq. An overflow entry of `t` was
+    /// scheduled more than a horizon before any slot entry `schedule`
+    /// appended, but a late-filed entry in the slot may predate it. Only
+    /// multi-τ delay models reach this path.
+    #[cold]
+    fn take_overflow_and_slot(&mut self, t: u64, due: &mut Vec<(u64, T)>) {
+        let start = due.len();
+        while self.overflow.peek().is_some_and(|e| e.at == t) {
+            let e = self.overflow.pop().expect("peeked");
+            due.push((e.seq, e.payload));
+        }
+        let mid = due.len();
+        self.take_slot(t, due);
+        if due.len() > mid && due[mid - 1].0 > due[mid].0 {
+            due[start..].sort_unstable_by_key(|&(seq, _)| seq);
+        }
+    }
+
     /// Absolute tick of the earliest non-empty slot. Requires `pending > 0`.
     fn next_occupied_time(&self) -> u64 {
         debug_assert!(self.pending > 0);
@@ -240,21 +306,25 @@ impl<T> EventScheduler<T> for TimingWheel<T> {
     fn schedule(&mut self, at: u64, seq: u64, payload: T) {
         debug_assert!(at > self.now, "events must be scheduled in the strict future");
         if at - self.now <= self.horizon {
-            let idx = (at % self.slots.len() as u64) as usize;
-            if self.slots[idx].is_empty() {
-                if self.slots[idx].capacity() == 0 {
-                    if let Some(buf) = self.free.pop() {
-                        self.slots[idx] = buf;
-                    }
-                }
-                bitset::set(&mut self.occupied, idx);
-            }
+            let slot = self.slot_for(at);
             debug_assert!(
-                self.slots[idx].last().is_none_or(|&(s, _)| s < seq),
-                "slot insertion order must be seq order"
+                slot.last().is_none_or(|&(s, _)| s < seq),
+                "schedule's seq must be the newest; use schedule_late"
             );
-            self.slots[idx].push((seq, payload));
-            self.pending += 1;
+            slot.push((seq, payload));
+        } else {
+            self.overflow_scheduled += 1;
+            self.overflow.push(MinEntry { at, seq, payload });
+        }
+    }
+
+    // ds-lint: hot-path
+    fn schedule_late(&mut self, at: u64, seq: u64, payload: T) {
+        debug_assert!(at > self.now, "events must be scheduled in the strict future");
+        if at - self.now <= self.horizon {
+            let slot = self.slot_for(at);
+            let pos = slot.partition_point(|&(s, _)| s < seq);
+            slot.insert(pos, (seq, payload));
         } else {
             self.overflow_scheduled += 1;
             self.overflow.push(MinEntry { at, seq, payload });
@@ -264,23 +334,10 @@ impl<T> EventScheduler<T> for TimingWheel<T> {
     // ds-lint: hot-path
     fn take_due(&mut self, due: &mut Vec<(u64, T)>) -> Option<u64> {
         let t = self.next_tick()?;
-        // An overflow entry of tick `t` was scheduled more than a horizon
-        // before any slot entry of tick `t`, and seq draws are monotone in
-        // time, so its seq is smaller: pop the heap's entries of `t` first,
-        // then append the slot, to keep `due` in ascending seq order.
-        while self.overflow.peek().is_some_and(|e| e.at == t) {
-            let e = self.overflow.pop().expect("peeked");
-            due.push((e.seq, e.payload));
-        }
-        // A non-empty slot at `idx` can only hold tick `t`: slots span
-        // `(now, now + horizon]` and `t` is the earliest pending tick.
-        let idx = (t % self.slots.len() as u64) as usize;
-        if !self.slots[idx].is_empty() {
-            let mut buf = std::mem::take(&mut self.slots[idx]);
-            bitset::clear(&mut self.occupied, idx);
-            self.pending -= buf.len();
-            due.append(&mut buf);
-            self.free.push(buf);
+        if self.overflow.peek().is_some_and(|e| e.at == t) {
+            self.take_overflow_and_slot(t, due);
+        } else {
+            self.take_slot(t, due);
         }
         self.now = t;
         Some(t)
@@ -317,6 +374,10 @@ impl<T> Default for HeapScheduler<T> {
 
 impl<T> EventScheduler<T> for HeapScheduler<T> {
     fn schedule(&mut self, at: u64, seq: u64, payload: T) {
+        self.heap.push(MinEntry { at, seq, payload });
+    }
+
+    fn schedule_late(&mut self, at: u64, seq: u64, payload: T) {
         self.heap.push(MinEntry { at, seq, payload });
     }
 
@@ -524,12 +585,37 @@ mod tests {
     }
 
     #[test]
+    fn a_late_slot_entry_merges_before_a_younger_overflow_entry_of_its_tick() {
+        // Seq 0 is drawn for tick 450 but filed only once the clock reaches
+        // 400, into the slot; seq 1 went to the overflow heap at tick 0. The
+        // tick drains as [0, 1] on both schedulers.
+        let run = |sched: &mut dyn EventScheduler<u32>| {
+            let mut due = Vec::new();
+            sched.schedule(450, 1, 11);
+            sched.schedule(400, 2, 12);
+            assert_eq!(sched.take_due(&mut due), Some(400));
+            due.clear();
+            sched.schedule_late(450, 0, 10);
+            assert_eq!(sched.take_due(&mut due), Some(450));
+            due
+        };
+        let mut wheel = TimingWheel::new(100);
+        assert_eq!(run(&mut wheel), vec![(0, 10), (1, 11)]);
+        assert_eq!(wheel.overflow_scheduled(), 2, "450 and 400 lie past the horizon at tick 0");
+        assert_eq!(run(&mut HeapScheduler::new()), vec![(0, 10), (1, 11)]);
+    }
+
+    #[test]
     #[cfg_attr(miri, ignore)] // 20×500-step fuzz loop — minutes under Miri for no extra UB coverage
     fn heap_and_wheel_agree_on_random_workloads() {
         // Deterministic pseudo-random interleaving of schedules and drains, with
         // occasional beyond-horizon delays; both schedulers must emit identical
-        // (time, seq, payload) streams.
+        // (time, seq, payload) streams. Some draws are held back and filed
+        // later through `schedule_late` (as the engine files a parked ack),
+        // landing in a slot or past the horizon; those whose tick passed
+        // first are dropped unfiled.
         let mut rand = lcg(0x9E37_79B9);
+        let (mut late_in_slot, mut late_overflow) = (0, 0);
         for _ in 0..20 {
             let mut wheel = TimingWheel::new(100);
             let mut heap = HeapScheduler::new();
@@ -538,6 +624,7 @@ mod tests {
             let mut wheel_out = Vec::new();
             let mut heap_out = Vec::new();
             let mut pending = 0i64;
+            let mut held: Vec<(u64, u64)> = Vec::new();
             let (mut wd, mut hd) = (Vec::new(), Vec::new());
             for _ in 0..500 {
                 if pending == 0 || rand(3) > 0 {
@@ -550,9 +637,25 @@ mod tests {
                             1 | 2 => 100 + rand(400),
                             _ => 1 + rand(100),
                         };
-                        wheel.schedule(now + delay, seq, (seq % 251) as u32);
-                        heap.schedule(now + delay, seq, (seq % 251) as u32);
+                        if rand(4) == 0 {
+                            held.push((now + delay, seq));
+                        } else {
+                            wheel.schedule(now + delay, seq, (seq % 251) as u32);
+                            heap.schedule(now + delay, seq, (seq % 251) as u32);
+                            pending += 1;
+                        }
                         seq += 1;
+                    }
+                    held.retain(|&(at, _)| at > now);
+                    if !held.is_empty() && rand(2) == 0 {
+                        let (at, s) = held.swap_remove(rand(held.len() as u64) as usize);
+                        if at - now <= 100 {
+                            late_in_slot += 1;
+                        } else {
+                            late_overflow += 1;
+                        }
+                        wheel.schedule_late(at, s, (s % 251) as u32);
+                        heap.schedule_late(at, s, (s % 251) as u32);
                         pending += 1;
                     }
                 } else {
@@ -568,5 +671,6 @@ mod tests {
             }
             assert_eq!(wheel_out, heap_out);
         }
+        assert!(late_in_slot > 0 && late_overflow > 0, "{late_in_slot} {late_overflow}");
     }
 }

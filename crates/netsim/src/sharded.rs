@@ -29,8 +29,10 @@
 //!    activation's outbox verbatim. No sequence numbers are drawn and no
 //!    link, wheel or arena is touched; shards share nothing.
 //! 3. **Replay (coordinator).** The tick's due list is walked in global
-//!    `seq` order — the serial processing order. An acknowledgment or a
-//!    blocked delivery fires through `Core::fire`. A delivery activated in
+//!    `seq` order — the serial processing order — merged with the
+//!    acknowledgments the replay itself files late at this tick
+//!    (`Core::fire_late`). An acknowledgment or a blocked delivery fires
+//!    through `Core::fire`. A delivery activated in
 //!    phase 1 reclaims its arena slot and replays its effects through the
 //!    effects core (`begin_delivery`, one `send` per captured message,
 //!    `end_delivery`), reading its outbox through one cursor per shard into
@@ -473,10 +475,11 @@ fn dispatch<P: Protocol>(shards: &mut Shards<P>, pool: &mut WorkerPool<ShardWork
     (0..shards.layout.k).map(|s| std::mem::take(&mut shards.work(s).newly_done)).sum()
 }
 
-/// Dense-tick step 3: walks the tick's due list in global `seq` order. A
-/// delivery activated in phase 1 reclaims its arena slot (where the serial
-/// engine takes it) and replays its effects from its shard's cursor; every
-/// other event fires in full.
+/// Dense-tick step 3: walks the tick's due list in global `seq` order,
+/// firing the acks filed late at this tick in between. A delivery activated
+/// in phase 1 reclaims its arena slot (where the serial engine takes it) and
+/// replays its effects from its shard's cursor; every other event fires in
+/// full. `run_ticks` fires the late acks that follow the last due event.
 // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
 fn replay<P: Protocol>(
     core: &mut Core<'_, P>,
@@ -484,6 +487,7 @@ fn replay<P: Protocol>(
     due: &mut Vec<(u64, EvRef)>,
 ) -> Result<(), SimError> {
     for (seq, ev) in due.drain(..) {
+        core.fire_late(st, seq);
         let link = DirectedEdgeId(ev.link);
         if !ev.is_ack() {
             let state = st.links.link(link.index());

@@ -22,6 +22,14 @@
 //! cause, and a delivery whose injection was unblocked by that acknowledgment
 //! inherits `d` too. The `cause` chain therefore closes over deliveries alone,
 //! which is what lets the checker work on delivery records only.
+//!
+//! An acknowledgment the engine *parks* (nothing waited behind it, DESIGN.md
+//! §10.2) registers its cause when it is drawn, like a scheduled one; if a
+//! send later files it, it fires through the same hook. If it passes unfired
+//! it is forgotten. Its firing could only have set the causal context, and
+//! every event that schedules anything sets the context first (a fault drop
+//! schedules nothing: its link is blocked, so the release drains the queue),
+//! so no record depends on the acks that never fire.
 
 use ds_graph::NodeId;
 use std::collections::BTreeMap;
@@ -95,6 +103,11 @@ impl TraceState {
     /// its delivery's cause, or the start wave).
     pub(crate) fn on_scheduled(&mut self, seq: u64) {
         self.cause_of.insert(seq, self.current);
+    }
+
+    /// Forgets the parked acknowledgment `seq`: it passed without firing.
+    pub(crate) fn on_passed(&mut self, seq: u64) {
+        self.cause_of.remove(&seq);
     }
 
     /// Records a delivery firing and makes it the current causal context for

@@ -8,8 +8,8 @@
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::graph::metrics;
-use det_synchronizer::netsim::run_async_faulted;
 use det_synchronizer::netsim::sync_engine::run_sync;
+use det_synchronizer::netsim::{run_async_faulted, AsyncReport};
 use det_synchronizer::prelude::*;
 
 #[test]
@@ -78,16 +78,15 @@ fn sharded_128x128_grid_reproduces_the_recorded_event_count() {
     assert_eq!(run.metrics.events, 7_900_379);
 }
 
-/// Bytes of det synchronizer state (`DetSynchronizer::state_bytes`, buffer
-/// capacities included) summed over all nodes after a BFS from node 0 under
-/// uniform delays at the pulse bound `T(A)` — `det_grid_deep`'s request.
-fn det_bfs_state_bytes(graph: &Graph) -> usize {
+/// A det BFS from node 0 under `delay` at the pulse bound `T(A)`; under
+/// uniform delays on grid 64² it is `det_grid_deep`'s request.
+fn det_bfs(graph: &Graph, delay: DelayModel) -> AsyncReport<DetSynchronizer<BfsAlgorithm<'_>>> {
     let bfs = |v| BfsAlgorithm::new(graph, v, &[NodeId(0)]);
     let t = run_sync(graph, bfs, 100_000).expect("synchronous BFS").rounds_to_quiescence;
     let cfg = SynchronizerConfig::build(graph, t.max(1));
     let report = run_async_faulted(
         graph,
-        DelayModel::uniform(),
+        delay,
         None,
         |v| DetSynchronizer::new(v, bfs(v), cfg.clone()),
         SimLimits { max_events: 4_000_000, max_rounds: 10_000 },
@@ -95,6 +94,14 @@ fn det_bfs_state_bytes(graph: &Graph) -> usize {
     )
     .expect("det BFS");
     assert!(report.nodes.iter().all(|n| n.algorithm().output().is_some()), "every node outputs");
+    report
+}
+
+/// Bytes of det synchronizer state (`DetSynchronizer::state_bytes`, buffer
+/// capacities included) summed over all nodes after [`det_bfs`] under
+/// uniform delays.
+fn det_bfs_state_bytes(graph: &Graph) -> usize {
+    let report = det_bfs(graph, DelayModel::uniform());
     report.nodes.iter().map(DetSynchronizer::state_bytes).sum()
 }
 
@@ -112,6 +119,25 @@ fn det_state_stays_within_its_memory_budget() {
     ] {
         let bytes = det_bfs_state_bytes(&graph);
         assert!(bytes <= budget, "{name}: det state is {bytes} B, over its {budget} B budget");
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode smoke test; debug engines are too slow")]
+fn acks_become_events_only_behind_a_waiting_message() {
+    // Every delivery draws an ack, but only the acks that find a message
+    // queued on their link when they fire are filed as events. The counts
+    // equal those of an instrumented copy of the engine that filed every ack
+    // and counted, when each fired, whether its link queue was non-empty;
+    // a change that files idle acks again moves them.
+    for (name, graph, delay, events, scheduled) in [
+        ("grid 64² uniform", Graph::grid(64, 64), DelayModel::uniform(), 1_119_962, 18_748),
+        ("grid 48² jitter 1", Graph::grid(48, 48), DelayModel::jitter(1), 465_156, 50_670),
+    ] {
+        let report = det_bfs(&graph, delay);
+        let m = &report.metrics;
+        assert_eq!((m.events, m.acks), (events, events), "{name}: the schedule moved");
+        assert_eq!(report.acks_scheduled, scheduled, "{name}");
     }
 }
 

@@ -294,15 +294,16 @@ fn delays_far_past_the_horizon_agree_on_every_engine() {
 
 /// Every [`AsyncReport`] field but `pool_dispatches`: the per-node arrival
 /// streams, the metrics, and the engine internals (overflow parks, arena
-/// watermark and bytes, largest due batch) that a layout of its own would
-/// move.
-type FullView = (SendView, [u64; 6]);
+/// watermark and bytes, largest due batch, filed acks) that a layout of its
+/// own would move.
+type FullView = (SendView, [u64; 7]);
 
 fn full_view(report: AsyncReport<SendRecorder<'_>>) -> FullView {
     let internals = [
         report.peak_live_handles,
         report.arena_bytes,
         report.max_batch,
+        report.acks_scheduled,
         report.batched_ticks,
         report.dropped_events,
         report.fault_transitions,
