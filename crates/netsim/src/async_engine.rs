@@ -292,9 +292,9 @@ pub(crate) fn finish<P: Protocol, S: EventScheduler<EvRef>>(
 /// Runs an asynchronous protocol on `graph` under the delay adversary `delay`
 /// and, if given, a [`FaultPlan`] (drop semantics in [`crate::fault`]; `None`
 /// runs on the intact topology), on the event scheduler `scheduler` selects.
-/// All kinds produce bit-identical runs (asserted by
-/// `tests/scheduler_equiv.rs`); the heap is kept as the executable reference
-/// for the timing wheel.
+/// All kinds produce bit-identical runs (asserted by `ds-verify`'s engine
+/// contract, `ds_verify::check`); the heap is kept as the executable
+/// reference for the timing wheel.
 ///
 /// `make` constructs the per-node protocol instance.
 ///
@@ -332,7 +332,8 @@ where
 ///
 /// The traced run is **bit-identical** to the untraced one — tracing only
 /// appends to a side buffer and never draws a sequence number or touches a
-/// queue (asserted by the module tests and `tests/happens_before.rs`).
+/// queue (asserted by the module tests and by the engine contract's traced
+/// rows, `ds_verify::check`).
 /// Dropped deliveries leave no trace record (they never happened, causally),
 /// so the checker works unchanged under churn.
 ///

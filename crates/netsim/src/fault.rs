@@ -22,7 +22,8 @@
 //! before any event of that tick fires, and the drop paths draw **no**
 //! sequence numbers from the global stream. Schedules under any `FaultPlan`
 //! are therefore bit-identical across engines, shard counts and worker
-//! counts — pinned by `tests/fault_injection.rs`.
+//! counts — pinned by `ds-verify`'s engine contract (`ds_verify::check`,
+//! whose fault scenarios are in `tests/fault_injection.rs`).
 
 use ds_graph::{DirectedEdgeId, Graph, NodeId};
 

@@ -21,7 +21,8 @@
 //! invisible to the simulation: arena handles are opaque tokens that never
 //! feed a delay draw or an ordering decision, and queue/slot buffers compare
 //! equal whatever their reserve. Hence a recycled run's schedule is
-//! bit-identical to a cold run's, which `tests/engine_reuse.rs` and
+//! bit-identical to a cold run's, which the cold- and warm-slab rows of
+//! `ds-verify`'s engine contract (`ds_verify::check`) and
 //! `tests/service_determinism.rs` pin.
 //!
 //! # Error runs
@@ -239,123 +240,6 @@ impl fmt::Debug for SlabBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_engine::run_async_faulted;
-    use crate::protocol::Ctx;
-    use crate::SchedulerKind;
-    use ds_graph::Graph;
-
-    /// Minimal flooding protocol (owned neighbor list so the slab tests can
-    /// outlive their graphs).
-    #[derive(Debug)]
-    struct Flood {
-        me: NodeId,
-        neighbors: Vec<NodeId>,
-        hops: Option<u64>,
-    }
-
-    impl Flood {
-        fn new(graph: &Graph, me: NodeId) -> Self {
-            Flood { me, neighbors: graph.neighbors(me).to_vec(), hops: None }
-        }
-    }
-
-    impl Protocol for Flood {
-        type Message = u64;
-
-        fn on_start(&mut self, ctx: &mut Ctx<u64>) {
-            if self.me == NodeId(0) {
-                self.hops = Some(0);
-                for &u in &self.neighbors {
-                    ctx.send(u, 1);
-                }
-            }
-        }
-
-        fn on_message(&mut self, _from: NodeId, msg: u64, ctx: &mut Ctx<u64>) {
-            if self.hops.is_none() {
-                self.hops = Some(msg);
-                for &u in &self.neighbors {
-                    ctx.send(u, msg + 1);
-                }
-            }
-        }
-
-        fn is_done(&self) -> bool {
-            self.hops.is_some()
-        }
-    }
-
-    /// A cold (freshly allocated) run on the serial wheel.
-    fn cold(
-        graph: &Graph,
-        delay: DelayModel,
-        make: impl FnMut(NodeId) -> Flood,
-        limits: SimLimits,
-    ) -> Result<AsyncReport<Flood>, SimError> {
-        run_async_faulted(graph, delay, None, make, limits, SchedulerKind::TimingWheel)
-    }
-
-    fn hops(report: &AsyncReport<Flood>) -> Vec<Option<u64>> {
-        report.nodes.iter().map(|n| n.hops).collect()
-    }
-
-    #[test]
-    fn recycled_runs_match_cold_runs_bit_for_bit() {
-        let graphs = [Graph::grid(6, 6), Graph::cycle(17), Graph::grid(3, 9)];
-        let mut slab = EngineSlab::new();
-        for delay in DelayModel::standard_suite(7) {
-            for graph in &graphs {
-                let cold =
-                    cold(graph, delay.clone(), |v| Flood::new(graph, v), SimLimits::default())
-                        .unwrap();
-                let warm = run_async_recycled(
-                    graph,
-                    delay.clone(),
-                    None,
-                    |v| Flood::new(graph, v),
-                    SimLimits::default(),
-                    &mut slab,
-                )
-                .unwrap();
-                assert_eq!(hops(&cold), hops(&warm));
-                assert_eq!(cold.metrics, warm.metrics);
-                assert_eq!(cold.peak_live_handles, warm.peak_live_handles);
-                assert_eq!(cold.max_batch, warm.max_batch);
-                assert!(slab.is_clean(), "slab dirty after a successful run");
-            }
-        }
-        assert!(slab.runs() > 1);
-    }
-
-    #[test]
-    fn error_run_discards_slab_state_and_later_runs_still_match() {
-        let graph = Graph::grid(8, 8);
-        let mut slab = EngineSlab::new();
-        let tight = SimLimits { max_events: 5, ..SimLimits::default() };
-        let err = run_async_recycled(
-            &graph,
-            DelayModel::Uniform,
-            None,
-            |v| Flood::new(&graph, v),
-            tight,
-            &mut slab,
-        );
-        assert!(matches!(err, Err(SimError::EventLimitExceeded { .. })));
-        assert!(slab.is_clean(), "discarded error state must leave the slab clean");
-        let cold =
-            cold(&graph, DelayModel::Uniform, |v| Flood::new(&graph, v), SimLimits::default())
-                .unwrap();
-        let warm = run_async_recycled(
-            &graph,
-            DelayModel::Uniform,
-            None,
-            |v| Flood::new(&graph, v),
-            SimLimits::default(),
-            &mut slab,
-        )
-        .unwrap();
-        assert_eq!(hops(&cold), hops(&warm));
-    }
 
     #[test]
     fn bank_pools_slabs_per_message_type_and_counts_reuse() {

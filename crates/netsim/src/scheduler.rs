@@ -28,8 +28,9 @@
 //!   binary search on `seq`, so every slot stays sorted.
 //!
 //! The engine picks the implementation through [`SchedulerKind`]; the heap is kept
-//! as the executable specification the wheel is tested against (see
-//! `tests/scheduler_equiv.rs` and the module tests below).
+//! as the executable specification the wheel is tested against (see the
+//! heap row of `ds-verify`'s engine contract, `ds_verify::check`, and the
+//! module tests below).
 
 use crate::bitset;
 use std::cmp::Ordering;

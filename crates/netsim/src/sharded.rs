@@ -55,9 +55,11 @@
 //! every delay, every metric and every engine counter but
 //! [`AsyncReport::pool_dispatches`] — is therefore bit-identical to
 //! [`crate::SchedulerKind::TimingWheel`]'s for any shard count and any thread
-//! interleaving (`tests/scheduler_equiv.rs`, `tests/determinism.rs` and
-//! `tests/golden_schedule.rs` pin this; trace records keep the destination's
-//! shard, so `ds-verify`'s happens-before checker tests the contract).
+//! interleaving (`ds-verify`'s engine contract, `ds_verify::check`, runs
+//! every scenario at seven shard counts with and without worker threads,
+//! and `tests/golden_schedule.rs` pins recorded digests; trace records keep
+//! the destination's shard, so `ds-verify`'s happens-before checker tests
+//! the contract).
 //!
 //! The one observable difference is the *intra-tick activation order across
 //! different nodes* on dense ticks: a protocol that shares mutable state
@@ -338,8 +340,8 @@ where
         ThreadMode::Auto => {
             // ds-lint: allow(ambient-authority) — thread-count probe gates only
             // *whether* (and how many) workers spawn, never the schedule
-            // (bit-identical for every worker count, pinned by
-            // `worker_threads_produce_the_same_execution`).
+            // (bit-identical for every worker count, pinned by the
+            // engine contract's thread rows, `ds_verify::check`).
             let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
             if k > 1 && cores > 1 {
                 requested.clamp(1, k).min(cores)
@@ -513,13 +515,14 @@ fn replay<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_engine::{run_async_faulted, run_async_faulted_traced};
-    use crate::metrics::{MessageClass, RunMetrics};
-    use crate::{SchedulerKind, TICKS_PER_UNIT};
+    use crate::async_engine::run_async_faulted;
+    use crate::metrics::MessageClass;
+    use crate::SchedulerKind;
 
-    /// Chatty flood recording, per node, the exact arrival stream `(from, msg)`
-    /// — the node-local view of the schedule. Mixed priorities exercise the
-    /// per-link stage queues; a few waves keep traffic flowing.
+    /// Chatty flood for the failure tests below: every 5th node a source,
+    /// three echo waves, mixed per-message priorities. The engine-equivalence
+    /// matrix lives in `ds-verify`'s engine contract (`ds_verify::check`),
+    /// which this crate's tests cannot depend on.
     #[derive(Debug)]
     struct Chatter<'g> {
         me: NodeId,
@@ -558,188 +561,6 @@ mod tests {
         fn is_done(&self) -> bool {
             !self.arrivals.is_empty() || self.me.index().is_multiple_of(5)
         }
-    }
-
-    type NodeView = (Vec<Vec<(NodeId, u64)>>, RunMetrics, u64);
-
-    fn wheel_run(graph: &Graph, delay: &DelayModel) -> NodeView {
-        let report = run_async_faulted(
-            graph,
-            delay.clone(),
-            None,
-            |v| Chatter::new(graph, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
-        )
-        .expect("wheel run");
-        (
-            report.nodes.into_iter().map(|n| n.arrivals).collect(),
-            report.metrics,
-            report.overflow_events,
-        )
-    }
-
-    fn sharded_run(graph: &Graph, delay: &DelayModel, opts: ShardedOptions) -> NodeView {
-        let report = run_async_sharded_faulted_with(
-            graph,
-            delay.clone(),
-            None,
-            |v| Chatter::new(graph, v),
-            SimLimits::default(),
-            opts,
-        )
-        .expect("sharded run");
-        (
-            report.nodes.into_iter().map(|n| n.arrivals).collect(),
-            report.metrics,
-            report.overflow_events,
-        )
-    }
-
-    #[test]
-    fn sharded_matches_the_wheel_for_every_adversary_and_shard_count() {
-        // Per-node arrival streams, metrics and overflow counts must be
-        // byte-identical to the serial wheel for every shard count, including
-        // the multi-τ outage adversary that exercises the overflow heaps.
-        let graph = Graph::random_connected(26, 0.14, 11);
-        let mut adversaries = DelayModel::standard_suite(7);
-        adversaries.push(DelayModel::outage(7, 5, 2));
-        for delay in adversaries {
-            let reference = wheel_run(&graph, &delay);
-            for shards in [1, 2, 3, 4, 7, 26, 100] {
-                let got = sharded_run(
-                    &graph,
-                    &delay,
-                    ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(shards) },
-                );
-                assert_eq!(got, reference, "shards={shards} diverged under {delay:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn faulted_sharded_runs_match_the_serial_wheel() {
-        // Under a churn plan — link episodes plus a mid-run crash/recovery —
-        // the sharded engine must reproduce the serial wheel's arrival
-        // streams, drop counts and transition counts for every shard count.
-        let graph = Graph::random_connected(26, 0.14, 11);
-        let mut plan = FaultPlan::random_churn(&graph, 42, 6, 2, 5 * TICKS_PER_UNIT);
-        plan = plan
-            .node_crash(TICKS_PER_UNIT / 2, NodeId(5))
-            .node_recover(3 * TICKS_PER_UNIT, NodeId(5));
-        for delay in [DelayModel::uniform(), DelayModel::jitter(3), DelayModel::outage(7, 5, 2)] {
-            let reference = run_async_faulted(
-                &graph,
-                delay.clone(),
-                Some(&plan),
-                |v| Chatter::new(&graph, v),
-                SimLimits::default(),
-                SchedulerKind::TimingWheel,
-            )
-            .expect("faulted wheel run");
-            assert!(reference.fault_transitions > 0, "the plan must actually fire");
-            let (ref_dropped, ref_transitions) =
-                (reference.dropped_events, reference.fault_transitions);
-            let reference_view: NodeView = (
-                reference.nodes.into_iter().map(|n| n.arrivals).collect(),
-                reference.metrics,
-                reference.overflow_events,
-            );
-            for shards in [1, 2, 4, 7] {
-                let report = run_async_sharded_faulted_with(
-                    &graph,
-                    delay.clone(),
-                    Some(&plan),
-                    |v| Chatter::new(&graph, v),
-                    SimLimits::default(),
-                    ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(shards) },
-                )
-                .expect("faulted sharded run");
-                assert_eq!(
-                    report.dropped_events, ref_dropped,
-                    "shards={shards} drop count diverged under {delay:?}"
-                );
-                assert_eq!(
-                    report.fault_transitions, ref_transitions,
-                    "shards={shards} transitions diverged under {delay:?}"
-                );
-                let got: NodeView = (
-                    report.nodes.into_iter().map(|n| n.arrivals).collect(),
-                    report.metrics,
-                    report.overflow_events,
-                );
-                assert_eq!(got, reference_view, "shards={shards} diverged under {delay:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_threads_produce_the_same_execution() {
-        // ForceOn exercises the cross-thread hand-off even on single-core
-        // hosts; a uniform-delay start wave on a 12×12 grid puts well over
-        // PARALLEL_TICK_THRESHOLD events into one tick, so the threaded path
-        // actually runs.
-        let graph = Graph::grid(12, 12);
-        for delay in [DelayModel::uniform(), DelayModel::jitter(3)] {
-            let reference = wheel_run(&graph, &delay);
-            for shards in [2, 4] {
-                let forced = sharded_run(
-                    &graph,
-                    &delay,
-                    ShardedOptions { threads: ThreadMode::ForceOn, ..ShardedOptions::new(shards) },
-                );
-                assert_eq!(forced, reference, "threaded shards={shards} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_count_decouples_from_shard_count() {
-        // Seven shards share fewer (and non-dividing) worker
-        // counts; every combination must reproduce the serial schedule, and
-        // the dense uniform start wave guarantees the pool really engages.
-        let graph = Graph::grid(12, 12);
-        let delay = DelayModel::uniform();
-        let reference = wheel_run(&graph, &delay);
-        for workers in [1, 2, 3] {
-            let report = run_async_sharded_faulted_with(
-                &graph,
-                delay.clone(),
-                None,
-                |v| Chatter::new(&graph, v),
-                SimLimits::default(),
-                ShardedOptions { workers, threads: ThreadMode::ForceOn, ..ShardedOptions::new(7) },
-            )
-            .expect("pooled run");
-            assert!(report.pool_dispatches > 0, "workers={workers}: pool never engaged");
-            let got: NodeView = (
-                report.nodes.into_iter().map(|n| n.arrivals).collect(),
-                report.metrics,
-                report.overflow_events,
-            );
-            assert_eq!(got, reference, "workers={workers} diverged");
-        }
-    }
-
-    #[test]
-    fn run_async_faulted_runs_sharded_sequentially() {
-        let graph = Graph::grid(4, 5);
-        let reference = wheel_run(&graph, &DelayModel::jitter(9));
-        let report = run_async_faulted(
-            &graph,
-            DelayModel::jitter(9),
-            None,
-            |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            SchedulerKind::Sharded { shards: 3, workers: 0 },
-        )
-        .expect("sharded via run_async_faulted");
-        let got: NodeView = (
-            report.nodes.into_iter().map(|n| n.arrivals).collect(),
-            report.metrics,
-            report.overflow_events,
-        );
-        assert_eq!(got, reference);
     }
 
     #[test]
@@ -807,92 +628,28 @@ mod tests {
     }
 
     #[test]
-    fn tracing_is_invisible_to_the_schedule() {
-        // Bit-identity with tracing off vs. on, for the serial engine and for
-        // every sharded layout: the trace hooks must not draw a seq, touch a
-        // queue, or otherwise perturb the execution.
+    fn trace_records_carry_the_destination_shard() {
+        // The happens-before checker reads shard consistency off the trace;
+        // here each record's shard must be the layout's owner of its
+        // destination.
         let graph = Graph::random_connected(22, 0.16, 19);
-        let delay = DelayModel::jitter(4);
-        let reference = wheel_run(&graph, &delay);
-        let (report, serial_trace) = run_async_faulted_traced(
-            &graph,
-            delay.clone(),
-            None,
-            |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            crate::SchedulerKind::TimingWheel,
-        )
-        .expect("traced wheel run");
-        let got: NodeView = (
-            report.nodes.into_iter().map(|n| n.arrivals).collect(),
-            report.metrics,
-            report.overflow_events,
-        );
-        assert_eq!(got, reference, "tracing perturbed the serial schedule");
-        assert!(!serial_trace.records.is_empty());
-        assert_eq!(serial_trace.shards, 1);
-
         for shards in [1, 2, 4] {
-            let (report, trace) = run_async_sharded_faulted_traced_with(
+            let (_, trace) = run_async_sharded_faulted_traced_with(
                 &graph,
-                delay.clone(),
+                DelayModel::jitter(4),
                 None,
                 |v| Chatter::new(&graph, v),
                 SimLimits::default(),
                 ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(shards) },
             )
             .expect("traced sharded run");
-            let got: NodeView = (
-                report.nodes.into_iter().map(|n| n.arrivals).collect(),
-                report.metrics,
-                report.overflow_events,
-            );
-            assert_eq!(got, reference, "tracing perturbed the sharded schedule (k={shards})");
-            // The scheduler-independent view of the trace matches the serial
-            // engine record for record; only the shard assignment differs,
-            // and it must match the layout's owner of each destination.
             assert_eq!(trace.shards, shards as u32);
+            assert!(!trace.records.is_empty());
             let layout = ShardLayout::new(graph.node_count(), shards);
-            assert_eq!(trace.records.len(), serial_trace.records.len());
-            for (sharded_rec, serial_rec) in trace.records.iter().zip(&serial_trace.records) {
-                assert_eq!(sharded_rec.schedule_key(), serial_rec.schedule_key());
-                assert_eq!(sharded_rec.shard as usize, layout.shard_of(sharded_rec.dst));
+            for record in &trace.records {
+                assert_eq!(record.shard as usize, layout.shard_of(record.dst));
             }
         }
-    }
-
-    #[test]
-    fn traced_runs_cross_worker_threads_unchanged() {
-        // The trace lives with the coordinator; ForceOn workers must neither
-        // see it nor change what it records, and the coordinator-only run
-        // must never touch the pool.
-        let graph = Graph::grid(12, 12);
-        let delay = DelayModel::uniform();
-        let (sequential_report, sequential) = run_async_sharded_faulted_traced_with(
-            &graph,
-            delay.clone(),
-            None,
-            |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(4) },
-        )
-        .expect("sequential traced run");
-        let (report, threaded) = run_async_sharded_faulted_traced_with(
-            &graph,
-            delay,
-            None,
-            |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            ShardedOptions { threads: ThreadMode::ForceOn, ..ShardedOptions::new(4) },
-        )
-        .expect("threaded traced run");
-        assert_eq!(threaded, sequential);
-        assert!(report.metrics.events > 0);
-        assert!(report.pool_dispatches > 0, "the uniform waves must reach the pool");
-        assert_eq!(
-            sequential_report.pool_dispatches, 0,
-            "ThreadMode::Off must never touch the pool"
-        );
     }
 
     #[test]

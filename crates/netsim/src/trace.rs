@@ -15,7 +15,8 @@
 //! `Option<TraceState>` and every hook is a branch on `Some`. No sequence
 //! number, delay draw or container operation differs between a traced and an
 //! untraced run, so schedules are bit-identical either way (pinned by the
-//! module tests in [`crate::async_engine`] and `tests/happens_before.rs`).
+//! module tests in [`crate::async_engine`] and by the traced and untraced
+//! rows of `ds-verify`'s engine contract, `ds_verify::check`).
 //!
 //! Causality is tracked through *acknowledgment inheritance*: a link
 //! acknowledgment scheduled while processing delivery `d` carries `d` as its

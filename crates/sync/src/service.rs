@@ -38,7 +38,8 @@
 //!    have run — verified equal-keyed *and* equal-graphed — so `Det(hit)`
 //!    and `DetAuto` build identical protocol instances.
 //! 3. Recycled engine state is bit-identical to cold state by the reset
-//!    contract of `ds-netsim::recycle` (asserted by the engine every run).
+//!    contract of `ds-netsim::recycle` (asserted by the engine every run,
+//!    and against the wheel by the slab rows of `ds_verify::check`).
 //! 4. Completion order is irrelevant: results are reassembled by submission
 //!    index, and no request reads another's output.
 //!

@@ -32,7 +32,6 @@
 //! *only* thing the engines may disagree on.
 
 use ds_netsim::{DeliveryRecord, DeliveryTrace};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A violation of the happens-before contract found in a trace.
@@ -200,8 +199,8 @@ pub fn check_trace(trace: &DeliveryTrace) -> Result<HbReport, Vec<HbViolation>> 
     let shards = trace.shards.max(1);
 
     // Pass 1: seq/tick monotonicity, shard sanity, cause resolution.
-    let mut index_of: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut shard_of_dst: BTreeMap<usize, u32> = BTreeMap::new();
+    let dsts = records.iter().map(|r| r.dst.0 + 1).max().unwrap_or(0);
+    let mut shard_of_dst: Vec<Option<u32>> = vec![None; dsts];
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
             let prev = &records[i - 1];
@@ -224,8 +223,8 @@ pub fn check_trace(trace: &DeliveryTrace) -> Result<HbReport, Vec<HbViolation>> 
             violations.push(HbViolation::ShardOutOfRange { seq: r.seq, shard: r.shard, shards });
         }
         let dst = r.dst.0;
-        match shard_of_dst.get(&dst) {
-            Some(&s) if s != r.shard => {
+        match shard_of_dst[dst] {
+            Some(s) if s != r.shard => {
                 violations.push(HbViolation::InconsistentShard {
                     dst,
                     first: s,
@@ -233,19 +232,28 @@ pub fn check_trace(trace: &DeliveryTrace) -> Result<HbReport, Vec<HbViolation>> 
                 });
             }
             Some(_) => {}
-            None => {
-                shard_of_dst.insert(dst, r.shard);
-            }
-        }
-        if index_of.insert(r.seq, i).is_some() {
-            violations.push(HbViolation::DuplicateSeq { seq: r.seq });
+            None => shard_of_dst[dst] = Some(r.shard),
         }
     }
-    for r in records {
+    // Record indices by seq.
+    let mut by_seq: Vec<(u64, usize)> =
+        records.iter().enumerate().map(|(i, r)| (r.seq, i)).collect();
+    by_seq.sort_unstable();
+    for pair in by_seq.windows(2).filter(|pair| pair[0].0 == pair[1].0) {
+        violations.push(HbViolation::DuplicateSeq { seq: pair[1].0 });
+    }
+    let index_of = |seq: u64| {
+        let at = by_seq.binary_search_by_key(&seq, |&(seq, _)| seq).ok()?;
+        Some(by_seq[at].1)
+    };
+    // Each record's cause, as a record index.
+    let mut cause_at: Vec<Option<usize>> = vec![None; records.len()];
+    for (i, r) in records.iter().enumerate() {
         let Some(cause) = r.cause else { continue };
-        match index_of.get(&cause) {
+        match index_of(cause) {
             None => violations.push(HbViolation::UnknownCause { seq: r.seq, cause }),
-            Some(&ci) => {
+            Some(ci) => {
+                cause_at[i] = Some(ci);
                 let c = &records[ci];
                 if c.seq >= r.seq {
                     violations.push(HbViolation::CauseNotEarlier { seq: r.seq, cause });
@@ -262,37 +270,21 @@ pub fn check_trace(trace: &DeliveryTrace) -> Result<HbReport, Vec<HbViolation>> 
         }
     }
 
-    // Pass 2: vector clocks. A record's clock is the join of its shard's
-    // previous clock (program order) and its cause's clock, then its own
-    // shard component advances. Clock dimension = shard count.
-    let k = shards as usize;
-    let mut clocks: Vec<Vec<u64>> = Vec::with_capacity(records.len());
-    let mut shard_last: Vec<Option<usize>> = vec![None; k];
-    for (i, r) in records.iter().enumerate() {
-        let s = (r.shard as usize).min(k - 1);
-        let mut vc = match shard_last[s] {
-            Some(p) => clocks[p].clone(),
-            None => vec![0; k],
-        };
-        if let Some(cause) = r.cause {
-            if let Some(&ci) = index_of.get(&cause) {
-                if ci < i {
-                    for (a, b) in vc.iter_mut().zip(&clocks[ci]) {
-                        *a = (*a).max(*b);
-                    }
-                }
-            }
-        }
-        vc[s] += 1;
-        clocks.push(vc);
-        shard_last[s] = Some(i);
-    }
-
-    // Pass 3: same-tick cross-shard deliveries must be incomparable — their
+    // Pass 2: same-tick cross-shard deliveries must be incomparable — their
     // merge order is seq's alone to choose. Records are grouped into
-    // contiguous same-tick runs (pass 1 verified tick monotonicity).
+    // contiguous same-tick runs (pass 1 verified tick monotonicity). Program
+    // order and cause edges both lead from a lower record index to a higher
+    // one, so a path between two records of one run stays inside the run,
+    // and it changes shard only over a cause edge inside the run: a run
+    // without one has every cross-shard pair incomparable. A run with one
+    // gets vector clocks over its records — a record's clock is the join of
+    // its shard's previous clock (program order) and its cause's, then its
+    // own shard component advances — and every cross-shard pair is compared.
+    let k = shards as usize;
+    let shard_index = |r: &DeliveryRecord| (r.shard as usize).min(k - 1);
     let mut concurrent_pairs_checked = 0u64;
     let mut ticks = 0usize;
+    let mut per_shard = vec![0u64; k];
     let mut run_start = 0;
     while run_start < records.len() {
         let tick = records[run_start].tick;
@@ -301,21 +293,47 @@ pub fn check_trace(trace: &DeliveryTrace) -> Result<HbReport, Vec<HbViolation>> 
             run_end += 1;
         }
         ticks += 1;
-        for i in run_start..run_end {
-            for j in (i + 1)..run_end {
-                if records[i].shard == records[j].shard {
-                    continue;
+        let run = &records[run_start..run_end];
+        let len = run.len() as u64;
+        let mut same_shard_pairs = 0;
+        run.iter().for_each(|r| per_shard[shard_index(r)] += 1);
+        for r in run {
+            let c = std::mem::take(&mut per_shard[shard_index(r)]);
+            same_shard_pairs += c * c.saturating_sub(1) / 2;
+        }
+        concurrent_pairs_checked += len * (len - 1) / 2 - same_shard_pairs;
+
+        let inner_cause = |i: usize| cause_at[i].filter(|&ci| run_start <= ci && ci < i);
+        if (run_start..run_end).any(|i| inner_cause(i).is_some()) {
+            let mut clocks: Vec<Vec<u64>> = Vec::with_capacity(run.len());
+            let mut shard_last: Vec<Option<usize>> = vec![None; k];
+            for (i, r) in (run_start..).zip(run) {
+                let s = shard_index(r);
+                let mut vc = shard_last[s].map_or_else(|| vec![0; k], |p| clocks[p].clone());
+                if let Some(ci) = inner_cause(i) {
+                    for (a, b) in vc.iter_mut().zip(&clocks[ci - run_start]) {
+                        *a = (*a).max(*b);
+                    }
                 }
-                concurrent_pairs_checked += 1;
-                let (a, b) = (&clocks[i], &clocks[j]);
-                let a_le_b = a.iter().zip(b).all(|(x, y)| x <= y);
-                let b_le_a = b.iter().zip(a).all(|(x, y)| x <= y);
-                if a_le_b || b_le_a {
-                    violations.push(HbViolation::OrderNotForced {
-                        earlier_seq: records[i].seq,
-                        later_seq: records[j].seq,
-                        tick,
-                    });
+                vc[s] += 1;
+                clocks.push(vc);
+                shard_last[s] = Some(i - run_start);
+            }
+            for i in 0..run.len() {
+                for j in (i + 1)..run.len() {
+                    if run[i].shard == run[j].shard {
+                        continue;
+                    }
+                    let (a, b) = (&clocks[i], &clocks[j]);
+                    let a_le_b = a.iter().zip(b).all(|(x, y)| x <= y);
+                    let b_le_a = b.iter().zip(a).all(|(x, y)| x <= y);
+                    if a_le_b || b_le_a {
+                        violations.push(HbViolation::OrderNotForced {
+                            earlier_seq: run[i].seq,
+                            later_seq: run[j].seq,
+                            tick,
+                        });
+                    }
                 }
             }
         }

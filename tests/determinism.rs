@@ -1,133 +1,45 @@
-//! Determinism regression tests: the simulators are fully deterministic, so the
-//! same graph and the same seeded `DelayModel` must produce *identical* results on
-//! repeated runs — same per-node outputs and byte-identical `RunMetrics` — for
-//! every `SyncKind`. This pins down the engine representation refactors (flat link
-//! tables, inline event heaps, recycled buffers): any hidden dependence on map
-//! iteration order or allocation state would show up here as run-to-run drift.
+//! The engine contract at the `Session` level: every `SyncKind` over every
+//! engine configuration of `ds_verify::rows`, selected through
+//! `Session::{scheduler, recycle, record_trace}`, produces the same outputs,
+//! metrics and engine counters as the plain wheel run, and every traced run's
+//! trace verifies and equals the first one record for record. The rows
+//! include the wheel run twice, so this is also the run-to-run determinism
+//! check: any hidden dependence on map iteration order, allocation state or
+//! thread interleaving shows up as drift. (`Session` picks the thread mode
+//! itself: a row's `ThreadMode` is the engine-level test's business.) The
+//! loop is `tests/common/mod.rs`'s `check_sessions`.
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::algos::flood::FloodAlgorithm;
 use det_synchronizer::prelude::*;
 
-fn run_twice_and_compare<A, F>(name: &str, graph: &Graph, delay: DelayModel, mut make: F)
-where
-    A: EventDriven,
-    F: FnMut(NodeId) -> A,
-{
-    for kind in SyncKind::standard_suite() {
-        let first = Session::on(graph)
-            .delay(delay.clone())
-            .synchronizer(kind.clone())
-            .run(&mut make)
-            .unwrap_or_else(|e| panic!("{name}/{}: {e}", kind.label()));
-        let second = Session::on(graph)
-            .delay(delay.clone())
-            .synchronizer(kind.clone())
-            .run(&mut make)
-            .unwrap_or_else(|e| panic!("{name}/{}: {e}", kind.label()));
-        assert_eq!(
-            first.outputs,
-            second.outputs,
-            "{name}/{}: outputs drifted between identical runs",
-            kind.label()
-        );
-        assert_eq!(
-            first.metrics,
-            second.metrics,
-            "{name}/{}: metrics drifted between identical runs under {delay:?}",
-            kind.label()
-        );
-        assert_eq!(first.ordering_violations, second.ordering_violations);
-    }
-}
+mod common;
+use common::check_sessions;
 
 #[test]
 fn every_sync_kind_is_deterministic_on_bfs() {
     let graph = Graph::grid(5, 5);
     for delay in DelayModel::standard_suite(23) {
-        run_twice_and_compare("grid-bfs", &graph, delay, |v| {
-            BfsAlgorithm::new(&graph, v, &[NodeId(0), NodeId(13)])
-        });
+        check_sessions(&graph, delay, |v| BfsAlgorithm::new(&graph, v, &[NodeId(0), NodeId(13)]));
     }
 }
 
 #[test]
 fn every_sync_kind_is_deterministic_on_flooding() {
     let graph = Graph::random_connected(24, 0.12, 7);
-    run_twice_and_compare("random-flood", &graph, DelayModel::jitter(41), |v| {
+    check_sessions(&graph, DelayModel::jitter(41), |v| {
         FloodAlgorithm::new(&graph, v, NodeId(0), 9)
     });
 }
 
 #[test]
 fn sharded_runs_are_deterministic_and_shard_count_independent() {
-    // The sharded engine must be a pure execution-strategy choice: for every
-    // SyncKind × adversary (the outage model included — its multi-τ delays park
-    // events in the per-shard overflow heaps), reports are byte-identical
-    // across shard counts (1, 2, 4, 7 — including counts that split the graph
-    // unevenly), across worker-pool sizes (1, 2, 4 — including pools smaller
-    // than, equal to and larger than the shard count) *and* across repeat
-    // runs. On multi-core hosts the shards run on real worker threads, the
-    // first idle one taking the next shard, so this also pins freedom from
-    // thread-interleaving nondeterminism.
+    // The seeded members of `DelayModel::standard_suite(17)` (the others are
+    // the bfs test's) and the outage model, whose multi-τ delays park events
+    // in the overflow heap.
     let graph = Graph::grid(5, 5);
-    let mut adversaries = DelayModel::standard_suite(17);
-    adversaries.push(DelayModel::outage(17, 5, 2));
-    for kind in SyncKind::standard_suite() {
-        for delay in &adversaries {
-            let run = |shards: usize, workers: usize| {
-                Session::on(&graph)
-                    .delay(delay.clone())
-                    .synchronizer(kind.clone())
-                    .scheduler(SchedulerKind::Sharded { shards, workers })
-                    .run(|v| BfsAlgorithm::new(&graph, v, &[NodeId(0), NodeId(13)]))
-                    .unwrap_or_else(|e| {
-                        panic!("{}/shards={shards}/workers={workers}: {e}", kind.label())
-                    })
-            };
-            let reference = run(1, 0);
-            for shards in [2usize, 4, 7] {
-                for workers in [1usize, 2, 4] {
-                    let got = run(shards, workers);
-                    assert_eq!(
-                        reference.outputs,
-                        got.outputs,
-                        "{}: outputs depend on shards={shards}/workers={workers} under {delay:?}",
-                        kind.label()
-                    );
-                    assert_eq!(
-                        reference.metrics,
-                        got.metrics,
-                        "{}: metrics depend on shards={shards}/workers={workers} under {delay:?}",
-                        kind.label()
-                    );
-                    assert_eq!(reference.ordering_violations, got.ordering_violations);
-                }
-            }
-            let repeat = run(4, 2);
-            assert_eq!(reference.outputs, repeat.outputs, "{}: repeat drift", kind.label());
-            assert_eq!(reference.metrics, repeat.metrics, "{}: repeat drift", kind.label());
-        }
+    let seeded = [DelayModel::jitter(17), DelayModel::jitter_at_least(18, 0.5)];
+    for delay in seeded.into_iter().chain([DelayModel::outage(17, 5, 2)]) {
+        check_sessions(&graph, delay, |v| BfsAlgorithm::new(&graph, v, &[NodeId(0), NodeId(13)]));
     }
-}
-
-#[test]
-fn distinct_seeds_actually_change_the_schedule() {
-    // Guard against a vacuous determinism test: different jitter seeds must
-    // produce different (while still correct) asynchronous schedules.
-    let graph = Graph::grid(5, 5);
-    let run = |seed: u64| {
-        Session::on(&graph)
-            .delay(DelayModel::jitter(seed))
-            .synchronizer(SyncKind::DetAuto)
-            .run(|v| BfsAlgorithm::new(&graph, v, &[NodeId(0)]))
-            .expect("run")
-    };
-    let a = run(1);
-    let b = run(2);
-    assert_eq!(a.outputs, b.outputs, "outputs are schedule-independent");
-    assert_ne!(
-        a.metrics.time_to_quiescence, b.metrics.time_to_quiescence,
-        "different adversaries should yield different completion times"
-    );
 }

@@ -1,155 +1,43 @@
 //! Dynamic-topology fault injection, end to end (DESIGN.md §9).
 //!
-//! Three contracts are pinned here:
+//! Two contracts are pinned here:
 //!
-//! * **Determinism under faults** — for every [`FaultPlan`] the schedule is
-//!   bit-identical across repeat runs, across the wheel/heap serial engines,
-//!   and across the sharded engine's whole configuration matrix
-//!   (shards × workers). Faults change *what* happens, never make
-//!   it nondeterministic.
-//! * **Happens-before soundness under churn** — every faulted trace still
-//!   passes the `ds-verify` happens-before checker: drops remove deliveries,
-//!   they never reorder the survivors.
+//! * **Determinism under faults** — for every [`FaultPlan`] the engine
+//!   contract (`ds_verify::check`) holds: the wheel, the heap, the sharded
+//!   engine over every shard and worker count with and without threads, and
+//!   the recycled engine run one schedule, drop the same deliveries and apply
+//!   the same transitions, and every faulted trace passes the happens-before
+//!   checker (drops remove deliveries, they never reorder the survivors).
+//!   Faults change *what* happens, never make it nondeterministic.
 //! * **Graceful degradation** — workloads (flood via `Session`, BFS and
 //!   leader election via their `ds-algos` wrappers) terminate under crash-stop
 //!   failures with an explicit partial-result status ([`RunHealth`]) instead
 //!   of hanging or fabricating outputs.
 
-use det_synchronizer::netsim::protocol::{Ctx, Protocol};
-use det_synchronizer::netsim::{
-    run_async_faulted_traced, run_async_sharded_faulted_traced_with, MessageClass, ShardedOptions,
-    ThreadMode, TICKS_PER_UNIT,
-};
+use det_synchronizer::netsim::TICKS_PER_UNIT;
 use det_synchronizer::prelude::*;
 use det_synchronizer::sync::session::{Session, SyncKind};
-use ds_verify::{check_equivalence, check_trace};
+use ds_verify::{check, Scenario};
 
-/// Multi-wave flood (the `threaded_equiv` workload): every node seeds its
-/// neighborhood and echoes a few waves, so barriers stay busy while the fault
-/// plan flips links and nodes under them.
-#[derive(Debug)]
-struct Flood<'g> {
-    neighbors: &'g [NodeId],
-    arrivals: Vec<(NodeId, u64)>,
-    waves_left: u64,
-}
-
-impl<'g> Flood<'g> {
-    fn new(graph: &'g Graph, me: NodeId) -> Self {
-        Flood { neighbors: graph.neighbors(me), arrivals: Vec::new(), waves_left: 3 }
-    }
-}
-
-impl Protocol for Flood<'_> {
-    type Message = u64;
-
-    fn on_start(&mut self, ctx: &mut Ctx<u64>) {
-        for (i, &u) in self.neighbors.iter().enumerate() {
-            ctx.send_with(u, 1, (i % 3) as u64, MessageClass::Algorithm);
-        }
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<u64>) {
-        self.arrivals.push((from, msg));
-        if self.waves_left > 0 {
-            self.waves_left -= 1;
-            for (i, &u) in self.neighbors.iter().enumerate() {
-                ctx.send_with(u, msg + 1, (msg + i as u64) % 4, MessageClass::Algorithm);
-            }
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        true
-    }
-}
-
-fn fault_plans(graph: &Graph) -> Vec<(&'static str, FaultPlan)> {
-    let (_, u, v) = graph.edges().next().expect("non-empty graph");
-    vec![
-        (
-            "hand-written mixed churn",
-            FaultPlan::new()
-                .link_down(TICKS_PER_UNIT / 4, u, v)
-                .node_crash(TICKS_PER_UNIT / 2, NodeId(7))
-                .link_up(2 * TICKS_PER_UNIT, u, v)
-                .node_recover(3 * TICKS_PER_UNIT, NodeId(7)),
-        ),
-        ("random churn", FaultPlan::random_churn(graph, 33, 5, 2, 4 * TICKS_PER_UNIT)),
-        ("permanent crash", FaultPlan::new().node_crash(0, NodeId(0)).node_crash(1, NodeId(13))),
-    ]
-}
-
-/// The acceptance matrix: under every fault plan, the wheel, the heap and the
-/// sharded engine over shards {1, 2, 4, 7} × workers {0, 2, 4} all produce
-/// the same schedule, drop the same deliveries and apply the same fault
-/// transitions — and a repeat run reproduces it bit for bit.
+/// Under every fault plan and delay model, every node a source echoing three
+/// waves so barriers stay busy while the plan flips links and nodes under
+/// them: the engine contract holds.
 #[test]
 fn every_fault_plan_is_bit_identical_across_the_engine_matrix() {
     let graph = Graph::grid(6, 6);
-    for (plan_name, plan) in fault_plans(&graph) {
+    let (_, u, v) = graph.edges().next().expect("non-empty graph");
+    let plans = [
+        FaultPlan::new()
+            .link_down(TICKS_PER_UNIT / 4, u, v)
+            .node_crash(TICKS_PER_UNIT / 2, NodeId(7))
+            .link_up(2 * TICKS_PER_UNIT, u, v)
+            .node_recover(3 * TICKS_PER_UNIT, NodeId(7)),
+        FaultPlan::random_churn(&graph, 33, 5, 2, 4 * TICKS_PER_UNIT),
+        FaultPlan::new().node_crash(0, NodeId(0)).node_crash(1, NodeId(13)),
+    ];
+    for plan in &plans {
         for delay in [DelayModel::jitter(5), DelayModel::outage(7, 5, 2)] {
-            let run_serial = |kind: SchedulerKind| {
-                run_async_faulted_traced(
-                    &graph,
-                    delay.clone(),
-                    Some(&plan),
-                    |v| Flood::new(&graph, v),
-                    SimLimits::default(),
-                    kind,
-                )
-                .unwrap_or_else(|e| panic!("{plan_name}: {e}"))
-            };
-            let (reference, ref_trace) = run_serial(SchedulerKind::TimingWheel);
-            check_trace(&ref_trace).expect("faulted wheel trace violates happens-before");
-            let ref_arrivals: Vec<_> = reference.nodes.iter().map(|n| n.arrivals.clone()).collect();
-
-            // Repeat-run determinism on the same engine.
-            let (again, again_trace) = run_serial(SchedulerKind::TimingWheel);
-            let again_arrivals: Vec<_> = again.nodes.iter().map(|n| n.arrivals.clone()).collect();
-            assert_eq!(again_arrivals, ref_arrivals, "{plan_name}: repeat run diverged");
-            assert_eq!(again.metrics, reference.metrics, "{plan_name}");
-            check_equivalence(&ref_trace, &again_trace)
-                .expect("repeat run recorded a different trace");
-
-            // The heap scheduler is the serial reference's reference.
-            let (heap, heap_trace) = run_serial(SchedulerKind::BinaryHeap);
-            let heap_arrivals: Vec<_> = heap.nodes.iter().map(|n| n.arrivals.clone()).collect();
-            assert_eq!(heap_arrivals, ref_arrivals, "{plan_name}: heap diverged");
-            assert_eq!(heap.metrics, reference.metrics, "{plan_name}");
-            assert_eq!(heap.dropped_events, reference.dropped_events, "{plan_name}");
-            assert_eq!(heap.fault_transitions, reference.fault_transitions, "{plan_name}");
-            check_equivalence(&ref_trace, &heap_trace).expect("heap trace diverged");
-
-            for shards in [1usize, 2, 4, 7] {
-                for workers in [0usize, 2, 4] {
-                    let label = format!("{plan_name}: shards={shards} workers={workers}");
-                    let (sharded, sharded_trace) = run_async_sharded_faulted_traced_with(
-                        &graph,
-                        delay.clone(),
-                        Some(&plan),
-                        |v| Flood::new(&graph, v),
-                        SimLimits::default(),
-                        ShardedOptions {
-                            workers,
-                            threads: ThreadMode::ForceOn,
-                            ..ShardedOptions::new(shards)
-                        },
-                    )
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
-                    check_trace(&sharded_trace)
-                        .expect("faulted sharded trace violates happens-before");
-                    check_equivalence(&ref_trace, &sharded_trace)
-                        .unwrap_or_else(|v| panic!("{label}: trace diverged: {v:?}"));
-                    let arrivals: Vec<_> =
-                        sharded.nodes.iter().map(|n| n.arrivals.clone()).collect();
-                    assert_eq!(arrivals, ref_arrivals, "{label}");
-                    assert_eq!(sharded.metrics, reference.metrics, "{label}");
-                    assert_eq!(sharded.overflow_events, reference.overflow_events, "{label}");
-                    assert_eq!(sharded.dropped_events, reference.dropped_events, "{label}");
-                    assert_eq!(sharded.fault_transitions, reference.fault_transitions, "{label}");
-                }
-            }
+            check(&Scenario::new(&graph, delay).faults(plan).chatter(1, 3));
         }
     }
 }
