@@ -34,9 +34,9 @@ use ds_graph::{Graph, NodeId};
 use ds_netsim::delay::DelayModel;
 use ds_netsim::pool::WorkerPool;
 use ds_netsim::scheduler::{EventScheduler, HeapScheduler, SchedulerKind, TimingWheel};
-use ds_netsim::sharded::{run_async_sharded_faulted_with, ShardedOptions, ThreadMode};
+use ds_netsim::sharded::ThreadMode;
 use ds_netsim::sync_engine::run_sync;
-use ds_netsim::{run_async_faulted, SimLimits};
+use ds_netsim::{run, RunSpec};
 use ds_sync::session::{Session, SyncKind};
 use ds_sync::synchronizer::{DetSynchronizer, SynchronizerConfig};
 use std::sync::Arc;
@@ -254,15 +254,14 @@ fn det_bfs_run(
     sharded: bool,
 ) -> (f64, u64, u64) {
     let make = |v| DetSynchronizer::new(v, BfsAlgorithm::new(graph, v, &[NodeId(0)]), cfg.clone());
-    let limits = SimLimits::default();
-    let start = Instant::now();
-    let report = if sharded {
-        let opts = ShardedOptions { shards: 2, workers: 2, threads: ThreadMode::ForceOn };
-        run_async_sharded_faulted_with(graph, delay.clone(), None, make, limits, opts)
+    let spec = if sharded {
+        let scheduler = SchedulerKind::Sharded { shards: 2, workers: 2 };
+        RunSpec { scheduler, threads: ThreadMode::ForceOn, ..RunSpec::new(delay.clone()) }
     } else {
-        run_async_faulted(graph, delay.clone(), None, make, limits, SchedulerKind::TimingWheel)
-    }
-    .expect("det bfs run");
+        RunSpec::new(delay.clone())
+    };
+    let start = Instant::now();
+    let (report, _) = run(graph, &spec, make, None).expect("det bfs run");
     (start.elapsed().as_secs_f64(), report.metrics.events, report.pool_dispatches)
 }
 

@@ -36,14 +36,27 @@
 //! link's queue is one sorted `Vec` behind an inline head ([`crate::stage_queue`]).
 //! Grouping a tick's events by destination before activating them was tried
 //! and lost its A/B against this loop (DESIGN.md §10.2).
+//!
+//! Every configuration enters through one function, [`run`]: a [`RunSpec`]
+//! names the delay adversary, the fault plan, the limits, the scheduler, the
+//! thread mode and whether to trace, and an optional [`EngineSlab`] supplies
+//! recycled engine state. One private body builds the layout from the slab's
+//! parts (or cold) for either node placement — the flat one here, the
+//! sharded one in [`crate::sharded`] — and either scheduler.
+//! [`run_async_faulted`], [`crate::sharded::run_async_sharded_faulted_with`]
+//! and [`crate::recycle::run_async_recycled`] delegate to it; they are kept
+//! because `benchmark/src/api.rs` names them.
 
 use crate::arena::{EvRef, PayloadArena};
 use crate::delay::DelayModel;
 use crate::effects::{Core, Home, Layout, LinkTable, Nodes};
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
+use crate::pool::WorkerPool;
 use crate::protocol::Protocol;
-use crate::scheduler::{EventScheduler, HeapScheduler, TimingWheel};
+use crate::recycle::EngineSlab;
+use crate::scheduler::{EventScheduler, HeapScheduler};
+use crate::sharded::{ShardWork, ThreadMode};
 use crate::trace::DeliveryTrace;
 use crate::SchedulerKind;
 use ds_graph::{Graph, NodeId};
@@ -147,11 +160,11 @@ pub struct AsyncReport<P> {
     pub fault_transitions: u64,
 }
 
-/// The reusable, allocation-heavy halves of a serial engine: everything
-/// `run_engine_parts` builds per run except the protocol instances and the
-/// event scheduler. [`crate::recycle::EngineSlab`] keeps one of these (plus a
-/// [`TimingWheel`]) across runs so link tables, stage queues and the payload
-/// arena are reshaped rather than reallocated.
+/// The reusable, allocation-heavy halves of an engine: everything a run
+/// builds except the protocol instances and the event scheduler.
+/// [`EngineSlab`] keeps one of these (plus a timing wheel) across runs so
+/// link tables, stage queues and the payload arena are reshaped rather than
+/// reallocated; a run without a slab builds them cold.
 ///
 /// None of the retained state can influence a schedule: between runs the
 /// queues are empty and every spill slot is free (which slot a link takes
@@ -162,7 +175,7 @@ pub struct AsyncReport<P> {
 /// cold-start value.
 pub(crate) struct EngineParts<M> {
     links: LinkTable,
-    arena: PayloadArena<M>,
+    pub(crate) arena: PayloadArena<M>,
     done_flags: Vec<bool>,
 }
 
@@ -198,8 +211,8 @@ impl<M> EngineParts<M> {
     }
 
     /// Whether the parts hold no transient state — the recycling hygiene
-    /// invariant ([`crate::recycle::EngineSlab::is_clean`]): every link idle,
-    /// every arena handle returned, no spill slot held.
+    /// invariant ([`EngineSlab::is_clean`]): every link idle, every arena
+    /// handle returned, no spill slot held.
     pub(crate) fn is_clean(&self) -> bool {
         self.arena.live() == 0 && self.links.is_idle()
     }
@@ -264,9 +277,8 @@ where
     // Quiescence means no event is scheduled and no link queue is non-empty
     // (a queued message always has a filed ack or a drop pending to release
     // it), so
-    // every arena handle must have been taken back. The recycled entry point
-    // promotes this into a hard assertion on every run
-    // ([`crate::recycle::run_async_recycled`]).
+    // every arena handle must have been taken back. A run with an engine
+    // slab promotes this into a hard assertion ([`run`]).
     debug_assert_eq!(st.arena.live(), 0, "a finished run must return every arena handle");
     Ok(())
 }
@@ -289,21 +301,59 @@ pub(crate) fn finish<P: Protocol, S: EventScheduler<EvRef>>(
     (report, trace)
 }
 
-/// Runs an asynchronous protocol on `graph` under the delay adversary `delay`
-/// and, if given, a [`FaultPlan`] (drop semantics in [`crate::fault`]; `None`
-/// runs on the intact topology), on the event scheduler `scheduler` selects.
-/// All kinds produce bit-identical runs (asserted by `ds-verify`'s engine
-/// contract, `ds_verify::check`); the heap is kept as the executable
-/// reference for the timing wheel.
+/// Everything that selects how [`run`] executes a protocol, except the graph,
+/// the protocol and the engine slab.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunSpec<'a> {
+    /// The delay adversary.
+    pub delay: DelayModel,
+    /// Link churn and node crashes (drop semantics in [`crate::fault`]);
+    /// `None` runs on the intact topology.
+    pub faults: Option<&'a FaultPlan>,
+    /// Event and round budgets.
+    pub limits: SimLimits,
+    /// The event scheduler and node placement.
+    pub scheduler: SchedulerKind,
+    /// Whether a [`SchedulerKind::Sharded`] run spawns worker threads.
+    pub threads: ThreadMode,
+    /// Whether the run records a [`DeliveryTrace`].
+    pub trace: bool,
+}
+
+impl RunSpec<'_> {
+    /// An untraced, fault-free run under `delay` with default limits on the
+    /// default scheduler ([`SchedulerKind::TimingWheel`]), threads
+    /// [`ThreadMode::Auto`].
+    pub fn new(delay: DelayModel) -> Self {
+        RunSpec {
+            delay,
+            faults: None,
+            limits: SimLimits::default(),
+            scheduler: SchedulerKind::default(),
+            threads: ThreadMode::Auto,
+            trace: false,
+        }
+    }
+}
+
+/// A finished run: the report, and the trace if the run recorded one.
+pub(crate) type Run<P> = (AsyncReport<P>, Option<DeliveryTrace>);
+
+/// Runs an asynchronous protocol on `graph` as `spec` selects; `make`
+/// constructs the per-node protocol instance. Every configuration — either
+/// scheduler, any shard and worker count, worker threads or not, traced or
+/// not, cold or recycled — produces the same run, which `ds-verify`'s engine
+/// contract (`ds_verify::check`) asserts; the heap is kept as the executable
+/// reference for the timing wheel. The trace is `Some` iff `spec.trace`:
+/// tracing only appends to a side buffer and never draws a sequence number
+/// or touches a queue, and dropped deliveries leave no trace record (they
+/// never happened, causally).
 ///
-/// `make` constructs the per-node protocol instance.
-///
-/// [`SchedulerKind::Sharded`] runs the sharded engine *sequentially* here (one
-/// coordinator, no worker threads: the serial loop over the sharded node
-/// placement), because this signature does not require `P: Send`. The
-/// execution is bit-identical either way; to actually spawn worker threads
-/// use [`crate::sharded::run_async_sharded_faulted_with`] (or drive it
-/// through `Session::scheduler`, whose protocols are `Send`).
+/// With a `slab`, the run reshapes the slab's link table, arena and timing
+/// wheel instead of allocating them ([`crate::recycle`]), hard-asserts that it
+/// returned every arena handle and drained the wheel (a leak would poison the
+/// next run through the slab), and keeps the allocations for the next run.
+/// On error it discards them.
 ///
 /// # Errors
 ///
@@ -311,6 +361,128 @@ pub(crate) fn finish<P: Protocol, S: EventScheduler<EvRef>>(
 /// * [`SimError::EventLimitExceeded`] if the run exceeds `limits.max_events`
 ///   deliveries (protection against livelocked protocols). The run stops at
 ///   the offending delivery: its activation is the last one that ran.
+pub fn run<P, F>(
+    graph: &Graph,
+    spec: &RunSpec<'_>,
+    make: F,
+    slab: Option<&mut EngineSlab<P::Message>>,
+) -> Result<Run<P>, SimError>
+where
+    P: Protocol + Send,
+    P::Message: Send,
+    F: FnMut(NodeId) -> P,
+{
+    match crate::sharded::pool_workers(graph, spec) {
+        0 => run_body(graph, spec, make, slab, None),
+        workers => WorkerPool::run(workers, crate::sharded::phase1, |pool| {
+            run_body(graph, spec, make, slab, Some(pool))
+        }),
+    }
+}
+
+/// The one engine body: builds the layout from `slab`'s parts (or cold) for
+/// the node placement and scheduler `spec` selects, runs the loop, and hands
+/// the parts back. Needs no `Send` bound: only a `pool` makes it threaded.
+pub(crate) fn run_body<P, F>(
+    graph: &Graph,
+    spec: &RunSpec<'_>,
+    make: F,
+    slab: Option<&mut EngineSlab<P::Message>>,
+    pool: Option<&mut WorkerPool<ShardWork<P>>>,
+) -> Result<Run<P>, SimError>
+where
+    P: Protocol,
+    F: FnMut(NodeId) -> P,
+{
+    let mut cold = EngineSlab::new();
+    let recycled = slab.is_some();
+    let slab = slab.unwrap_or(&mut cold);
+    slab.parts.adopt(graph);
+    let run = match spec.scheduler {
+        SchedulerKind::BinaryHeap => run_flat(graph, spec, make, HeapScheduler::new(), slab)?.0,
+        kind => {
+            let horizon = spec.delay.max_delay_ticks();
+            let wheel = slab.take_wheel(horizon);
+            let (run, wheel) = match kind {
+                SchedulerKind::Sharded { shards, .. } => {
+                    crate::sharded::run_shards(graph, spec, make, shards, wheel, slab, pool)?
+                }
+                _ => run_flat(graph, spec, make, wheel, slab)?,
+            };
+            assert!(!recycled || wheel.is_empty(), "a finished run must drain its timing wheel");
+            slab.wheel = Some((horizon, wheel));
+            run
+        }
+    };
+    if recycled {
+        assert!(slab.parts.is_clean(), "a finished run must return every arena handle");
+        slab.runs += 1;
+    }
+    Ok(run)
+}
+
+/// The serial node placement on scheduler `sched`.
+fn run_flat<P, F, S>(
+    graph: &Graph,
+    spec: &RunSpec<'_>,
+    make: F,
+    sched: S,
+    slab: &mut EngineSlab<P::Message>,
+) -> Result<(Run<P>, S), SimError>
+where
+    P: Protocol,
+    F: FnMut(NodeId) -> P,
+    S: EventScheduler<EvRef>,
+{
+    let done = std::mem::take(&mut slab.parts.done_flags);
+    let flat = Flat { nodes: graph.nodes().map(make).collect(), done };
+    let (core, flat, sched) = run_layout(graph, spec, 1, flat, sched, slab, |_, _, _| Ok(false))?;
+    slab.parts.done_flags = flat.done;
+    Ok((finish(core, flat.nodes, &sched, &slab.parts.arena), sched))
+}
+
+/// [`run_ticks`] on a layout of `nodes`, `sched` and the slab's link table
+/// and arena, which are moved back into the slab on success. On error they
+/// are dropped — a failed run's transient state is discarded wholesale
+/// rather than cleaned, so the slab degrades to cold allocation instead of
+/// risking poisoned state. `trace_shards` is the trace header's shard count.
+pub(crate) fn run_layout<'g, N, S, D>(
+    graph: &'g Graph,
+    spec: &RunSpec<'_>,
+    trace_shards: u32,
+    nodes: N,
+    sched: S,
+    slab: &mut EngineSlab<<N::Node as Protocol>::Message>,
+    dense: D,
+) -> Result<(Core<'g, N::Node>, N, S), SimError>
+where
+    N: Nodes,
+    S: EventScheduler<EvRef>,
+    D: FnMut(
+        &mut Core<'g, N::Node>,
+        &mut Layout<N, S>,
+        &mut Vec<(u64, EvRef)>,
+    ) -> Result<bool, SimError>,
+{
+    let parts = &mut slab.parts;
+    let links = std::mem::take(&mut parts.links);
+    let mut st = Layout { nodes, links, arena: std::mem::take(&mut parts.arena), sched };
+    let faults = spec.faults.map(|plan| FaultState::new(graph, plan));
+    let traced = spec.trace.then_some(trace_shards);
+    let mut core = Core::new(graph, spec.delay.clone(), spec.limits, traced, faults);
+    run_ticks(&mut core, &mut st, dense)?;
+    parts.links = st.links;
+    parts.arena = st.arena;
+    Ok((core, st.nodes, st.sched))
+}
+
+/// [`run`] without worker threads, engine slab or trace, for protocols that
+/// are not `Send` ([`SchedulerKind::Sharded`] runs sequentially). Kept because
+/// `benchmark/src/api.rs` names it.
+///
+/// # Errors
+///
+/// Same as [`run`].
 pub fn run_async_faulted<P, F>(
     graph: &Graph,
     delay: DelayModel,
@@ -323,117 +495,9 @@ where
     P: Protocol,
     F: FnMut(NodeId) -> P,
 {
-    run_on(graph, delay, faults, make, limits, scheduler, false).map(|(report, _)| report)
-}
-
-/// [`run_async_faulted`] with delivery tracing enabled: returns the report
-/// plus the [`DeliveryTrace`] the happens-before checker (`ds-verify`)
-/// consumes.
-///
-/// The traced run is **bit-identical** to the untraced one — tracing only
-/// appends to a side buffer and never draws a sequence number or touches a
-/// queue (asserted by the module tests and by the engine contract's traced
-/// rows, `ds_verify::check`).
-/// Dropped deliveries leave no trace record (they never happened, causally),
-/// so the checker works unchanged under churn.
-///
-/// # Errors
-///
-/// Same as [`run_async_faulted`].
-pub fn run_async_faulted_traced<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    scheduler: SchedulerKind,
-) -> Result<(AsyncReport<P>, DeliveryTrace), SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    let (report, trace) = run_on(graph, delay, faults, make, limits, scheduler, true)?;
-    Ok((report, trace.expect("tracing was enabled")))
-}
-
-fn run_on<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    scheduler: SchedulerKind,
-    traced: bool,
-) -> Result<(AsyncReport<P>, Option<DeliveryTrace>), SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    // Serial runs get freshly built parts, dropped with the scheduler after.
-    let mut parts = EngineParts::default();
-    match scheduler {
-        SchedulerKind::TimingWheel => {
-            parts.adopt(graph);
-            let wheel = TimingWheel::new(delay.max_delay_ticks());
-            run_engine_parts(graph, delay, faults, make, limits, wheel, traced, &mut parts)
-                .map(|(report, trace, _wheel)| (report, trace))
-        }
-        SchedulerKind::BinaryHeap => {
-            parts.adopt(graph);
-            let heap = HeapScheduler::new();
-            run_engine_parts(graph, delay, faults, make, limits, heap, traced, &mut parts)
-                .map(|(report, trace, _heap)| (report, trace))
-        }
-        SchedulerKind::Sharded { shards, workers: _ } => {
-            crate::sharded::run_core(graph, delay, faults, make, limits, shards, None, traced)
-        }
-    }
-}
-
-/// The serial engine over caller-owned [`EngineParts`]: the recyclable state
-/// is moved out of `parts` for the run and moved back on success (with the
-/// scheduler returned for the same reason). On error the parts are left in
-/// their default (empty) state — a failed run's transient state is discarded
-/// wholesale rather than cleaned, so recycling degrades to cold allocation
-/// instead of risking a poisoned slab.
-///
-/// The caller must have called [`EngineParts::adopt`] for `graph` first.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_engine_parts<P, F, S>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    sched: S,
-    traced: bool,
-    parts: &mut EngineParts<P::Message>,
-) -> Result<(AsyncReport<P>, Option<DeliveryTrace>, S), SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-    S: EventScheduler<EvRef>,
-{
-    debug_assert_eq!(parts.links.len(), graph.directed_edge_count(), "adopt() must run first");
-    debug_assert_eq!(parts.done_flags.len(), graph.node_count(), "adopt() must run first");
-    let mut st = Layout {
-        nodes: Flat {
-            nodes: graph.nodes().map(make).collect(),
-            done: std::mem::take(&mut parts.done_flags),
-        },
-        links: std::mem::take(&mut parts.links),
-        arena: std::mem::take(&mut parts.arena),
-        sched,
-    };
-    let faults = faults.map(|plan| FaultState::new(graph, plan));
-    let mut core = Core::new(graph, delay, limits, traced.then_some(1), faults);
-    run_ticks(&mut core, &mut st, |_, _, _| Ok(false))?;
-    let (report, trace) = finish(core, st.nodes.nodes, &st.sched, &st.arena);
-    // Hand the recyclable halves back for the next run.
-    parts.links = st.links;
-    parts.arena = st.arena;
-    parts.done_flags = st.nodes.done;
-    Ok((report, trace, st.sched))
+    let spec =
+        RunSpec { faults, limits, scheduler, threads: ThreadMode::Off, ..RunSpec::new(delay) };
+    run_body(graph, &spec, make, None, None).map(|(report, _)| report)
 }
 
 #[cfg(test)]
@@ -442,14 +506,17 @@ mod tests {
     use crate::metrics::MessageClass;
     use crate::protocol::Ctx;
 
-    /// A fault-free run on the default scheduler.
-    fn run<P: Protocol>(
+    /// An untraced run of `spec` without an engine slab.
+    fn untraced<P>(
         graph: &Graph,
-        delay: DelayModel,
+        spec: &RunSpec<'_>,
         make: impl FnMut(NodeId) -> P,
-        limits: SimLimits,
-    ) -> Result<AsyncReport<P>, SimError> {
-        run_async_faulted(graph, delay, None, make, limits, SchedulerKind::default())
+    ) -> Result<AsyncReport<P>, SimError>
+    where
+        P: Protocol + Send,
+        P::Message: Send,
+    {
+        run(graph, spec, make, None).map(|(report, _)| report)
     }
 
     /// Asynchronous flooding: node 0 floods a token; each node records the hop count
@@ -499,8 +566,7 @@ mod tests {
     fn flood_reaches_every_node_under_every_adversary() {
         let g = Graph::grid(4, 4);
         for delay in DelayModel::standard_suite(5) {
-            let report =
-                run(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+            let report = untraced(&g, &RunSpec::new(delay.clone()), |v| Flood::new(&g, v)).unwrap();
             assert!(
                 report.nodes.iter().all(|n| n.hops.is_some()),
                 "all nodes reached under {delay:?}"
@@ -515,7 +581,7 @@ mod tests {
     fn uniform_delay_flood_time_matches_distance_bound() {
         let g = Graph::path(8);
         let report =
-            run(&g, DelayModel::uniform(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+            untraced(&g, &RunSpec::new(DelayModel::uniform()), |v| Flood::new(&g, v)).unwrap();
         // Under uniform unit delays every hop costs exactly one unit, so the last
         // node (distance 7) is done at time 7.
         let t = report.metrics.time_to_output.unwrap();
@@ -529,7 +595,7 @@ mod tests {
         // This demonstrates why a synchronizer is needed at all.
         let g = Graph::cycle(8);
         let report =
-            run(&g, DelayModel::slow_cut(4), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+            untraced(&g, &RunSpec::new(DelayModel::slow_cut(4)), |v| Flood::new(&g, v)).unwrap();
         let hops: Vec<u64> = report.nodes.iter().map(|n| n.hops.unwrap()).collect();
         let true_dist = ds_graph::metrics::bfs_distances(&g, NodeId(0));
         let mismatches =
@@ -563,7 +629,7 @@ mod tests {
         }
         let g = Graph::path(2);
         let report =
-            run(&g, DelayModel::uniform(), |me| Burst { me, received: 0 }, SimLimits::default())
+            untraced(&g, &RunSpec::new(DelayModel::uniform()), |me| Burst { me, received: 0 })
                 .unwrap();
         // Each of the 5 messages must wait for the previous message's ack: delivery i
         // completes at time 2i+1, so the last arrives at time 9.
@@ -598,13 +664,9 @@ mod tests {
             }
         }
         let g = Graph::path(2);
-        let report = run(
-            &g,
-            DelayModel::uniform(),
-            |me| Prio { me, order: Vec::new() },
-            SimLimits::default(),
-        )
-        .unwrap();
+        let report =
+            untraced(&g, &RunSpec::new(DelayModel::uniform()), |me| Prio { me, order: Vec::new() })
+                .unwrap();
         // All three messages are queued before the link transmits, so they are
         // delivered in ascending priority order regardless of send order.
         assert_eq!(report.nodes[1].order, vec![1, 5, 9]);
@@ -618,16 +680,9 @@ mod tests {
         // byte-identical across repeat runs and across schedulers.
         let g = Graph::grid(6, 6);
         let delay = DelayModel::outage(11, 4, 2);
-        let run = |scheduler: SchedulerKind| {
-            let report = run_async_faulted(
-                &g,
-                delay.clone(),
-                None,
-                |v| Flood::new(&g, v),
-                SimLimits::default(),
-                scheduler,
-            )
-            .expect("outage run");
+        let run = |scheduler| {
+            let spec = RunSpec { scheduler, ..RunSpec::new(delay.clone()) };
+            let report = untraced(&g, &spec, |v| Flood::new(&g, v)).expect("outage run");
             let hops: Vec<Option<u64>> = report.nodes.iter().map(|n| n.hops).collect();
             (hops, report.metrics, report.overflow_events)
         };
@@ -651,8 +706,7 @@ mod tests {
     fn single_unit_models_never_overflow() {
         let g = Graph::grid(4, 4);
         for delay in DelayModel::standard_suite(3) {
-            let report =
-                run(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+            let report = untraced(&g, &RunSpec::new(delay.clone()), |v| Flood::new(&g, v)).unwrap();
             assert_eq!(report.overflow_events, 0, "{delay:?} stayed within one τ");
         }
     }
@@ -664,15 +718,8 @@ mod tests {
         // consumers can rely on "0 means the feature was off or inapplicable".
         let g = Graph::grid(4, 4);
         for scheduler in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-            let report = run_async_faulted(
-                &g,
-                DelayModel::uniform(),
-                None,
-                |v| Flood::new(&g, v),
-                SimLimits::default(),
-                scheduler,
-            )
-            .unwrap();
+            let spec = RunSpec { scheduler, ..RunSpec::new(DelayModel::uniform()) };
+            let report = untraced(&g, &spec, |v| Flood::new(&g, v)).unwrap();
             assert_eq!(report.batched_ticks, 0, "{scheduler:?}");
             assert_eq!(report.pool_dispatches, 0, "{scheduler:?}");
             assert_eq!(report.dropped_events, 0, "{scheduler:?}: no fault plan, no drops");
@@ -687,15 +734,8 @@ mod tests {
         // the first hop mid-flight, so nodes 1 and 2 never learn anything ...
         let g = Graph::path(3);
         let cut = FaultPlan::new().link_down(1, NodeId(0), NodeId(1));
-        let report = run_async_faulted(
-            &g,
-            DelayModel::uniform(),
-            Some(&cut),
-            |v| Flood::new(&g, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
-        )
-        .unwrap();
+        let faulted = |plan| RunSpec { faults: Some(plan), ..RunSpec::new(DelayModel::uniform()) };
+        let report = untraced(&g, &faulted(&cut), |v| Flood::new(&g, v)).unwrap();
         assert_eq!(report.nodes[1].hops, None);
         assert_eq!(report.nodes[2].hops, None);
         assert!(report.dropped_events > 0);
@@ -707,15 +747,7 @@ mod tests {
         // for good, but traffic injected after recovery flows again.
         let heal =
             FaultPlan::new().link_down(1, NodeId(1), NodeId(2)).link_up(2500, NodeId(1), NodeId(2));
-        let report = run_async_faulted(
-            &g,
-            DelayModel::uniform(),
-            Some(&heal),
-            |v| Flood::new(&g, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
-        )
-        .unwrap();
+        let report = untraced(&g, &faulted(&heal), |v| Flood::new(&g, v)).unwrap();
         // Node 1 still hears from node 0 (that link was never cut)...
         assert_eq!(report.nodes[1].hops, Some(1));
         // ...but its relay died on the severed link, and Flood never resends.
@@ -728,15 +760,8 @@ mod tests {
         use crate::fault::FaultPlan;
         let g = Graph::path(3);
         let plan = FaultPlan::new().node_crash(0, NodeId(0));
-        let report = run_async_faulted(
-            &g,
-            DelayModel::uniform(),
-            Some(&plan),
-            |v| Flood::new(&g, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
-        )
-        .unwrap();
+        let spec = RunSpec { faults: Some(&plan), ..RunSpec::new(DelayModel::uniform()) };
+        let report = untraced(&g, &spec, |v| Flood::new(&g, v)).unwrap();
         // The source never ran `on_start`: nothing was ever sent.
         assert!(report.nodes.iter().all(|n| n.hops.is_none()));
         assert_eq!(report.metrics.total_messages(), 0);
@@ -748,18 +773,10 @@ mod tests {
         use crate::fault::FaultPlan;
         let g = Graph::grid(4, 4);
         for delay in DelayModel::standard_suite(9) {
-            let plain =
-                run(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+            let plain = untraced(&g, &RunSpec::new(delay.clone()), |v| Flood::new(&g, v)).unwrap();
             let empty = FaultPlan::new();
-            let faulted = run_async_faulted(
-                &g,
-                delay.clone(),
-                Some(&empty),
-                |v| Flood::new(&g, v),
-                SimLimits::default(),
-                SchedulerKind::TimingWheel,
-            )
-            .unwrap();
+            let spec = RunSpec { faults: Some(&empty), ..RunSpec::new(delay.clone()) };
+            let faulted = untraced(&g, &spec, |v| Flood::new(&g, v)).unwrap();
             let plain_hops: Vec<_> = plain.nodes.iter().map(|n| n.hops).collect();
             let faulted_hops: Vec<_> = faulted.nodes.iter().map(|n| n.hops).collect();
             assert_eq!(plain_hops, faulted_hops, "{delay:?}");
@@ -789,13 +806,9 @@ mod tests {
             }
         }
         let g = Graph::path(2);
-        let err = run(
-            &g,
-            DelayModel::uniform(),
-            |me| PingPong { me },
-            SimLimits { max_events: 100, ..SimLimits::default() },
-        )
-        .unwrap_err();
+        let limits = SimLimits { max_events: 100, ..SimLimits::default() };
+        let spec = RunSpec { limits, ..RunSpec::new(DelayModel::uniform()) };
+        let err = untraced(&g, &spec, |me| PingPong { me }).unwrap_err();
         assert_eq!(err, SimError::EventLimitExceeded { limit: 100 });
     }
 
@@ -832,7 +845,11 @@ mod tests {
             let activations = AtomicU64::new(0);
             let run = |limits| {
                 let make = |v| Greeter { neighbors: g.neighbors(v), activations: &activations };
-                run_async_faulted(&g, DelayModel::uniform(), None, make, limits, scheduler)
+                untraced(
+                    &g,
+                    &RunSpec { limits, scheduler, ..RunSpec::new(DelayModel::uniform()) },
+                    make,
+                )
             };
             let full = run(SimLimits::default()).unwrap();
             assert!(full.max_batch >= 64, "{scheduler:?}: the wave must share one tick");
@@ -864,8 +881,7 @@ mod tests {
             }
         }
         let g = Graph::path(3);
-        let err =
-            run(&g, DelayModel::uniform(), |me| Bad { me }, SimLimits::default()).unwrap_err();
+        let err = untraced(&g, &RunSpec::new(DelayModel::uniform()), |me| Bad { me }).unwrap_err();
         assert_eq!(err, SimError::NotNeighbor { from: NodeId(0), to: NodeId(2) });
     }
 }

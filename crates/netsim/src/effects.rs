@@ -291,10 +291,6 @@ impl LinkTable {
         self.links.push(LinkState::new(from, to));
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.links.len()
-    }
-
     /// The record in `slot` and the spill table its queue lives in.
     // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
     #[inline]
@@ -1023,15 +1019,10 @@ mod tests {
         faults: Option<&crate::FaultPlan>,
         scripts: impl Fn(usize) -> Script,
     ) -> (AsyncReport<Script>, Vec<(u64, usize, usize)>, DeliveryTrace) {
-        let (report, trace) = crate::run_async_faulted_traced(
-            graph,
-            delay,
-            faults,
-            |v| scripts(v.index()),
-            SimLimits::default(),
-            crate::SchedulerKind::TimingWheel,
-        )
-        .expect("scripted run");
+        let spec = crate::RunSpec { faults, trace: true, ..crate::RunSpec::new(delay) };
+        let (report, trace) =
+            crate::run(graph, &spec, |v| scripts(v.index()), None).expect("scripted run");
+        let trace = trace.expect("tracing was on");
         let hops = trace.records.iter().map(|r| (r.tick, r.src.index(), r.dst.index())).collect();
         (report, hops, trace)
     }
@@ -1061,15 +1052,10 @@ mod tests {
         assert_eq!(report.fault_transitions, 1);
         // Every parked ack is released at the end: the slab is clean.
         let mut slab = crate::EngineSlab::new();
-        let recycled = crate::run_async_recycled(
-            &graph,
-            DelayModel::slow_cut(1),
-            Some(&plan),
-            |v| script(v.index()),
-            SimLimits::default(),
-            &mut slab,
-        )
-        .expect("recycled run");
+        let spec =
+            crate::RunSpec { faults: Some(&plan), ..crate::RunSpec::new(DelayModel::slow_cut(1)) };
+        let (recycled, _) = crate::run(&graph, &spec, |v| script(v.index()), Some(&mut slab))
+            .expect("recycled run");
         assert_eq!(recycled.metrics, report.metrics);
         assert!(slab.is_clean());
     }

@@ -20,7 +20,8 @@
 //! * [`arena`] holds the recycled event arena the delivery hot path runs on:
 //!   a free-list payload slab behind `u32` handles, and the 8-byte event
 //!   reference the serial scheduler stores,
-//! * [`async_engine`] runs an asynchronous protocol under a configurable
+//! * [`async_engine`] runs an asynchronous protocol — every configuration
+//!   through one entry point, [`run`] over a [`RunSpec`] — under a configurable
 //!   [`delay::DelayModel`], enforcing the acknowledgment discipline of Appendix B
 //!   (one un-acknowledged message per link) and the lowest-stage-first scheduling of
 //!   Lemma 2.5 / Corollary 2.3 — the rules themselves (what a send, an
@@ -68,9 +69,7 @@ pub mod stage_queue;
 pub mod sync_engine;
 pub mod trace;
 
-pub use async_engine::{
-    run_async_faulted, run_async_faulted_traced, AsyncReport, SimError, SimLimits,
-};
+pub use async_engine::{run, run_async_faulted, AsyncReport, RunSpec, SimError, SimLimits};
 pub use delay::DelayModel;
 pub use event_driven::{EventDriven, PulseCtx};
 pub use fault::{FaultEvent, FaultPlan, FaultState};
@@ -78,10 +77,7 @@ pub use metrics::{MessageClass, RunMetrics};
 pub use protocol::{Ctx, Protocol};
 pub use recycle::{run_async_recycled, EngineSlab, SlabBank};
 pub use scheduler::SchedulerKind;
-pub use sharded::{
-    run_async_sharded_faulted_traced_with, run_async_sharded_faulted_with, ShardedOptions,
-    ThreadMode,
-};
+pub use sharded::{run_async_sharded_faulted_with, ShardedOptions, ThreadMode};
 pub use sync_engine::{run_sync, SyncReport};
 pub use trace::{DeliveryRecord, DeliveryTrace};
 

@@ -1,15 +1,17 @@
 //! Engine-state recycling: check allocation-heavy engine state out of a free
 //! pool and reuse it across runs instead of reallocating per run.
 //!
-//! A serial run's setup builds four non-trivial allocations — the timing
-//! wheel's slot array, the per-directed-edge link table (with its spill table
-//! of stage queues), the payload arena and the per-node done flags — all of which end
-//! every successful run *provably empty*: at
-//! quiescence no event is scheduled, no link holds queued or in-flight
-//! messages, and every arena handle has been returned (the engine asserts
-//! this). [`EngineSlab`] keeps those allocations between runs, and
-//! [`run_async_recycled`] reshapes them for the next run's graph instead of
-//! building them cold.
+//! A run's setup builds four non-trivial allocations — the timing wheel's
+//! slot array, the per-directed-edge link table (with its spill table of
+//! stage queues), the payload arena and the per-node done flags — all of
+//! which end every successful run *provably empty*: at quiescence no event
+//! is scheduled, no link holds queued or in-flight messages, and every arena
+//! handle has been returned (the engine asserts this). [`EngineSlab`] keeps
+//! those allocations between runs, and [`crate::run`] given a slab reshapes
+//! them for the next run's graph instead of building them cold — on every
+//! scheduler and node placement, traced or not (the heap scheduler leaves
+//! the slab's wheel alone, and the sharded engine keeps its done flags per
+//! shard).
 //!
 //! # Why recycling cannot change a schedule
 //!
@@ -34,7 +36,7 @@
 //! use. Correctness never depends on reuse.
 
 use crate::arena::EvRef;
-use crate::async_engine::{run_engine_parts, AsyncReport, EngineParts, SimError, SimLimits};
+use crate::async_engine::{run_body, AsyncReport, EngineParts, RunSpec, SimError, SimLimits};
 use crate::delay::DelayModel;
 use crate::fault::FaultPlan;
 use crate::protocol::Protocol;
@@ -45,10 +47,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Recyclable state of one serial [`TimingWheel`] engine: the wheel plus the
-/// engine's allocation-heavy parts (link table, payload arena). One slab
-/// serves one run at a time; a [`SlabBank`] pools idle slabs across runs and
-/// sessions.
+/// Recyclable state of one engine: the [`TimingWheel`] plus the engine's
+/// allocation-heavy parts (link table, payload arena, done flags). One slab
+/// serves one run at a time, of any configuration [`crate::run`] takes; a
+/// [`SlabBank`] pools idle slabs across runs and sessions.
 ///
 /// `M` is the protocol's message type — the arena stores messages, so a slab
 /// is only reusable across runs of protocols sharing one message type (the
@@ -56,9 +58,9 @@ use std::sync::{Arc, Mutex};
 pub struct EngineSlab<M> {
     /// The recycled wheel and the horizon it was built for, or `None` before
     /// the first run and after a discarded error run.
-    wheel: Option<(u64, TimingWheel<EvRef>)>,
-    parts: EngineParts<M>,
-    runs: u64,
+    pub(crate) wheel: Option<(u64, TimingWheel<EvRef>)>,
+    pub(crate) parts: EngineParts<M>,
+    pub(crate) runs: u64,
 }
 
 impl<M> EngineSlab<M> {
@@ -76,8 +78,8 @@ impl<M> EngineSlab<M> {
     /// `debug_assert` to a test-visible check: the slab holds no transient
     /// state — wheel empty (or absent), every link idle, every arena handle
     /// returned. Holds before the first run, after every successful run, and
-    /// after a discarded error run; [`run_async_recycled`] asserts it on
-    /// every completion and [`SlabBank::check_in`] refuses a slab that
+    /// after a discarded error run; [`crate::run`] asserts it on every
+    /// completion with a slab and [`SlabBank::check_in`] refuses a slab that
     /// violates it.
     pub fn is_clean(&self) -> bool {
         self.wheel.as_ref().is_none_or(|(_, w)| w.is_empty()) && self.parts.is_clean()
@@ -85,7 +87,7 @@ impl<M> EngineSlab<M> {
 
     /// Takes the wheel out for a run, reset to tick 0, rebuilding it only if
     /// the horizon changed (it never does under a fixed `TICKS_PER_UNIT`).
-    fn take_wheel(&mut self, horizon: u64) -> TimingWheel<EvRef> {
+    pub(crate) fn take_wheel(&mut self, horizon: u64) -> TimingWheel<EvRef> {
         match self.wheel.take() {
             Some((h, mut wheel)) if h == horizon => {
                 wheel.reset();
@@ -111,19 +113,12 @@ impl<M> fmt::Debug for EngineSlab<M> {
     }
 }
 
-/// [`crate::run_async_faulted`] on the [`TimingWheel`] scheduler, over
-/// recycled engine state. The schedule is bit-identical to the cold entry
-/// points' — the reset contract above — and the run additionally *hard*-
-/// asserts (not `debug_assert`s) that it returned every arena handle and
-/// drained the wheel, since a leak here would poison the next run through
-/// the slab.
-///
-/// On success the slab retains the run's allocations for the next call; on
-/// error it discards them (see the module docs).
+/// [`crate::run`] on the [`TimingWheel`] scheduler over `slab`, untraced and
+/// without worker threads. Kept because `benchmark/src/api.rs` names it.
 ///
 /// # Errors
 ///
-/// Same as [`crate::run_async_faulted`].
+/// Same as [`crate::run`].
 pub fn run_async_recycled<P, F>(
     graph: &Graph,
     delay: DelayModel,
@@ -136,16 +131,8 @@ where
     P: Protocol,
     F: FnMut(NodeId) -> P,
 {
-    let horizon = delay.max_delay_ticks();
-    let wheel = slab.take_wheel(horizon);
-    slab.parts.adopt(graph);
-    let (report, _trace, wheel) =
-        run_engine_parts(graph, delay, faults, make, limits, wheel, false, &mut slab.parts)?;
-    assert!(wheel.is_empty(), "a finished run must drain its timing wheel");
-    assert!(slab.parts.is_clean(), "a finished run must return every arena handle");
-    slab.wheel = Some((horizon, wheel));
-    slab.runs += 1;
-    Ok(report)
+    let spec = RunSpec { faults, limits, ..RunSpec::new(delay) };
+    run_body(graph, &spec, make, Some(slab), None).map(|(report, _)| report)
 }
 
 /// A shared, thread-safe pool of idle [`EngineSlab`]s, keyed by message type.

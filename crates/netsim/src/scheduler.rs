@@ -36,7 +36,7 @@ use crate::bitset;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Which event scheduler [`crate::async_engine::run_async_faulted`] drives the
+/// Which event scheduler [`crate::run`] ([`crate::RunSpec::scheduler`]) drives the
 /// simulation with. All kinds produce bit-identical schedules; the wheel is
 /// faster than the heap, and the sharded engine runs the wheel engine with a
 /// dense tick's activations split over worker threads (see
@@ -84,7 +84,7 @@ impl SchedulerKind {
 /// `T` is the inline payload (the engine stores the link id and the message).
 /// Public so the scheduler microbenchmarks (`exp_sched` in `ds-bench`) can drive
 /// both implementations in isolation; simulation code goes through
-/// [`crate::async_engine::run_async_faulted`] instead.
+/// [`crate::run`] instead.
 pub trait EventScheduler<T> {
     /// Schedules `payload` at absolute tick `at` with global sequence number `seq`.
     ///

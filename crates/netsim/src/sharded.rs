@@ -10,7 +10,11 @@
 //! to a pool worker by value and back, so the crate stays free of `unsafe`.
 //! Everything else is the serial engine's, one of each: the
 //! [`TimingWheel`], the link table indexed by directed-edge id, the payload
-//! arena, and the loop (`async_engine::run_ticks`).
+//! arena (all three from the run's engine slab, if it has one), and the
+//! loop (`async_engine::run_ticks`). A run selects this engine with
+//! [`SchedulerKind::Sharded`] in its [`RunSpec`] ([`crate::run`]); this
+//! module holds only the sharded node placement (`run_shards`), the
+//! dense-tick path and the worker-count rule (`pool_workers`).
 //!
 //! # Sparse and dense ticks
 //!
@@ -79,23 +83,27 @@
 //! thread timing, but a shard's work unit is owned by one worker at a time
 //! and the replay orders by `seq`, so the schedule does not. Pick `shards`
 //! for partition granularity and `workers` for the host's core count
-//! ([`ShardedOptions::workers`]; `0` means one worker per shard).
-//! [`ThreadMode::Auto`] disables workers on single-core hosts. The replay is
+//! ([`SchedulerKind::Sharded`]; `0` means one worker per shard), and the
+//! thread policy in [`RunSpec::threads`]: [`ThreadMode::Auto`] disables
+//! workers on single-core hosts. The replay is
 //! serial — the price of a sequence-exact adversary — so speedup follows
 //! Amdahl's law in the activation share of dense ticks; sparse ticks cost
 //! what the serial engine costs plus a shard lookup per activation.
 //! DESIGN.md §6 tabulates the costs, and [`AsyncReport::pool_dispatches`]
 //! makes the hand-off rate observable per run.
 
-use crate::arena::{EvRef, PayloadArena};
-use crate::async_engine::{finish, run_ticks, AsyncReport, SimError, SimLimits};
+use crate::arena::EvRef;
+use crate::async_engine::{
+    finish, run, run_layout, AsyncReport, Run, RunSpec, SimError, SimLimits,
+};
 use crate::delay::DelayModel;
-use crate::effects::{Core, Home, Layout, LinkTable, Nodes};
-use crate::fault::{FaultPlan, FaultState};
+use crate::effects::{Core, Home, Layout, Nodes};
+use crate::fault::FaultPlan;
 use crate::pool::{PanicPayload, WorkerPool};
 use crate::protocol::{Ctx, Outgoing, Protocol};
+use crate::recycle::EngineSlab;
 use crate::scheduler::TimingWheel;
-use crate::trace::DeliveryTrace;
+use crate::SchedulerKind;
 use ds_graph::{DirectedEdgeId, Graph, NodeId};
 use std::collections::VecDeque;
 
@@ -209,7 +217,7 @@ pub(crate) struct ShardWork<P: Protocol> {
 /// the effects core (the core lives on the coordinator; workers share
 /// nothing), so it carries its own done-check.
 // ds-lint: hot-path (per-delivery: no owned-container allocation tokens)
-fn phase1<P: Protocol>(w: &mut ShardWork<P>) {
+pub(crate) fn phase1<P: Protocol>(w: &mut ShardWork<P>) {
     for (from, to, msg) in w.inbox.drain(..) {
         let local = to.index() - w.lo;
         let mut ctx = Ctx::with_buffer(to, std::mem::take(&mut w.outbox_buf));
@@ -255,18 +263,16 @@ impl<P: Protocol> Nodes for Shards<P> {
 type ShardedLayout<P> = Layout<Shards<P>, TimingWheel<EvRef>>;
 
 // ---------------------------------------------------------------------------
-// Entry points
+// Entry point and engine
 // ---------------------------------------------------------------------------
 
-/// Runs an asynchronous protocol on the sharded engine, under a [`FaultPlan`]
-/// if one is given. The execution — schedule, outputs, metrics, drop counts —
-/// is bit-identical to
-/// [`run_async_faulted`](crate::async_engine::run_async_faulted) on the
-/// timing wheel for every shard count and worker count.
+/// Runs an asynchronous protocol on the sharded engine: [`crate::run`] with
+/// [`SchedulerKind::Sharded`] at `opts`, untraced and without an engine slab.
+/// Kept because `benchmark/src/api.rs` names it.
 ///
 /// # Errors
 ///
-/// Same as [`run_async_faulted`](crate::async_engine::run_async_faulted).
+/// Same as [`crate::run`].
 pub fn run_async_sharded_faulted_with<P, F>(
     graph: &Graph,
     delay: DelayModel,
@@ -280,63 +286,22 @@ where
     P::Message: Send,
     F: FnMut(NodeId) -> P,
 {
-    run_pooled(graph, delay, faults, make, limits, opts, false).map(|(report, _)| report)
+    let scheduler = SchedulerKind::Sharded { shards: opts.shards, workers: opts.workers };
+    let spec = RunSpec { faults, limits, scheduler, threads: opts.threads, ..RunSpec::new(delay) };
+    run(graph, &spec, make, None).map(|(report, _)| report)
 }
 
-/// [`run_async_sharded_faulted_with`] with delivery tracing enabled: returns
-/// the report plus the [`DeliveryTrace`] the happens-before checker
-/// (`ds-verify`) consumes. The traced execution is bit-identical to the
-/// untraced one — tracing happens entirely in the effects core on the
-/// coordinator, so worker threads never touch it. Dropped deliveries leave no
-/// trace record, exactly as on the serial engine.
-///
-/// # Errors
-///
-/// Same as [`run_async_faulted`](crate::async_engine::run_async_faulted).
-pub fn run_async_sharded_faulted_traced_with<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    opts: ShardedOptions,
-) -> Result<(AsyncReport<P>, DeliveryTrace), SimError>
-where
-    P: Protocol + Send,
-    P::Message: Send,
-    F: FnMut(NodeId) -> P,
-{
-    let (report, trace) = run_pooled(graph, delay, faults, make, limits, opts, true)?;
-    Ok((report, trace.expect("tracing was enabled")))
-}
-
-/// Resolves the worker count, spins up the pool if there is one, and runs.
-fn run_pooled<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    opts: ShardedOptions,
-    traced: bool,
-) -> Result<(AsyncReport<P>, Option<DeliveryTrace>), SimError>
-where
-    P: Protocol + Send,
-    P::Message: Send,
-    F: FnMut(NodeId) -> P,
-{
-    let k = opts.shards.clamp(1, graph.node_count().max(1));
-    // `workers == 0` requests the pre-pool coupling: one worker per shard.
-    let requested = if opts.workers == 0 { k } else { opts.workers };
-    let workers = match opts.threads {
+/// How many pool workers `spec` runs with: 0 unless it selects
+/// [`SchedulerKind::Sharded`] with more than one shard and its thread mode
+/// allows workers; `workers == 0` means one worker per shard.
+pub(crate) fn pool_workers(graph: &Graph, spec: &RunSpec<'_>) -> usize {
+    let SchedulerKind::Sharded { shards, workers } = spec.scheduler else { return 0 };
+    let k = shards.clamp(1, graph.node_count().max(1));
+    let requested = if workers == 0 { k } else { workers };
+    match spec.threads {
         ThreadMode::Off => 0,
-        ThreadMode::ForceOn => {
-            if k > 1 {
-                requested.clamp(1, k)
-            } else {
-                0
-            }
-        }
+        ThreadMode::ForceOn if k > 1 => requested.clamp(1, k),
+        ThreadMode::ForceOn => 0,
         ThreadMode::Auto => {
             // ds-lint: allow(ambient-authority) — thread-count probe gates only
             // *whether* (and how many) workers spawn, never the schedule
@@ -349,38 +314,21 @@ where
                 0
             }
         }
-    };
-    if workers == 0 {
-        return run_core(graph, delay, faults, make, limits, k, None, traced);
     }
-    WorkerPool::run(
-        workers,
-        |w: &mut ShardWork<P>| phase1(w),
-        |pool| run_core(graph, delay, faults, make, limits, k, Some(pool), traced),
-    )
 }
 
-// ---------------------------------------------------------------------------
-// The engine
-// ---------------------------------------------------------------------------
-
-/// The sharded engine: [`run_ticks`] over [`ShardedLayout`], with the pool's
-/// dense-tick path. Without a pool it needs no `Send` bound, which is how
-/// [`run_async_faulted`](crate::async_engine::run_async_faulted) runs
-/// [`crate::SchedulerKind::Sharded`] sequentially.
-// Every entry point funnels here with its full knob set; bundling the knobs
-// into a struct would only move the argument list one call deeper.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_core<P, F>(
+/// The sharded node placement: [`run_layout`] over [`ShardedLayout`], with
+/// the pool's dense-tick path when there is a pool. Returns the wheel for
+/// the slab.
+pub(crate) fn run_shards<P, F>(
     graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
+    spec: &RunSpec<'_>,
     mut make: F,
-    limits: SimLimits,
     shards: usize,
+    wheel: TimingWheel<EvRef>,
+    slab: &mut EngineSlab<P::Message>,
     mut pool: Option<&mut WorkerPool<ShardWork<P>>>,
-    traced: bool,
-) -> Result<(AsyncReport<P>, Option<DeliveryTrace>), SimError>
+) -> Result<(Run<P>, TimingWheel<EvRef>), SimError>
 where
     P: Protocol,
     F: FnMut(NodeId) -> P,
@@ -402,33 +350,27 @@ where
             })
         })
         .collect();
-    let mut links = LinkTable::default();
-    links.adopt(graph);
-    let mut st = Layout {
-        nodes: Shards { layout, works },
-        links,
-        arena: PayloadArena::new(),
-        sched: TimingWheel::new(delay.max_delay_ticks()),
-    };
-    let faults = faults.map(|plan| FaultState::new(graph, plan));
-    let mut core = Core::new(graph, delay, limits, traced.then_some(k as u32), faults);
     // Dense ticks whose activations were shipped to the worker pool.
     let mut pool_dispatches = 0u64;
-    run_ticks(&mut core, &mut st, |core, st, due| match pool.as_deref_mut() {
-        Some(pool) if due.len() >= PARALLEL_TICK_THRESHOLD => {
-            pool_dispatches += 1;
-            bucket(core, st, due);
-            let newly_done = dispatch(&mut st.nodes, pool);
-            core.count_done(newly_done, core.now);
-            replay(core, st, due)?;
-            Ok(true)
-        }
-        _ => Ok(false),
-    })?;
-
-    let nodes = st.nodes.works.into_iter().flat_map(|w| w.expect("shard at home").nodes).collect();
-    let (report, trace) = finish(core, nodes, &st.sched, &st.arena);
-    Ok((AsyncReport { pool_dispatches, ..report }, trace))
+    let placement = Shards { layout, works };
+    let (core, placement, wheel) =
+        run_layout(graph, spec, k as u32, placement, wheel, slab, |core, st, due| {
+            match pool.as_deref_mut() {
+                Some(pool) if due.len() >= PARALLEL_TICK_THRESHOLD => {
+                    pool_dispatches += 1;
+                    bucket(core, st, due);
+                    let newly_done = dispatch(&mut st.nodes, pool);
+                    core.count_done(newly_done, core.now);
+                    replay(core, st, due)?;
+                    Ok(true)
+                }
+                _ => Ok(false),
+            }
+        })?;
+    let nodes = placement.works.into_iter().flat_map(|w| w.expect("shard at home").nodes);
+    let nodes = nodes.collect();
+    let (report, trace) = finish(core, nodes, &wheel, &slab.parts.arena);
+    Ok(((AsyncReport { pool_dispatches, ..report }, trace), wheel))
 }
 
 /// Dense-tick step 1: lends every deliverable payload of the tick out of the
@@ -515,9 +457,7 @@ fn replay<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_engine::run_async_faulted;
     use crate::metrics::MessageClass;
-    use crate::SchedulerKind;
 
     /// Chatty flood for the failure tests below: every 5th node a source,
     /// three echo waves, mixed per-message priorities. The engine-equivalence
@@ -563,29 +503,23 @@ mod tests {
         }
     }
 
+    /// A sharded run of `shards` shards, one worker per shard, under
+    /// `threads`, uniform delays.
+    fn sharded(shards: usize, threads: ThreadMode) -> RunSpec<'static> {
+        let scheduler = SchedulerKind::Sharded { shards, workers: 0 };
+        RunSpec { scheduler, threads, ..RunSpec::new(DelayModel::uniform()) }
+    }
+
     #[test]
     fn event_limit_aborts_like_the_serial_engine() {
         let graph = Graph::grid(5, 5);
         let limits = SimLimits { max_events: 40, ..SimLimits::default() };
-        let serial = run_async_faulted(
-            &graph,
-            DelayModel::uniform(),
-            None,
-            |v| Chatter::new(&graph, v),
-            limits,
-            SchedulerKind::TimingWheel,
-        )
-        .unwrap_err();
-        let sharded = run_async_sharded_faulted_with(
-            &graph,
-            DelayModel::uniform(),
-            None,
-            |v| Chatter::new(&graph, v),
-            limits,
-            ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(4) },
-        )
-        .unwrap_err();
-        assert_eq!(serial, sharded);
+        let make = |v| Chatter::new(&graph, v);
+        let serial =
+            run(&graph, &RunSpec { limits, ..RunSpec::new(DelayModel::uniform()) }, make, None);
+        let spec = RunSpec { limits, ..sharded(4, ThreadMode::Off) };
+        let sharded = run(&graph, &spec, make, None).unwrap_err();
+        assert_eq!(serial.unwrap_err(), sharded);
         assert_eq!(sharded, SimError::EventLimitExceeded { limit: 40 });
     }
 
@@ -596,9 +530,9 @@ mod tests {
         // the serial engine's would. Without the catch_unwind/resume_unwind
         // hand-off the coordinator would block forever on the completion
         // channel (idle workers keep it open), turning one bad activation
-        // into a hung simulation. Same setup as the threaded test above: the
-        // uniform start wave exceeds PARALLEL_TICK_THRESHOLD, so phase 1
-        // really runs on workers under ForceOn.
+        // into a hung simulation. The uniform start wave exceeds
+        // PARALLEL_TICK_THRESHOLD, so phase 1 really runs on workers under
+        // ForceOn.
         #[derive(Debug)]
         struct Exploding<'g> {
             inner: Chatter<'g>,
@@ -617,14 +551,8 @@ mod tests {
             }
         }
         let graph = Graph::grid(12, 12);
-        let _ = run_async_sharded_faulted_with(
-            &graph,
-            DelayModel::uniform(),
-            None,
-            |v| Exploding { inner: Chatter::new(&graph, v) },
-            SimLimits::default(),
-            ShardedOptions { threads: ThreadMode::ForceOn, ..ShardedOptions::new(4) },
-        );
+        let make = |v| Exploding { inner: Chatter::new(&graph, v) };
+        let _ = run(&graph, &sharded(4, ThreadMode::ForceOn), make, None);
     }
 
     #[test]
@@ -634,15 +562,14 @@ mod tests {
         // destination.
         let graph = Graph::random_connected(22, 0.16, 19);
         for shards in [1, 2, 4] {
-            let (_, trace) = run_async_sharded_faulted_traced_with(
-                &graph,
-                DelayModel::jitter(4),
-                None,
-                |v| Chatter::new(&graph, v),
-                SimLimits::default(),
-                ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(shards) },
-            )
-            .expect("traced sharded run");
+            let spec = RunSpec {
+                delay: DelayModel::jitter(4),
+                trace: true,
+                ..sharded(shards, ThreadMode::Off)
+            };
+            let (_, trace) =
+                run(&graph, &spec, |v| Chatter::new(&graph, v), None).expect("traced sharded run");
+            let trace = trace.expect("tracing was on");
             assert_eq!(trace.shards, shards as u32);
             assert!(!trace.records.is_empty());
             let layout = ShardLayout::new(graph.node_count(), shards);
@@ -671,15 +598,7 @@ mod tests {
             }
         }
         let graph = Graph::path(3);
-        let err = run_async_sharded_faulted_with(
-            &graph,
-            DelayModel::uniform(),
-            None,
-            |me| Bad { me },
-            SimLimits::default(),
-            ShardedOptions::new(2),
-        )
-        .unwrap_err();
+        let err = run(&graph, &sharded(2, ThreadMode::Auto), |me| Bad { me }, None).unwrap_err();
         assert_eq!(err, SimError::NotNeighbor { from: NodeId(0), to: NodeId(2) });
     }
 

@@ -1,5 +1,5 @@
 //! The result of a run — [`SynchronizedRun`] and its [`RunHealth`] — and the
-//! one engine dispatch every asynchronous synchronizer shares.
+//! one engine call every asynchronous synchronizer shares.
 //!
 //! The paper presents the deterministic synchronizer as a *drop-in wrapper*: any
 //! event-driven synchronous algorithm runs unchanged under any synchronizer, and its
@@ -7,30 +7,28 @@
 //! makes that uniformity literal: it matches on the
 //! [`SyncKind`](crate::session::SyncKind) once, wraps each node's algorithm in
 //! the chosen protocol (α, β or the paper's det synchronizer) and hands it to
-//! the engine dispatch below, so every kind yields the same [`SynchronizedRun`].
+//! the engine call below, so every kind yields the same [`SynchronizedRun`].
 
 use crate::session::Session;
 use crate::synchronizer::SynchronizedOutputs;
 use ds_graph::NodeId;
-use ds_netsim::async_engine::{run_async_faulted, run_async_faulted_traced, SimError};
 use ds_netsim::metrics::RunMetrics;
 use ds_netsim::protocol::Protocol;
-use ds_netsim::recycle::run_async_recycled;
-use ds_netsim::sharded::{
-    run_async_sharded_faulted_traced_with, run_async_sharded_faulted_with, ShardedOptions,
-};
-use ds_netsim::{DeliveryTrace, FaultPlan, SchedulerKind};
+use ds_netsim::{run, DeliveryTrace, FaultPlan, RunSpec, SimError, SlabBank};
 
 impl Session<'_> {
-    /// Runs a synchronizer protocol on the engine the session selects and
-    /// assembles the result: [`SchedulerKind::Sharded`] dispatches to the
-    /// sharded engine (worker threads when the host has them — the
+    /// Runs a synchronizer protocol on the engine the session selects
+    /// ([`ds_netsim::run`]; a [`Sharded`](ds_netsim::SchedulerKind::Sharded)
+    /// session spawns worker threads when the host has them — the
     /// synchronizer protocols are `Send` because
-    /// [`EventDriven`](ds_netsim::event_driven::EventDriven) algorithms are),
-    /// everything else to the serial engine. All kinds produce bit-identical
-    /// runs. With tracing on, the run also records the delivery trace the
-    /// happens-before checker consumes. `collect` reads the per-node outputs
-    /// and ordering violations off the finished protocol instances.
+    /// [`EventDriven`](ds_netsim::event_driven::EventDriven) algorithms are)
+    /// and assembles the result. All configurations produce
+    /// bit-identical runs. With tracing on, the run also records the delivery
+    /// trace the happens-before checker consumes; with a slab bank, it runs
+    /// on a slab checked out of the bank, which goes back in after a
+    /// successful run (an error run drops it: the bank only pools provably
+    /// clean state). `collect` reads the per-node outputs and ordering
+    /// violations off the finished protocol instances.
     pub(crate) fn run_async<P, O, F>(
         &self,
         make: F,
@@ -41,45 +39,19 @@ impl Session<'_> {
         P::Message: Send + 'static,
         F: FnMut(NodeId) -> P,
     {
-        let (graph, delay, faults, limits) =
-            (self.graph, self.delay.clone(), self.faults.as_ref(), self.limits);
-        let (report, trace) = match (self.scheduler, self.trace, self.recycle.as_ref()) {
-            // Recycled path: serial wheel runs draw their engine state from the
-            // session's slab bank. Bit-identical to the cold paths below — the
-            // recycling reset contract is asserted by the engine itself — and
-            // scoped to exactly the configuration the slabs fit (the sharded
-            // engine owns per-shard node state, and traced runs are rare one-off
-            // verification runs). An error run drops its slab instead of checking
-            // it back in: the bank only ever pools provably clean state.
-            (SchedulerKind::TimingWheel, false, Some(bank)) => {
-                let mut slab = bank.checkout::<P::Message>();
-                let report = run_async_recycled(graph, delay, faults, make, limits, &mut slab)?;
-                bank.check_in(slab);
-                (report, None)
-            }
-            (SchedulerKind::Sharded { shards, workers }, traced, _) => {
-                let opts = ShardedOptions { workers, ..ShardedOptions::new(shards) };
-                if traced {
-                    let (report, trace) = run_async_sharded_faulted_traced_with(
-                        graph, delay, faults, make, limits, opts,
-                    )?;
-                    (report, Some(trace))
-                } else {
-                    (
-                        run_async_sharded_faulted_with(graph, delay, faults, make, limits, opts)?,
-                        None,
-                    )
-                }
-            }
-            (kind, true, _) => {
-                let (report, trace) =
-                    run_async_faulted_traced(graph, delay, faults, make, limits, kind)?;
-                (report, Some(trace))
-            }
-            (kind, false, _) => {
-                (run_async_faulted(graph, delay, faults, make, limits, kind)?, None)
-            }
+        let faults = self.faults.as_ref();
+        let spec = RunSpec {
+            faults,
+            limits: self.limits,
+            scheduler: self.scheduler,
+            trace: self.trace,
+            ..RunSpec::new(self.delay.clone())
         };
+        let mut slab = self.recycle.as_ref().map(SlabBank::checkout::<P::Message>);
+        let (report, trace) = run(self.graph, &spec, make, slab.as_mut())?;
+        if let (Some(bank), Some(slab)) = (&self.recycle, slab) {
+            bank.check_in(slab);
+        }
         let SynchronizedOutputs { outputs, ordering_violations } = collect(&report.nodes);
         Ok(SynchronizedRun {
             health: RunHealth::of(faults, &outputs),

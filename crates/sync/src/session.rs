@@ -257,8 +257,7 @@ impl<'g> Session<'g> {
     /// [`crate::service::SessionPool`] — to amortize engine setup across
     /// them. The schedule is bit-identical with or without a bank (the reset
     /// contract of `ds-netsim::recycle`, asserted by the engine on every
-    /// run); only serial [`SchedulerKind::TimingWheel`] runs without tracing
-    /// use the bank, all other configurations silently allocate cold.
+    /// run), and every scheduler, traced or not, uses the bank.
     #[must_use]
     pub fn recycle(mut self, bank: SlabBank) -> Self {
         self.recycle = Some(bank);

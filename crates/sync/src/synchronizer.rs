@@ -1433,10 +1433,9 @@ pub fn collect_outputs<A: EventDriven>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ds_netsim::async_engine::{run_async_faulted, SimLimits};
     use ds_netsim::delay::DelayModel;
     use ds_netsim::sync_engine::run_sync;
-    use ds_netsim::SchedulerKind;
+    use ds_netsim::{run, RunSpec};
 
     #[derive(Debug)]
     struct Flood<'g> {
@@ -1507,15 +1506,9 @@ mod tests {
         make: impl Fn(NodeId) -> A,
     ) -> Vec<usize> {
         let cfg = SynchronizerConfig::build(graph, bound);
-        let report = run_async_faulted(
-            graph,
-            DelayModel::jitter(9),
-            None,
-            |v| DetSynchronizer::new(v, make(v), cfg.clone()),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
-        )
-        .expect("run");
+        let make = |v| DetSynchronizer::new(v, make(v), cfg.clone());
+        let (report, _) =
+            run(graph, &RunSpec::new(DelayModel::jitter(9)), make, None).expect("run");
         assert!(
             report.nodes.iter().all(|n| n.algorithm().output().is_some()),
             "every node outputs"
@@ -1641,21 +1634,10 @@ mod tests {
         // Deep enough (10 pulses) for non-base stages, so registration rows exist.
         let graph = Graph::path(10);
         let cfg = SynchronizerConfig::build(&graph, 10);
-        let report = run_async_faulted(
-            &graph,
-            DelayModel::jitter(3),
-            None,
-            |v| {
-                DetSynchronizer::new(
-                    v,
-                    Flood { me: v, neighbors: graph.neighbors(v), hops: None },
-                    cfg.clone(),
-                )
-            },
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
-        )
-        .expect("run");
+        let flood = |v| Flood { me: v, neighbors: graph.neighbors(v), hops: None };
+        let make = |v| DetSynchronizer::new(v, flood(v), cfg.clone());
+        let (report, _) =
+            run(&graph, &RunSpec::new(DelayModel::jitter(3)), make, None).expect("run");
         for (i, node) in report.nodes.iter().enumerate() {
             let dump = node.debug_stall();
             assert!(dump.starts_with(&format!("node {i}:")), "dump header: {dump}");

@@ -10,7 +10,8 @@
 //!
 //! * [`Chatter`] — the one engine-level test protocol: a multi-wave flood
 //!   with mixed per-message priorities;
-//! * [`rows`] — the one list of engine configurations;
+//! * [`rows`] — the one list of engine configurations, each a [`RunSpec`]
+//!   for [`ds_netsim::run`] plus the engine slab its run gets;
 //! * [`check`] — runs a [`Scenario`] on every row and asserts every clause.
 //!
 //! # Clauses
@@ -18,8 +19,8 @@
 //! 1. **Reports.** Every row's per-node arrival streams, [`RunMetrics`] and
 //!    [`AsyncReport`] fields equal the first (untraced wheel) row's. Three
 //!    fields are exempt, each named once with its reason: `overflow_events`
-//!    on the heap (`Engine::reports_overflow`), `arena_bytes` on the warm
-//!    slab ([`Engine::reports_arena_bytes`]) and `pool_dispatches` on every
+//!    on the heap (`Row::reports_overflow`), `arena_bytes` on the warm-slab
+//!    rows ([`Row::reports_arena_bytes`]) and `pool_dispatches` on every
 //!    row (`View::of`; clause 3 checks it instead).
 //! 2. **Traces.** Every traced row's trace passes [`check_trace`], has one
 //!    record per delivery and the row's shard count, and equals the first
@@ -29,8 +30,8 @@
 //! 3. **Non-vacuity.** A scenario that expects it reaches the overflow heap
 //!    ([`Scenario::reaches_overflow`]) or the worker pool on every threaded
 //!    row ([`Scenario::reaches_pool`]); rows without worker threads never
-//!    touch the pool; a fault plan fires and drops deliveries; the slab ends
-//!    clean; and a reseeded jitter or outage delay changes the trace, so the
+//!    touch the pool; a fault plan fires and drops deliveries; every slab
+//!    ends clean; and a reseeded jitter or outage delay changes the trace, so the
 //!    schedule is not independent of the adversary.
 //!
 //! The `Session`-level rows (every `SyncKind` over the same list) live with
@@ -39,10 +40,8 @@
 use crate::hb::{check_equivalence, check_trace, HbViolation};
 use ds_graph::{Graph, NodeId};
 use ds_netsim::{
-    run_async_faulted, run_async_faulted_traced, run_async_recycled,
-    run_async_sharded_faulted_traced_with, run_async_sharded_faulted_with, AsyncReport, Ctx,
-    DelayModel, DeliveryTrace, EngineSlab, FaultPlan, MessageClass, Protocol, RunMetrics,
-    SchedulerKind, ShardedOptions, SimError, SimLimits, ThreadMode,
+    run, AsyncReport, Ctx, DelayModel, DeliveryTrace, EngineSlab, FaultPlan, MessageClass,
+    Protocol, RunMetrics, RunSpec, SchedulerKind, SimError, ThreadMode,
 };
 use std::fmt;
 
@@ -103,61 +102,53 @@ impl Protocol for Chatter<'_> {
     }
 }
 
-/// One engine an engine-contract row runs on.
+/// The engine slab a contract row's run gets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// [`SchedulerKind::TimingWheel`], freshly allocated.
-    Wheel,
-    /// [`SchedulerKind::BinaryHeap`].
-    Heap,
-    /// The sharded engine. [`ThreadMode::Off`] rows go through
-    /// [`run_async_faulted`] with [`SchedulerKind::Sharded`],
-    /// [`ThreadMode::ForceOn`] rows through [`run_async_sharded_faulted_with`].
-    Sharded(ShardedOptions),
-    /// [`run_async_recycled`] on a fresh [`EngineSlab`].
-    ColdSlab,
-    /// [`run_async_recycled`] on a slab that has already run the scenario and
-    /// a denser run on another graph.
-    WarmSlab,
+pub enum SlabState {
+    /// No slab: the run allocates cold.
+    None,
+    /// A fresh [`EngineSlab`].
+    Cold,
+    /// A slab that has just served a denser run on another graph.
+    Warm,
 }
 
-impl Engine {
-    /// Whether the engine's `overflow_events` equals the wheel's. The heap
-    /// has no horizon, so it parks nothing and reports 0.
-    fn reports_overflow(self) -> bool {
-        self != Engine::Heap
-    }
-
-    /// Whether the engine's `arena_bytes` equals a cold run's. A warm slab's
-    /// arena keeps the capacity of the larger runs before it.
-    pub fn reports_arena_bytes(self) -> bool {
-        self != Engine::WarmSlab
-    }
-}
-
-/// One engine configuration: an engine, traced or not.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One engine configuration: a [`RunSpec`] and the slab its run gets. The
+/// spec's delay and faults are placeholders: [`check`] runs every row under
+/// its scenario's.
+#[derive(Clone)]
 pub struct Row {
-    /// The engine.
-    pub engine: Engine,
-    /// Whether the run records a [`DeliveryTrace`].
-    pub traced: bool,
+    /// Scheduler, thread mode and tracing of the row's run.
+    pub spec: RunSpec<'static>,
+    /// The slab the run gets.
+    pub slab: SlabState,
 }
 
 impl Row {
-    /// The scheduler this row selects through `SchedulerKind`-level APIs
-    /// such as `Session::scheduler` (the slabs run the wheel).
-    pub fn scheduler(&self) -> SchedulerKind {
-        match self.engine {
-            Engine::Heap => SchedulerKind::BinaryHeap,
-            Engine::Sharded(o) => SchedulerKind::Sharded { shards: o.shards, workers: o.workers },
-            Engine::Wheel | Engine::ColdSlab | Engine::WarmSlab => SchedulerKind::TimingWheel,
-        }
+    /// Whether the row's `overflow_events` equals the wheel's. The heap has
+    /// no horizon, so it parks nothing and reports 0.
+    fn reports_overflow(&self) -> bool {
+        self.spec.scheduler != SchedulerKind::BinaryHeap
+    }
+
+    /// Whether the row's `arena_bytes` equals a cold run's. A warm slab's
+    /// arena keeps the capacity of the larger runs before it.
+    pub fn reports_arena_bytes(&self) -> bool {
+        self.slab != SlabState::Warm
     }
 
     /// Whether the row's run may hand work to worker threads.
     fn threaded(&self) -> bool {
-        matches!(self.engine, Engine::Sharded(o) if o.threads == ThreadMode::ForceOn && o.shards > 1)
+        let sharded =
+            matches!(self.spec.scheduler, SchedulerKind::Sharded { shards, .. } if shards > 1);
+        sharded && self.spec.threads == ThreadMode::ForceOn
+    }
+}
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let RunSpec { scheduler, threads, trace, .. } = &self.spec;
+        write!(f, "{scheduler:?} {threads:?} trace {trace} slab {:?}", self.slab)
     }
 }
 
@@ -165,36 +156,44 @@ impl Row {
 /// wheel, and the wheel run again (traced); the heap (traced); the sharded
 /// engine at `k` ∈ {1, 2, 3, 4, 7, n, n + 1} shards over worker counts that
 /// mostly do not divide `k` (`0` is one worker per shard, and `n + 1` clamps
-/// to `n`), each under [`ThreadMode::Off`] and [`ThreadMode::ForceOn`]; and a
-/// cold and a warm slab (recycled runs have no traced form). The first row
-/// is the reference.
+/// to `n`), each under [`ThreadMode::Off`] and [`ThreadMode::ForceOn`]; a
+/// cold slab on the wheel, and a warm slab on the wheel and on two shards
+/// over one forced worker (both traced). The first row is the reference.
 ///
 /// Shard counts 1, 2, 4 and 7 are traced under one thread mode and
 /// untraced under the other; 3, `n` and `n + 1` run untraced only: a trace
 /// doubles a run's cost, and what could order a cross-shard pair (a cause
 /// edge inside one tick) does not depend on `k`.
 pub fn rows(n: usize) -> Vec<Row> {
-    let row = |engine, traced| Row { engine, traced };
-    let mut rows =
-        vec![row(Engine::Wheel, false), row(Engine::Wheel, true), row(Engine::Heap, true)];
-    let (off, on) = (Some(ThreadMode::Off), Some(ThreadMode::ForceOn));
+    let row = |scheduler, threads, trace, slab| Row {
+        spec: RunSpec { scheduler, threads, trace, ..RunSpec::new(DelayModel::uniform()) },
+        slab,
+    };
+    let (wheel, off, on) = (SchedulerKind::TimingWheel, ThreadMode::Off, ThreadMode::ForceOn);
+    let mut rows = vec![
+        row(wheel, off, false, SlabState::None),
+        row(wheel, off, true, SlabState::None),
+        row(SchedulerKind::BinaryHeap, off, true, SlabState::None),
+    ];
+    let (off_traced, on_traced) = (Some(off), Some(on));
     let splits = [
-        (1, 0, off),
-        (2, 1, on),
+        (1, 0, off_traced),
+        (2, 1, on_traced),
         (3, 2, None),
-        (4, 3, on),
-        (7, 2, off),
+        (4, 3, on_traced),
+        (7, 2, off_traced),
         (n, 3, None),
         (n + 1, 1, None),
     ];
     for (shards, workers, traced_mode) in splits {
-        for threads in [ThreadMode::Off, ThreadMode::ForceOn] {
-            let traced = traced_mode == Some(threads);
-            rows.push(row(Engine::Sharded(ShardedOptions { shards, workers, threads }), traced));
+        for threads in [off, on] {
+            let sharded = SchedulerKind::Sharded { shards, workers };
+            rows.push(row(sharded, threads, traced_mode == Some(threads), SlabState::None));
         }
     }
-    rows.push(row(Engine::ColdSlab, false));
-    rows.push(row(Engine::WarmSlab, false));
+    rows.push(row(wheel, off, false, SlabState::Cold));
+    rows.push(row(wheel, off, true, SlabState::Warm));
+    rows.push(row(SchedulerKind::Sharded { shards: 2, workers: 1 }, on, true, SlabState::Warm));
     rows
 }
 
@@ -253,38 +252,10 @@ impl<'a> Scenario<'a> {
         |v| Chatter::new(self.graph, v, self.stride, self.waves)
     }
 
-    /// One run on `row`, with the trace if the row asks for one.
-    fn run(&self, row: Row, slab: &mut EngineSlab<u64>) -> Result<Run<'a>, SimError> {
-        let (graph, faults, limits) = (self.graph, self.faults, SimLimits::default());
-        let delay = self.delay.clone();
-        match row.engine {
-            Engine::ColdSlab | Engine::WarmSlab => {
-                run_async_recycled(graph, delay, faults, self.make(), limits, slab)
-                    .map(|report| (report, None))
-            }
-            Engine::Sharded(opts) if opts.threads != ThreadMode::Off => {
-                if row.traced {
-                    run_async_sharded_faulted_traced_with(
-                        graph,
-                        delay,
-                        faults,
-                        self.make(),
-                        limits,
-                        opts,
-                    )
-                    .map(|(report, trace)| (report, Some(trace)))
-                } else {
-                    run_async_sharded_faulted_with(graph, delay, faults, self.make(), limits, opts)
-                        .map(|report| (report, None))
-                }
-            }
-            _ if row.traced => {
-                run_async_faulted_traced(graph, delay, faults, self.make(), limits, row.scheduler())
-                    .map(|(report, trace)| (report, Some(trace)))
-            }
-            _ => run_async_faulted(graph, delay, faults, self.make(), limits, row.scheduler())
-                .map(|report| (report, None)),
-        }
+    /// One run on `row`'s spec under the scenario's delay and faults.
+    fn run(&self, row: &Row, slab: Option<&mut EngineSlab<u64>>) -> Result<Run<'a>, SimError> {
+        let spec = RunSpec { delay: self.delay.clone(), faults: self.faults, ..row.spec };
+        run(self.graph, &spec, self.make(), slab)
     }
 }
 
@@ -323,10 +294,9 @@ struct View {
 }
 
 impl View {
-    /// `report` as compared on `engine`'s row. The destructuring names every
-    /// field, so a new one fails to compile here until it is compared or
-    /// exempted.
-    fn of(report: &AsyncReport<Chatter<'_>>, engine: Engine) -> View {
+    /// `report` as compared on `row`. The destructuring names every field,
+    /// so a new one fails to compile here until it is compared or exempted.
+    fn of(report: &AsyncReport<Chatter<'_>>, row: &Row) -> View {
         let AsyncReport {
             metrics,
             nodes,
@@ -345,9 +315,9 @@ impl View {
         View {
             arrivals: nodes.iter().map(|c| c.arrivals.clone()).collect(),
             metrics: metrics.clone(),
-            overflow_events: engine.reports_overflow().then_some(*overflow_events),
+            overflow_events: row.reports_overflow().then_some(*overflow_events),
             peak_live_handles: *peak_live_handles,
-            arena_bytes: engine.reports_arena_bytes().then_some(*arena_bytes),
+            arena_bytes: row.reports_arena_bytes().then_some(*arena_bytes),
             max_batch: *max_batch,
             acks_scheduled: *acks_scheduled,
             batched_ticks: *batched_ticks,
@@ -362,15 +332,8 @@ impl View {
 /// scenarios hold, so a recycled arena watermark that is not reset shows.
 fn warm_up(slab: &mut EngineSlab<u64>) {
     let graph = Graph::complete(16);
-    run_async_recycled(
-        &graph,
-        DelayModel::uniform(),
-        None,
-        |v| Chatter::new(&graph, v, 1, 0),
-        SimLimits::default(),
-        slab,
-    )
-    .expect("warm-up run");
+    let make = |v| Chatter::new(&graph, v, 1, 0);
+    run(&graph, &RunSpec::new(DelayModel::uniform()), make, Some(slab)).expect("warm-up run");
 }
 
 /// `delay` under the next seed, if it has one.
@@ -399,28 +362,40 @@ fn render(violations: &[HbViolation]) -> String {
 /// or if a run errors.
 pub fn check(scenario: &Scenario<'_>) {
     let n = scenario.graph.node_count();
-    let mut slab = EngineSlab::new();
+    let (mut warm, mut warm_rows) = (EngineSlab::new(), 0);
     let mut reference: Option<AsyncReport<Chatter<'_>>> = None;
     let mut reference_trace: Option<DeliveryTrace> = None;
     for row in rows(n) {
         let at = || format!("{row:?}, {scenario:?}");
-        if row.engine == Engine::WarmSlab {
-            warm_up(&mut slab);
+        let mut cold = EngineSlab::new();
+        let mut slab = match row.slab {
+            SlabState::None => None,
+            SlabState::Cold => Some(&mut cold),
+            SlabState::Warm => {
+                warm_up(&mut warm);
+                warm_rows += 1;
+                Some(&mut warm)
+            }
+        };
+        let (report, trace) = scenario
+            .run(&row, slab.as_deref_mut())
+            .unwrap_or_else(|e| panic!("run failed ({}): {e}", at()));
+        if let Some(slab) = slab {
+            assert!(slab.is_clean(), "the slab did not end clean ({})", at());
         }
-        let (report, trace) =
-            scenario.run(row, &mut slab).unwrap_or_else(|e| panic!("run failed ({}): {e}", at()));
 
         if row.threaded() && scenario.pool {
             assert!(report.pool_dispatches > 0, "the pool was never reached ({})", at());
         } else if !row.threaded() {
             assert_eq!(report.pool_dispatches, 0, "the pool ran without threads ({})", at());
         }
+        assert_eq!(trace.is_some(), row.spec.trace, "{}", at());
         if let Some(trace) = trace {
             check_trace(&trace)
                 .unwrap_or_else(|v| panic!("trace violates HB ({}):{}", at(), render(&v)));
             assert_eq!(trace.records.len() as u64, report.metrics.events, "{}", at());
-            let shards = match row.engine {
-                Engine::Sharded(o) => o.shards.min(n),
+            let shards = match row.spec.scheduler {
+                SchedulerKind::Sharded { shards, .. } => shards.min(n),
                 _ => 1,
             };
             assert_eq!(trace.shards as usize, shards, "trace shard count ({})", at());
@@ -432,8 +407,8 @@ pub fn check(scenario: &Scenario<'_>) {
         }
         match &reference {
             Some(first) => assert_eq!(
-                View::of(&report, row.engine),
-                View::of(first, row.engine),
+                View::of(&report, &row),
+                View::of(first, &row),
                 "report diverged ({})",
                 at()
             ),
@@ -453,12 +428,13 @@ pub fn check(scenario: &Scenario<'_>) {
             }
         }
     }
-    assert!(slab.is_clean() && slab.runs() == 3, "the warm slab did not end clean ({scenario:?})");
+    assert_eq!(warm.runs(), 2 * warm_rows, "a warm row's runs went missing ({scenario:?})");
 
     if let Some(delay) = reseeded(&scenario.delay) {
         let other = Scenario { delay, ..scenario.clone() };
-        let row = Row { engine: Engine::Wheel, traced: true };
-        let (_, trace) = other.run(row, &mut slab).expect("reseeded run");
+        let spec = RunSpec { trace: true, ..RunSpec::new(DelayModel::uniform()) };
+        let (_, trace) =
+            other.run(&Row { spec, slab: SlabState::None }, None).expect("reseeded run");
         let (first, trace) = (reference_trace.as_ref(), trace.as_ref());
         assert!(
             check_equivalence(first.expect("a traced row"), trace.expect("traced")).is_err(),

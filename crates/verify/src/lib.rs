@@ -38,7 +38,7 @@ pub mod hb;
 pub mod lint;
 pub mod source;
 
-pub use contract::{check, rows, Chatter, Engine, Row, Scenario};
+pub use contract::{check, rows, Chatter, Row, Scenario, SlabState};
 pub use digest::DigestFlood;
 pub use hb::{check_equivalence, check_trace, HbReport, HbViolation};
 pub use lint::{lint_files, lint_source, self_test, Finding, Rule};

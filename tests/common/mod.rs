@@ -4,7 +4,7 @@
 
 use det_synchronizer::netsim::SlabBank;
 use det_synchronizer::prelude::*;
-use ds_verify::{check_equivalence, check_trace, rows, Engine};
+use ds_verify::{check_equivalence, check_trace, rows, SlabState};
 use std::fmt::Debug;
 
 /// Runs `make` under every `SyncKind` × contract row on `graph` under `delay`
@@ -22,13 +22,13 @@ where
             let mut session = Session::on(graph)
                 .delay(delay.clone())
                 .synchronizer(kind.clone())
-                .scheduler(row.scheduler())
-                .record_trace(row.traced);
-            if matches!(row.engine, Engine::ColdSlab | Engine::WarmSlab) {
+                .scheduler(row.spec.scheduler)
+                .record_trace(row.spec.trace);
+            if row.slab != SlabState::None {
                 session = session.recycle(bank.clone());
             }
             let run = session.run(&make).unwrap_or_else(|e| panic!("{}: {e}", at()));
-            let traced = row.traced && !matches!(kind, SyncKind::Direct);
+            let traced = row.spec.trace && !matches!(kind, SyncKind::Direct);
             assert_eq!(run.trace.is_some(), traced, "{}", at());
             if let Some(trace) = &run.trace {
                 check_trace(trace).unwrap_or_else(|v| panic!("{}: {v:?}", at()));
@@ -48,7 +48,7 @@ where
                     max_batch,
                     ..
                 } = *r;
-                let arena_bytes = row.engine.reports_arena_bytes().then_some(arena_bytes);
+                let arena_bytes = row.reports_arena_bytes().then_some(arena_bytes);
                 (
                     ordering_violations,
                     batched_ticks,

@@ -3,12 +3,13 @@
 //! `ds-netsim::recycle`.
 //!
 //! The equivalence tests are scenario tables over `ds_verify::check`, whose
-//! cold-slab row runs a fresh `EngineSlab` and whose warm-slab row runs one
-//! that has already served the scenario and a denser run on another graph
-//! (both asserting `EngineSlab::is_clean` after). The rest pin the specific
-//! failures: an aborted run's slab discard and the bank's pooling.
+//! cold-slab row runs a fresh `EngineSlab` and whose warm-slab rows (the
+//! wheel, and two shards over a forced worker) run one that has already
+//! served a denser run on another graph (every slab row asserting
+//! `EngineSlab::is_clean` after). The rest pin the specific failures: an
+//! aborted run's slab discard and the bank's pooling.
 
-use det_synchronizer::netsim::{run_async_recycled, AsyncReport, EngineSlab, SimError, SlabBank};
+use det_synchronizer::netsim::{run, AsyncReport, EngineSlab, RunSpec, SimError, SlabBank};
 use det_synchronizer::prelude::*;
 use ds_verify::{check, Chatter, Scenario};
 
@@ -65,8 +66,8 @@ fn recycled<'g>(
     limits: SimLimits,
     slab: &mut EngineSlab<u64>,
 ) -> Result<AsyncReport<Chatter<'g>>, SimError> {
-    let delay = DelayModel::jitter(5);
-    run_async_recycled(graph, delay, None, |v| Chatter::new(graph, v, 1, 3), limits, slab)
+    let spec = RunSpec { limits, ..RunSpec::new(DelayModel::jitter(5)) };
+    run(graph, &spec, |v| Chatter::new(graph, v, 1, 3), Some(slab)).map(|(report, _)| report)
 }
 
 #[test]

@@ -24,8 +24,7 @@
 //!   in processing order, followed by the counters below, and
 //! * the **counter digest**: FNV-1a over `(events, acks, algorithm messages,
 //!   control messages, time_to_output bits, time_to_quiescence bits,
-//!   dropped_events, fault_transitions)` alone — also checked on
-//!   `run_async_recycled`, which does not trace.
+//!   dropped_events, fault_transitions)` alone.
 //!
 //! `RECORDED_EVENTS` is the events-only identity gate of the retired E9/E11
 //! smoke matrices: `metrics.events` copied from the two JSON artifacts committed
@@ -36,9 +35,7 @@ use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::netsim::protocol::Protocol;
 use det_synchronizer::netsim::sync_engine::run_sync;
 use det_synchronizer::netsim::{
-    run_async_faulted_traced, run_async_recycled, run_async_sharded_faulted_traced_with,
-    AsyncReport, DeliveryTrace, EngineSlab, MessageClass, ShardedOptions, ThreadMode,
-    TICKS_PER_UNIT,
+    run, AsyncReport, DeliveryTrace, EngineSlab, MessageClass, RunSpec, ThreadMode, TICKS_PER_UNIT,
 };
 use det_synchronizer::prelude::*;
 use det_synchronizer::sync::alpha::AlphaSynchronizer;
@@ -106,9 +103,10 @@ struct Golden {
 }
 
 /// Runs `make`'s protocol on the wheel, the heap, the single-shard sharded
-/// engine, three shards over two forced workers and the recycled wheel, and
-/// checks each against `golden`. Returns the recycled wheel's report, so each
-/// scenario can assert it exercises the machinery it is there for.
+/// engine, three shards over two forced workers and the wheel on a fresh
+/// engine slab, every run traced, and checks each against `golden`. Returns
+/// the recycled wheel's report, so each scenario can assert it exercises the
+/// machinery it is there for.
 fn check<P, F>(
     name: &str,
     graph: &Graph,
@@ -122,38 +120,33 @@ where
     P::Message: Send,
     F: Fn(NodeId) -> P,
 {
-    let limits = SimLimits::default();
-    let verify = |config: &str, report: &AsyncReport<P>, trace: &DeliveryTrace| {
+    let (off, on) = (ThreadMode::Off, ThreadMode::ForceOn);
+    let configs = [
+        (SchedulerKind::TimingWheel, off, false),
+        (SchedulerKind::BinaryHeap, off, false),
+        (SchedulerKind::Sharded { shards: 1, workers: 0 }, off, false),
+        (SchedulerKind::Sharded { shards: 3, workers: 2 }, on, false),
+        (SchedulerKind::TimingWheel, off, true),
+    ];
+    let mut slab = EngineSlab::new();
+    let mut last = None;
+    for (scheduler, threads, recycled) in configs {
+        let config = format!("{scheduler:?} {threads:?}, recycled {recycled}");
+        let spec =
+            RunSpec { faults, scheduler, threads, trace: true, ..RunSpec::new(delay.clone()) };
+        let (report, trace) = run(graph, &spec, &make, recycled.then_some(&mut slab))
+            .unwrap_or_else(|e| panic!("{name} on {config}: {e}"));
         assert!(report.metrics.events > 0, "{name} on {config}: the scenario must do work");
-        let (schedule, counters) = (schedule_digest(report, trace), counter_digest(report));
+        let trace = trace.expect("the run was traced");
+        let (schedule, counters) = (schedule_digest(&report, &trace), counter_digest(&report));
         assert_eq!(
             (schedule, counters),
             (golden.schedule, golden.counters),
             "{name} on {config}: got schedule {schedule:#018x} counters {counters:#018x}"
         );
-    };
-    for kind in [
-        SchedulerKind::TimingWheel,
-        SchedulerKind::BinaryHeap,
-        SchedulerKind::Sharded { shards: 1, workers: 0 },
-    ] {
-        let (report, trace) =
-            run_async_faulted_traced(graph, delay.clone(), faults, &make, limits, kind)
-                .unwrap_or_else(|e| panic!("{name} on {kind:?}: {e}"));
-        verify(&format!("{kind:?}"), &report, &trace);
+        last = Some(report);
     }
-    let opts =
-        ShardedOptions { workers: 2, threads: ThreadMode::ForceOn, ..ShardedOptions::new(3) };
-    let (report, trace) =
-        run_async_sharded_faulted_traced_with(graph, delay.clone(), faults, &make, limits, opts)
-            .unwrap_or_else(|e| panic!("{name} on {opts:?}: {e}"));
-    verify(&format!("{opts:?}"), &report, &trace);
-    let mut slab = EngineSlab::new();
-    let report = run_async_recycled(graph, delay.clone(), faults, &make, limits, &mut slab)
-        .unwrap_or_else(|e| panic!("{name} recycled: {e}"));
-    let counters = counter_digest(&report);
-    assert_eq!(counters, golden.counters, "{name} recycled: got counters {counters:#018x}");
-    report
+    last.expect("the recycled run")
 }
 
 fn det_bfs<'g>(

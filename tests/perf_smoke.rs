@@ -9,7 +9,7 @@
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::graph::metrics;
 use det_synchronizer::netsim::sync_engine::run_sync;
-use det_synchronizer::netsim::{run_async_faulted, AsyncReport};
+use det_synchronizer::netsim::{run, AsyncReport, RunSpec};
 use det_synchronizer::prelude::*;
 
 #[test]
@@ -84,15 +84,10 @@ fn det_bfs(graph: &Graph, delay: DelayModel) -> AsyncReport<DetSynchronizer<BfsA
     let bfs = |v| BfsAlgorithm::new(graph, v, &[NodeId(0)]);
     let t = run_sync(graph, bfs, 100_000).expect("synchronous BFS").rounds_to_quiescence;
     let cfg = SynchronizerConfig::build(graph, t.max(1));
-    let report = run_async_faulted(
-        graph,
-        delay,
-        None,
-        |v| DetSynchronizer::new(v, bfs(v), cfg.clone()),
-        SimLimits { max_events: 4_000_000, max_rounds: 10_000 },
-        SchedulerKind::TimingWheel,
-    )
-    .expect("det BFS");
+    let limits = SimLimits { max_events: 4_000_000, max_rounds: 10_000 };
+    let make = |v| DetSynchronizer::new(v, bfs(v), cfg.clone());
+    let (report, _) =
+        run(graph, &RunSpec { limits, ..RunSpec::new(delay) }, make, None).expect("det BFS");
     assert!(report.nodes.iter().all(|n| n.algorithm().output().is_some()), "every node outputs");
     report
 }
